@@ -277,6 +277,8 @@ def const_value(expr) -> Optional[int]:
         Conditional,
         IntLiteral,
         UnaryOp,
+        c_div,
+        c_mod,
     )
 
     if isinstance(expr, IntLiteral):
@@ -326,10 +328,7 @@ def const_value(expr) -> Optional[int]:
         if expr.op in ("/", "%"):
             if right == 0:
                 return None
-            if expr.op == "/":
-                return int(left / right) if (left < 0) != (right < 0) else left // right
-            quotient = int(left / right) if (left < 0) != (right < 0) else left // right
-            return left - right * quotient
+            return c_div(left, right) if expr.op == "/" else c_mod(left, right)
         if expr.op == "<<":
             return left << right
         if expr.op == ">>":

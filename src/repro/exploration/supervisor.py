@@ -29,6 +29,7 @@ forfeit completed simulation work.  Failure semantics are documented in
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import deque
@@ -283,6 +284,10 @@ def _child_main(send_conn, payload) -> None:
     elapsed_s)``; a worker that dies without reporting (injected crash,
     real SIGKILL) is detected by the parent through the closed pipe.
     """
+    # Keep the collector off the heap inherited from the parent: a full
+    # collection here would write to every inherited object and so copy the
+    # whole heap page by page (copy-on-write) before the candidate runs.
+    gc.freeze()
     index, spec, checkpoint_dir, every_events, fault_plan, fault_mode = payload
     started = time.perf_counter()
     try:

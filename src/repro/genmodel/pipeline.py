@@ -1,14 +1,19 @@
 """The differential fuzz pipeline: one generated model through the flow.
 
 :func:`run_pipeline` drives a single :class:`GeneratorConfig` through
-generate → validate → lint → simulate → checkpoint/resume → explore →
-prune and checks the cross-subsystem invariants the repo's tools promise:
+generate → validate → lint → actions → simulate → checkpoint/resume →
+explore → prune and checks the cross-subsystem invariants the repo's tools
+promise:
 
 * **determinism** — generating the same configuration twice yields the
   byte-identical blueprint;
 * **clean-by-construction** — a model generated without injected defects
   validates, passes the design rules and lints without errors (and
   without any value-analysis findings), and simulates with activity;
+* **one action semantics** — every block and guard of the model, run
+  under seeded valuations, behaves the same as the compiled function the
+  simulator executes and through the tree-walking oracle
+  (:func:`repro.uml.actions.execute` / :func:`~repro.uml.actions.evaluate`);
 * **soundness** — a transition the interval analysis flags as dead
   (A001/A003) is never taken by the concrete simulation;
 * **resume fidelity** — interrupting mid-run and resuming from the
@@ -28,6 +33,7 @@ smallest configuration that still fails.
 from __future__ import annotations
 
 import itertools
+import random
 import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +61,8 @@ from repro.observability.metrics import collect_metrics
 from repro.observability.tracer import Tracer
 from repro.simulation.system import SimulationResult, SystemSimulation
 from repro.tutprofile.rules import check_design_rules
+from repro.uml.action_compiler import compile_block, compile_guard
+from repro.uml.actions import ActionEnvironment, Expr, evaluate, execute
 from repro.uml.statemachine import SignalTrigger, TimerTrigger, Transition
 from repro.uml.validation import validate_model
 
@@ -75,6 +83,9 @@ CHECKPOINT_STRIDE = 100
 
 #: Cap on enumerated exploration candidates per pipeline run.
 MAX_CANDIDATES = 6
+
+#: Seeded valuations each block and guard runs under in the actions stage.
+ACTION_VALUATIONS = 8
 
 
 def _fail(stage: str, message: str, config: GeneratorConfig) -> None:
@@ -157,6 +168,120 @@ def check_lint(generated: GeneratedModel):
                 config,
             )
     return report
+
+
+def _run_action(run, environment: ActionEnvironment, rand_state: bool = True):
+    try:
+        result = run()
+    except Exception as exc:  # the error itself is part of the outcome
+        result = (type(exc).__name__, str(exc))
+    return (
+        result,
+        environment.variables,
+        environment.sent,
+        environment.timer_ops,
+        environment._rand_state if rand_state else None,
+    )
+
+
+def action_outcomes(node, variables: Dict[str, int], parameters: Dict[str, int]):
+    """Run a guard (an expression) or a block (a statement list) twice.
+
+    Returns ``(oracle, compiled)``: the outcome under the tree-walker and
+    under the compiled function the simulator calls.  An outcome is the
+    result (value, statement count, or exception type and message) plus
+    the environment afterwards: variables, sends, timer operations and,
+    for blocks, ``rand16`` state (a compiled guard keeps its own, fresh
+    per evaluation, as the simulator's guards always are).
+    """
+    oracle_env = ActionEnvironment(variables)
+    oracle_env.parameters = dict(parameters)
+    compiled_env = ActionEnvironment(variables)
+    compiled_env.parameters = dict(parameters)
+    if isinstance(node, Expr):
+        guard = compile_guard(node)
+        return (
+            _run_action(lambda: evaluate(node, oracle_env), oracle_env, False),
+            _run_action(
+                lambda: guard(compiled_env.parameters, compiled_env.variables),
+                compiled_env,
+                False,
+            ),
+        )
+    block = compile_block(node)
+    return (
+        _run_action(lambda: execute(node, oracle_env), oracle_env),
+        _run_action(lambda: block(compiled_env), compiled_env),
+    )
+
+
+def action_sites(application):
+    """Every guard and action block of an application's state machines.
+
+    Yields ``(description, guard or block, trigger parameter names,
+    declared variables)``, each machine once.
+    """
+    seen = set()
+    for _, process in sorted(application.processes.items()):
+        machine = process.component.classifier_behavior
+        if machine is None or id(machine) in seen:
+            continue
+        seen.add(id(machine))
+        declared = dict(machine.variables)
+        for state in machine.states:
+            yield f"{machine.name}.{state.name} entry", state.entry, (), declared
+            yield f"{machine.name}.{state.name} exit", state.exit, (), declared
+        for transition in machine.transitions:
+            trigger = transition.trigger
+            params = (
+                tuple(trigger.parameter_names)
+                if isinstance(trigger, SignalTrigger)
+                else ()
+            )
+            where = f"{machine.name}: {transition.describe()}"
+            if transition.guard is not None:
+                yield f"{where} guard", transition.guard, params, declared
+            yield f"{where} effect", transition.effect, params, declared
+
+
+def _valuation(rng: random.Random, name: str, declared: Dict[str, int]) -> int:
+    draw = rng.randrange(6)
+    if draw == 0 and name in declared:
+        return declared[name]
+    if draw == 1:
+        return rng.choice((0, 1, -1))
+    if draw == 2:
+        # beyond float precision: C division must stay exact here
+        return rng.randrange(-(2**70), 2**70)
+    return rng.randrange(-16, 17)
+
+
+def check_actions(
+    application, seed: int, config: Optional[GeneratorConfig] = None
+) -> int:
+    """Compiled and tree-walked actions must agree on every block and guard.
+
+    Each runs under :data:`ACTION_VALUATIONS` valuations, drawn from
+    ``seed``, of its machine's declared variables and its trigger's
+    parameters.  Returns the number of comparisons made.
+    """
+    rng = random.Random(seed)
+    compared = 0
+    for where, node, params, declared in action_sites(application):
+        for _ in range(ACTION_VALUATIONS):
+            variables = {name: _valuation(rng, name, declared) for name in declared}
+            parameters = {name: _valuation(rng, name, {}) for name in params}
+            oracle, compiled = action_outcomes(node, variables, parameters)
+            if oracle != compiled:
+                _fail(
+                    "actions",
+                    f"{where} differs compiled vs tree-walked under "
+                    f"variables={variables} parameters={parameters}: "
+                    f"oracle {oracle!r}, compiled {compiled!r}",
+                    config,
+                )
+            compared += 1
+    return compared
 
 
 def simulate(
@@ -512,6 +637,11 @@ def run_pipeline(
     ) <= SIMULATABLE_DEFECTS
     if not simulatable:
         return counters
+
+    counters["actions_compared"] = check_actions(
+        generated.application, config.seed, config=config
+    )
+    done("actions")
 
     _, result = simulate(generated, duration_us)
     counters["events"] = result.dispatched_events

@@ -10,11 +10,16 @@ reference run, and direct unit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.observability.tracer import Tracer, efsm_track
-from repro.uml.actions import ActionEnvironment, evaluate, execute
+from repro.uml.action_compiler import compile_block, compile_guard
+
+# The tree-walking ``execute``/``evaluate`` stay importable from here (the
+# repository benchmark's span recorder looks them up in this module) even
+# though steps run compiled functions; they are the reference semantics.
+from repro.uml.actions import ActionEnvironment, evaluate, execute  # noqa: F401
 from repro.uml.statemachine import (
     CompletionTrigger,
     SignalTrigger,
@@ -108,6 +113,9 @@ class _StepEnvironment(ActionEnvironment):
 class ProcessExecutor:
     """Runtime state of one application process (one EFSM instance).
 
+    Guards and action blocks run as functions compiled by
+    :mod:`repro.uml.action_compiler`, looked up once per AST per executor.
+
     With a :class:`~repro.observability.tracer.Tracer` installed, every
     fired transition emits an instant event on the process's ``efsm``
     track (timestamped by the tracer's bound clock); ``tracer=None`` adds
@@ -130,6 +138,9 @@ class ProcessExecutor:
         self.variables: Dict[str, int] = dict(machine.variables)
         self.current: Optional[State] = None
         self.terminated = False
+        # id(AST) -> (AST, compiled function); holding the AST keeps its id
+        # from being reused while the entry lives
+        self._compiled: Dict[int, Tuple[object, Callable[..., int]]] = {}
 
     # ------------------------------------------------------------------
     # steps
@@ -147,11 +158,11 @@ class ProcessExecutor:
         environment = _StepEnvironment(self.variables)
         initial = self.machine.initial_state
         outcome.from_state = initial.name
-        outcome.statements += execute(initial.entry, environment)
+        outcome.statements += self._run(initial.entry, environment)
         node = initial
         while node.initial_substate is not None:
             node = node.initial_substate
-            outcome.statements += execute(node.entry, environment)
+            outcome.statements += self._run(node.entry, environment)
         self.current = node
         self._chase_completions(outcome, environment)
         outcome.to_state = self.current.name
@@ -267,10 +278,20 @@ class ProcessExecutor:
             )
         return dict(zip(names, args))
 
+    def _run(self, block, environment: _StepEnvironment) -> int:
+        """Run an action block; returns its executed-statement count."""
+        if not block:
+            return 0
+        entry = self._compiled.get(id(block))
+        if entry is None:
+            entry = self._compiled[id(block)] = (block, compile_block(block))
+        return entry[1](environment)
+
     def _guard_holds(self, guard, params: Dict[str, int]) -> bool:
-        environment = _StepEnvironment(self.variables)
-        environment.parameters = params
-        return bool(evaluate(guard, environment))
+        entry = self._compiled.get(id(guard))
+        if entry is None:
+            entry = self._compiled[id(guard)] = (guard, compile_guard(guard))
+        return bool(entry[1](params, self.variables))
 
     def _fire(
         self, transition: Transition, params: Dict[str, int], trigger_desc: str
@@ -284,7 +305,7 @@ class ProcessExecutor:
         environment.parameters = params
         if transition.internal:
             # Internal transition: effect only, no exit/entry, stay in state.
-            outcome.statements += execute(transition.effect, environment)
+            outcome.statements += self._run(transition.effect, environment)
         else:
             self._take(transition, outcome, environment)
             environment.parameters = {}
@@ -307,19 +328,19 @@ class ProcessExecutor:
         # exit from the active leaf upward to (exclusive) the LCA
         node = self.current
         while node is not None and node is not lca:
-            outcome.statements += execute(node.exit, environment)
+            outcome.statements += self._run(node.exit, environment)
             node = node.parent
-        outcome.statements += execute(transition.effect, environment)
+        outcome.statements += self._run(transition.effect, environment)
         # enter from below the LCA down to the target
         for state in target.path_from_root():
             if lca is not None and (state is lca or not lca.contains(state)):
                 continue  # the LCA and anything above it were never exited
-            outcome.statements += execute(state.entry, environment)
+            outcome.statements += self._run(state.entry, environment)
         # ... and descend the initial-substate chain
         node = target
         while node.initial_substate is not None:
             node = node.initial_substate
-            outcome.statements += execute(node.entry, environment)
+            outcome.statements += self._run(node.entry, environment)
         self.current = node
         if self.current.is_final and self.current.parent is None:
             self.terminated = True

@@ -17,7 +17,7 @@ Grammar (statements end with ``;``, blocks use braces)::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ActionSyntaxError
 from repro.uml.actions import (
@@ -346,17 +346,53 @@ class _Parser:
         )
 
 
-def parse_actions(source: str) -> List[Stmt]:
-    """Parse a statement block; raises :class:`ActionSyntaxError` on bad input."""
+#: Most source texts each parse memo keeps per process (least recently
+#: used evicted first).  TUTMAC, plain and ARQ, with their XMI read-backs needs about
+#: 100.
+PARSE_CACHE_SIZE = 128
+
+_BLOCKS: Dict[str, Tuple[Stmt, ...]] = {}
+_EXPRESSIONS: Dict[str, Expr] = {}
+
+
+def _memoised(memo: dict, source: str, parse):
+    parsed = memo.pop(source, None)
+    if parsed is None:
+        parsed = parse(source)
+        if len(memo) >= PARSE_CACHE_SIZE:
+            del memo[next(iter(memo))]
+    memo[source] = parsed  # most recently used last
+    return parsed
+
+
+def _parse_block(source: str) -> Tuple[Stmt, ...]:
     parser = _Parser(source)
     block = parser.parse_block()
     parser.expect("eof")
-    return block
+    return tuple(block)
 
 
-def parse_expression(source: str) -> Expr:
-    """Parse a single expression (used for transition guards)."""
+def _parse_expression(source: str) -> Expr:
     parser = _Parser(source)
     expr = parser.parse_expression()
     parser.expect("eof")
     return expr
+
+
+def parse_actions(source: str) -> List[Stmt]:
+    """Parse a statement block; raises :class:`ActionSyntaxError` on bad input.
+
+    Memoised by source text: every call returns a fresh list, but the
+    statements in it are shared with earlier parses of the same text, so
+    callers must not mutate AST nodes.
+    """
+    return list(_memoised(_BLOCKS, source, _parse_block))
+
+
+def parse_expression(source: str) -> Expr:
+    """Parse a single expression (used for transition guards).
+
+    Memoised by source text like :func:`parse_actions`; the returned
+    (shared) expression must not be mutated.
+    """
+    return _memoised(_EXPRESSIONS, source, _parse_expression)

@@ -12,8 +12,11 @@ transition effects, guards and state entry/exit actions:
 * ``set_timer(name, expr);`` / ``reset_timer(name);``
 * builtin calls: ``min``, ``max``, ``abs``, ``crc32``, ``rand16``
 
-The same AST is interpreted by the simulator (:mod:`repro.simulation`) and
-translated to C by the code generator (:mod:`repro.codegen`).
+The simulator (:mod:`repro.simulation`) runs the AST as Python functions
+compiled once per process by :mod:`repro.uml.action_compiler`; the code
+generator (:mod:`repro.codegen`) translates it to C.  The tree-walking
+:func:`execute` and :func:`evaluate` below define the semantics and serve
+as the differential oracle the compiled form is tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +26,35 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.errors import ActionRuntimeError
 
 MAX_LOOP_ITERATIONS = 100_000
+
+
+def c_div(left: int, right: int) -> int:
+    """C integer division: the exact quotient truncated toward zero.
+
+    Shared by the tree-walker, compiled actions and the lint const-folder;
+    raises :class:`ActionRuntimeError` on a zero divisor.
+    """
+    if right == 0:
+        raise ActionRuntimeError("division by zero")
+    quotient = left // right
+    if (left < 0) != (right < 0) and quotient * right != left:
+        quotient += 1  # floor rounded away from zero
+    return quotient
+
+
+def c_mod(left: int, right: int) -> int:
+    """C remainder: ``left - right * c_div(left, right)``, sign of ``left``."""
+    if right == 0:
+        raise ActionRuntimeError("modulo by zero")
+    remainder = left % right
+    if remainder and (left < 0) != (right < 0):
+        remainder -= right  # floor remainder carries the sign of right
+    return remainder
+
+
+def rand16_next(state: int) -> int:
+    """One step of the ``rand16`` generator (a 16-bit LCG mod 65537)."""
+    return (state * 75 + 74) % 65537
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +320,7 @@ def sent_signal_names(stmts: Sequence[Stmt]):
 
 
 # ---------------------------------------------------------------------------
-# Interpretation
+# Interpretation (the reference semantics)
 # ---------------------------------------------------------------------------
 
 
@@ -357,8 +389,8 @@ class ActionEnvironment:
             seed = args[1] if len(args) == 2 else 0
             return crc32_of_int(args[0], seed)
         if function == "rand16":
-            # deterministic 16-bit LCG, xorshifted per call
-            self._rand_state = (self._rand_state * 75 + 74) % 65537
+            # deterministic 16-bit LCG; the state lives in the environment
+            self._rand_state = rand16_next(self._rand_state)
             return self._rand_state & 0xFFFF
         raise ActionRuntimeError(f"unknown builtin {function!r}")
 
@@ -411,13 +443,9 @@ def _evaluate_binary(expr: BinaryOp, env: ActionEnvironment) -> int:
     if op == "*":
         return left * right
     if op == "/":
-        if right == 0:
-            raise ActionRuntimeError("division by zero")
-        return int(left / right) if (left < 0) != (right < 0) else left // right
+        return c_div(left, right)
     if op == "%":
-        if right == 0:
-            raise ActionRuntimeError("modulo by zero")
-        return left - right * (int(left / right) if (left < 0) != (right < 0) else left // right)
+        return c_mod(left, right)
     if op == "<<":
         return left << right
     if op == ">>":

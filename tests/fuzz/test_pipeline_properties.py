@@ -39,12 +39,14 @@ def test_pipeline_invariants_hold(seed, tmp_path):
         "determinism",
         "validate",
         "lint",
+        "actions",
         "simulate",
         "soundness",
         "resume",
         "explore",
         "prune",
     ]
+    assert counters["actions_compared"] > 0
     assert counters["events"] > 0
     assert counters["interrupt_at"] > 0
     assert counters["candidates"] >= 2
@@ -92,6 +94,26 @@ def test_soundness_catches_executed_flagged_transition():
     )()
     with pytest.raises(InvariantViolation, match="soundness"):
         check_soundness(generated, forged, result)
+
+
+def test_actions_stage_catches_a_divergent_compiler(monkeypatch):
+    """A compiled block that miscounts must fail the actions stage (and
+    so shrink like any other stage)."""
+    from repro.genmodel import generate_model
+    from repro.genmodel import pipeline
+
+    real = pipeline.compile_block
+
+    def off_by_one(stmts):
+        block = real(stmts)
+        return lambda env: block(env) + 1
+
+    generated = generate_model(config_for_seed(0))
+    assert pipeline.check_actions(generated.application, seed=0) > 0
+    monkeypatch.setattr(pipeline, "compile_block", off_by_one)
+    with pytest.raises(InvariantViolation) as excinfo:
+        pipeline.check_actions(generated.application, seed=0)
+    assert excinfo.value.stage == "actions"
 
 
 def test_defect_configs_stop_after_lint():
