@@ -14,6 +14,8 @@ promise:
   under seeded valuations, behaves the same as the compiled function the
   simulator executes and through the tree-walking oracle
   (:func:`repro.uml.actions.execute` / :func:`~repro.uml.actions.evaluate`);
+* **log hand-off** — the in-memory log a run hands to profiling equals
+  its rendered tutlog parsed back (records, meta, end time);
 * **soundness** — a transition the interval analysis flags as dead
   (A001/A003) is never taken by the concrete simulation;
 * **resume fidelity** — interrupting mid-run and resuming from the
@@ -59,6 +61,7 @@ from repro.analysis import run_lint
 from repro.observability.export import render_chrome_trace
 from repro.observability.metrics import collect_metrics
 from repro.observability.tracer import Tracer
+from repro.simulation.logfile import LogFile, parse_log
 from repro.simulation.system import SimulationResult, SystemSimulation
 from repro.tutprofile.rules import check_design_rules
 from repro.uml.action_compiler import compile_block, compile_guard
@@ -289,7 +292,11 @@ def simulate(
     duration_us: int,
     tracer: Optional[Tracer] = None,
 ) -> Tuple[SystemSimulation, SimulationResult]:
-    """One fresh simulation of the generated system."""
+    """One fresh simulation of the generated system.
+
+    Fails the stage when the run's in-memory log is not its tutlog parsed
+    back.
+    """
     config = generated.config
     simulation = SystemSimulation(
         generated.application,
@@ -307,7 +314,26 @@ def simulate(
         )
     if not config.inject_defects and result.dispatched_events == 0:
         _fail("simulate", "simulation dispatched no events", config)
+    mismatch = _log_mismatch(result.log, parse_log(result.writer.render()))
+    if mismatch is not None:
+        _fail(
+            "simulate", f"in-memory log differs from its tutlog: {mismatch}", config
+        )
     return simulation, result
+
+
+def _log_mismatch(log: LogFile, parsed: LogFile) -> Optional[str]:
+    """Where ``log`` first departs from ``parsed``, or None if they agree."""
+    if log.meta != parsed.meta:
+        return f"meta {log.meta!r} != {parsed.meta!r}"
+    for index, (record, read) in enumerate(zip(log.records, parsed.records)):
+        if record != read:
+            return f"record {index}: {record!r} != {read!r}"
+    if len(log.records) != len(parsed.records):
+        return f"{len(log.records)} records != {len(parsed.records)} parsed"
+    if log.end_time_ps != parsed.end_time_ps:
+        return f"end time {log.end_time_ps} != {parsed.end_time_ps}"
+    return None
 
 
 def _trigger_label(transition: Transition) -> Optional[str]:

@@ -17,7 +17,7 @@ into chunks, each paying arbitration again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.observability.tracer import Tracer, bus_track
@@ -90,6 +90,11 @@ class HibiBus:
             name: _SegmentRuntime(name, instance.spec)
             for name, instance in platform.segments.items()
         }
+        # the platform is static during a run: each PE pair's route
+        # (segments, requesting agent per hop) and each (agent, segment)
+        # wrapper is looked up once, on first use; failures are not kept
+        self._routes: Dict[Tuple[str, str], Tuple[List[str], List[str]]] = {}
+        self._wrappers: Dict[Tuple[str, str], WrapperSpec] = {}
 
     # ------------------------------------------------------------------
     # public interface
@@ -115,16 +120,21 @@ class HibiBus:
         ``on_complete`` — with the bit-flipped payload for a corruption,
         and not at all for a drop when no ``on_fault`` is given.
         """
-        path = self.platform.transfer_path(source_pe, target_pe)
-        if not path:
-            raise SimulationError(
-                f"transfer {source_pe!r}->{target_pe!r} needs no bus; deliver "
-                "locally instead"
+        route = self._routes.get((source_pe, target_pe))
+        if route is None:
+            path = self.platform.transfer_path(source_pe, target_pe)
+            if not path:
+                raise SimulationError(
+                    f"transfer {source_pe!r}->{target_pe!r} needs no bus; "
+                    "deliver locally instead"
+                )
+            route = self._routes[(source_pe, target_pe)] = (
+                path, [source_pe] + path[:-1]
             )
-        agents = [source_pe] + path[:-1]
+        path, agents = route
         transfer = _Transfer(
             path=list(path),
-            agents=agents,
+            agents=list(agents),
             size_bytes=size_bytes,
             on_complete=on_complete,
             started_ps=self.kernel.now_ps,
@@ -158,10 +168,15 @@ class HibiBus:
     # ------------------------------------------------------------------
 
     def _wrapper_between(self, agent: str, segment: str) -> WrapperSpec:
+        spec = self._wrappers.get((agent, segment))
+        if spec is not None:
+            return spec
         for wrapper in self.platform.wrappers:
-            if wrapper.agent_name == agent and wrapper.segment_name == segment:
-                return wrapper.spec
-            if wrapper.agent_name == segment and wrapper.segment_name == agent:
+            if (wrapper.agent_name, wrapper.segment_name) in (
+                (agent, segment),
+                (segment, agent),
+            ):
+                self._wrappers[(agent, segment)] = wrapper.spec
                 return wrapper.spec
         raise SimulationError(f"no wrapper between {agent!r} and {segment!r}")
 

@@ -32,6 +32,17 @@ from repro.uml.statemachine import (
 MAX_COMPLETION_CHAIN = 100
 
 
+def _trigger_key(trigger) -> Optional[tuple]:
+    """The dispatch-table key a transition's trigger is filed under."""
+    if isinstance(trigger, SignalTrigger):
+        return (SignalTrigger, trigger.signal_name)
+    if isinstance(trigger, TimerTrigger):
+        return (TimerTrigger, trigger.timer_name)
+    if isinstance(trigger, CompletionTrigger):
+        return (CompletionTrigger, None)
+    return None
+
+
 @dataclass
 class SendIntent:
     """A signal produced during a step, before routing."""
@@ -115,6 +126,9 @@ class ProcessExecutor:
 
     Guards and action blocks run as functions compiled by
     :mod:`repro.uml.action_compiler`, looked up once per AST per executor.
+    The candidate transitions for a trigger are resolved once per active
+    leaf state per executor (:meth:`_candidates`), so the machine must not
+    change while a simulation runs.
 
     With a :class:`~repro.observability.tracer.Tracer` installed, every
     fired transition emits an instant event on the process's ``efsm``
@@ -141,6 +155,8 @@ class ProcessExecutor:
         # id(AST) -> (AST, compiled function); holding the AST keeps its id
         # from being reused while the entry lives
         self._compiled: Dict[int, Tuple[object, Callable[..., int]]] = {}
+        # active leaf -> {(trigger type, signal/timer name): candidates}
+        self._dispatch: Dict[State, Dict[tuple, List[Transition]]] = {}
 
     # ------------------------------------------------------------------
     # steps
@@ -179,53 +195,31 @@ class ProcessExecutor:
         first, then its enclosing composite states (innermost first).
         """
         self._require_running()
+        candidates = self._candidates(SignalTrigger, signal_name)
         guards = 0
-        chosen: Optional[Transition] = None
-        chosen_params: Dict[str, int] = {}
-        saw_trigger = False
-        for source in [self.current] + self.current.ancestors():
-            for transition in self.machine.outgoing(source):
-                trigger = transition.trigger
-                if not isinstance(trigger, SignalTrigger):
+        for transition in candidates:
+            params = self._bind_parameters(transition.trigger, args)
+            if transition.guard is not None:
+                guards += 1
+                if not self._guard_holds(transition.guard, params):
                     continue
-                if trigger.signal_name != signal_name:
-                    continue
-                saw_trigger = True
-                params = self._bind_parameters(trigger, args)
-                if transition.guard is not None:
-                    guards += 1
-                    if not self._guard_holds(transition.guard, params):
-                        continue
-                chosen = transition
-                chosen_params = params
-                break
-            if chosen is not None:
-                break
-        if chosen is None:
-            reason = "guards-false" if saw_trigger else "no-transition"
-            return None, reason
-        outcome = self._fire(chosen, chosen_params, f"{signal_name}")
-        outcome.guards_evaluated += guards
-        return outcome, None
+            outcome = self._fire(transition, params, signal_name)
+            outcome.guards_evaluated += guards
+            return outcome, None
+        return None, "guards-false" if candidates else "no-transition"
 
     def fire_timer(self, timer_name: str) -> Tuple[Optional[StepOutcome], Optional[str]]:
         """Handle a timer expiry; returns (outcome, None) or (None, reason)."""
         self._require_running()
         guards = 0
-        for source in [self.current] + self.current.ancestors():
-            for transition in self.machine.outgoing(source):
-                trigger = transition.trigger
-                if not isinstance(trigger, TimerTrigger):
+        for transition in self._candidates(TimerTrigger, timer_name):
+            if transition.guard is not None:
+                guards += 1
+                if not self._guard_holds(transition.guard, {}):
                     continue
-                if trigger.timer_name != timer_name:
-                    continue
-                if transition.guard is not None:
-                    guards += 1
-                    if not self._guard_holds(transition.guard, {}):
-                        continue
-                outcome = self._fire(transition, {}, f"timer:{timer_name}")
-                outcome.guards_evaluated += guards
-                return outcome, None
+            outcome = self._fire(transition, {}, f"timer:{timer_name}")
+            outcome.guards_evaluated += guards
+            return outcome, None
         return None, "no-transition"
 
     # ------------------------------------------------------------------
@@ -266,6 +260,25 @@ class ProcessExecutor:
             raise SimulationError(f"process {self.name!r} was never started")
         if self.terminated:
             raise SimulationError(f"process {self.name!r} has terminated")
+
+    def _candidates(self, kind: type, name: Optional[str]) -> Sequence[Transition]:
+        """The transitions the active leaf offers a trigger, in search order.
+
+        That order is the leaf's own transitions, then each enclosing
+        state's, innermost first, each state's in ``(priority, serial)``
+        order (:meth:`StateMachine.outgoing`).  A leaf's table covers every
+        trigger and is built on its first activation.
+        """
+        leaf = self.current
+        table = self._dispatch.get(leaf)
+        if table is None:
+            table = self._dispatch[leaf] = {}
+            for source in [leaf] + leaf.ancestors():
+                for transition in self.machine.outgoing(source):
+                    key = _trigger_key(transition.trigger)
+                    if key is not None:
+                        table.setdefault(key, []).append(transition)
+        return table.get((kind, name), ())
 
     def _bind_parameters(
         self, trigger: SignalTrigger, args: Sequence[int]
@@ -366,23 +379,16 @@ class ProcessExecutor:
         """
         environment.parameters = {}
         for _ in range(MAX_COMPLETION_CHAIN):
-            fired = False
-            for source in [self.current] + self.current.ancestors():
-                for transition in self.machine.outgoing(source):
-                    if not isinstance(transition.trigger, CompletionTrigger):
+            for transition in self._candidates(CompletionTrigger, None):
+                if transition.guard is not None:
+                    outcome.guards_evaluated += 1
+                    if not self._guard_holds(transition.guard, {}):
                         continue
-                    if transition.guard is not None:
-                        outcome.guards_evaluated += 1
-                        if not self._guard_holds(transition.guard, {}):
-                            continue
-                    self._take(transition, outcome, environment)
-                    fired = True
-                    if self.terminated:
-                        return
-                    break
-                if fired:
-                    break
-            if not fired:
+                self._take(transition, outcome, environment)
+                if self.terminated:
+                    return
+                break
+            else:
                 return
         raise SimulationError(
             f"process {self.name!r} chained more than {MAX_COMPLETION_CHAIN} "

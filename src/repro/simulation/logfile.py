@@ -9,7 +9,7 @@ The format is line-oriented text (one record per line, ``key=value``
 fields), so it diffs well and any log line can be grepped:
 
     TUTLOG 1
-    META key=value
+    META key=<value: the rest of the line>
     EXEC time=<ps> process=<name> pe=<pe> cycles=<n> duration=<ps> \
          from=<state> to=<state> trigger=<desc>
     SIG time=<ps> signal=<name> sender=<proc> receiver=<proc> bytes=<n> \
@@ -124,6 +124,16 @@ class FaultRecord:
 LogRecord = Union[ExecRecord, SignalRecord, DropRecord, FaultRecord]
 
 
+def meta_value(value) -> str:
+    """How a META value is spelled in the log, and so how it reads back.
+
+    The value is the rest of its META line, so line breaks become spaces
+    and trailing whitespace (which the reader strips) is dropped; any
+    other text, spaces and ``=`` included, survives the round trip.
+    """
+    return " ".join(str(value).splitlines()).rstrip()
+
+
 class LogWriter:
     """Accumulates records and renders/writes the log file."""
 
@@ -156,8 +166,7 @@ class LogWriter:
         """The complete log text: MAGIC, META, records, END trailer."""
         lines = [MAGIC]
         for key in sorted(self.meta):
-            value = str(self.meta[key]).replace("\n", " ")
-            lines.append(f"META {key}={value}")
+            lines.append(f"META {key}={meta_value(self.meta[key])}")
         lines.extend(record.render() for record in self.records)
         lines.append(f"END time={self.end_time_ps} events={len(self.records)}")
         return "\n".join(lines) + "\n"
@@ -311,8 +320,12 @@ def parse_log(text: str) -> LogFile:
         kind = line.split(None, 1)[0]
         try:
             if kind == "META":
-                fields = _parse_fields(line, 1)
-                meta.update(fields)
+                # one key=value pair per line; the value runs to the end
+                # of the line, so it may hold spaces and "="
+                pair = line[len(kind):].strip()
+                if pair:
+                    key, _, value = pair.partition("=")
+                    meta[key] = value
             elif kind == "EXEC":
                 f = _parse_fields(line, 1)
                 records.append(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.application.model import ApplicationModel
@@ -32,12 +33,16 @@ from repro.simulation.kernel import (
     event_pending,
     select_backend,
 )
-from repro.simulation.logfile import (
+# ``parse_log`` stays importable from here (the repository benchmark's
+# span recorder looks it up in this module) even though a run's log is
+# handed over from the writer's records instead of re-parsed.
+from repro.simulation.logfile import (  # noqa: F401
     LogFile,
     LogWriter,
     TRANSPORT_BUS,
     TRANSPORT_ENV,
     TRANSPORT_LOCAL,
+    meta_value,
     parse_log,
 )
 from repro.simulation.timing import CostModel, timer_duration_ps
@@ -48,6 +53,15 @@ ENVIRONMENT_PE = "-"
 def _noop() -> None:
     """Placeholder callback replaced right after scheduling (see
     :meth:`SystemSimulation._schedule_deliver`)."""
+
+
+class _Route(NamedTuple):
+    """A resolved send: where a (sender, signal, via) goes and what it costs."""
+
+    receiver: str
+    size_bytes: int
+    sender_pe: Optional[str]
+    receiver_pe: Optional[str]
 
 
 @dataclass
@@ -156,6 +170,23 @@ class _PERuntime:
             )
         return self.ready.pop(index)[2]
 
+    # Both delays are computed on first use, so a bad cycle count raises
+    # at the first step or delivery that needs it, and only then.
+    @cached_property
+    def receive_delay_ps(self) -> int:
+        """Time the PE spends taking one signal off its wrapper."""
+        return cycles_to_ps(
+            self.cost_model.receive_cost_cycles(),
+            self.cost_model.spec.frequency_hz,
+        )
+
+    @cached_property
+    def dispatch_overhead_ps(self) -> int:
+        """Time the RTOS dispatcher adds to every step."""
+        return cycles_to_ps(
+            self.dispatch_overhead_cycles, self.cost_model.spec.frequency_hz
+        )
+
     def _round_robin_index(self) -> int:
         """The earliest entry of the 'next' process after the last served."""
         names = sorted({entry[2].process for entry in self.ready})
@@ -184,14 +215,24 @@ class SimulationResult:
     dropped_signals: int
     fault_stats: Optional[object] = None  # repro.faults.FaultStats when injecting
     trace: Optional[Tracer] = None        # the run's tracer when tracing was on
-    _parsed: Optional[LogFile] = field(default=None, repr=False)
+    _log: Optional[LogFile] = field(default=None, repr=False)
 
     @property
     def log(self) -> LogFile:
-        """The run's log, parsed lazily from the writer's rendering."""
-        if self._parsed is None:
-            self._parsed = parse_log(self.writer.render())
-        return self._parsed
+        """The run's log, built on first use from the writer's records.
+
+        It equals ``parse_log(self.writer.render())``: the same (frozen)
+        record objects in a fresh list, the meta spelled as the file
+        spells it, and the end time; no text is rendered or parsed.
+        """
+        if self._log is None:
+            writer = self.writer
+            self._log = LogFile(
+                {key: meta_value(writer.meta[key]) for key in sorted(writer.meta)},
+                list(writer.records),
+                writer.end_time_ps,
+            )
+        return self._log
 
     def pe_utilization(self) -> Dict[str, float]:
         """Busy fraction of the simulated interval, per processing element."""
@@ -260,10 +301,18 @@ class SystemSimulation:
         }
         self.executors: Dict[str, ProcessExecutor] = {}
         self.pe_of_process: Dict[str, Optional[str]] = {}
+        # the model is static during a run: per-process scheduling data is
+        # read once here, and each (sender, signal, via) is routed once, on
+        # its first send (see _route)
+        self._priority_of: Dict[str, int] = {}
+        self._process_type_of: Dict[str, str] = {}
+        self._routes: Dict[Tuple[str, str, Optional[str]], _Route] = {}
         for name, process in application.processes.items():
             self.executors[name] = ProcessExecutor(
                 name, process.behavior, tracer=tracer
             )
+            self._priority_of[name] = process.priority()
+            self._process_type_of[name] = process.process_type()
             if process.is_environment:
                 self.pe_of_process[name] = None
             else:
@@ -406,8 +455,7 @@ class SystemSimulation:
             self._run_environment_step(activation)
             return
         runtime = self.pe_runtimes[pe_name]
-        priority = self.application.find_process(activation.process).priority()
-        runtime.enqueue(activation, priority)
+        runtime.enqueue(activation, self._priority_of[activation.process])
         if self.tracer is not None:
             # ready-queue depth sample: its high-water mark feeds metrics
             self.tracer.counter(
@@ -447,9 +495,8 @@ class SystemSimulation:
                 if self.tracer is not None:
                     self._trace_drop(activation, reason or "no-transition")
                 continue
-            process = self.application.find_process(activation.process)
             cost = runtime.cost_model.step_cost(
-                process_type=process.process_type(),
+                process_type=self._process_type_of[activation.process],
                 statements=outcome.statements,
                 guards_evaluated=outcome.guards_evaluated,
                 sends=len(outcome.sends),
@@ -459,10 +506,7 @@ class SystemSimulation:
                 ),
             )
             cycles = cost.cycles + runtime.dispatch_overhead_cycles
-            duration_ps = cost.duration_ps + cycles_to_ps(
-                runtime.dispatch_overhead_cycles,
-                runtime.cost_model.spec.frequency_hz,
-            )
+            duration_ps = cost.duration_ps + runtime.dispatch_overhead_ps
             if self.faults is not None:
                 stalled_ps = self.faults.stall_duration_ps(
                     runtime.name, self.kernel.now_ps, duration_ps
@@ -605,12 +649,29 @@ class SystemSimulation:
         for intent in outcome.sends:
             self._dispatch_send(process_name, intent)
 
+    def _route(self, sender: str, signal_name: str, via: Optional[str]) -> _Route:
+        """Resolve a send on its first occurrence; later sends reuse it.
+
+        Only successes are kept, so an unroutable or undeclared signal
+        raises at every send, starting with the first.
+        """
+        key = (sender, signal_name, via)
+        route = self._routes.get(key)
+        if route is None:
+            receiver, _port = self.application.route(sender, signal_name, via)
+            size = self.application.find_signal(signal_name).size_bytes()
+            route = self._routes[key] = _Route(
+                receiver,
+                size,
+                self.pe_of_process[sender],
+                self.pe_of_process[receiver],
+            )
+        return route
+
     def _dispatch_send(self, sender: str, intent: SendIntent) -> None:
-        receiver, _port = self.application.route(sender, intent.signal, intent.via)
-        signal = self.application.find_signal(intent.signal)
-        size = signal.size_bytes()
-        sender_pe = self.pe_of_process[sender]
-        receiver_pe = self.pe_of_process[receiver]
+        receiver, size, sender_pe, receiver_pe = self._route(
+            sender, intent.signal, intent.via
+        )
         if self.tracer is not None:
             self.tracer.instant(
                 intent.signal,
@@ -669,7 +730,7 @@ class SystemSimulation:
         elif sender_pe == receiver_pe:
             activation.transport = TRANSPORT_LOCAL
             self._schedule_deliver(
-                self._receive_delay_ps(receiver_pe), activation
+                self.pe_runtimes[receiver_pe].receive_delay_ps, activation
             )
         else:
             # Bus transport pays the wire latency plus the same receive
@@ -687,7 +748,7 @@ class SystemSimulation:
                 receiver_pe,
                 activation.bytes,
                 lambda _latency, a=activation, pe=receiver_pe: (
-                    self._schedule_deliver(self._receive_delay_ps(pe), a)
+                    self._schedule_deliver(self.pe_runtimes[pe].receive_delay_ps, a)
                 ),
                 signal=activation.signal,
                 args=activation.args,
@@ -729,13 +790,8 @@ class SystemSimulation:
         # receiver's CRC check is responsible for catching it
         activation.args = tuple(args)
         activation.corrupt = True
-        self._schedule_deliver(self._receive_delay_ps(receiver_pe), activation)
-
-    def _receive_delay_ps(self, pe_name: str) -> int:
-        runtime = self.pe_runtimes[pe_name]
-        return cycles_to_ps(
-            runtime.cost_model.receive_cost_cycles(),
-            runtime.cost_model.spec.frequency_hz,
+        self._schedule_deliver(
+            self.pe_runtimes[receiver_pe].receive_delay_ps, activation
         )
 
     # ------------------------------------------------------------------
@@ -911,7 +967,7 @@ class SystemSimulation:
         activation = _Activation.from_dict(payload["activation"])
         receiver_pe = payload["receiver_pe"]
         on_complete = lambda _latency, a=activation, pe=receiver_pe: (
-            self._schedule_deliver(self._receive_delay_ps(pe), a)
+            self._schedule_deliver(self.pe_runtimes[pe].receive_delay_ps, a)
         )
         on_fault = lambda kind, _latency, args, a=activation, pe=receiver_pe: (
             self._bus_fault(kind, args, a, pe)

@@ -116,6 +116,26 @@ def test_actions_stage_catches_a_divergent_compiler(monkeypatch):
     assert excinfo.value.stage == "actions"
 
 
+def test_simulate_stage_catches_a_log_handoff_that_loses_a_record(monkeypatch):
+    """A run whose in-memory log is not its tutlog must fail the simulate
+    stage (and so shrink like any other stage)."""
+    from repro.genmodel import generate_model
+    from repro.genmodel.pipeline import simulate
+    from repro.simulation.logfile import LogFile
+    from repro.simulation.system import SimulationResult
+
+    def lossy(result):
+        writer = result.writer
+        return LogFile(dict(writer.meta), writer.records[:-1], writer.end_time_ps)
+
+    generated = generate_model(config_for_seed(0))
+    simulate(generated, 3_000)
+    monkeypatch.setattr(SimulationResult, "log", property(lossy))
+    with pytest.raises(InvariantViolation, match="in-memory log differs") as excinfo:
+        simulate(generated, 3_000)
+    assert excinfo.value.stage == "simulate"
+
+
 def test_defect_configs_stop_after_lint():
     counters = run_pipeline(GeneratorConfig(seed=2, inject_defects=("D006",)))
     assert counters["stages"] == ["determinism", "validate", "lint"]

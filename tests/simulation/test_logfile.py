@@ -53,6 +53,16 @@ class TestRoundTrip:
         assert record.transport == "bus"
         assert record.latency_ps == 500
 
+    def test_meta_value_is_the_rest_of_the_line(self):
+        meta = {"application": "My App", "platform": "a=b"}
+        writer = LogWriter(meta=meta)
+        writer.finish(0)
+        assert parse_log(writer.render()).meta == meta
+
+    def test_meta_line_keeps_inner_spaces_and_drops_trailing_ones(self):
+        text = "TUTLOG 1\nMETA  note= two  words = x  \nMETA\nEND time=0 events=0\n"
+        assert parse_log(text).meta == {"note": " two  words = x"}
+
     def test_write_and_read_file(self, tmp_path):
         from repro.simulation import read_log
 
