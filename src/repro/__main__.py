@@ -20,21 +20,7 @@ Commands:
   Exit codes: 0 clean, 3 interrupted (Ctrl-C, SIGTERM or
   ``--interrupt-after-events`` — completed results are flushed to the
   cache for resume), 4 completed but with quarantined candidates
-  (partial ranking; the failure ledger is in the JSON output).
-  ``--remote URL`` submits the same campaign to an exploration farm and
-  renders the identical result (see ``docs/service.md``);
-* ``serve`` — host the exploration farm: an HTTP job queue
-  (submit/status/result/cancel/list, ``/v1/metrics``, ``/v1/health``)
-  over a crash-safe ``--spool`` directory, with an in-process worker
-  pool (``--pool``), bounded queueing (``--max-queue`` → HTTP 429) and
-  a cache fast path.  Ctrl-C / SIGTERM drains cleanly and exits 3;
-* ``work`` — a standalone farm worker sharding the same ``--spool`` /
-  ``--cache-dir`` (run on any machine with the shared filesystem);
-  exits 0 after ``--max-jobs``, 3 when interrupted;
-* ``submit`` / ``status`` / ``result`` / ``cancel`` / ``jobs`` — farm
-  clients: spool a campaign (``submit --wait`` blocks and adopts the
-  job's exit code), poll one job, fetch and render its ranking, cancel
-  it, or list the ledger;
+  (partial ranking; the failure ledger is in the JSON output);
 * ``checkpoint`` — operate on simulation snapshot stores:
   ``inspect`` lists a store's snapshots, ``diff`` structurally compares
   two snapshot files, ``resume`` continues an interrupted ``flow`` run
@@ -137,7 +123,7 @@ def _cmd_flow(args) -> int:
 
 
 def _explore_sweep_specs(args):
-    """The candidate list an ``explore``/``submit`` invocation describes."""
+    """The candidate list an ``explore`` invocation describes."""
     from repro.exploration import mapping_sweep_specs
     from repro.faults import fault_sweep_specs
 
@@ -154,7 +140,7 @@ def _explore_sweep_specs(args):
 
 
 def _render_explore_run(run, args) -> int:
-    """Shared result rendering for local and ``--remote`` campaigns.
+    """Render a finished campaign as text or the ``repro.explore/1`` JSON.
 
     Returns the campaign exit code: 0 clean, 4 quarantined candidates
     (partial ranking — see docs/exploration.md).
@@ -206,10 +192,10 @@ def _render_explore_run(run, args) -> int:
         f"with workers={run.workers}"
     )
     if run.pruned:
-        submitted = len(run.outcomes) + len(run.pruned)
         infeasible = sum(1 for r in run.pruned if r.reason == "infeasible")
         print(
-            f"pruned {len(run.pruned)} of {submitted} candidates statically "
+            f"pruned {len(run.pruned)} of {run.candidates_submitted} "
+            "candidates statically "
             f"({infeasible} infeasible, {len(run.pruned) - infeasible} "
             f"dominated; margin {run.prune_margin:g})"
         )
@@ -224,116 +210,6 @@ def _render_explore_run(run, args) -> int:
     return exit_code
 
 
-def _explore_job_request(args, specs):
-    """Map ``explore``-family flags onto a service :class:`JobRequest`."""
-    from repro.service import JobRequest
-
-    return JobRequest(
-        specs=tuple(specs),
-        workers=args.workers,
-        mode=args.mode,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-        quarantine_after=args.quarantine_after,
-        worker_faults=tuple(args.inject_worker_fault),
-        prune_static=args.prune_static,
-        prune_margin=args.prune_margin,
-        label=f"cli:{args.mode}",
-    )
-
-
-def _explore_remote(args, specs) -> int:
-    """Run the campaign through an exploration farm (``--remote URL``).
-
-    Same flags, same rendering, same 0/3/4 exit contract as the local
-    path — the service is a transport, not a different tool.  Ctrl-C or
-    SIGTERM while waiting cancels the job server-side and exits 3.
-    """
-    import signal
-
-    from repro.errors import ServiceError
-    from repro.service import ServiceClient
-
-    for flag, value in (
-        ("--checkpoint-dir", args.checkpoint_dir),
-        ("--interrupt-after-events", args.interrupt_after_events),
-    ):
-        if value is not None:
-            print(
-                f"error: {flag} is local-only and cannot be combined with "
-                "--remote (the farm manages its own checkpoints)",
-                file=sys.stderr,
-            )
-            return 2
-
-    try:
-        request = _explore_job_request(args, specs)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    client = ServiceClient(args.remote)
-    text = args.format == "text"
-    last_state = [None]
-
-    def on_poll(record):
-        if text and record.get("state") != last_state[0]:
-            last_state[0] = record.get("state")
-            print(f"[{record['id']}] {last_state[0]}", file=sys.stderr)
-
-    def _sigterm(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
-    record = None
-    try:
-        record = client.submit(request)
-        if text:
-            print(
-                f"[{record['id']}] {record['state']} "
-                f"(digest {record['digest'][:16]}, {len(specs)} candidates)",
-                file=sys.stderr,
-            )
-        from repro.service import TERMINAL_STATES
-
-        if record["state"] not in TERMINAL_STATES:
-            record = client.wait(record["id"], on_poll=on_poll)
-    except KeyboardInterrupt:
-        if record is not None:
-            try:
-                client.cancel(record["id"])
-                print(
-                    f"interrupted: job {record['id']} cancelled — completed "
-                    "candidates stay in the farm's cache; resubmit to resume",
-                    file=sys.stderr,
-                )
-            except ServiceError as exc:
-                print(f"interrupted (cancel failed: {exc})", file=sys.stderr)
-        else:
-            print("interrupted before submission", file=sys.stderr)
-        return 3
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-
-    if record["state"] == "cancelled":
-        print(f"job {record['id']} was cancelled", file=sys.stderr)
-        return 3
-    if record["state"] == "failed":
-        print(
-            f"job {record['id']} failed on the farm:\n{record.get('error')}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        run = client.result_run(record["id"])
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _render_explore_run(run, args)
-
-
 def _cmd_explore(args) -> int:
     import signal
 
@@ -345,8 +221,6 @@ def _cmd_explore(args) -> int:
     )
 
     specs = _explore_sweep_specs(args)
-    if args.remote is not None:
-        return _explore_remote(args, specs)
 
     def progress(outcome, done, total):
         origin = "cache" if outcome.cached else f"{outcome.elapsed_s:.2f}s"
@@ -418,229 +292,6 @@ def _cmd_explore(args) -> int:
     # exit-code contract: 0 clean, 3 interrupted (above), 4 completed but
     # with quarantined candidates (partial ranking — see docs/exploration.md)
     return _render_explore_run(run, args)
-
-
-def _cmd_serve(args) -> int:
-    """Run an exploration farm: HTTP frontend + in-process worker pool.
-
-    Runs until Ctrl-C or SIGTERM, then drains: workers stop at the next
-    candidate boundary, in-flight jobs return to the queue with their
-    leases released, completed results are already in the cache, and the
-    process exits 3 (the interrupted code of the exploration contract) —
-    a restart resumes from the spool exactly where it stopped.
-    """
-    import signal
-    import time as time_module
-    from pathlib import Path
-
-    from repro.errors import ServiceError
-    from repro.service import ExplorationService
-
-    log_path = (
-        args.log
-        if args.log is not None
-        else str(Path(args.spool) / "logs" / "service.log")
-    )
-
-    # install the shutdown path before anything is listening, so a
-    # SIGTERM racing the startup still drains instead of killing us
-    def _sigterm(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
-    service = None
-    try:
-        try:
-            service = ExplorationService(
-                args.spool,
-                args.cache_dir,
-                host=args.host,
-                port=args.port,
-                pool_size=args.pool,
-                max_queue=args.max_queue,
-                lease_s=args.lease_s,
-                log_path=log_path,
-            )
-            host, port = service.start()
-        except (ServiceError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        recovered = service.recovery.get("requeued", 0)
-        print(
-            f"exploration farm on http://{host}:{port} "
-            f"(spool {args.spool}, pool {args.pool}, "
-            f"max queue {args.max_queue}, requeued {recovered})",
-            flush=True,
-        )
-        while True:
-            time_module.sleep(3600)
-    except KeyboardInterrupt:
-        if service is None:
-            return 3
-        clean = service.drain(timeout_s=args.drain_timeout)
-        print(
-            "interrupted: farm drained — queued and in-flight jobs persist "
-            "in the spool; restart `repro serve` to resume"
-            + ("" if clean else " (some workers outlived the drain timeout)"),
-            file=sys.stderr,
-        )
-        return 3
-    finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-
-
-def _cmd_work(args) -> int:
-    """Drain a farm spool from this process (no HTTP involved).
-
-    Point any number of these — across machines, over a shared
-    filesystem — at the same ``--spool``/``--cache-dir`` to shard a
-    campaign backlog.  Ctrl-C/SIGTERM releases the in-flight job back to
-    the queue and exits 3.
-    """
-    import signal
-    import threading
-
-    from repro.service import JobStore, run_worker_loop
-
-    store = JobStore(args.spool)
-    recovered = store.recover(lease_grace_s=args.lease_s)
-    if recovered.get("requeued"):
-        print(
-            f"requeued {recovered['requeued']} expired-lease job(s)",
-            file=sys.stderr,
-        )
-    stop = threading.Event()
-
-    def _sigterm(signum, frame):
-        stop.set()
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        done = run_worker_loop(
-            store,
-            args.cache_dir,
-            lease_s=args.lease_s,
-            poll_s=args.poll_s,
-            max_jobs=args.max_jobs,
-            stop=stop,
-        )
-    except KeyboardInterrupt:
-        print(
-            "interrupted: worker stopped — any in-flight job was released "
-            "back to the queue",
-            file=sys.stderr,
-        )
-        return 3
-    finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-    print(f"processed {done} job(s)", file=sys.stderr)
-    return 0
-
-
-def _print_job_record(record, as_json: bool) -> None:
-    if as_json:
-        from repro.util.jsonout import render_envelope
-
-        print(render_envelope("job", record))
-        return
-    summary = record.get("summary") or {}
-    line = f"{record['id']}  {record['state']}"
-    if record.get("served"):
-        line += f"  served={record['served']}"
-    if summary:
-        line += (
-            f"  candidates={summary.get('candidates')}"
-            f"  evaluated={summary.get('evaluated')}"
-            f"  cache_hits={summary.get('cache_hits')}"
-        )
-    if record.get("error"):
-        line += f"\n  error: {record['error'].strip().splitlines()[-1]}"
-    print(line)
-
-
-def _job_exit_code(record) -> int:
-    """Terminal job record -> CLI exit code (0 done, 3 cancelled, 1 failed)."""
-    state = record.get("state")
-    if state == "done":
-        return 0
-    if state == "cancelled":
-        return 3
-    return 1
-
-
-def _cmd_submit(args) -> int:
-    """Submit an exploration campaign to a farm (``repro submit``)."""
-    from repro.errors import ServiceError
-    from repro.service import ServiceClient
-
-    try:
-        request = _explore_job_request(args, _explore_sweep_specs(args))
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    client = ServiceClient(args.url)
-    try:
-        record = client.submit(request)
-        if args.wait and record.get("state") not in ("done", "failed", "cancelled"):
-            record = client.wait(record["id"], timeout_s=args.timeout_s)
-    except KeyboardInterrupt:
-        print("interrupted while waiting; the job keeps running", file=sys.stderr)
-        return 3
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_job_record(record, args.format == "json")
-    return _job_exit_code(record) if args.wait else 0
-
-
-def _cmd_job(args) -> int:
-    """status / result / cancel / jobs — one handler, four subcommands."""
-    from repro.errors import ServiceError
-    from repro.service import ServiceClient
-
-    client = ServiceClient(args.url)
-    try:
-        if args.command == "status":
-            _print_job_record(client.job(args.job_id), args.format == "json")
-            return 0
-        if args.command == "result":
-            if args.format == "json":
-                import json as json_module
-
-                print(
-                    json_module.dumps(
-                        client.result(args.job_id), indent=2, sort_keys=True
-                    )
-                )
-                return 0
-            record = client.job(args.job_id)
-            run = client.result_run(args.job_id)
-            render_args = argparse.Namespace(
-                format="text",
-                top=args.top,
-                mode=(record.get("request") or {}).get("mode", "mappings"),
-            )
-            return _render_explore_run(run, render_args)
-        if args.command == "cancel":
-            record = client.cancel(args.job_id)
-            print(f"{record['id']}  {record['state']}  ({record['cancel']})")
-            return 0
-        # jobs: ledger listing
-        records = client.jobs(state=args.state)
-        if args.format == "json":
-            from repro.util.jsonout import render_envelope
-
-            print(render_envelope("job-list", records, meta={"count": len(records)}))
-            return 0
-        for record in records:
-            _print_job_record(record, False)
-        if not records:
-            print("no jobs", file=sys.stderr)
-        return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_checkpoint(args) -> int:
@@ -1172,177 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         "crash|hang|slow|flaky|poison, repeated COUNT attempts "
         "(testing aid; repeatable)",
     )
-    explore.add_argument(
-        "--remote",
-        default=None,
-        metavar="URL",
-        help="run the campaign through an exploration farm (`repro serve`) "
-        "instead of in-process: same flags, same output, same exit codes; "
-        "Ctrl-C cancels the remote job (local-only flags like "
-        "--checkpoint-dir are rejected)",
-    )
     explore.set_defaults(handler=_cmd_explore)
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run an exploration farm: HTTP job queue + worker pool "
-        "over a crash-safe spool (see docs/service.md)",
-    )
-    serve.add_argument(
-        "--spool",
-        required=True,
-        help="job spool directory (shared by every server/worker of a farm)",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result cache shared by the farm; warm "
-        "submissions are served synchronously without queueing",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8753, help="0 picks a free port"
-    )
-    serve.add_argument(
-        "--pool",
-        type=int,
-        default=1,
-        help="in-process worker loops (0 = frontend only; drain the spool "
-        "with `repro work` processes instead)",
-    )
-    serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=256,
-        help="queued-job bound; submissions beyond it get HTTP 429",
-    )
-    serve.add_argument(
-        "--lease-s",
-        type=float,
-        default=60.0,
-        help="worker heartbeat lease; a running job whose lease expires "
-        "is requeued on recovery",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for workers at shutdown before exiting anyway",
-    )
-    serve.add_argument(
-        "--log",
-        default=None,
-        help="service log file (default <spool>/logs/service.log)",
-    )
-    serve.set_defaults(handler=_cmd_serve)
-
-    work = subparsers.add_parser(
-        "work",
-        help="drain an exploration-farm spool from this process "
-        "(shard a farm across processes or machines)",
-    )
-    work.add_argument("--spool", required=True, help="farm spool directory")
-    work.add_argument(
-        "--cache-dir", default=None, help="the farm's shared result cache"
-    )
-    work.add_argument("--lease-s", type=float, default=60.0)
-    work.add_argument(
-        "--poll-s", type=float, default=0.5, help="idle poll interval"
-    )
-    work.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        help="exit after this many jobs (default: run until interrupted)",
-    )
-    work.set_defaults(handler=_cmd_work)
-
-    def _farm_client_args(command_parser, with_format=True):
-        command_parser.add_argument(
-            "--url",
-            default="http://127.0.0.1:8753",
-            help="exploration farm base URL",
-        )
-        if with_format:
-            command_parser.add_argument(
-                "--format", choices=("text", "json"), default="text"
-            )
-
-    submit = subparsers.add_parser(
-        "submit",
-        help="submit an exploration campaign to a farm and print the job id",
-    )
-    _farm_client_args(submit)
-    submit.add_argument(
-        "--mode", choices=("mappings", "faults"), default="mappings"
-    )
-    submit.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="campaign fan-out on the worker that claims the job",
-    )
-    submit.add_argument("--duration-us", type=int, default=20_000)
-    submit.add_argument("--limit", type=int, default=None)
-    submit.add_argument("--seeds", default="1,2,3,4")
-    submit.add_argument("--fault-rate", type=_rate, default=0.05)
-    submit.add_argument("--prune-static", action="store_true")
-    submit.add_argument("--prune-margin", type=float, default=None)
-    submit.add_argument("--timeout", type=float, default=None)
-    submit.add_argument("--max-retries", type=int, default=2)
-    submit.add_argument("--quarantine-after", type=int, default=3)
-    submit.add_argument(
-        "--inject-worker-fault",
-        action="append",
-        default=[],
-        metavar="INDEX:MODE[:COUNT]",
-    )
-    submit.add_argument(
-        "--wait",
-        action="store_true",
-        help="poll until the job is terminal; exit 0 done / 3 cancelled / "
-        "1 failed",
-    )
-    submit.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        help="give up waiting after this many seconds (with --wait)",
-    )
-    submit.set_defaults(handler=_cmd_submit)
-
-    status = subparsers.add_parser("status", help="one farm job's record")
-    status.add_argument("job_id")
-    _farm_client_args(status)
-    status.set_defaults(handler=_cmd_job)
-
-    result = subparsers.add_parser(
-        "result",
-        help="a finished farm job's campaign result "
-        "(text ranking table, or the repro.explore/1 JSON)",
-    )
-    result.add_argument("job_id")
-    _farm_client_args(result)
-    result.add_argument("--top", type=int, default=10)
-    result.set_defaults(handler=_cmd_job)
-
-    cancel = subparsers.add_parser(
-        "cancel",
-        help="cancel a queued farm job, or request cancellation of a "
-        "running one",
-    )
-    cancel.add_argument("job_id")
-    _farm_client_args(cancel, with_format=False)
-    cancel.set_defaults(handler=_cmd_job)
-
-    jobs = subparsers.add_parser("jobs", help="list a farm's job ledger")
-    _farm_client_args(jobs)
-    jobs.add_argument(
-        "--state",
-        choices=("queued", "running", "done", "failed", "cancelled"),
-        default=None,
-    )
-    jobs.set_defaults(handler=_cmd_job)
 
     checkpoint = subparsers.add_parser(
         "checkpoint", help="inspect, diff or resume simulation snapshots"

@@ -132,28 +132,6 @@ class WorkerFaultError(ExplorationError):
     with backoff, quarantine after the failure budget."""
 
 
-class ServiceError(ReproError):
-    """The exploration service was misused or reported a failure.
-
-    Raised by the job store for invalid job submissions or state
-    transitions, and by the HTTP client for error responses; ``status``
-    carries the HTTP status code when one is known (e.g. 404 for an
-    unknown job, 429 for a saturated queue)."""
-
-    def __init__(self, message: str, status=None):
-        super().__init__(message)
-        self.status = status
-
-
-class JobCancelled(ServiceError):
-    """A service job was cancelled while its campaign was running.
-
-    Raised cooperatively from the worker's progress callback between
-    candidate completions; the worker catches it, terminates the
-    campaign cleanly (completed candidates stay in the result cache) and
-    marks the job ``cancelled``."""
-
-
 class CodegenError(ReproError):
     """Code generation could not translate a model construct."""
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExplorationError
 from repro.exploration.cache import ResultCache
@@ -44,7 +44,6 @@ from repro.exploration.supervisor import (
     Supervisor,
     SupervisorConfig,
     SupervisorStats,
-    _Task,
 )
 from repro.exploration.workerfaults import WorkerFaultPlan
 
@@ -87,24 +86,6 @@ class CandidateOutcome:
             "failures": [record.to_json_dict() for record in self.failures],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "CandidateOutcome":
-        """Rebuild an outcome from :meth:`to_json_dict` output."""
-        return cls(
-            index=int(data["index"]),
-            spec=CandidateSpec.from_json_dict(
-                data["spec"], label=str(data.get("label", ""))
-            ),
-            result=EvaluationResult.from_dict(data["result"]),
-            elapsed_s=float(data["elapsed_s"]),
-            cached=bool(data["cached"]),
-            attempts=int(data.get("attempts", 1)),
-            failures=[
-                FailureRecord.from_json_dict(record)
-                for record in data.get("failures", [])
-            ],
-        )
-
 
 @dataclass
 class ExplorationRun:
@@ -113,12 +94,12 @@ class ExplorationRun:
     outcomes: List[CandidateOutcome]
     workers: int
     wall_s: float
+    supervisor_stats: SupervisorStats  # the campaign ledger's totals
     cache_dir: Optional[str] = None
     # campaign failure ledger: every failed attempt, in the order the
     # supervisor recorded them, plus the candidates given up on
     failures: List[FailureRecord] = field(default_factory=list)
     quarantined: List[QuarantineRecord] = field(default_factory=list)
-    supervisor_stats: Optional[SupervisorStats] = None
     # static-pruning ledger: candidates skipped before any simulation,
     # in submission order (empty when pruning was off)
     pruned: List[PrunedRecord] = field(default_factory=list)
@@ -139,6 +120,11 @@ class ExplorationRun:
             self.outcomes, key=lambda o: (o.cost, o.spec.sort_key())
         )
 
+    @property
+    def candidates_submitted(self) -> int:
+        """Every submitted candidate: evaluated, cached, pruned or quarantined."""
+        return len(self.outcomes) + len(self.pruned) + len(self.quarantined)
+
     def supervisor_counters(self) -> Dict[str, int]:
         """Retry/timeout/crash/quarantine counters (all zero when clean).
 
@@ -146,67 +132,7 @@ class ExplorationRun:
         attachable to :class:`repro.observability.metrics.MetricsReport`
         as its ``campaign`` section.
         """
-        if self.supervisor_stats is not None:
-            return self.supervisor_stats.counters()
-        return {
-            "timeouts": 0,
-            "crashes": 0,
-            "errors": 0,
-            "retries": 0,
-            "quarantined": len(self.quarantined),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "ExplorationRun":
-        """Rebuild a run from an **untruncated** :meth:`to_json_dict` dump.
-
-        This is the service client's deserialisation path: a remote
-        campaign's result JSON comes back as a live :class:`ExplorationRun`
-        whose :meth:`ranking`, ledgers and re-serialisation are
-        byte-identical to the producer's (``from_json_dict(d)
-        .to_json_dict() == d``).  The dump must have been produced with
-        ``top=None`` — a truncated ranking cannot reproduce the outcome
-        list and is rejected.
-        """
-        ranking = data.get("ranking", [])
-        records = data.get("records", [])
-        if len(ranking) != len(records):
-            raise ExplorationError(
-                f"cannot rebuild a run from a truncated dump: ranking has "
-                f"{len(ranking)} entries but {len(records)} candidates ran "
-                "(re-export with top=None)"
-            )
-        outcomes = sorted(
-            (CandidateOutcome.from_json_dict(entry) for entry in ranking),
-            key=lambda outcome: outcome.index,
-        )
-        supervisor = data.get("supervisor", {})
-        pruned_block = data.get("pruned") or {}
-        return cls(
-            outcomes=outcomes,
-            workers=int(data["workers"]),
-            wall_s=float(data["wall_s"]),
-            cache_dir=data.get("cache_dir"),
-            failures=[
-                FailureRecord.from_json_dict(record)
-                for record in supervisor.get("failures", [])
-            ],
-            quarantined=[
-                QuarantineRecord.from_json_dict(record)
-                for record in supervisor.get("quarantine", [])
-            ],
-            supervisor_stats=SupervisorStats.from_counters(
-                supervisor,
-                degraded_to_serial=bool(
-                    supervisor.get("degraded_to_serial", False)
-                ),
-            ),
-            pruned=[
-                PrunedRecord.from_json_dict(record)
-                for record in pruned_block.get("records", [])
-            ],
-            prune_margin=pruned_block.get("margin"),
-        )
+        return self.supervisor_stats.counters()
 
     def to_json_dict(self, top: Optional[int] = None) -> Dict[str, object]:
         ranking = self.ranking()
@@ -214,7 +140,7 @@ class ExplorationRun:
         return {
             "workers": self.workers,
             "wall_s": self.wall_s,
-            "candidates_submitted": len(self.outcomes) + len(self.pruned),
+            "candidates_submitted": self.candidates_submitted,
             "candidates_total": len(self.outcomes),
             "evaluated": self.evaluated,
             "cache_hits": self.cache_hits,
@@ -244,11 +170,7 @@ class ExplorationRun:
             # the structured failure ledger (empty on a clean campaign)
             "supervisor": dict(
                 self.supervisor_counters(),
-                degraded_to_serial=(
-                    self.supervisor_stats.degraded_to_serial
-                    if self.supervisor_stats is not None
-                    else False
-                ),
+                degraded_to_serial=self.supervisor_stats.degraded_to_serial,
                 failures=[record.to_json_dict() for record in self.failures],
                 quarantine=[
                     record.to_json_dict() for record in self.quarantined
@@ -447,77 +369,31 @@ def run_candidates(
             )
         )
 
-    if workers >= 1 and pending:
-        unnamed = [spec for _, spec in pending if spec.digest() is None]
-        if unnamed:
-            raise ExplorationError(
-                "parallel evaluation needs builders importable by name "
-                "('module:callable'); got a local/lambda builder — use "
-                "workers=0 or move the builder to module scope"
-            )
-        boss = Supervisor(
-            context=_pool_context(),
-            workers=min(workers, len(pending)),
-            config=config,
-            worker_faults=worker_faults,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_events=checkpoint_every_events,
+    if workers >= 1 and any(spec.digest() is None for _, spec in pending):
+        raise ExplorationError(
+            "parallel evaluation needs builders importable by name "
+            "('module:callable'); got a local/lambda builder — use "
+            "workers=0 or move the builder to module scope"
         )
-        stats = boss.run(pending, on_success)
-        run_failures, run_quarantined = boss.failures, boss.quarantines
-    else:
-        boss = Supervisor(
-            context=None,
-            workers=0,
-            config=config,
-            worker_faults=worker_faults,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_events=checkpoint_every_events,
-        )
-        budget = interrupt_after_events
-        for index, spec in pending:
-            task = _Task(index=index, spec=spec)
-            while True:
-                wait = task.not_before - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                seen: List[object] = []
-
-                def factory(spec_, _seen=seen, _budget=lambda: budget):
-                    checkpointer = _make_checkpointer(
-                        spec_,
-                        checkpoint_dir,
-                        checkpoint_every_events,
-                        interrupt_after_events=(
-                            max(1, _budget()) if _budget() is not None else None
-                        ),
-                    )
-                    _seen.append(checkpointer)
-                    return checkpointer
-
-                outcome = boss.attempt_in_process(
-                    task, checkpointer_factory=factory
-                )
-                if outcome == "quarantined":
-                    break
-                if outcome == "retry":
-                    continue
-                result, elapsed = outcome
-                if budget is not None and seen and seen[-1] is not None:
-                    budget -= seen[-1].events_seen
-                on_success(index, result, elapsed, task.attempt, task.failures)
-                break
-        stats = boss.stats
-        run_failures, run_quarantined = boss.failures, boss.quarantines
+    boss = Supervisor(
+        context=_pool_context() if workers >= 1 else None,
+        workers=min(workers, len(pending)),
+        config=config,
+        worker_faults=worker_faults,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every_events=checkpoint_every_events,
+        interrupt_after_events=interrupt_after_events,
+    )
+    boss.run(pending, on_success)
 
     return ExplorationRun(
         outcomes=[outcome for outcome in outcomes if outcome is not None],
         workers=workers,
         wall_s=time.perf_counter() - started,
+        supervisor_stats=boss.stats,
         cache_dir=cache_dir,
-        failures=run_failures,
-        quarantined=run_quarantined,
-        supervisor_stats=stats,
+        failures=boss.failures,
+        quarantined=boss.quarantines,
         pruned=pruned_records,
         prune_margin=prune_config.margin if prune_config is not None else None,
     )

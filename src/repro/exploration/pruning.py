@@ -78,24 +78,6 @@ class PrunedRecord:
             "best_estimate": round(self.best_estimate, 6),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "PrunedRecord":
-        """Rebuild a ledger entry from :meth:`to_json_dict` output.
-
-        Estimates come back at the serialised 6-decimal precision, so the
-        round trip is idempotent (``from_json_dict(d).to_json_dict() == d``).
-        """
-        estimate = data.get("estimate")
-        return cls(
-            index=int(data["index"]),
-            label=str(data["label"]),
-            digest=data.get("digest"),
-            reason=str(data["reason"]),
-            detail=str(data["detail"]),
-            estimate=float(estimate) if estimate is not None else None,
-            best_estimate=float(data["best_estimate"]),
-        )
-
 
 def _probe_key(spec: CandidateSpec):
     ref = builder_ref(spec.builder)

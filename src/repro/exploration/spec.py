@@ -60,24 +60,6 @@ class FaultSpec:
             protected_signals=self.protected_signals,
         )
 
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "FaultSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output (exact inverse)."""
-
-        def _names(value):
-            return tuple(value) if value is not None else None
-
-        return cls(
-            seed=int(data["seed"]),
-            bus_corrupt_rate=float(data["bus_corrupt_rate"]),
-            bus_drop_rate=float(data["bus_drop_rate"]),
-            signal_drop_rate=float(data["signal_drop_rate"]),
-            signal_dup_rate=float(data["signal_dup_rate"]),
-            corruptible_signals=_names(data.get("corruptible_signals")),
-            droppable_signals=_names(data.get("droppable_signals")),
-            protected_signals=tuple(data.get("protected_signals") or ()),
-        )
-
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "seed": self.seed,
@@ -202,52 +184,6 @@ class CandidateSpec:
             "faults": self.faults.to_json_dict() if self.faults else None,
             "arq": self.arq,
         }
-
-    @classmethod
-    def from_json_dict(
-        cls, data: Dict[str, object], label: str = ""
-    ) -> "CandidateSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output.
-
-        The round trip is byte-exact: ``from_json_dict(d).to_json_dict()
-        == d`` for every spec whose builder is importable by name (the
-        JSON encoding of an unnamed builder is its ``repr`` and cannot be
-        resolved back).  ``label`` restores the presentation-only label,
-        which is deliberately absent from the canonical encoding.  This
-        is the deserialisation path of the exploration service: submitted
-        jobs carry spec JSON over HTTP and must hash to the same digest
-        (hence hit the same cache entries) as in-process runs.
-        """
-        schema = data.get("schema")
-        if schema != SPEC_SCHEMA:
-            raise ExplorationError(
-                f"unsupported candidate-spec schema {schema!r} "
-                f"(this build reads schema {SPEC_SCHEMA})"
-            )
-        mapping = data.get("mapping")
-        if not isinstance(mapping, dict) or not mapping:
-            raise ExplorationError("candidate spec has no mapping")
-        builder = data.get("builder")
-        if not isinstance(builder, str) or ":" not in builder:
-            raise ExplorationError(
-                f"candidate-spec builder {builder!r} is not a "
-                "'module:callable' reference"
-            )
-        grouping = data.get("grouping")
-        faults = data.get("faults")
-        return cls.make(
-            builder=builder,
-            mapping={str(k): str(v) for k, v in mapping.items()},
-            grouping=(
-                {str(k): str(v) for k, v in grouping.items()}
-                if grouping
-                else None
-            ),
-            duration_us=int(data["duration_us"]),
-            faults=FaultSpec.from_json_dict(faults) if faults else None,
-            arq=bool(data.get("arq", False)),
-            label=label,
-        )
 
     def sort_key(self) -> str:
         """Canonical JSON of the spec — the deterministic ranking tie-break."""

@@ -21,6 +21,10 @@ candidate, each reporting over its own pipe, so the parent can
   no longer be spawned at all (fork/spawn failure — the pool is
   irreparable, but the campaign still finishes).
 
+With ``workers=0`` the supervisor runs every candidate in-process
+through that same serial loop, so retry, quarantine and the interrupt
+budget exist once for every worker count.
+
 A retried candidate launched with ``checkpoint_dir`` resumes from its
 latest snapshot (see :mod:`repro.checkpoint`), so a timeout kill does not
 forfeit completed simulation work.  Failure semantics are documented in
@@ -150,21 +154,6 @@ class FailureRecord:
             "exitcode": self.exitcode,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "FailureRecord":
-        """Rebuild a ledger line from :meth:`to_json_dict` output."""
-        return cls(
-            index=int(data["index"]),
-            label=str(data["label"]),
-            digest=data.get("digest"),
-            attempt=int(data["attempt"]),
-            kind=str(data["kind"]),
-            detail=str(data["detail"]),
-            elapsed_s=float(data["elapsed_s"]),
-            backoff_s=float(data.get("backoff_s", 0.0)),
-            exitcode=data.get("exitcode"),
-        )
-
 
 @dataclass
 class QuarantineRecord:
@@ -185,17 +174,6 @@ class QuarantineRecord:
             "failures": self.failures,
             "reason": self.reason,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "QuarantineRecord":
-        """Rebuild a quarantine entry from :meth:`to_json_dict` output."""
-        return cls(
-            index=int(data["index"]),
-            label=str(data["label"]),
-            digest=data.get("digest"),
-            failures=int(data["failures"]),
-            reason=str(data["reason"]),
-        )
 
 
 @dataclass
@@ -221,25 +199,6 @@ class SupervisorStats:
             "retries": self.retries,
             "quarantined": self.quarantined,
         }
-
-    @classmethod
-    def from_counters(
-        cls, counters: Dict[str, int], degraded_to_serial: bool = False
-    ) -> "SupervisorStats":
-        """Rebuild stats from a :meth:`counters` dict (JSON deserialisation).
-
-        Only the ledger totals survive the round trip; process-local
-        bookkeeping (``spawn_failures``, ``spawned_pids``) is not part of
-        the campaign JSON and comes back zeroed.
-        """
-        return cls(
-            timeouts=int(counters.get("timeouts", 0)),
-            crashes=int(counters.get("crashes", 0)),
-            errors=int(counters.get("errors", 0)),
-            retries=int(counters.get("retries", 0)),
-            quarantined=int(counters.get("quarantined", 0)),
-            degraded_to_serial=degraded_to_serial,
-        )
 
     def note(self, kind: str) -> None:
         """Count one failure of ``kind``."""
@@ -320,15 +279,17 @@ def _child_main(send_conn, payload) -> None:
 
 
 class Supervisor:
-    """Drives one campaign's parallel dispatch with fault tolerance.
+    """Drives one campaign's dispatch with fault tolerance.
 
     The engine hands over the uncached ``(index, spec)`` pairs and an
-    ``on_success(index, result, elapsed_s, attempts)`` callback; the
-    supervisor owns worker lifecycle, deadlines, retries and quarantine,
-    and leaves its ledger in :attr:`failures`, :attr:`quarantines` and
-    :attr:`stats`.  ``finally``-guarded cleanup terminates every live
-    worker on any exit path — a ``KeyboardInterrupt`` mid-campaign leaves
-    no orphan processes behind.
+    ``on_success(index, result, elapsed_s, attempts, failures)``
+    callback; the supervisor owns worker lifecycle, deadlines, retries,
+    quarantine and the interrupt budget, and leaves its ledger in
+    :attr:`failures`, :attr:`quarantines` and :attr:`stats`.  With
+    ``workers=0`` every candidate runs in-process through the same retry
+    loop that serial degradation uses.  ``finally``-guarded cleanup
+    terminates every live worker on any exit path — a
+    ``KeyboardInterrupt`` mid-campaign leaves no orphan processes behind.
     """
 
     def __init__(
@@ -339,13 +300,19 @@ class Supervisor:
         worker_faults: Optional[WorkerFaultPlan] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every_events: int = 5_000,
+        interrupt_after_events: Optional[int] = None,
     ) -> None:
         self.context = context
+        # workers=0 evaluates every candidate in-process, one at a time
+        self.in_process = workers == 0
         self.workers = max(1, workers)
         self.config = config
         self.worker_faults = worker_faults
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every_events = checkpoint_every_events
+        # events left before the in-process campaign is interrupted
+        # (None: no budget); debited by each successful evaluation
+        self.interrupt_budget = interrupt_after_events
         self.failures: List[FailureRecord] = []
         self.quarantines: List[QuarantineRecord] = []
         self.stats = SupervisorStats()
@@ -380,8 +347,8 @@ class Supervisor:
                 # fill free worker slots
                 while ready and len(inflight) < self.workers:
                     task = ready.popleft()
-                    if self.stats.degraded_to_serial:
-                        self._run_in_process(task, on_success, delayed)
+                    if self.in_process or self.stats.degraded_to_serial:
+                        self._run_in_process(task, on_success)
                         continue
                     flight = self._spawn(task)
                     if flight is None:          # spawn failed; task re-queued
@@ -608,74 +575,69 @@ class Supervisor:
         self.stats.quarantined += 1
 
     # ------------------------------------------------------------------
-    # serial degradation (and the workers=0 path)
+    # in-process evaluation (workers=0 and serial degradation)
     # ------------------------------------------------------------------
 
-    def _run_in_process(self, task: _Task, on_success, delayed) -> None:
-        """Evaluate one candidate in-process (degraded mode, retries kept).
+    def _run_in_process(self, task: _Task, on_success) -> None:
+        """Evaluate one candidate in-process, retrying until it succeeds.
 
-        Backoffs are honoured by sleeping; wall-clock timeouts cannot
-        preempt an in-process simulation and are skipped.
+        Failures are ledgered and retried exactly as in a worker process,
+        until the task is quarantined.  Backoffs are honoured by
+        sleeping; wall-clock timeouts cannot preempt an in-process
+        simulation and are skipped.  ``SimulationInterrupted`` (the
+        interrupt budget ran out) and ``KeyboardInterrupt`` propagate —
+        neither is a worker fault.
         """
-        del delayed  # in-process retries loop here instead of re-queueing
+        from repro.exploration.engine import _make_checkpointer, evaluate_spec
+
         while True:
             wait = task.not_before - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
-            outcome = self.attempt_in_process(task)
-            if outcome == "quarantined":
-                return
-            if outcome == "retry":
+            budget = self.interrupt_budget
+            started = time.perf_counter()
+            try:
+                fault_mode = (
+                    self.worker_faults.mode_for(task.index, task.attempt)
+                    if self.worker_faults is not None
+                    else None
+                )
+                if fault_mode is not None:
+                    apply_worker_fault(
+                        fault_mode, self.worker_faults, in_child=False
+                    )
+                checkpointer = _make_checkpointer(
+                    task.spec,
+                    self.checkpoint_dir,
+                    self.checkpoint_every_events,
+                    interrupt_after_events=(
+                        max(1, budget) if budget is not None else None
+                    ),
+                )
+                result = evaluate_spec(task.spec, checkpointer=checkpointer)
+            except (SimulationInterrupted, KeyboardInterrupt):
+                raise
+            except Exception as exc:  # noqa: BLE001 — worker failures are ledgered
+                kind = FAILURE_ERROR
+                if isinstance(exc, WorkerFaultError):
+                    # simulated crash/hang injections surface as exceptions
+                    # in-process; classify them by their injected nature so
+                    # the ledger reads the same as the parallel campaign's
+                    if "crash" in str(exc):
+                        kind = FAILURE_CRASH
+                    elif "hang" in str(exc):
+                        kind = FAILURE_TIMEOUT
+                disposition = self._failed(
+                    task,
+                    kind,
+                    f"{type(exc).__name__}: {exc}",
+                    time.perf_counter() - started,
+                )
+                if disposition == "quarantined":
+                    return
                 continue
-            result, elapsed = outcome
+            elapsed = time.perf_counter() - started
+            if budget is not None and checkpointer is not None:
+                self.interrupt_budget = budget - checkpointer.events_seen
             on_success(task.index, result, elapsed, task.attempt, task.failures)
             return
-
-    def attempt_in_process(
-        self, task: _Task, checkpointer_factory: Optional[Callable] = None
-    ):
-        """One in-process attempt: ``(result, elapsed_s)``, or a disposition.
-
-        Returns ``"retry"`` or ``"quarantined"`` when the attempt failed
-        (already ledgered; on retry the task's ``not_before`` holds the
-        end of its backoff).  ``SimulationInterrupted`` and
-        ``KeyboardInterrupt`` always propagate — an interrupt budget or a
-        user interrupt is not a worker fault.  ``checkpointer_factory``
-        overrides the default checkpointer construction (the engine's
-        serial path uses it to thread its interrupt budget through).
-        """
-        from repro.exploration.engine import _make_checkpointer, evaluate_spec
-
-        started = time.perf_counter()
-        try:
-            fault_mode = (
-                self.worker_faults.mode_for(task.index, task.attempt)
-                if self.worker_faults is not None
-                else None
-            )
-            if fault_mode is not None:
-                apply_worker_fault(fault_mode, self.worker_faults, in_child=False)
-            if checkpointer_factory is not None:
-                checkpointer = checkpointer_factory(task.spec)
-            else:
-                checkpointer = _make_checkpointer(
-                    task.spec, self.checkpoint_dir, self.checkpoint_every_events
-                )
-            result = evaluate_spec(task.spec, checkpointer=checkpointer)
-        except (SimulationInterrupted, KeyboardInterrupt):
-            raise
-        except Exception as exc:  # noqa: BLE001 — worker failures are ledgered
-            detail = f"{type(exc).__name__}: {exc}"
-            kind = FAILURE_ERROR
-            if isinstance(exc, WorkerFaultError):
-                # simulated crash/hang injections surface as exceptions
-                # in-process; classify them by their injected nature so the
-                # ledger reads the same as the parallel campaign's
-                if "crash" in str(exc):
-                    kind = FAILURE_CRASH
-                elif "hang" in str(exc):
-                    kind = FAILURE_TIMEOUT
-            return self._failed(
-                task, kind, detail, time.perf_counter() - started
-            )
-        return result, time.perf_counter() - started

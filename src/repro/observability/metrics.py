@@ -20,9 +20,8 @@ Definitions (``T`` = simulated end time in ps):
 * **Queue high-water marks** — the maximum sampled depth of each PE
   ready queue, each segment request queue (the wrapper FIFO), and the
   kernel scheduler queue.  Kernel samples are matched by track, not by
-  counter name, so traces recorded before the calendar-queue kernel
-  (counter ``events``) aggregate identically to current ones
-  (``queue_depth``).
+  counter name, so older traces (counter ``events``) aggregate
+  identically to current ones (``queue_depth``).
 * **Signal latency histograms** — send→delivery latency, bucketed by
   powers of two (bucket key ``2**k`` holds latencies in
   ``(2**(k-1), 2**k]`` ps), keyed by sender→receiver process group when

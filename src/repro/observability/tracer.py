@@ -37,9 +37,8 @@ group       lane                     carries
 ``efsm``    application process      transition instants
 ``system``  ``dispatch``             send/deliver/drop/fault instants
 ``kernel``  ``scheduler``            scheduler queue-depth samples (the
-                                     ``queue_depth`` counter; traces
-                                     recorded before the calendar-queue
-                                     kernel named it ``events``)
+                                     ``queue_depth`` counter; older
+                                     traces named it ``events``)
 ==========  =======================  ===================================
 """
 

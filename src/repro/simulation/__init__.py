@@ -7,14 +7,12 @@ the profiling tool.
 """
 
 from repro.simulation.kernel import (
-    HeapKernel,
     Kernel,
     PS_PER_MS,
     PS_PER_US,
     QUEUE_DEPTH_COUNTER,
     cycles_to_ps,
     event_pending,
-    select_backend,
 )
 from repro.simulation.logfile import (
     DropRecord,
@@ -50,7 +48,6 @@ __all__ = [
     "DropRecord",
     "ExecRecord",
     "FaultRecord",
-    "HeapKernel",
     "HibiBus",
     "Kernel",
     "LogFile",
@@ -78,6 +75,5 @@ __all__ = [
     "parse_log",
     "read_log",
     "run_reference_simulation",
-    "select_backend",
     "timer_duration_ps",
 ]

@@ -3,40 +3,23 @@
 Time is integer **picoseconds** so all PE/bus clock periods divide evenly
 (a 50 MHz cycle is exactly 20 000 ps).  Events at equal times fire in
 scheduling order (a monotonic sequence number breaks ties), which makes
-every simulation run bit-reproducible.
-
-Two interchangeable backends implement the same contract (see
-``docs/kernel.md`` for the architecture guide):
-
-* :class:`Kernel` — the default calendar/bucket queue.  Near-future
-  events append into power-of-two-wide time buckets in O(1); one bucket
-  activation sorts a whole bucket at once, so every same-tick batch of
-  signal deliveries drains back-to-back without per-event heap
-  reordering.  Far-future events append to an unsorted overflow list
-  that is sorted once — straight into the drain — when the bucket
-  window runs dry.
-* :class:`HeapKernel` — the original binary-heap-per-event scheduler,
-  kept as the differential oracle: both backends must produce
-  byte-identical logs, traces and checkpoints for any model.
+every simulation run bit-reproducible.  ``docs/kernel.md`` documents the
+ordering and checkpoint contract.
 
 Events are plain lists (``[time_ps, sequence, callback, cancelled,
-dispatched]`` — see the ``EV_*`` index constants) so creating one costs a
-single C-level allocation and ordering them uses C list comparison
-instead of a Python ``__lt__`` call per heap compare.
+dispatched]`` — see the ``EV_*`` index constants) kept in one binary
+heap, so creating one costs a single C-level allocation and ordering them
+uses C list comparison instead of a Python ``__lt__`` call per compare.
 
 Hook dispatch is gated: registering a tracer or an ``after_event`` hook
 flips one fused ``_hooks_active`` flag (recomputed only on hook
 (un)registration), and the run loop checks that single flag per event.
-With no hooks installed the loop stays on a fast path with no per-event
-tracer/checkpoint/budget attribute traffic.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from typing import Callable, List, Optional, Type
+from typing import Callable, List, Optional
 
 from repro.errors import InvalidScheduleError, SimulationError
 from repro.observability.tracer import KERNEL_TRACK, Tracer
@@ -59,10 +42,13 @@ EV_DISPATCHED = 4
 #: 5-slot list indexed by the ``EV_*`` constants above.
 Event = List
 
-#: Counter name for the scheduler-queue-depth series both backends emit.
-#: Traces recorded before the calendar-queue rewrite named this series
-#: ``events``; readers should treat that name as an alias of this one.
+#: Counter name for the scheduler-queue-depth series in trace exports.
+#: Traces recorded by older versions named this series ``events``;
+#: readers should treat that name as an alias of this one.
 QUEUE_DEPTH_COUNTER = "queue_depth"
+
+#: A traced kernel samples its queue depth every this many dispatches.
+TRACE_STRIDE = 64
 
 _BUDGET_MESSAGE = "event budget exceeded ({limit} events); runaway model?"
 
@@ -84,95 +70,34 @@ def event_pending(event: Event) -> bool:
 
 
 class Kernel:
-    """Calendar-queue scheduler with a current time and a hard event budget.
-
-    Pending events live in one of four structures, always drained in
-    exact ``(time_ps, sequence)`` order:
-
-    * ``_drain`` — the *active bucket*, sorted descending so ``pop()``
-      yields the next event; one sort per bucket activation serves every
-      event in the bucket, so same-tick delivery batches cost no
-      per-event comparisons.
-    * ``_spill`` — a small heap for events scheduled into the active (or
-      an earlier) bucket after it was activated; each pop compares the
-      spill head against the drain tail so ordering stays exact.
-    * ``_buckets``/``_bidx`` — near-future buckets (a dict of unsorted
-      lists keyed by ``time_ps >> bucket_shift``, plus a heap of their
-      indices); appending is O(1).
-    * ``_over`` — unsorted overflow list for events beyond the bucket
-      window (``span`` buckets ahead); appending is O(1), and when the
-      window runs dry the whole list is sorted once straight into the
-      drain (a *re-base*) and the window re-opens past it.
+    """Binary-heap scheduler with a current time and a hard event budget.
 
     With a :class:`~repro.observability.tracer.Tracer` installed the run
-    loop samples the scheduler queue depth every ``trace_stride``
-    dispatches (the ``queue_depth`` counter series in trace exports,
-    named ``events`` in traces recorded before the calendar rewrite).
-    Tracer and ``after_event`` registration recompute one fused hook
-    gate, so an idle kernel pays a single flag check per dispatch.
+    loop samples the scheduler queue depth every :data:`TRACE_STRIDE`
+    dispatches (the ``queue_depth`` counter series in trace exports).
     """
 
     __slots__ = (
         "now_ps",
         "max_events",
-        "trace_stride",
-        "_shift",
-        "_span",
-        "_drain",
-        "_spill",
-        "_buckets",
-        "_bidx",
-        "_over",
-        "_active_idx",
-        "_limit",
+        "_heap",
         "_sequence",
         "_dispatched",
-        "_size",
         "_tombstones",
-        "_drained",
-        "_spilled",
-        "_activations",
-        "_migrations",
         "_tracer",
         "_after_event",
         "_hooks_active",
     )
 
-    #: log2 of the bucket width: 1024 ps buckets keep cycle-granularity
-    #: timers (tens of ns) a handful of buckets ahead.
-    DEFAULT_BUCKET_SHIFT = 10
-    #: buckets tracked ahead of the active one before events overflow to
-    #: the fallback heap: 256 × 1024 ps ≈ 262 ns of direct-append window.
-    DEFAULT_SPAN = 256
-
     def __init__(
-        self,
-        max_events: int = 5_000_000,
-        tracer: Optional[Tracer] = None,
-        trace_stride: int = 64,
-        bucket_shift: int = DEFAULT_BUCKET_SHIFT,
-        span: int = DEFAULT_SPAN,
+        self, max_events: int = 5_000_000, tracer: Optional[Tracer] = None
     ) -> None:
         self.now_ps: int = 0
         self.max_events = max_events
-        self.trace_stride = max(1, trace_stride)
-        self._shift = bucket_shift
-        self._span = span
-        self._drain: list = []  # active bucket, reverse-sorted
-        self._spill: list = []  # heap: late arrivals for the active bucket
-        self._buckets: dict = {}  # bucket index -> unsorted event list
-        self._bidx: list = []  # heap of occupied bucket indices
-        self._over: list = []  # unsorted: events beyond the bucket window
-        self._active_idx = -1
-        self._limit = span  # first bucket index routed to the overflow heap
+        self._heap: list = []
         self._sequence = 0
         self._dispatched = 0
-        self._size = 0  # entries across all structures (incl. tombstones)
-        self._tombstones = 0
-        self._drained = 0  # lifetime pops served from the sorted drain
-        self._spilled = 0  # lifetime pops served from the spill heap
-        self._activations = 0  # bucket activations (one sort each)
-        self._migrations = 0  # overflow re-bases (one sort each)
+        self._tombstones = 0  # cancelled events still in the heap
         self._tracer = tracer
         self._after_event: Optional[Callable[[], None]] = None
         self._hooks_active = tracer is not None
@@ -183,7 +108,7 @@ class Kernel:
 
     @property
     def tracer(self) -> Optional[Tracer]:
-        """Tracer sampled every ``trace_stride`` dispatches (or ``None``)."""
+        """Tracer sampled every :data:`TRACE_STRIDE` dispatches (or ``None``)."""
         return self._tracer
 
     @tracer.setter
@@ -197,7 +122,7 @@ class Kernel:
 
         The checkpoint subsystem snapshots from this hook.  Assigning
         ``None`` unregisters it; (un)registration recomputes the fused
-        hook gate, so an unhooked kernel stays on the fast dispatch loop.
+        hook gate, so an unhooked kernel skips the per-event hook phase.
         """
         return self._after_event
 
@@ -219,27 +144,8 @@ class Kernel:
                 f"cannot schedule into the past ({delay_ps} ps)"
             )
         self._sequence = sequence = self._sequence + 1
-        time_ps = self.now_ps + delay_ps
-        event = [time_ps, sequence, callback, False, False]
-        idx = time_ps >> self._shift
-        if idx <= self._active_idx:
-            # an empty drain+spill means no ordering constraint yet: the
-            # event can seed the drain directly (the self-rescheduling
-            # chain shape stays off the heap entirely)
-            if self._spill or self._drain:
-                _heappush(self._spill, event)
-            else:
-                self._drain.append(event)
-        elif idx < self._limit:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [event]
-                _heappush(self._bidx, idx)
-            else:
-                bucket.append(event)
-        else:
-            self._over.append(event)
-        self._size += 1
+        event = [self.now_ps + delay_ps, sequence, callback, False, False]
+        _heappush(self._heap, event)
         return event
 
     def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> Event:
@@ -250,116 +156,39 @@ class Kernel:
         """Mark ``event`` cancelled; it is skipped (and dropped) at dispatch.
 
         Cancelled events stay queued as tombstones; once tombstones
-        outnumber live events every structure is compacted in one O(n)
-        pass, so cancel-heavy models (timer resets) keep the queue
-        proportional to the live event count.
+        outnumber live events the heap is compacted in one O(n) pass, so
+        cancel-heavy models (timer resets) keep the queue proportional to
+        the live event count.
         """
         if event[EV_CANCELLED] or event[EV_DISPATCHED]:
             return
         event[EV_CANCELLED] = True
         self._tombstones += 1
-        if self._tombstones > self._size // 2 and self._size > 8:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop tombstones from every structure, strictly in place.
-
-        In-place mutation matters: the run loop caches references to
-        ``_drain``/``_spill`` while a callback may trigger this via
-        :meth:`cancel`, so the lists must keep their identity.
-        """
-        self._drain[:] = [e for e in self._drain if not e[EV_CANCELLED]]
-        self._spill[:] = [e for e in self._spill if not e[EV_CANCELLED]]
-        _heapify(self._spill)
-        self._over[:] = [e for e in self._over if not e[EV_CANCELLED]]
-        buckets = self._buckets
-        for idx in list(buckets):
-            kept = [e for e in buckets[idx] if not e[EV_CANCELLED]]
-            if kept:
-                buckets[idx] = kept
-            else:
-                del buckets[idx]
-        self._bidx[:] = buckets.keys()
-        _heapify(self._bidx)
-        self._size = (
-            len(self._drain)
-            + len(self._spill)
-            + len(self._over)
-            + sum(len(b) for b in buckets.values())
-        )
-        self._tombstones = 0
+        heap = self._heap
+        if self._tombstones > len(heap) // 2 and len(heap) > 8:
+            # in place: run() holds a reference to the heap while a
+            # callback may cancel
+            heap[:] = [e for e in heap if not e[EV_CANCELLED]]
+            _heapify(heap)
+            self._tombstones = 0
 
     @property
     def pending(self) -> int:
         """Scheduled events not yet dispatched or cancelled (O(1))."""
-        return self._size - self._tombstones
+        return len(self._heap) - self._tombstones
 
     @property
     def dispatched(self) -> int:
         """Events dispatched over the kernel's whole life (survives restore).
 
-        Coherent at quiescent points (before :meth:`run`, after it
-        returns or raises, and inside any tracer/``after_event`` hook);
-        the unhooked fast loop defers the counter until it exits.
+        Coherent at every quiescent point: before :meth:`run`, after it
+        returns or raises, and inside any tracer/``after_event`` hook.
         """
         return self._dispatched
-
-    def queue_stats(self) -> dict:
-        """Lifetime queue counters (for benchmarks and diagnostics).
-
-        ``drained`` pops came from the pre-sorted drain (the batched
-        path: no per-event comparisons), ``spilled`` pops from the
-        fallback heap; ``activations`` counts drain refills (bucket
-        sorts plus overflow re-bases) and ``migrations`` the overflow
-        re-bases alone.  The batching hit rate is
-        ``drained / (drained + spilled)``.
-        """
-        return {
-            "backend": "calendar",
-            "drained": self._drained,
-            "spilled": self._spilled,
-            "activations": self._activations,
-            "migrations": self._migrations,
-        }
 
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
-
-    def _advance(self) -> bool:
-        """Activate the next run of events; False when nothing is left.
-
-        Only called with the drain and spill empty.  Two paths:
-
-        * **Bucket activation** — pop the lowest-indexed bucket, sort it
-          once, make it the drain.
-        * **Overflow re-base** — the bucket window is empty but the
-          overflow list is not.  The whole list is sorted once (C
-          Timsort over list events) straight into the drain, the cursor
-          jumps to the last drained bucket and the window re-opens past
-          it.  Every event passes through at most one re-base sort, so
-          the amortized cost matches a binary heap's O(log n) with far
-          smaller constants — and overflow inserts stay O(1) appends.
-        """
-        if self._bidx:
-            idx = _heappop(self._bidx)
-            bucket = self._buckets.pop(idx)
-            self._active_idx = idx
-            bucket.sort(reverse=True)
-            self._drain[:] = bucket
-            self._activations += 1
-            return True
-        over = self._over
-        if not over:
-            return False
-        over.sort(reverse=True)
-        self._drain[:] = over
-        del over[:]
-        self._active_idx = self._drain[0][0] >> self._shift
-        self._limit = self._active_idx + 1 + self._span
-        self._activations += 1
-        self._migrations += 1
-        return True
 
     def run(self, until_ps: Optional[int] = None) -> int:
         """Dispatch events in order until the queue drains or ``until_ps``.
@@ -367,100 +196,45 @@ class Kernel:
         Returns the number of dispatched events.  The kernel clock is left
         at ``until_ps`` (if given) or at the last event time.
         """
+        heap = self._heap
+        heappop = _heappop
+        limit = self.max_events
         until = until_ps if until_ps is not None else float("inf")
-        total = 0
-        while True:
-            if self._hooks_active:
-                count, exhausted = self._run_hooked(until)
-            else:
-                count, exhausted = self._run_idle(until)
-            total += count
-            if exhausted:
+        start = self._dispatched
+        # literal event indices below: EV_* are module globals, and a
+        # global lookup per event access shows in the dispatch rate
+        while heap:
+            event = heappop(heap)
+            if event[3]:
+                self._tombstones -= 1
+                continue
+            time_ps = event[0]
+            if time_ps > until:
+                _heappush(heap, event)
                 break
+            event[4] = True
+            self.now_ps = time_ps
+            event[2]()
+            self._dispatched = dispatched = self._dispatched + 1
+            if self._hooks_active:
+                self._post_dispatch_hooks()
+            elif dispatched > limit:
+                raise SimulationError(_BUDGET_MESSAGE.format(limit=limit))
         if until_ps is not None and until_ps > self.now_ps:
             self.now_ps = until_ps
-        return total
-
-    def _run_idle(self, until) -> tuple:
-        """Fast dispatch loop for the no-hooks case.
-
-        Per event: one pop, one cancelled check, one fused-gate check.
-        The lifetime dispatch counter and queue statistics accumulate in
-        locals and flush when the loop exits (including via exceptions),
-        so ``dispatched`` is coherent at every quiescent point.  Returns
-        ``(count, exhausted)``; ``exhausted`` is False when a callback
-        registered a hook and the hooked loop must take over.
-        """
-        drain = self._drain
-        spill = self._spill
-        heappop = _heappop
-        budget = self.max_events - self._dispatched
-        n = 0
-        drained = 0
-        spilled = 0
-        exhausted = True
-        try:
-            while True:
-                if drain:
-                    if spill and spill[0] < drain[-1]:
-                        event = heappop(spill)
-                        spilled += 1
-                    else:
-                        event = drain.pop()
-                        drained += 1
-                elif spill:
-                    event = heappop(spill)
-                    spilled += 1
-                else:
-                    if not self._advance():
-                        break
-                    continue
-                time_ps = event[0]
-                if time_ps > until:
-                    # push-back goes to the spill heap: the event came
-                    # from the active bucket window, so the invariant
-                    # (spill index <= active index) holds either way
-                    _heappush(spill, event)
-                    break
-                if event[3]:
-                    self._size -= 1
-                    self._tombstones -= 1
-                    continue
-                self._size -= 1
-                event[4] = True
-                self.now_ps = time_ps
-                event[2]()
-                n += 1
-                if n > budget:
-                    raise SimulationError(
-                        _BUDGET_MESSAGE.format(limit=self.max_events)
-                    )
-                if self._hooks_active:
-                    # the callback just registered a hook: replay this
-                    # event's post-dispatch phase under the hooked
-                    # contract, then hand over to the hooked loop
-                    self._dispatched += n
-                    n = 0
-                    self._post_dispatch_hooks()
-                    exhausted = False
-                    break
-        finally:
-            self._dispatched += n
-            self._drained += drained
-            self._spilled += spilled
-        return n if exhausted else 0, exhausted
+        return self._dispatched - start
 
     def _post_dispatch_hooks(self) -> None:
         """The per-event hook phase: depth sample, budget, after_event."""
         tracer = self._tracer
-        if tracer is not None and self._dispatched % self.trace_stride == 0:
-            # sample the live count, not the raw entry count: tombstones
-            # are an implementation detail and would make a restored
-            # run's samples (tombstone-free queue) diverge
+        if tracer is not None and self._dispatched % TRACE_STRIDE == 0:
+            # sample the live count, not the heap length: tombstones are
+            # an implementation detail and would make a restored run's
+            # samples (tombstone-free queue) diverge
             tracer.counter(
                 QUEUE_DEPTH_COUNTER,
                 KERNEL_TRACK,
-                {"depth": self._size - self._tombstones},
+                {"depth": len(self._heap) - self._tombstones},
                 time_ps=self.now_ps,
             )
         if self._dispatched > self.max_events:
@@ -470,49 +244,6 @@ class Kernel:
             # quiescent point: the event completed, the next has not
             # started — the checkpoint subsystem snapshots from here
             hook()
-
-    def _run_hooked(self, until) -> tuple:
-        """Dispatch loop with tracer/after_event hooks live.
-
-        Identical event ordering and per-event hook phases to the
-        original heap kernel; drops back to the fast loop when the last
-        hook is unregistered mid-run.
-        """
-        drain = self._drain
-        spill = self._spill
-        heappop = _heappop
-        n = 0
-        while self._hooks_active:
-            if drain:
-                if spill and spill[0] < drain[-1]:
-                    event = heappop(spill)
-                    self._spilled += 1
-                else:
-                    event = drain.pop()
-                    self._drained += 1
-            elif spill:
-                event = heappop(spill)
-                self._spilled += 1
-            else:
-                if not self._advance():
-                    return n, True
-                continue
-            time_ps = event[0]
-            if time_ps > until:
-                _heappush(spill, event)
-                return n, True
-            if event[3]:
-                self._size -= 1
-                self._tombstones -= 1
-                continue
-            self._size -= 1
-            event[4] = True
-            self.now_ps = time_ps
-            event[2]()
-            n += 1
-            self._dispatched += 1
-            self._post_dispatch_hooks()
-        return n, False
 
     # ------------------------------------------------------------------
     # checkpoint/restore protocol
@@ -524,10 +255,6 @@ class Kernel:
         Pending queue events are *not* serialized — they hold raw
         callbacks.  Each owning component records what its events would
         do and re-materializes them on restore via :meth:`restore_event`.
-        Queue shape (bucket width, spill/overflow membership) is a pure
-        implementation detail and never reaches a snapshot, so a
-        checkpoint taken under one backend or bucket geometry restores
-        under any other.
         """
         return {
             "now_ps": self.now_ps,
@@ -537,7 +264,7 @@ class Kernel:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore clock/counters; the queue must be empty (fresh kernel)."""
-        if self._size or self._dispatched:
+        if self._heap or self._dispatched:
             raise SimulationError(
                 "load_state_dict needs a fresh kernel (events already "
                 "scheduled or dispatched)"
@@ -545,10 +272,6 @@ class Kernel:
         self.now_ps = int(state["now_ps"])
         self._sequence = int(state["sequence"])
         self._dispatched = int(state["dispatched"])
-        # re-base the bucket window on the restored clock so the first
-        # re-materialized events append to buckets instead of spilling
-        self._active_idx = (self.now_ps >> self._shift) - 1
-        self._limit = self._active_idx + 1 + self._span
 
     def restore_event(
         self, time_ps: int, sequence: int, callback: Callable[[], None]
@@ -571,231 +294,5 @@ class Kernel:
                 f"clock ({self.now_ps} ps)"
             )
         event = [time_ps, sequence, callback, False, False]
-        idx = time_ps >> self._shift
-        if idx <= self._active_idx:
-            _heappush(self._spill, event)
-        elif idx < self._limit:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [event]
-                _heappush(self._bidx, idx)
-            else:
-                bucket.append(event)
-        else:
-            self._over.append(event)
-        self._size += 1
-        return event
-
-
-class HeapKernel:
-    """The original binary-heap scheduler, kept as the differential oracle.
-
-    Same event contract, checkpoint protocol and hook semantics as
-    :class:`Kernel`, with the pre-calendar implementation: one heap, one
-    ``heappush``/``heappop`` per event, and per-event ``None`` checks for
-    every hook.  ``select_backend("heap")`` (or
-    ``REPRO_KERNEL_BACKEND=heap``) swaps it in so any run can be
-    replayed against the old scheduler and compared byte-for-byte.
-    """
-
-    __slots__ = (
-        "now_ps",
-        "max_events",
-        "tracer",
-        "trace_stride",
-        "_heap",
-        "_sequence",
-        "_dispatched",
-        "_live",
-        "after_event",
-    )
-
-    def __init__(
-        self,
-        max_events: int = 5_000_000,
-        tracer: Optional[Tracer] = None,
-        trace_stride: int = 64,
-    ) -> None:
-        self.now_ps: int = 0
-        self.max_events = max_events
-        self.tracer = tracer
-        self.trace_stride = max(1, trace_stride)
-        self._heap: list = []
-        self._sequence = 0
-        self._dispatched = 0
-        self._live = 0  # heap entries that are not cancelled tombstones
-        # called between dispatches (the heap is quiescent there); the
-        # checkpoint subsystem snapshots from this hook.
-        self.after_event: Optional[Callable[[], None]] = None
-
-    def schedule(self, delay_ps: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay_ps`` after the current time."""
-        if delay_ps < 0:
-            raise InvalidScheduleError(
-                f"cannot schedule into the past ({delay_ps} ps)"
-            )
-        self._sequence += 1
-        event = [self.now_ps + delay_ps, self._sequence, callback, False, False]
         _heappush(self._heap, event)
-        self._live += 1
         return event
-
-    def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at the absolute instant ``time_ps``."""
-        return self.schedule(time_ps - self.now_ps, callback)
-
-    def cancel(self, event: Event) -> None:
-        """Mark ``event`` cancelled; it is skipped (and dropped) at dispatch."""
-        if event[EV_CANCELLED] or event[EV_DISPATCHED]:
-            return
-        event[EV_CANCELLED] = True
-        self._live -= 1
-        tombstones = len(self._heap) - self._live
-        if tombstones > len(self._heap) // 2 and len(self._heap) > 8:
-            # in place, like Kernel._compact: run() caches no references
-            # here, but keeping the identity stable costs nothing
-            self._heap[:] = [e for e in self._heap if not e[EV_CANCELLED]]
-            _heapify(self._heap)
-
-    @property
-    def pending(self) -> int:
-        """Scheduled events not yet dispatched or cancelled (O(1))."""
-        return self._live
-
-    @property
-    def dispatched(self) -> int:
-        """Events dispatched over the kernel's whole life (survives restore)."""
-        return self._dispatched
-
-    def queue_stats(self) -> dict:
-        """Lifetime queue counters; the heap backend has no batched path."""
-        return {
-            "backend": "heap",
-            "drained": 0,
-            "spilled": self._dispatched,
-            "activations": 0,
-            "migrations": 0,
-        }
-
-    def run(self, until_ps: Optional[int] = None) -> int:
-        """Dispatch events in order until the heap drains or ``until_ps``.
-
-        Returns the number of dispatched events.  The kernel clock is left
-        at ``until_ps`` (if given) or at the last event time.
-        """
-        dispatched = 0
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event[EV_CANCELLED]:
-                _heappop(heap)
-                continue
-            if until_ps is not None and event[EV_TIME] > until_ps:
-                break
-            _heappop(heap)
-            self._live -= 1
-            event[EV_DISPATCHED] = True
-            self.now_ps = event[EV_TIME]
-            event[EV_CALLBACK]()
-            dispatched += 1
-            self._dispatched += 1
-            if (
-                self.tracer is not None
-                and self._dispatched % self.trace_stride == 0
-            ):
-                self.tracer.counter(
-                    QUEUE_DEPTH_COUNTER,
-                    KERNEL_TRACK,
-                    {"depth": self._live},
-                    time_ps=self.now_ps,
-                )
-            if self._dispatched > self.max_events:
-                raise SimulationError(
-                    _BUDGET_MESSAGE.format(limit=self.max_events)
-                )
-            if self.after_event is not None:
-                self.after_event()
-        if until_ps is not None and until_ps > self.now_ps:
-            self.now_ps = until_ps
-        return dispatched
-
-    def state_dict(self) -> dict:
-        """The kernel's serializable state (clock, sequence, dispatch count)."""
-        return {
-            "now_ps": self.now_ps,
-            "sequence": self._sequence,
-            "dispatched": self._dispatched,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore clock/counters; the heap must be empty (fresh kernel)."""
-        if self._heap or self._dispatched:
-            raise SimulationError(
-                "load_state_dict needs a fresh kernel (events already "
-                "scheduled or dispatched)"
-            )
-        self.now_ps = int(state["now_ps"])
-        self._sequence = int(state["sequence"])
-        self._dispatched = int(state["dispatched"])
-
-    def restore_event(
-        self, time_ps: int, sequence: int, callback: Callable[[], None]
-    ) -> Event:
-        """Re-materialize a checkpointed event with its *original* sequence."""
-        if sequence > self._sequence:
-            raise SimulationError(
-                f"restored event sequence {sequence} is ahead of the "
-                f"kernel's counter {self._sequence}"
-            )
-        if time_ps < self.now_ps:
-            raise SimulationError(
-                f"restored event at {time_ps} ps is before the restored "
-                f"clock ({self.now_ps} ps)"
-            )
-        event = [time_ps, sequence, callback, False, False]
-        _heappush(self._heap, event)
-        self._live += 1
-        return event
-
-
-#: Environment variable consulted by :func:`select_backend` when no
-#: explicit backend name is given.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-_BACKENDS = {
-    "calendar": Kernel,
-    "heap": HeapKernel,
-}
-
-
-def select_backend(name: Optional[str] = None) -> Type:
-    """Resolve a kernel backend class by name.
-
-    ``calendar`` (the default) and ``heap`` are always available;
-    ``compiled`` requires an optional mypyc-built extension module
-    (``repro.simulation._ckernel``) and raises if it is missing, while
-    ``auto`` falls back to ``calendar`` when the extension is absent.
-    With ``name=None`` the ``REPRO_KERNEL_BACKEND`` environment variable
-    is consulted first (empty/unset means ``auto``), so a whole
-    simulation, exploration campaign or fuzz run can be flipped to
-    another backend without touching code.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR, "") or "auto"
-    if name in _BACKENDS:
-        return _BACKENDS[name]
-    if name in ("auto", "compiled"):
-        try:
-            from repro.simulation import _ckernel  # type: ignore[attr-defined]
-        except ImportError:
-            if name == "compiled":
-                raise SimulationError(
-                    "compiled kernel backend requested but the "
-                    "repro.simulation._ckernel extension is not built"
-                )
-            return Kernel
-        return _ckernel.Kernel
-    raise SimulationError(
-        f"unknown kernel backend {name!r} "
-        f"(expected one of: calendar, heap, compiled, auto)"
-    )

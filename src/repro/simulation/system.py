@@ -29,9 +29,9 @@ from repro.simulation.kernel import (
     EV_SEQ,
     EV_TIME,
     PS_PER_US,
+    Kernel,
     cycles_to_ps,
     event_pending,
-    select_backend,
 )
 # ``parse_log`` stays importable from here (the repository benchmark's
 # span recorder looks it up in this module) even though a run's log is
@@ -259,7 +259,6 @@ class SystemSimulation:
         max_events: int = 5_000_000,
         faults=None,
         tracer: Optional[Tracer] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         mapping.check_complete()
         self.application = application
@@ -269,11 +268,7 @@ class SystemSimulation:
         # None check, so an untraced run is byte-identical (log and all)
         # to the pre-observability simulator.
         self.tracer = tracer
-        # kernel_backend=None defers to REPRO_KERNEL_BACKEND / "auto";
-        # every backend honours the same ordering and checkpoint
-        # contract, so the choice never changes simulation output
-        kernel_cls = select_backend(kernel_backend)
-        self.kernel = kernel_cls(max_events=max_events, tracer=tracer)
+        self.kernel = Kernel(max_events=max_events, tracer=tracer)
         if tracer is not None:
             tracer.bind_clock(lambda: self.kernel.now_ps)
         # A disabled plan (all rates zero, no windows) is treated exactly

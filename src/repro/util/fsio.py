@@ -7,8 +7,8 @@ to create directories, they all call :func:`ensure_parent` first.
 
 :func:`write_json_atomic` is the shared publish primitive for JSON
 artefacts that concurrent readers (or racing writers) may touch — the
-exploration result cache, the service job spool, benchmark records: the
-payload lands in a unique temp file in the target directory and is
+exploration result cache that several ``repro explore`` processes may
+share, and benchmark records: the payload lands in a unique temp file in the target directory and is
 published with ``os.replace``, so an observer sees either the previous
 version or the complete new one, never torn bytes.
 """

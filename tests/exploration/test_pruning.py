@@ -2,11 +2,13 @@
 
 Pingpong's *static* optimum is the split mapping (wire bytes beat the
 1000-point load-share term), while its *simulated* optimum is all-on-one
-— so these tests exercise mechanics and determinism with a tight margin
-and leave top-1 preservation to the tier-2 TUTMAC sweep in tests/perf.
+— so these tests exercise mechanics and determinism with a tight margin,
+and the TUTMAC sweep at the end checks top-1 preservation.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -189,3 +191,58 @@ class TestEngineIntegration:
         )
         assert all(outcome.cached for outcome in cached.outcomes)
         assert len(cached.pruned) == 2
+
+
+TUTWLAN_BUILDER = "repro.cases.tutwlan:exploration_factory"
+
+
+def test_default_margin_prunes_part_of_the_tutmac_sweep():
+    specs = mapping_sweep_specs(TUTWLAN_BUILDER, duration_us=5_000)
+    kept, _, _ = prune_candidates(specs)
+    assert 0 < len(kept) < len(specs), (
+        "the default prune margin should drop part of the TUTMAC sweep "
+        "without emptying it"
+    )
+
+
+def test_static_pruning_preserves_top_candidate(tmp_path):
+    """The acceptance gate for ``--prune-static``.
+
+    On the full TUTMAC mapping sweep the pruned run must evaluate strictly
+    fewer candidates, keep the identical top-ranked candidate, and produce
+    a pruned ledger that is byte-identical for workers in {0, 1, 4}.  A
+    shared cache keeps this at one full sweep's simulation cost.
+    """
+    cache_dir = str(tmp_path / "cache")
+    specs = mapping_sweep_specs(TUTWLAN_BUILDER, duration_us=5_000)
+    baseline = run_candidates(specs, workers=0, cache_dir=cache_dir)
+    assert baseline.evaluated == len(specs)
+    best = baseline.ranking()[0]
+
+    ledgers = []
+    for workers in (0, 1, 4):
+        pruned_run = run_candidates(
+            specs,
+            workers=workers,
+            cache_dir=cache_dir,
+            prune_static=PruneConfig(),
+        )
+        assert len(pruned_run.outcomes) < len(specs), (
+            "pruning must evaluate strictly fewer candidates than the sweep"
+        )
+        assert len(pruned_run.outcomes) + len(pruned_run.pruned) == len(specs)
+        top = pruned_run.ranking()[0]
+        assert top.spec.digest() == best.spec.digest(), (
+            "pruning changed the top-ranked candidate"
+        )
+        assert top.result.stable_hash() == best.result.stable_hash()
+        assert top.result.cost() == best.result.cost()
+        ledgers.append(
+            json.dumps(
+                [record.to_json_dict() for record in pruned_run.pruned],
+                sort_keys=True,
+            )
+        )
+    assert ledgers[0] == ledgers[1] == ledgers[2], (
+        "the pruned ledger must not depend on worker count"
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExplorationError
+from repro.errors import ExplorationError, SimulationInterrupted
 from repro.exploration import (
     SupervisorConfig,
     WorkerFaultPlan,
@@ -150,6 +150,7 @@ class TestQuarantine:
         )
         assert len(run.outcomes) == len(specs) - 1
         assert len(run.quarantined) == 1
+        assert run.to_json_dict()["candidates_submitted"] == len(specs)
         record = run.quarantined[0]
         assert record.index == 1
         assert record.reason == QUARANTINE_FAILURE_BUDGET
@@ -309,3 +310,35 @@ class TestGracefulDegradation:
         # the engine exposes the flag so the CLI/flow can report it
         run = run_candidates(fault_free_specs(), workers=0)
         assert run.to_json_dict()["supervisor"]["degraded_to_serial"] is False
+
+
+class TestInProcessInterruptBudget:
+    """A zero-worker supervisor owns the campaign-wide event budget."""
+
+    def _run(self, tmp_path, name, budget, collected):
+        boss = Supervisor(
+            context=None,
+            workers=0,
+            config=fast_config(),
+            checkpoint_dir=str(tmp_path / name),
+            interrupt_after_events=budget,
+        )
+        boss.run(
+            list(enumerate(fault_free_specs())),
+            lambda index, *rest: collected.append(index),
+        )
+        return boss
+
+    def test_budget_spans_candidates(self, tmp_path):
+        # every completed candidate debits its events from the budget
+        everything = list(range(len(fault_free_specs())))
+        collected = []
+        boss = self._run(tmp_path, "full", 10**9, collected)
+        spent = 10**9 - boss.interrupt_budget
+        assert collected == everything and spent > 0
+        # one event short of the whole campaign: every candidate but the
+        # last completes, and the last is interrupted
+        collected = []
+        with pytest.raises(SimulationInterrupted):
+            self._run(tmp_path, "short", spent - 1, collected)
+        assert collected == everything[:-1]

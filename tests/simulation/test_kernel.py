@@ -1,4 +1,6 @@
-"""Discrete-event kernel: ordering, cancellation, budget."""
+"""Discrete-event kernel: ordering, cancellation, budget, hooks, restore."""
+
+import random
 
 import pytest
 
@@ -178,15 +180,14 @@ class TestPendingCounter:
 
     def test_tombstones_are_compacted(self):
         # cancel-heavy models (timer resets) must not grow the queue
-        # unboundedly: once tombstones outnumber live events every
-        # structure is rebuilt with only live entries
+        # unboundedly: once tombstones outnumber live events the heap is
+        # rebuilt with only live entries
         kernel = Kernel()
         events = [kernel.schedule(d + 1, lambda: None) for d in range(100)]
         for event in events[:90]:
             kernel.cancel(event)
         assert kernel.pending == 10
-        assert kernel._size - kernel._tombstones == 10
-        assert kernel._size < 30
+        assert len(kernel._heap) < 30
         assert kernel.run() == 10
 
 
@@ -251,3 +252,141 @@ class TestStateProtocol:
         kernel.schedule(20, lambda: None)
         kernel.run()
         assert calls == [10, 20]
+
+    def test_pending_events_replay_identically(self):
+        # the snapshot protocol never records queue contents, so pending
+        # events re-materialized into a fresh kernel must replay in the
+        # identical (time, sequence) order
+        reference = Kernel()
+        rng = random.Random(99)
+        events = [
+            reference.schedule(rng.randrange(1, 2_000_000), lambda: None)
+            for _ in range(300)
+        ]
+        reference.run(until_ps=500_000)
+        survivors = [
+            (event[0], event[EV_SEQ])
+            for event in events
+            if not event[3] and not event[4]
+        ]
+        state = reference.state_dict()
+        reference.run()
+
+        target = Kernel()
+        target.load_state_dict(state)
+        replay = []
+        for time_ps, sequence in survivors:
+            target.restore_event(
+                time_ps, sequence, lambda s=sequence: replay.append(s)
+            )
+        assert target.pending == len(survivors)
+        target.run()
+        assert replay == [s for _, s in sorted(survivors)]
+        assert target.now_ps == reference.now_ps
+        assert target.dispatched == reference.dispatched
+
+
+class TestQueueEdgeCases:
+    def test_same_tick_fifo_order(self):
+        # a whole tick of same-time events fires in scheduling order,
+        # including events added to the tick from within the tick itself
+        # (they carry larger sequence numbers, so they fire last)
+        kernel = Kernel()
+        fired = []
+        kernel.schedule(500, lambda: fired.append("late"))
+
+        def first():
+            fired.append("first")
+            kernel.schedule(0, lambda: fired.append("nested"))
+
+        kernel.schedule(100, first)
+        for index in range(50):
+            kernel.schedule(100, lambda i=index: fired.append(i))
+        kernel.run()
+        assert fired == ["first"] + list(range(50)) + ["nested", "late"]
+
+    def test_far_future_overflow_ordering(self):
+        # delays spanning ten orders of magnitude dispatch in time order
+        kernel = Kernel()
+        fired = []
+        delays = [
+            5, 1_000, 40_000, 70_000_000, 3_000_000_000, 70_000_001, 6
+        ]
+        for delay in delays:
+            kernel.schedule(delay, lambda d=delay: fired.append(d))
+        kernel.run()
+        assert fired == sorted(delays)
+
+    def test_cancel_tombstones(self):
+        kernel = Kernel()
+        fired = []
+        events = [
+            kernel.schedule(delay, lambda d=delay: fired.append(d))
+            for delay in (10, 2_000, 50_000, 900_000_000)
+        ]
+        for event in events[::2]:
+            kernel.cancel(event)
+        assert kernel.pending == 2
+        kernel.run()
+        assert fired == [2_000, 900_000_000]
+
+    def test_compaction_preserves_order_under_cancel_storm(self):
+        kernel = Kernel()
+        fired = []
+        rng = random.Random(17)
+        events = [
+            kernel.schedule(
+                rng.randrange(1, 5_000_000), lambda i=i: fired.append(i)
+            )
+            for i in range(400)
+        ]
+        keep = []
+        for index, event in enumerate(events):
+            if index % 5 == 0:
+                keep.append((event[0], event[EV_SEQ], index))
+            else:
+                kernel.cancel(event)
+        assert kernel.pending == len(keep)
+        kernel.run()
+        assert fired == [index for _, _, index in sorted(keep)]
+
+    def test_until_pushback_resumes_exactly(self):
+        kernel = Kernel()
+        fired = []
+        for delay in (100, 200, 300, 400):
+            kernel.schedule(delay, lambda d=delay: fired.append(d))
+        assert kernel.run(until_ps=250) == 2
+        assert kernel.now_ps == 250
+        assert kernel.run() == 2
+        assert fired == [100, 200, 300, 400]
+
+    def test_hook_registered_mid_run_takes_effect(self):
+        # a callback that installs after_event mid-run gets the hook
+        # called for its own dispatch
+        kernel = Kernel()
+        seen = []
+
+        def hook():
+            seen.append(kernel.dispatched)
+
+        def install():
+            kernel.after_event = hook
+
+        kernel.schedule(10, install)
+        kernel.schedule(20, lambda: None)
+        kernel.schedule(30, lambda: kernel.__setattr__("after_event", None))
+        kernel.schedule(40, lambda: None)
+        kernel.run()
+        # hook fires for the installing event (1), the next (2) and the
+        # uninstalling event's dispatch happens before its hook phase (3)
+        assert seen == [1, 2]
+
+    def test_dispatched_coherent_inside_hooks(self):
+        kernel = Kernel()
+        counts = []
+        kernel.after_event = lambda: counts.append(kernel.dispatched)
+        for delay in (10, 20, 30):
+            kernel.schedule(delay, lambda: None)
+        kernel.run()
+        assert counts == [1, 2, 3]
+        assert kernel.dispatched == 3

@@ -8,14 +8,6 @@ import pytest
 from repro.util.fsio import ensure_parent
 
 
-@pytest.fixture
-def service_request():
-    from repro.service import JobRequest
-    from tests.exploration.test_engine import fault_free_specs
-
-    return JobRequest(specs=tuple(fault_free_specs()), workers=0)
-
-
 class TestEnsureParent:
     def test_creates_nested_ancestors(self, tmp_path):
         target = tmp_path / "a" / "b" / "c" / "out.json"
@@ -69,12 +61,12 @@ class TestWritersCreateNestedDirs:
 
 
 class TestWriteJsonAtomic:
-    """write_json_atomic: crash-safe JSON for every service artefact."""
+    """write_json_atomic: crash-safe JSON for the cache and benchmark records."""
 
     def test_creates_nested_parents_and_writes(self, tmp_path):
         from repro.util.fsio import write_json_atomic
 
-        target = tmp_path / "deep" / "spool" / "jobs" / "j1.json"
+        target = tmp_path / "deep" / "cache" / "ab" / "entry.json"
         returned = write_json_atomic(target, {"b": 2, "a": 1})
         assert returned == target
         assert json.loads(target.read_text()) == {"a": 1, "b": 2}
@@ -98,35 +90,10 @@ class TestWriteJsonAtomic:
             write_json_atomic(target, {"oops": object()})
         assert list(tmp_path.iterdir()) == []
 
-
-class TestServiceWritersCreateNestedDirs:
-    """Regression: every farm artefact writer handles nested paths."""
-
-    def test_job_spool_in_nested_dir(self, tmp_path, service_request):
-        from repro.service import JobStore
-
-        store = JobStore(tmp_path / "very" / "deep" / "spool")
-        record = store.submit(service_request)
-        assert store.get(record.id).state == "queued"
-
-    def test_service_log_in_nested_dir(self, tmp_path):
-        from repro.service.server import ExplorationService
-
-        service = ExplorationService(
-            tmp_path / "spool",
-            None,
-            pool_size=1,
-            log_path=tmp_path / "logs" / "by-day" / "service.log",
-        )
-        service.log("hello")
-        assert "hello" in (
-            tmp_path / "logs" / "by-day" / "service.log"
-        ).read_text()
-
     def test_bench_envelope_in_nested_dir(self, tmp_path):
         from repro.util.fsio import write_json_atomic
         from repro.util.jsonout import envelope
 
-        target = tmp_path / "bench" / "out" / "BENCH_service.json"
-        write_json_atomic(target, envelope("bench-service", {"ok": True}))
-        assert json.loads(target.read_text())["schema"] == "repro.bench-service/1"
+        target = tmp_path / "bench" / "out" / "BENCH_example.json"
+        write_json_atomic(target, envelope("bench-example", {"ok": True}))
+        assert json.loads(target.read_text())["schema"] == "repro.bench-example/1"
