@@ -9,16 +9,12 @@ or handled on one side only.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
 from repro.uml.actions import SetTimer, walk_statements
-from repro.uml.statemachine import (
-    CompletionTrigger,
-    SignalTrigger,
-    StateMachine,
-    TimerTrigger,
-)
+from repro.uml.plan import plan_machine, trigger_key
+from repro.uml.statemachine import StateMachine, TimerTrigger
 from repro.uml.validation import reachable_states
 
 register_rule(
@@ -87,14 +83,6 @@ def machine_blocks(machine: StateMachine):
             yield f"transition {transition.describe()!r}", transition.effect, transition
 
 
-def _trigger_key(trigger) -> Tuple:
-    if isinstance(trigger, SignalTrigger):
-        return ("signal", trigger.signal_name)
-    if isinstance(trigger, TimerTrigger):
-        return ("timer", trigger.timer_name)
-    return ("completion",)
-
-
 def check_machine(
     machine: StateMachine, ctx: LintContext, findings: List[Finding]
 ) -> None:
@@ -129,7 +117,7 @@ def check_machine(
     for state in machine.states:
         by_trigger = {}
         for transition in machine.outgoing(state):
-            by_trigger.setdefault(_trigger_key(transition.trigger), []).append(
+            by_trigger.setdefault(trigger_key(transition.trigger), []).append(
                 transition
             )
         for group in by_trigger.values():
@@ -157,11 +145,11 @@ def check_machine(
 
     # E004: reachable non-final leaf states with no way out.  Transitions
     # from enclosing composite states count — the executor bubbles up.
+    candidates = plan_machine(machine).steps
     for state in machine.states:
         if state.is_final or state.is_composite or state not in reachable:
             continue
-        sources = [state] + state.ancestors()
-        if any(t.source in sources for t in machine.transitions):
+        if candidates[state]:
             continue
         ctx.emit(
             findings,

@@ -3,11 +3,10 @@
 An abstract interpreter runs each state machine to a fixpoint: every
 reachable leaf state is mapped to an :class:`Interval` environment that
 over-approximates the variable valuations the simulator can observe
-there.  Transition semantics mirror the executor exactly — guard
-evaluated in the source context, hierarchical exit up to the exclusive
-LCA, effect, hierarchical entry plus initial-substate descent — and
-trigger parameters are unknown (top), so anything the analysis rules out
-is ruled out for every run.
+there.  Transitions run the steps of the same plan the executor reads
+(:mod:`repro.uml.plan`) — guard evaluated in the source context, then the
+step's exit, effect and entry blocks — and trigger parameters are unknown
+(top), so anything the analysis rules out is ruled out for every run.
 
 Joins at a state are widened to +/-infinity after a few rounds, which
 guarantees termination on counting loops at the cost of precision.
@@ -50,6 +49,7 @@ from repro.uml.actions import (
     UnaryOp,
     While,
 )
+from repro.uml.plan import MachinePlan, Step, plan_machine
 from repro.uml.statemachine import State, StateMachine, Transition
 from repro.uml.validation import reachable_states
 
@@ -548,6 +548,8 @@ class MachineValues:
     state_envs: Dict[int, Env]
     #: id(leaf State) -> the State, for iteration in insertion order.
     leaves: Dict[int, State]
+    #: the resolved hierarchy the fixpoint ran on
+    plan: MachinePlan
 
     def env_of(self, leaf: State) -> Optional[Env]:
         return self.state_envs.get(id(leaf))
@@ -563,82 +565,47 @@ class MachineValues:
 
     def source_leaves(self, transition: Transition) -> List[State]:
         """Reachable leaves from which ``transition`` may fire (bubbling)."""
-        found = []
-        for leaf in self.leaves.values():
-            if leaf.is_final:
-                continue
-            if transition.source is leaf or transition.source in leaf.ancestors():
-                found.append(leaf)
-        return found
-
-
-def _entry_descent(state: State) -> List[State]:
-    """States entered when ``state`` is entered: itself plus initial descent."""
-    chain = [state]
-    node = state
-    while node.initial_substate is not None:
-        node = node.initial_substate
-        chain.append(node)
-    return chain
+        return [
+            leaf
+            for leaf in self.leaves.values()
+            if not leaf.is_final
+            and any(step.transition is transition for step in self.plan.steps[leaf])
+        ]
 
 
 def _transition_step(
-    leaf: State,
-    transition: Transition,
-    env: Env,
-    on_division: DivHook = None,
+    step: Step, env: Env, on_division: DivHook = None
 ) -> Tuple[Optional[State], Optional[Env]]:
-    """Abstractly fire ``transition`` from ``leaf``; mirrors ``_take``.
+    """Abstractly run a planned step from the leaf it was planned for.
 
     Returns ``(new_leaf, env)``; ``(None, None)`` when the guard is
     provably false under ``env``.
     """
     current: Optional[Env] = env
-    if transition.guard is not None:
-        current = refine_env(current, transition.guard, True)
+    guard = step.transition.guard
+    if guard is not None:
+        current = refine_env(current, guard, True)
         if on_division is not None:
-            abstract_eval(transition.guard, env, on_division)
+            abstract_eval(guard, env, on_division)
         if current is None:
             return None, None
-    if transition.internal:
-        return leaf, abstract_exec(transition.effect, current, on_division)
-    target = transition.target
-    source_chain = set(id(s) for s in transition.source.ancestors())
-    lca = None
-    node = target.parent
-    while node is not None:
-        if id(node) in source_chain:
-            lca = node
-            break
-        node = node.parent
-    node = leaf
-    while node is not None and node is not lca:
-        current = abstract_exec(node.exit, current, on_division)
-        node = node.parent
-    current = abstract_exec(transition.effect, current, on_division)
-    for state in target.path_from_root():
-        if lca is not None and (state is lca or not lca.contains(state)):
-            continue
-        current = abstract_exec(state.entry, current, on_division)
-    new_leaf = target
-    while new_leaf.initial_substate is not None:
-        new_leaf = new_leaf.initial_substate
-        current = abstract_exec(new_leaf.entry, current, on_division)
-    return new_leaf, current
+    for block in step.blocks:
+        current = abstract_exec(block, current, on_division)
+    return step.leaf, current
 
 
 def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
     """Run the interval fixpoint; ``None`` when the machine cannot start."""
     if machine.initial_state is None:
         return None
+    plan = plan_machine(machine)
     env: Optional[Env] = {
         name: Interval.const(value) for name, value in machine.variables.items()
     }
-    for state in _entry_descent(machine.initial_state):
-        env = abstract_exec(state.entry, env)
+    for block in plan.start.blocks:
+        env = abstract_exec(block, env)
     if env is None:
         return None
-    start_leaf = machine.initial_state.enter_target()
 
     state_envs: Dict[int, Env] = {}
     leaves: Dict[int, State] = {}
@@ -669,18 +636,17 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
         leaves[id(leaf)] = leaf
         worklist.append(leaf)
 
-    push(start_leaf, env)
+    push(plan.start.leaf, env)
     while worklist:
         leaf = worklist.pop()
         if leaf.is_final:
             continue
         current = state_envs[id(leaf)]
-        for source in [leaf] + leaf.ancestors():
-            for transition in machine.outgoing(source):
-                new_leaf, out = _transition_step(leaf, transition, current)
-                if new_leaf is not None:
-                    push(new_leaf, out)
-    return MachineValues(machine, state_envs, leaves)
+        for step in plan.steps[leaf]:
+            new_leaf, out = _transition_step(step, current)
+            if new_leaf is not None:
+                push(new_leaf, out)
+    return MachineValues(machine, state_envs, leaves, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +751,8 @@ def check_machine(
     init_env: Optional[Env] = {
         name: Interval.const(value) for name, value in machine.variables.items()
     }
-    for state in _entry_descent(machine.initial_state):
+    start = values.plan.start
+    for state in start.entries + start.descent:
         where["current"] = f"state {state.name!r} entry"
         anchors["current"] = state
         init_env = abstract_exec(state.entry, init_env, on_division)
@@ -795,11 +762,10 @@ def check_machine(
         if leaf.is_final:
             continue
         env = values.env_of(leaf)
-        for source in [leaf] + leaf.ancestors():
-            for transition in machine.outgoing(source):
-                where["current"] = f"transition {transition.describe()!r}"
-                anchors["current"] = transition
-                _transition_step(leaf, transition, env, on_division)
+        for step in values.plan.steps[leaf]:
+            where["current"] = f"transition {step.transition.describe()!r}"
+            anchors["current"] = step.transition
+            _transition_step(step, env, on_division)
 
     for _, (where_str, anchor, expr, divisor) in sorted(
         sites.items(), key=lambda item: (item[1][0], item[1][2].unparse())

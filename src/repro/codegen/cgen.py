@@ -19,7 +19,7 @@ With ``instrument=True`` the generator inserts the profiling hooks
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import CodegenError
 from repro.uml.actions import (
@@ -40,13 +40,8 @@ from repro.uml.actions import (
     While,
 )
 from repro.uml.classifier import Class
-from repro.uml.statemachine import (
-    CompletionTrigger,
-    SignalTrigger,
-    StateMachine,
-    TimerTrigger,
-    Transition,
-)
+from repro.uml.plan import COMPLETION, Step, plan_machine
+from repro.uml.statemachine import StateMachine, TimerTrigger
 
 
 def sanitize(name: str) -> str:
@@ -99,6 +94,7 @@ class CGenerator:
         self.signal_ids = signal_ids
         self.instrument = instrument
         self.prefix = sanitize(component.name)
+        self.plan = plan_machine(self.machine)
         self.timer_ids = {
             name: index for index, name in enumerate(self.machine.timer_names())
         }
@@ -277,51 +273,6 @@ class CGenerator:
     def _state_const(self, state) -> str:
         return f"{self.prefix.upper()}_STATE_{sanitize(state.name).upper()}"
 
-    # -- hierarchy helpers (static flattening of composite states) ----------
-
-    def _leaf_states(self):
-        """States that can be the active leaf."""
-        return [s for s in self.machine.states if not s.is_composite]
-
-    @staticmethod
-    def _lca(source, target):
-        source_chain = {id(s) for s in source.ancestors()}
-        node = target.parent
-        while node is not None:
-            if id(node) in source_chain:
-                return node
-            node = node.parent
-        return None
-
-    @staticmethod
-    def _exit_chain(leaf, lca):
-        """States exited from ``leaf`` up to (exclusive) ``lca``."""
-        chain = []
-        node = leaf
-        while node is not None and node is not lca:
-            chain.append(node)
-            node = node.parent
-        return chain
-
-    @staticmethod
-    def _enter_path(target, lca):
-        """States entered above ``target`` (below the LCA), outermost first."""
-        return [
-            state
-            for state in target.path_from_root()
-            if state is not target
-            and not (lca is not None and (state is lca or not lca.contains(state)))
-        ]
-
-    def _effective_transitions(self, leaf, trigger_type):
-        """Transitions available in ``leaf``: own first, then ancestors'."""
-        result = []
-        for source in [leaf] + leaf.ancestors():
-            for transition in self.machine.outgoing(source):
-                if isinstance(transition.trigger, trigger_type):
-                    result.append(transition)
-        return result
-
     def _enter_prototypes(self) -> List[str]:
         return [
             f"static void {self.prefix}_enter_{sanitize(state.name)}"
@@ -373,16 +324,11 @@ class CGenerator:
                     "the generated code cannot enter it"
                 )
             # leaf: chase completion transitions (own, then ancestors')
-            for transition in self._effective_transitions(
-                state, CompletionTrigger
-            ):
-                condition = (
-                    self.expr(transition.guard, ())
-                    if transition.guard is not None
-                    else "1"
-                )
+            for step in self.plan.by_trigger[state].get(COMPLETION, ()):
+                guard = step.transition.guard
+                condition = self.expr(guard, ()) if guard is not None else "1"
                 lines.append(f"    if ({condition}) {{")
-                lines.extend(self._fire(transition, state, (), 2))
+                lines.extend(self._fire(step, (), 2))
                 lines.append("    }")
             lines.append("}")
             lines.append("")
@@ -397,20 +343,17 @@ class CGenerator:
         lines.append("}")
         return lines
 
-    def _fire(
-        self, transition: Transition, leaf, params: Sequence[str], indent: int
-    ) -> List[str]:
-        """Emit the code a transition runs when the active leaf is ``leaf``."""
+    def _fire(self, step: Step, params: Sequence[str], indent: int) -> List[str]:
+        """Emit the code a planned step runs, then return from the handler."""
         pad = "    " * indent
+        transition = step.transition
         lines: List[str] = []
-        if transition.internal:
-            lines.extend(self.block(transition.effect, params, indent))
-        else:
-            lca = self._lca(transition.source, transition.target)
-            for state in self._exit_chain(leaf, lca):
-                lines.extend(self.block(state.exit, params, indent))
-            lines.extend(self.block(transition.effect, params, indent))
-            for state in self._enter_path(transition.target, lca):
+        for state in step.exits:
+            lines.extend(self.block(state.exit, params, indent))
+        lines.extend(self.block(transition.effect, params, indent))
+        if not transition.internal:
+            # the target's own entry and descent run in its enter function
+            for state in step.entries[:-1]:
                 lines.extend(self.block(state.entry, (), indent))
             lines.append(
                 f"{pad}{self.prefix}_enter_"
@@ -418,6 +361,27 @@ class CGenerator:
             )
         lines.append(f"{pad}return;")
         return lines
+
+    def _bind(self, params: Sequence[str], indent: int) -> List[str]:
+        """Declare a signal's parameters from its argument array."""
+        pad = "    " * indent
+        lines: List[str] = []
+        for index, param in enumerate(params):
+            lines.append(f"{pad}int32_t {sanitize(param)} = sig->args[{index}];")
+            lines.append(f"{pad}(void){sanitize(param)};")
+        return lines
+
+    def _candidate(self, step: Step, params: Sequence[str], indent: int) -> List[str]:
+        """Emit one candidate: its step, under its guard when it has one."""
+        guard = step.transition.guard
+        if guard is None:
+            return self._fire(step, params, indent)
+        pad = "    " * indent
+        return (
+            [f"{pad}if ({self.expr(guard, params)}) {{"]
+            + self._fire(step, params, indent + 1)
+            + [f"{pad}}}"]
+        )
 
     def _signal_function(self) -> List[str]:
         lines = [
@@ -428,35 +392,32 @@ class CGenerator:
         if self.instrument:
             lines.append("    tut_log_exec(&ctx->base, tut_signal_name(sig->id));")
         lines.append("    switch (ctx->base.state) {")
-        for state in self._leaf_states():
-            transitions = self._effective_transitions(state, SignalTrigger)
-            if not transitions:
+        for state, table in self.plan.by_trigger.items():
+            groups = [
+                (name, group)
+                for (kind, name), group in table.items()
+                if kind == "signal"
+            ]
+            if not groups:
                 continue
             lines.append(f"    case {self._state_const(state)}:")
             lines.append("        switch (sig->id) {")
-            by_signal: Dict[str, List[Transition]] = {}
-            for transition in transitions:
-                by_signal.setdefault(transition.trigger.signal_name, []).append(
-                    transition
-                )
-            for signal_name, group in by_signal.items():
+            for signal_name, group in groups:
                 lines.append(f"        case SIG_{sanitize(signal_name).upper()}: {{")
-                params = group[0].trigger.parameter_names
-                for index, param in enumerate(params):
-                    lines.append(
-                        f"            int32_t {sanitize(param)} = "
-                        f"sig->args[{index}];"
-                    )
-                    lines.append(f"            (void){sanitize(param)};")
-                for transition in group:
-                    if transition.guard is not None:
-                        lines.append(
-                            f"            if ({self.expr(transition.guard, params)}) {{"
-                        )
-                        lines.extend(self._fire(transition, state, params, 4))
-                        lines.append("            }")
+                first = group[0].transition.trigger.parameter_names
+                lines.extend(self._bind(first, 3))
+                for step in group:
+                    params = step.transition.trigger.parameter_names
+                    if params == first:
+                        lines.extend(self._candidate(step, params, 3))
                     else:
-                        lines.extend(self._fire(transition, state, params, 3))
+                        # a candidate naming the arguments differently
+                        # binds its own names in a nested scope
+                        lines.append("            {")
+                        lines.extend(self._bind(params, 4))
+                        lines.extend(self._candidate(step, params, 4))
+                        lines.append("            }")
+                    if step.transition.guard is None:
                         break
                 lines.append("            break;")
                 lines.append("        }")
@@ -476,18 +437,19 @@ class CGenerator:
         if self.instrument:
             lines.append('    tut_log_exec(&ctx->base, "timer");')
         lines.append("    switch (ctx->base.state) {")
-        for state in self._leaf_states():
-            transitions = self._effective_transitions(state, TimerTrigger)
-            if not transitions:
+        for state, steps in self.plan.steps.items():
+            timed = [s for s in steps if isinstance(s.transition.trigger, TimerTrigger)]
+            if not timed:
                 continue
             lines.append(f"    case {self._state_const(state)}:")
-            for transition in transitions:
+            for step in timed:
+                transition = step.transition
                 timer_id = self.timer_ids[transition.trigger.timer_name]
                 condition = f"timer_id == {timer_id}"
                 if transition.guard is not None:
                     condition += f" && ({self.expr(transition.guard, ())})"
                 lines.append(f"        if ({condition}) {{")
-                lines.extend(self._fire(transition, state, (), 3))
+                lines.extend(self._fire(step, (), 3))
                 lines.append("        }")
             lines.append("        break;")
         lines.append("    default: break;")

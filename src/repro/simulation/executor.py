@@ -20,27 +20,10 @@ from repro.uml.action_compiler import compile_block, compile_guard
 # repository benchmark's span recorder looks them up in this module) even
 # though steps run compiled functions; they are the reference semantics.
 from repro.uml.actions import ActionEnvironment, evaluate, execute  # noqa: F401
-from repro.uml.statemachine import (
-    CompletionTrigger,
-    SignalTrigger,
-    State,
-    StateMachine,
-    TimerTrigger,
-    Transition,
-)
+from repro.uml.plan import COMPLETION, Step, plan_machine, signal_key, timer_key
+from repro.uml.statemachine import SignalTrigger, State, StateMachine
 
 MAX_COMPLETION_CHAIN = 100
-
-
-def _trigger_key(trigger) -> Optional[tuple]:
-    """The dispatch-table key a transition's trigger is filed under."""
-    if isinstance(trigger, SignalTrigger):
-        return (SignalTrigger, trigger.signal_name)
-    if isinstance(trigger, TimerTrigger):
-        return (TimerTrigger, trigger.timer_name)
-    if isinstance(trigger, CompletionTrigger):
-        return (CompletionTrigger, None)
-    return None
 
 
 @dataclass
@@ -126,9 +109,9 @@ class ProcessExecutor:
 
     Guards and action blocks run as functions compiled by
     :mod:`repro.uml.action_compiler`, looked up once per AST per executor.
-    The candidate transitions for a trigger are resolved once per active
-    leaf state per executor (:meth:`_candidates`), so the machine must not
-    change while a simulation runs.
+    Each executor resolves its machine's hierarchy once, at construction
+    (:func:`~repro.uml.plan.plan_machine`), and every step reads that
+    plan, so the machine must not change once its executor exists.
 
     With a :class:`~repro.observability.tracer.Tracer` installed, every
     fired transition emits an instant event on the process's ``efsm``
@@ -155,8 +138,10 @@ class ProcessExecutor:
         # id(AST) -> (AST, compiled function); holding the AST keeps its id
         # from being reused while the entry lives
         self._compiled: Dict[int, Tuple[object, Callable[..., int]]] = {}
-        # active leaf -> {(trigger type, signal/timer name): candidates}
-        self._dispatch: Dict[State, Dict[tuple, List[Transition]]] = {}
+        plan = plan_machine(machine)
+        self._start = plan.start
+        # active state -> trigger key -> candidate steps in search order
+        self._dispatch = plan.by_trigger
 
     # ------------------------------------------------------------------
     # steps
@@ -170,21 +155,7 @@ class ProcessExecutor:
         """
         if self.current is not None:
             raise SimulationError(f"process {self.name!r} already started")
-        outcome = StepOutcome(fired=True, trigger="start")
-        environment = _StepEnvironment(self.variables)
-        initial = self.machine.initial_state
-        outcome.from_state = initial.name
-        outcome.statements += self._run(initial.entry, environment)
-        node = initial
-        while node.initial_substate is not None:
-            node = node.initial_substate
-            outcome.statements += self._run(node.entry, environment)
-        self.current = node
-        self._chase_completions(outcome, environment)
-        outcome.to_state = self.current.name
-        self._collect(outcome, environment)
-        self._trace_step(outcome)
-        return outcome
+        return self._fire(self._start, {}, "start")
 
     def consume_signal(
         self, signal_name: str, args: Sequence[int]
@@ -195,15 +166,16 @@ class ProcessExecutor:
         first, then its enclosing composite states (innermost first).
         """
         self._require_running()
-        candidates = self._candidates(SignalTrigger, signal_name)
+        candidates = self._dispatch[self.current].get(signal_key(signal_name), ())
         guards = 0
-        for transition in candidates:
+        for step in candidates:
+            transition = step.transition
             params = self._bind_parameters(transition.trigger, args)
             if transition.guard is not None:
                 guards += 1
                 if not self._guard_holds(transition.guard, params):
                     continue
-            outcome = self._fire(transition, params, signal_name)
+            outcome = self._fire(step, params, signal_name)
             outcome.guards_evaluated += guards
             return outcome, None
         return None, "guards-false" if candidates else "no-transition"
@@ -212,12 +184,13 @@ class ProcessExecutor:
         """Handle a timer expiry; returns (outcome, None) or (None, reason)."""
         self._require_running()
         guards = 0
-        for transition in self._candidates(TimerTrigger, timer_name):
-            if transition.guard is not None:
+        for step in self._dispatch[self.current].get(timer_key(timer_name), ()):
+            guard = step.transition.guard
+            if guard is not None:
                 guards += 1
-                if not self._guard_holds(transition.guard, {}):
+                if not self._guard_holds(guard, {}):
                     continue
-            outcome = self._fire(transition, {}, f"timer:{timer_name}")
+            outcome = self._fire(step, {}, f"timer:{timer_name}")
             outcome.guards_evaluated += guards
             return outcome, None
         return None, "no-transition"
@@ -241,10 +214,10 @@ class ProcessExecutor:
             self.current = None
         else:
             found = self.machine.find_state(name)
-            if found is None:
+            if found not in self._dispatch:
                 raise SimulationError(
                     f"cannot restore process {self.name!r}: machine "
-                    f"{self.machine.name!r} has no state {name!r}"
+                    f"{self.machine.name!r} has no active state {name!r}"
                 )
             self.current = found
         self.variables.clear()
@@ -261,25 +234,6 @@ class ProcessExecutor:
         if self.terminated:
             raise SimulationError(f"process {self.name!r} has terminated")
 
-    def _candidates(self, kind: type, name: Optional[str]) -> Sequence[Transition]:
-        """The transitions the active leaf offers a trigger, in search order.
-
-        That order is the leaf's own transitions, then each enclosing
-        state's, innermost first, each state's in ``(priority, serial)``
-        order (:meth:`StateMachine.outgoing`).  A leaf's table covers every
-        trigger and is built on its first activation.
-        """
-        leaf = self.current
-        table = self._dispatch.get(leaf)
-        if table is None:
-            table = self._dispatch[leaf] = {}
-            for source in [leaf] + leaf.ancestors():
-                for transition in self.machine.outgoing(source):
-                    key = _trigger_key(transition.trigger)
-                    if key is not None:
-                        table.setdefault(key, []).append(transition)
-        return table.get((kind, name), ())
-
     def _bind_parameters(
         self, trigger: SignalTrigger, args: Sequence[int]
     ) -> Dict[str, int]:
@@ -292,9 +246,7 @@ class ProcessExecutor:
         return dict(zip(names, args))
 
     def _run(self, block, environment: _StepEnvironment) -> int:
-        """Run an action block; returns its executed-statement count."""
-        if not block:
-            return 0
+        """Run a non-empty action block; returns its executed-statement count."""
         entry = self._compiled.get(id(block))
         if entry is None:
             entry = self._compiled[id(block)] = (block, compile_block(block))
@@ -306,68 +258,27 @@ class ProcessExecutor:
             entry = self._compiled[id(guard)] = (guard, compile_guard(guard))
         return bool(entry[1](params, self.variables))
 
-    def _fire(
-        self, transition: Transition, params: Dict[str, int], trigger_desc: str
-    ) -> StepOutcome:
-        outcome = StepOutcome(
-            fired=True,
-            from_state=self.current.name,
-            trigger=trigger_desc,
-        )
+    def _fire(self, step: Step, params: Dict[str, int], trigger: str) -> StepOutcome:
+        source = self.current or self.machine.initial_state  # None before start
+        outcome = StepOutcome(fired=True, from_state=source.name, trigger=trigger)
         environment = _StepEnvironment(self.variables)
         environment.parameters = params
-        if transition.internal:
-            # Internal transition: effect only, no exit/entry, stay in state.
-            outcome.statements += self._run(transition.effect, environment)
-        else:
-            self._take(transition, outcome, environment)
-            environment.parameters = {}
-            if self.terminated:
-                pass
-            else:
-                self._chase_completions(outcome, environment)
+        self._run_step(step, outcome, environment)
+        # a step entering no state (an internal transition) raises no
+        # completion event
+        if step.entries and not self.terminated:
+            self._chase_completions(outcome, environment)
         outcome.to_state = self.current.name
         self._collect(outcome, environment)
         self._trace_step(outcome)
         return outcome
 
-    def _take(
-        self, transition: Transition, outcome: StepOutcome, environment
-    ) -> None:
-        """Perform a non-internal transition: hierarchical exit, effect,
-        hierarchical entry, initial-substate descent."""
-        target = transition.target
-        lca = self._least_common_ancestor(transition.source, target)
-        # exit from the active leaf upward to (exclusive) the LCA
-        node = self.current
-        while node is not None and node is not lca:
-            outcome.statements += self._run(node.exit, environment)
-            node = node.parent
-        outcome.statements += self._run(transition.effect, environment)
-        # enter from below the LCA down to the target
-        for state in target.path_from_root():
-            if lca is not None and (state is lca or not lca.contains(state)):
-                continue  # the LCA and anything above it were never exited
-            outcome.statements += self._run(state.entry, environment)
-        # ... and descend the initial-substate chain
-        node = target
-        while node.initial_substate is not None:
-            node = node.initial_substate
-            outcome.statements += self._run(node.entry, environment)
-        self.current = node
-        if self.current.is_final and self.current.parent is None:
-            self.terminated = True
-
-    @staticmethod
-    def _least_common_ancestor(source, target):
-        """Innermost state containing both ends (None = machine root)."""
-        source_chain = set(id(s) for s in source.ancestors())
-        node = target.parent
-        while node is not None:
-            if id(node) in source_chain:
-                return node
-            node = node.parent
-        return None
+    def _run_step(self, step: Step, outcome: StepOutcome, environment) -> None:
+        """Run a planned step's exit, effect and entry blocks; move to its leaf."""
+        for block in step.blocks:
+            outcome.statements += self._run(block, environment)
+        self.current = step.leaf
+        self.terminated = step.terminates
 
     def _chase_completions(
         self, outcome: StepOutcome, environment: _StepEnvironment
@@ -375,17 +286,20 @@ class ProcessExecutor:
         """Follow enabled completion transitions until none fires.
 
         Completion transitions of the active leaf are considered first,
-        then those of its enclosing composite states.
+        then those of its enclosing composite states.  An internal one
+        runs its effect and ends the chase: it enters no state, so no new
+        completion event occurs.
         """
         environment.parameters = {}
         for _ in range(MAX_COMPLETION_CHAIN):
-            for transition in self._candidates(CompletionTrigger, None):
-                if transition.guard is not None:
+            for step in self._dispatch[self.current].get(COMPLETION, ()):
+                guard = step.transition.guard
+                if guard is not None:
                     outcome.guards_evaluated += 1
-                    if not self._guard_holds(transition.guard, {}):
+                    if not self._guard_holds(guard, {}):
                         continue
-                self._take(transition, outcome, environment)
-                if self.terminated:
+                self._run_step(step, outcome, environment)
+                if self.terminated or not step.entries:
                     return
                 break
             else:

@@ -14,12 +14,14 @@ import pytest
 from repro.application.model import ApplicationModel
 from repro.cases.tutwlan import build_tutwlan_system
 from repro.errors import MappingError, ModelError, SimulationError
+from repro.genmodel import config_for_seed, generate_model
 from repro.mapping import MappingModel
 from repro.platform import standard_library
 from repro.platform.model import PlatformModel
 from repro.simulation import ProcessExecutor
 from repro.simulation.system import SystemSimulation
 from repro.uml import StateMachine
+from repro.uml.statemachine import State
 
 from tests.conftest import build_pingpong, build_two_cpu_platform
 
@@ -203,6 +205,14 @@ class TestTablesBelongToOneExecutor:
         executor = entered(machine)
         assert set(executor.state_dict()) == {"current", "variables", "terminated"}
 
+    def test_a_snapshot_naming_a_state_that_cannot_be_active_is_rejected(self):
+        executor = entered(nested_machine())
+        snapshot = executor.state_dict()
+        for name in ("mid", "nowhere"):  # a composite with an initial substate
+            fresh = ProcessExecutor("p", nested_machine())
+            with pytest.raises(SimulationError, match="no active state"):
+                fresh.load_state_dict(dict(snapshot, current=name))
+
 
 def pingpong_simulation(platform=None):
     application = build_pingpong()
@@ -247,12 +257,13 @@ LOOKUPS = (
     (PlatformModel, "transfer_path"),
 )
 
+HIERARCHY_WALKS = ((State, "ancestors"), (State, "path_from_root"))
 
-def lookup_counts(monkeypatch, duration_us):
-    """Model lookups made while constructing and running one TUTMAC simulation."""
-    application, platform, mapping = build_tutwlan_system()
+
+def call_counts(monkeypatch, lookups, build, duration_us):
+    """Calls of ``lookups`` made while building and running one simulation."""
     counts = {}
-    for owner, name in LOOKUPS:
+    for owner, name in lookups:
         original = getattr(owner, name)
         counts[name] = 0
 
@@ -261,9 +272,14 @@ def lookup_counts(monkeypatch, duration_us):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
-    SystemSimulation(application, platform, mapping).run(duration_us)
+    SystemSimulation(*build()).run(duration_us)
     monkeypatch.undo()
     return counts
+
+
+def lookup_counts(monkeypatch, duration_us):
+    """Model lookups made while constructing and running one TUTMAC simulation."""
+    return call_counts(monkeypatch, LOOKUPS, build_tutwlan_system, duration_us)
 
 
 def test_model_lookups_do_not_grow_with_simulated_time(monkeypatch):
@@ -271,3 +287,20 @@ def test_model_lookups_do_not_grow_with_simulated_time(monkeypatch):
     long = lookup_counts(monkeypatch, 200_000)
     assert short == long
     assert short["route"] > 0 and short["transfer_path"] > 0
+
+
+def generated_system():
+    """Generated model 0: hierarchical machines whose steps leave states."""
+    generated = generate_model(config_for_seed(0))
+    return generated.application, generated.platform, generated.mapping
+
+
+def test_the_hierarchy_is_not_resolved_per_step(monkeypatch):
+    """Each executor resolves its machine's hierarchy once, when built.
+
+    TUTWLAN cannot show this: almost all of its fired transitions are
+    internal, and those never walked the hierarchy.
+    """
+    short = call_counts(monkeypatch, HIERARCHY_WALKS, generated_system, 3_000)
+    long = call_counts(monkeypatch, HIERARCHY_WALKS, generated_system, 6_000)
+    assert short == long

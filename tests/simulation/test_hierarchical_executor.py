@@ -132,6 +132,37 @@ class TestCompletionsInHierarchy:
         assert outcome.to_state == "done"
 
 
+class TestInternalCompletion:
+    def machine(self):
+        machine = StateMachine("m")
+        machine.variable("x", 0)
+        machine.state("idle", initial=True)
+        machine.state("s", entry="x = x + 1;", exit="x = x + 10;")
+        machine.on_signal("idle", "s", "go")
+        machine.transition("s", "s", guard="x < 3", effect="x = x + 100;",
+                           internal=True)
+        return machine
+
+    def test_runs_its_effect_once_and_ends_the_chase(self):
+        machine = self.machine()
+        executor = started(machine)
+        outcome, reason = executor.consume_signal("go", [])
+        assert reason is None
+        # s.entry, then the internal effect: no exit, no re-entry, and no
+        # second completion event, so the guard runs once
+        assert executor.variables["x"] == 101
+        assert executor.current.name == "s"
+        assert outcome.statements == 2
+        assert outcome.guards_evaluated == 1
+
+    def test_interval_analysis_covers_the_simulated_value(self):
+        from repro.analysis.values import analyze_machine
+
+        machine = self.machine()
+        values = analyze_machine(machine)
+        assert values.env_of(machine.find_state("s"))["x"].contains(101)
+
+
 class TestNestedFinal:
     def test_top_level_final_terminates(self):
         machine = StateMachine("m")

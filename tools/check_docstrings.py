@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Public-docstring audit (the CI ``docs`` job).
 
-``python tools/check_docstrings.py <dir> [<dir> ...]`` walks the given
-source trees and requires a docstring on
+``python tools/check_docstrings.py <path> [<path> ...]`` audits each
+given ``.py`` file and every ``.py`` file under each given directory,
+and requires a docstring on
 
 * every module,
 * every public class (name not starting with ``_``),
 * every public function and method.
 
 Private helpers (leading underscore) and dunder methods are exempt, as
-are trivial overrides whose body is a bare ``pass``/``...``.  This is the
-pydocstyle-style spot check the observability PR's documentation gate
-runs — stdlib-only, so it needs nothing installed.
+are trivial overrides whose body is a bare ``pass``/``...``.  A path
+that names no ``.py`` file (a typo, a moved module) fails the audit
+rather than passing it unchecked.  This is the pydocstyle-style spot
+check of the CI documentation gate — stdlib-only, so it needs nothing
+installed.
 """
 
 from __future__ import annotations
@@ -65,12 +68,24 @@ def missing_in(path: Path) -> list:
     return problems
 
 
+def python_files(root: Path) -> list:
+    """``root`` itself when it is a ``.py`` file, else the ``.py`` files under it."""
+    if root.is_file():
+        return [root] if root.suffix == ".py" else []
+    return sorted(root.rglob("*.py"))
+
+
 def main(argv: list) -> int:
     roots = [Path(arg) for arg in argv] or [Path("src/repro")]
+    unmatched = [root for root in roots if not python_files(root)]
+    if unmatched:
+        for root in unmatched:
+            print(f"{root}: no .py file to audit")
+        return 2
     failures = 0
     checked = 0
     for root in roots:
-        for path in sorted(root.rglob("*.py")):
+        for path in python_files(root):
             checked += 1
             for lineno, kind, name in missing_in(path):
                 print(f"{path}:{lineno}: undocumented public {kind} {name!r}")
