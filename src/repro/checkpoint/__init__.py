@@ -4,9 +4,10 @@ The simulator's components each implement a ``state_dict()`` /
 ``load_state_dict()`` pair (kernel clock and counters, EFSM executor
 state, PE ready queues and in-flight steps, bus arbiters and transfers,
 log/trace/fault streams).  Pending kernel events are never pickled — they
-hold raw callbacks — but are re-materialized by their owning component
-with their *original* sequence numbers, so a resumed run dispatches the
-exact same event order and produces byte-identical artefacts.
+hold bound methods and live arguments — but are re-materialized by their
+owning component with their *original* sequence numbers, so a resumed run
+dispatches the exact same event order and produces byte-identical
+artefacts.
 
 See ``docs/checkpoint.md`` for the protocol, the store layout and the
 resume semantics; the CLI surface is ``repro checkpoint

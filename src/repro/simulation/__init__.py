@@ -7,6 +7,12 @@ the profiling tool.
 """
 
 from repro.simulation.kernel import (
+    EV_ARGS,
+    EV_CALLBACK,
+    EV_CANCELLED,
+    EV_DISPATCHED,
+    EV_SEQ,
+    EV_TIME,
     Kernel,
     PS_PER_MS,
     PS_PER_US,
@@ -46,6 +52,12 @@ from repro.simulation.reference import (
 __all__ = [
     "CostModel",
     "DropRecord",
+    "EV_ARGS",
+    "EV_CALLBACK",
+    "EV_CANCELLED",
+    "EV_DISPATCHED",
+    "EV_SEQ",
+    "EV_TIME",
     "ExecRecord",
     "FaultRecord",
     "HibiBus",

@@ -41,19 +41,19 @@ class _Transfer:
     path: List[str]                   # remaining segments to cross
     agents: List[str]                 # agent requesting each remaining hop
     size_bytes: int
-    on_complete: Callable[[int], None]  # called with total latency (ps)
+    on_complete: Callable[..., None]  # on_complete(latency_ps, *payload)
     started_ps: int = 0
     enqueued_ps: int = 0
     # fault injection (None without a fault plan): the injected fault kind
     # and the payload after corruption, resolved via on_fault at delivery
     fault: Optional[str] = None
     fault_args: tuple = ()
-    on_fault: Optional[Callable[[str, int, tuple], None]] = None
+    on_fault: Optional[Callable[..., None]] = None
     trace_handle: Optional[int] = None  # open tracer span of the current hop
-    # serializable description of the callbacks (set by the system layer);
-    # a checkpoint restore passes it back through a resolver to rebuild
-    # on_complete/on_fault, since closures themselves cannot be snapshotted
-    payload: Optional[dict] = None
+    # the callbacks' trailing arguments, kept live; a checkpoint encodes
+    # them through the owner's encoder, and a restore rebuilds callbacks
+    # and payload through its resolver
+    payload: tuple = ()
 
 
 class _SegmentRuntime:
@@ -105,20 +105,22 @@ class HibiBus:
         source_pe: str,
         target_pe: str,
         size_bytes: int,
-        on_complete: Callable[[int], None],
+        on_complete: Callable[..., None],
         signal: str = "",
         args: tuple = (),
-        on_fault: Optional[Callable[[str, int, tuple], None]] = None,
-        payload: Optional[dict] = None,
+        on_fault: Optional[Callable[..., None]] = None,
+        payload: tuple = (),
     ) -> None:
-        """Start a transfer; ``on_complete(latency_ps)`` fires on delivery.
+        """Start a transfer; ``on_complete(latency_ps, *payload)`` fires on delivery.
 
         With a fault plan installed, the transfer's fate is decided here
         (keyed off the current kernel clock).  A corrupted or dropped frame
         still occupies the bus normally; at delivery time
-        ``on_fault(kind, latency_ps, args)`` fires instead of
+        ``on_fault(kind, latency_ps, args, *payload)`` fires instead of
         ``on_complete`` — with the bit-flipped payload for a corruption,
         and not at all for a drop when no ``on_fault`` is given.
+        ``payload`` is passed to the callbacks as is; it is encoded only
+        when a snapshot is taken (see :meth:`state_dict`).
         """
         route = self._routes.get((source_pe, target_pe))
         if route is None:
@@ -185,9 +187,11 @@ class HibiBus:
             latency = self.kernel.now_ps - transfer.started_ps
             if transfer.fault is not None:
                 if transfer.on_fault is not None:
-                    transfer.on_fault(transfer.fault, latency, transfer.fault_args)
+                    transfer.on_fault(
+                        transfer.fault, latency, transfer.fault_args, *transfer.payload
+                    )
                 return
-            transfer.on_complete(latency)
+            transfer.on_complete(latency, *transfer.payload)
             return
         segment_name = transfer.path[0]
         agent = transfer.agents[0]
@@ -233,9 +237,7 @@ class HibiBus:
                 time_ps=self.kernel.now_ps,
                 **args,
             )
-        event = self.kernel.schedule(
-            duration_ps, lambda r=runtime, t=transfer: self._release(r, t)
-        )
+        event = self.kernel.schedule(duration_ps, self._release, runtime, transfer)
         runtime.active = (transfer, event)
 
     def _release(self, runtime: _SegmentRuntime, transfer: _Transfer) -> None:
@@ -279,13 +281,7 @@ class HibiBus:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _transfer_state(transfer: _Transfer) -> dict:
-        if transfer.payload is None:
-            raise SimulationError(
-                "in-flight transfer carries no serializable payload; the "
-                "system layer must pass payload= to transfer() for "
-                "checkpointing to work"
-            )
+    def _transfer_state(transfer: _Transfer, encode: Callable[[tuple], dict]) -> dict:
         return {
             "path": list(transfer.path),
             "agents": list(transfer.agents),
@@ -295,13 +291,13 @@ class HibiBus:
             "fault": transfer.fault,
             "fault_args": list(transfer.fault_args),
             "trace_handle": transfer.trace_handle,
-            "payload": transfer.payload,
+            "payload": encode(transfer.payload),
         }
 
     def _restore_transfer(
         self, data: dict, resolve: Callable[[dict], tuple]
     ) -> _Transfer:
-        on_complete, on_fault = resolve(data["payload"])
+        on_complete, on_fault, payload = resolve(data["payload"])
         return _Transfer(
             path=list(data["path"]),
             agents=list(data["agents"]),
@@ -313,16 +309,16 @@ class HibiBus:
             fault_args=tuple(data["fault_args"]),
             on_fault=on_fault if data["fault"] is not None else None,
             trace_handle=data["trace_handle"],
-            payload=dict(data["payload"]),
+            payload=payload,
         )
 
-    def state_dict(self) -> dict:
+    def state_dict(self, encode: Callable[[tuple], dict]) -> dict:
         """Per-segment arbiter state, queues, stats and in-flight transfers.
 
-        Transfer callbacks are not serialized — each transfer's ``payload``
-        (a JSON-safe description the system layer attached) goes into the
-        snapshot instead, and :meth:`load_state_dict` rebuilds the
-        callbacks through a resolver.
+        Transfer callbacks are not serialized — ``encode(payload)`` turns
+        each transfer's live payload into a JSON-safe description instead,
+        and :meth:`load_state_dict` rebuilds callbacks and payload from it
+        through a resolver.
         """
         segments = {}
         for name in sorted(self.segments):
@@ -331,7 +327,7 @@ class HibiBus:
             if runtime.active is not None:
                 transfer, event = runtime.active
                 active = {
-                    "transfer": self._transfer_state(transfer),
+                    "transfer": self._transfer_state(transfer, encode),
                     "release_ps": event[EV_TIME],
                     "sequence": event[EV_SEQ],
                 }
@@ -345,7 +341,7 @@ class HibiBus:
                     "wait_ps": runtime.stats.wait_ps,
                 },
                 "queue": [
-                    self._transfer_state(transfer)
+                    self._transfer_state(transfer, encode)
                     for _, transfer in runtime.queue
                 ],
                 "active": active,
@@ -355,7 +351,10 @@ class HibiBus:
     def load_state_dict(
         self, state: dict, resolve: Callable[[dict], tuple]
     ) -> None:
-        """Restore a snapshot; ``resolve(payload) -> (on_complete, on_fault)``.
+        """Restore a snapshot.
+
+        ``resolve(encoded) -> (on_complete, on_fault, payload)`` inverts
+        the encoder :meth:`state_dict` was given.
 
         Queued requests get their wrapper specs re-looked-up from the
         platform; granted transfers re-materialize their pending
@@ -395,7 +394,9 @@ class HibiBus:
                 event = self.kernel.restore_event(
                     int(data["active"]["release_ps"]),
                     int(data["active"]["sequence"]),
-                    lambda r=runtime, t=transfer: self._release(r, t),
+                    self._release,
+                    runtime,
+                    transfer,
                 )
                 runtime.active = (transfer, event)
 

@@ -9,7 +9,6 @@ reference run, and direct unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -19,48 +18,73 @@ from repro.uml.action_compiler import compile_block, compile_guard
 # The tree-walking ``execute``/``evaluate`` stay importable from here (the
 # repository benchmark's span recorder looks them up in this module) even
 # though steps run compiled functions; they are the reference semantics.
-from repro.uml.actions import ActionEnvironment, evaluate, execute  # noqa: F401
+from repro.uml.actions import (  # noqa: F401
+    RAND16_SEED,
+    ActionEnvironment,
+    SendIntent,
+    evaluate,
+    execute,
+    timers_reset,
+    timers_set,
+)
 from repro.uml.plan import COMPLETION, Step, plan_machine, signal_key, timer_key
 from repro.uml.statemachine import SignalTrigger, State, StateMachine
 
 MAX_COMPLETION_CHAIN = 100
 
 
-@dataclass
-class SendIntent:
-    """A signal produced during a step, before routing."""
-
-    signal: str
-    args: Tuple[int, ...]
-    via: Optional[str]
-
-    def to_dict(self) -> dict:
-        """A JSON-safe encoding (tuples become lists)."""
-        return {"signal": self.signal, "args": list(self.args), "via": self.via}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SendIntent":
-        """Rebuild from :meth:`to_dict` output (restores the args tuple)."""
-        return cls(
-            signal=data["signal"], args=tuple(data["args"]), via=data["via"]
-        )
-
-
-@dataclass
 class StepOutcome:
-    """Everything a run-to-completion step did."""
+    """Everything a run-to-completion step did.
 
-    fired: bool = False
-    from_state: str = ""
-    to_state: str = ""
-    trigger: str = ""
-    statements: int = 0
-    guards_evaluated: int = 0
-    sends: List[SendIntent] = field(default_factory=list)
-    timers_set: List[Tuple[str, int]] = field(default_factory=list)
-    timers_reset: List[str] = field(default_factory=list)
-    timer_ops: List[Tuple[str, str, int]] = field(default_factory=list)
-    reached_final: bool = False
+    ``sends`` and ``timer_ops`` are the lists the step's action blocks
+    appended to, handed over rather than copied.  ``timer_ops`` is the
+    only record of timer operations; ``timers_set`` and ``timers_reset``
+    are read from it.
+    """
+
+    __slots__ = (
+        "fired",
+        "from_state",
+        "to_state",
+        "trigger",
+        "statements",
+        "guards_evaluated",
+        "sends",
+        "timer_ops",
+        "reached_final",
+    )
+
+    def __init__(
+        self,
+        fired: bool,
+        from_state: str,
+        to_state: str,
+        trigger: str,
+        statements: int,
+        guards_evaluated: int,
+        sends: List[SendIntent],
+        timer_ops: List[Tuple[str, str, int]],
+        reached_final: bool,
+    ) -> None:
+        self.fired = fired
+        self.from_state = from_state
+        self.to_state = to_state
+        self.trigger = trigger
+        self.statements = statements
+        self.guards_evaluated = guards_evaluated
+        self.sends = sends
+        self.timer_ops = timer_ops
+        self.reached_final = reached_final
+
+    @property
+    def timers_set(self) -> List[Tuple[str, int]]:
+        """``(name, duration)`` of each timer the step set, in order."""
+        return timers_set(self.timer_ops)
+
+    @property
+    def timers_reset(self) -> List[str]:
+        """The name of each timer the step reset, in order."""
+        return timers_reset(self.timer_ops)
 
     def to_dict(self) -> dict:
         """A JSON-safe encoding for checkpoints of in-flight steps."""
@@ -73,7 +97,7 @@ class StepOutcome:
             "guards_evaluated": self.guards_evaluated,
             "sends": [intent.to_dict() for intent in self.sends],
             "timers_set": [list(item) for item in self.timers_set],
-            "timers_reset": list(self.timers_reset),
+            "timers_reset": self.timers_reset,
             "timer_ops": [list(item) for item in self.timer_ops],
             "reached_final": self.reached_final,
         }
@@ -82,26 +106,34 @@ class StepOutcome:
     def from_dict(cls, data: dict) -> "StepOutcome":
         """Rebuild from :meth:`to_dict` output (restores inner tuples)."""
         return cls(
-            fired=data["fired"],
-            from_state=data["from_state"],
-            to_state=data["to_state"],
-            trigger=data["trigger"],
-            statements=data["statements"],
-            guards_evaluated=data["guards_evaluated"],
-            sends=[SendIntent.from_dict(item) for item in data["sends"]],
-            timers_set=[tuple(item) for item in data["timers_set"]],
-            timers_reset=list(data["timers_reset"]),
-            timer_ops=[tuple(item) for item in data["timer_ops"]],
-            reached_final=data["reached_final"],
+            data["fired"],
+            data["from_state"],
+            data["to_state"],
+            data["trigger"],
+            data["statements"],
+            data["guards_evaluated"],
+            [SendIntent.from_dict(item) for item in data["sends"]],
+            [tuple(item) for item in data["timer_ops"]],
+            data["reached_final"],
         )
 
 
 class _StepEnvironment(ActionEnvironment):
-    """Binds a process's variables; collects sends and timer operations."""
+    """Binds a process's variables; collects one step's sends and timer operations.
+
+    Each executor keeps one and resets it at the start of every step.
+    """
 
     def __init__(self, variables: Dict[str, int]) -> None:
         super().__init__()
         self.variables = variables  # shared reference: writes persist
+
+    def reset(self, parameters: Dict[str, int]) -> None:
+        """Start a step: fresh send and timer lists, ``rand16`` restarted."""
+        self.parameters = parameters
+        self.sent = []
+        self.timer_ops = []
+        self._rand_state = RAND16_SEED
 
 
 class ProcessExecutor:
@@ -142,6 +174,7 @@ class ProcessExecutor:
         self._start = plan.start
         # active state -> trigger key -> candidate steps in search order
         self._dispatch = plan.by_trigger
+        self._environment = _StepEnvironment(self.variables)
 
     # ------------------------------------------------------------------
     # steps
@@ -155,7 +188,7 @@ class ProcessExecutor:
         """
         if self.current is not None:
             raise SimulationError(f"process {self.name!r} already started")
-        return self._fire(self._start, {}, "start")
+        return self._fire(self._start, {}, "start", 0)
 
     def consume_signal(
         self, signal_name: str, args: Sequence[int]
@@ -175,25 +208,26 @@ class ProcessExecutor:
                 guards += 1
                 if not self._guard_holds(transition.guard, params):
                     continue
-            outcome = self._fire(step, params, signal_name)
-            outcome.guards_evaluated += guards
-            return outcome, None
+            return self._fire(step, params, signal_name, guards), None
         return None, "guards-false" if candidates else "no-transition"
 
     def fire_timer(self, timer_name: str) -> Tuple[Optional[StepOutcome], Optional[str]]:
-        """Handle a timer expiry; returns (outcome, None) or (None, reason)."""
+        """Handle a timer expiry; returns (outcome, None) or (None, drop reason).
+
+        The drop reasons are :meth:`consume_signal`'s: ``guards-false``
+        when candidates exist but none is enabled, else ``no-transition``.
+        """
         self._require_running()
+        candidates = self._dispatch[self.current].get(timer_key(timer_name), ())
         guards = 0
-        for step in self._dispatch[self.current].get(timer_key(timer_name), ()):
+        for step in candidates:
             guard = step.transition.guard
             if guard is not None:
                 guards += 1
                 if not self._guard_holds(guard, {}):
                     continue
-            outcome = self._fire(step, {}, f"timer:{timer_name}")
-            outcome.guards_evaluated += guards
-            return outcome, None
-        return None, "no-transition"
+            return self._fire(step, {}, f"timer:{timer_name}", guards), None
+        return None, "guards-false" if candidates else "no-transition"
 
     # ------------------------------------------------------------------
     # checkpoint/restore protocol
@@ -258,52 +292,71 @@ class ProcessExecutor:
             entry = self._compiled[id(guard)] = (guard, compile_guard(guard))
         return bool(entry[1](params, self.variables))
 
-    def _fire(self, step: Step, params: Dict[str, int], trigger: str) -> StepOutcome:
+    def _fire(
+        self, step: Step, params: Dict[str, int], trigger: str, guards: int
+    ) -> StepOutcome:
+        """Run ``step`` and its completion chase; ``guards`` were evaluated
+        to choose it."""
         source = self.current or self.machine.initial_state  # None before start
-        outcome = StepOutcome(fired=True, from_state=source.name, trigger=trigger)
-        environment = _StepEnvironment(self.variables)
-        environment.parameters = params
-        self._run_step(step, outcome, environment)
+        environment = self._environment
+        environment.reset(params)
+        statements = self._run_step(step, environment)
         # a step entering no state (an internal transition) raises no
         # completion event
         if step.entries and not self.terminated:
-            self._chase_completions(outcome, environment)
-        outcome.to_state = self.current.name
-        self._collect(outcome, environment)
-        self._trace_step(outcome)
+            chased, chase_guards = self._chase_completions(environment)
+            statements += chased
+            guards += chase_guards
+        outcome = StepOutcome(
+            True,
+            source.name,
+            self.current.name,
+            trigger,
+            statements,
+            guards,
+            environment.sent,
+            environment.timer_ops,
+            self.terminated,
+        )
+        if self.tracer is not None:
+            self._trace_step(outcome)
         return outcome
 
-    def _run_step(self, step: Step, outcome: StepOutcome, environment) -> None:
-        """Run a planned step's exit, effect and entry blocks; move to its leaf."""
+    def _run_step(self, step: Step, environment) -> int:
+        """Run a planned step's exit, effect and entry blocks; move to its leaf.
+
+        Returns the executed-statement count.
+        """
+        statements = 0
         for block in step.blocks:
-            outcome.statements += self._run(block, environment)
+            statements += self._run(block, environment)
         self.current = step.leaf
         self.terminated = step.terminates
+        return statements
 
-    def _chase_completions(
-        self, outcome: StepOutcome, environment: _StepEnvironment
-    ) -> None:
+    def _chase_completions(self, environment: _StepEnvironment) -> Tuple[int, int]:
         """Follow enabled completion transitions until none fires.
 
         Completion transitions of the active leaf are considered first,
         then those of its enclosing composite states.  An internal one
         runs its effect and ends the chase: it enters no state, so no new
-        completion event occurs.
+        completion event occurs.  Returns the (statements, guards) spent.
         """
         environment.parameters = {}
+        statements = guards = 0
         for _ in range(MAX_COMPLETION_CHAIN):
             for step in self._dispatch[self.current].get(COMPLETION, ()):
                 guard = step.transition.guard
                 if guard is not None:
-                    outcome.guards_evaluated += 1
+                    guards += 1
                     if not self._guard_holds(guard, {}):
                         continue
-                self._run_step(step, outcome, environment)
+                statements += self._run_step(step, environment)
                 if self.terminated or not step.entries:
-                    return
+                    return statements, guards
                 break
             else:
-                return
+                return statements, guards
         raise SimulationError(
             f"process {self.name!r} chained more than {MAX_COMPLETION_CHAIN} "
             "completion transitions (livelock in the model?)"
@@ -311,8 +364,6 @@ class ProcessExecutor:
 
     def _trace_step(self, outcome: StepOutcome) -> None:
         """Emit the fired transition as an instant on the ``efsm`` track."""
-        if self.tracer is None:
-            return
         self.tracer.instant(
             outcome.trigger or "step",
             efsm_track(self.name),
@@ -322,13 +373,3 @@ class ProcessExecutor:
             statements=outcome.statements,
             sends=len(outcome.sends),
         )
-
-    def _collect(self, outcome: StepOutcome, environment: _StepEnvironment) -> None:
-        outcome.sends.extend(
-            SendIntent(signal, tuple(args), via)
-            for signal, args, via in environment.sent
-        )
-        outcome.timers_set.extend(environment.timers_set)
-        outcome.timers_reset.extend(environment.timers_reset)
-        outcome.timer_ops.extend(environment.timer_ops)
-        outcome.reached_final = self.terminated

@@ -7,9 +7,11 @@ every simulation run bit-reproducible.  ``docs/kernel.md`` documents the
 ordering and checkpoint contract.
 
 Events are plain lists (``[time_ps, sequence, callback, cancelled,
-dispatched]`` — see the ``EV_*`` index constants) kept in one binary
+dispatched, args]`` — see the ``EV_*`` index constants) kept in one binary
 heap, so creating one costs a single C-level allocation and ordering them
 uses C list comparison instead of a Python ``__lt__`` call per compare.
+An event carries its callback's arguments, so callers schedule a bound
+method plus arguments instead of building a closure per event.
 
 Hook dispatch is gated: registering a tracer or an ``after_event`` hook
 flips one fused ``_hooks_active`` flag (recomputed only on hook
@@ -31,15 +33,17 @@ PS_PER_MS = 1_000_000_000
 EV_TIME = 0
 #: Index of the global monotonic sequence number (same-time tie-breaker).
 EV_SEQ = 1
-#: Index of the zero-argument callback invoked at dispatch.
+#: Index of the callback invoked at dispatch as ``callback(*args)``.
 EV_CALLBACK = 2
 #: Index of the cancellation flag (tombstone; skipped at dispatch).
 EV_CANCELLED = 3
 #: Index of the dispatched flag (set just before the callback runs).
 EV_DISPATCHED = 4
+#: Index of the tuple of arguments the callback is called with.
+EV_ARGS = 5
 
 #: An event handle as returned by :meth:`Kernel.schedule` — a plain
-#: 5-slot list indexed by the ``EV_*`` constants above.
+#: 6-slot list indexed by the ``EV_*`` constants above.
 Event = List
 
 #: Counter name for the scheduler-queue-depth series in trace exports.
@@ -135,8 +139,8 @@ class Kernel:
     # scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay_ps: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay_ps`` after the current time."""
+    def schedule(self, delay_ps: int, callback: Callable[..., None], *args) -> Event:
+        """Schedule ``callback(*args)`` to run ``delay_ps`` after the current time."""
         if delay_ps < 0:
             # InvalidScheduleError is a ValueError: negative delays are a
             # caller bug (mirrors the cycles_to_ps negative guard above)
@@ -144,13 +148,15 @@ class Kernel:
                 f"cannot schedule into the past ({delay_ps} ps)"
             )
         self._sequence = sequence = self._sequence + 1
-        event = [self.now_ps + delay_ps, sequence, callback, False, False]
+        event = [self.now_ps + delay_ps, sequence, callback, False, False, args]
         _heappush(self._heap, event)
         return event
 
-    def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at the absolute instant ``time_ps``."""
-        return self.schedule(time_ps - self.now_ps, callback)
+    def schedule_at(
+        self, time_ps: int, callback: Callable[..., None], *args
+    ) -> Event:
+        """Schedule ``callback(*args)`` at the absolute instant ``time_ps``."""
+        return self.schedule(time_ps - self.now_ps, callback, *args)
 
     def cancel(self, event: Event) -> None:
         """Mark ``event`` cancelled; it is skipped (and dropped) at dispatch.
@@ -214,7 +220,7 @@ class Kernel:
                 break
             event[4] = True
             self.now_ps = time_ps
-            event[2]()
+            event[2](*event[5])
             self._dispatched = dispatched = self._dispatched + 1
             if self._hooks_active:
                 self._post_dispatch_hooks()
@@ -252,9 +258,10 @@ class Kernel:
     def state_dict(self) -> dict:
         """The kernel's serializable state (clock, sequence, dispatch count).
 
-        Pending queue events are *not* serialized — they hold raw
-        callbacks.  Each owning component records what its events would
-        do and re-materializes them on restore via :meth:`restore_event`.
+        Pending queue events are *not* serialized — they hold bound
+        methods and live arguments.  Each owning component records what
+        its events would do and re-materializes them on restore via
+        :meth:`restore_event`.
         """
         return {
             "now_ps": self.now_ps,
@@ -274,7 +281,7 @@ class Kernel:
         self._dispatched = int(state["dispatched"])
 
     def restore_event(
-        self, time_ps: int, sequence: int, callback: Callable[[], None]
+        self, time_ps: int, sequence: int, callback: Callable[..., None], *args
     ) -> Event:
         """Re-materialize a checkpointed event with its *original* sequence.
 
@@ -293,6 +300,6 @@ class Kernel:
                 f"restored event at {time_ps} ps is before the restored "
                 f"clock ({self.now_ps} ps)"
             )
-        event = [time_ps, sequence, callback, False, False]
+        event = [time_ps, sequence, callback, False, False, args]
         _heappush(self._heap, event)
         return event

@@ -25,9 +25,8 @@ logs are byte-identical to the pre-fault format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from sys import intern as _intern
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.errors import SimulationError
 from repro.util.fsio import ensure_parent
@@ -39,8 +38,7 @@ TRANSPORT_BUS = "bus"
 TRANSPORT_ENV = "env"
 
 
-@dataclass(frozen=True)
-class ExecRecord:
+class ExecRecord(NamedTuple):
     """One run-to-completion step of a process on a PE."""
 
     time_ps: int
@@ -61,8 +59,7 @@ class ExecRecord:
         )
 
 
-@dataclass(frozen=True)
-class SignalRecord:
+class SignalRecord(NamedTuple):
     """One delivered signal instance."""
 
     time_ps: int
@@ -86,8 +83,7 @@ class SignalRecord:
         return line
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class DropRecord(NamedTuple):
     """A signal consumed without firing any transition."""
 
     time_ps: int
@@ -103,8 +99,7 @@ class DropRecord:
         )
 
 
-@dataclass(frozen=True)
-class FaultRecord:
+class FaultRecord(NamedTuple):
     """One injected fault (only present with fault injection enabled)."""
 
     time_ps: int
@@ -135,28 +130,67 @@ def meta_value(value) -> str:
 
 
 class LogWriter:
-    """Accumulates records and renders/writes the log file."""
+    """Accumulates records and renders/writes the log file.
+
+    Each record method takes its record's fields (callers pass them by
+    keyword) and appends one immutable record tuple.
+    """
 
     def __init__(self, meta: Optional[Dict[str, str]] = None) -> None:
         self.meta: Dict[str, str] = dict(meta or {})
         self.records: List[LogRecord] = []
         self.end_time_ps = 0
 
-    def exec_step(self, **kwargs) -> None:
+    def exec_step(
+        self,
+        time_ps: int,
+        process: str,
+        pe: str,
+        cycles: int,
+        duration_ps: int,
+        from_state: str,
+        to_state: str,
+        trigger: str,
+    ) -> None:
         """Record one executed run-to-completion step (EXEC line)."""
-        self.records.append(ExecRecord(**kwargs))
+        self.records.append(
+            ExecRecord(
+                time_ps, process, pe, cycles, duration_ps, from_state, to_state, trigger
+            )
+        )
 
-    def signal(self, **kwargs) -> None:
+    def signal(
+        self,
+        time_ps: int,
+        signal: str,
+        sender: str,
+        receiver: str,
+        bytes: int,
+        latency_ps: int,
+        transport: str,
+        corrupt: int = 0,
+    ) -> None:
         """Record one delivered signal instance (SIG line)."""
-        self.records.append(SignalRecord(**kwargs))
+        self.records.append(
+            SignalRecord(
+                time_ps, signal, sender, receiver, bytes, latency_ps, transport, corrupt
+            )
+        )
 
-    def drop(self, **kwargs) -> None:
+    def drop(self, time_ps: int, process: str, signal: str, reason: str) -> None:
         """Record a signal consumed without firing a transition (DROP)."""
-        self.records.append(DropRecord(**kwargs))
+        self.records.append(DropRecord(time_ps, process, signal, reason))
 
-    def fault(self, **kwargs) -> None:
+    def fault(
+        self,
+        time_ps: int,
+        kind: str,
+        signal: str = "-",
+        source: str = "-",
+        target: str = "-",
+    ) -> None:
         """Record one injected fault (FAULT line)."""
-        self.records.append(FaultRecord(**kwargs))
+        self.records.append(FaultRecord(time_ps, kind, signal, source, target))
 
     def finish(self, end_time_ps: int) -> None:
         """Fix the log horizon written into the END line."""
@@ -186,6 +220,7 @@ class LogWriter:
         "DROP": DropRecord,
         "FAULT": FaultRecord,
     }
+    _TAGS = {cls: tag for tag, cls in _RECORD_KINDS.items()}
 
     def state_dict(self) -> dict:
         """Meta plus every accumulated record, JSON-safe.
@@ -193,16 +228,13 @@ class LogWriter:
         Restoring this onto a fresh writer makes a resumed run's rendered
         log byte-identical to an uninterrupted run's.
         """
-        encoded = []
-        for record in self.records:
-            tag = next(
-                name
-                for name, cls in self._RECORD_KINDS.items()
-                if isinstance(record, cls)
-            )
-            # "record" tags the line type; it cannot collide with the
-            # dataclass fields (FaultRecord already claims "kind")
-            encoded.append({"record": tag, **record.__dict__})
+        tags = self._TAGS
+        # "record" tags the line type; it cannot collide with the record
+        # fields (FaultRecord already claims "kind")
+        encoded = [
+            {"record": tags[type(record)], **record._asdict()}
+            for record in self.records
+        ]
         return {
             "meta": dict(self.meta),
             "records": encoded,

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -25,10 +27,11 @@ from repro.platform.model import PlatformModel
 from repro.simulation.bus import HibiBus, TransferStats
 from repro.simulation.executor import ProcessExecutor, SendIntent, StepOutcome
 from repro.simulation.kernel import (
-    EV_CALLBACK,
+    EV_ARGS,
     EV_SEQ,
     EV_TIME,
     PS_PER_US,
+    Event,
     Kernel,
     cycles_to_ps,
     event_pending,
@@ -50,11 +53,6 @@ from repro.simulation.timing import CostModel, timer_duration_ps
 ENVIRONMENT_PE = "-"
 
 
-def _noop() -> None:
-    """Placeholder callback replaced right after scheduling (see
-    :meth:`SystemSimulation._schedule_deliver`)."""
-
-
 class _Route(NamedTuple):
     """A resolved send: where a (sender, signal, via) goes and what it costs."""
 
@@ -64,20 +62,49 @@ class _Route(NamedTuple):
     receiver_pe: Optional[str]
 
 
-@dataclass
 class _Activation:
-    """A pending reason to run a process: start, signal, or timer."""
+    """A pending reason to run a process: start, signal, or timer.
 
-    kind: str  # 'start' | 'signal' | 'timer'
-    process: str
-    signal: str = ""
-    args: Tuple[int, ...] = ()
-    timer: str = ""
-    sender: str = ""
-    sent_ps: int = 0
-    transport: str = TRANSPORT_LOCAL
-    bytes: int = 0
-    corrupt: bool = False  # payload was bit-corrupted in transit
+    Hashed by identity: an in-flight delivery is registered under its
+    activation (see :meth:`SystemSimulation._schedule_deliver`).
+    """
+
+    __slots__ = (
+        "kind",  # 'start' | 'signal' | 'timer'
+        "process",
+        "signal",
+        "args",
+        "timer",
+        "sender",
+        "sent_ps",
+        "transport",
+        "bytes",
+        "corrupt",  # payload was bit-corrupted in transit
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        process: str,
+        signal: str = "",
+        args: Tuple[int, ...] = (),
+        timer: str = "",
+        sender: str = "",
+        sent_ps: int = 0,
+        transport: str = TRANSPORT_LOCAL,
+        bytes: int = 0,
+        corrupt: bool = False,
+    ) -> None:
+        self.kind = kind
+        self.process = process
+        self.signal = signal
+        self.args = args
+        self.timer = timer
+        self.sender = sender
+        self.sent_ps = sent_ps
+        self.transport = transport
+        self.bytes = bytes
+        self.corrupt = corrupt
 
     def describe(self) -> str:
         """Human-readable trigger label used in log and trace records."""
@@ -126,6 +153,10 @@ class _PERuntime:
     (paper future work): ``priority`` (default), ``fifo``, or
     ``round-robin`` over the mapped processes.  ``dispatch_overhead``
     cycles are charged per step when an RTOS is configured.
+
+    Ready entries are ``(rank, seq, priority, activation)``.  Priority and
+    fifo keep them in a heap on ``(rank, seq)``, the rank being
+    ``-priority`` or 0; round-robin appends them and scans at every pop.
     """
 
     def __init__(
@@ -141,34 +172,54 @@ class _PERuntime:
         self.policy = policy
         self.dispatch_overhead_cycles = dispatch_overhead_cycles
         self.tick_period_us = tick_period_us
-        self.ready: List[tuple] = []  # (seq, priority, activation)
+        self.ready: List[tuple] = []  # (rank, seq, priority, activation)
         self.busy = False
         self.busy_ps = 0
         self.last_process: Optional[str] = None
         self._seq = 0
-        # the in-flight step while busy, for checkpointing:
-        # (activation, outcome, cycles, started_ps, completion event)
-        self.active_step: Optional[tuple] = None
+        self._scanned = policy == "round-robin"
+        self._ranked = policy != "fifo" and not self._scanned  # priority
+        # the in-flight step's completion event while busy, for
+        # checkpointing; its args are (runtime, activation, outcome,
+        # cycles, started_ps)
+        self.active_step: Optional[Event] = None
 
     def enqueue(self, activation: _Activation, priority: int) -> None:
-        """Add an activation to the ready queue (insertion order preserved)."""
-        self._seq += 1
-        self.ready.append((self._seq, priority, activation))
+        """Add an activation to the ready queue."""
+        self._seq = seq = self._seq + 1
+        entry = (-priority if self._ranked else 0, seq, priority, activation)
+        if self._scanned:
+            self.ready.append(entry)
+        else:
+            heappush(self.ready, entry)
 
     def pop(self) -> Optional[_Activation]:
-        """Remove and return the next activation per the queue policy."""
+        """Remove and return the next activation per the queue policy.
+
+        Priority: highest priority, FIFO among equals; fifo: arrival order.
+        """
         if not self.ready:
             return None
-        if self.policy == "fifo":
-            index = min(range(len(self.ready)), key=lambda i: self.ready[i][0])
-        elif self.policy == "round-robin":
-            index = self._round_robin_index()
-        else:  # priority: highest priority, FIFO among equals
-            index = min(
-                range(len(self.ready)),
-                key=lambda i: (-self.ready[i][1], self.ready[i][0]),
-            )
-        return self.ready.pop(index)[2]
+        if self._scanned:
+            return self.ready.pop(self._round_robin_index())[3]
+        return heappop(self.ready)[3]
+
+    def ready_state(self) -> list:
+        """The ready queue as ``[seq, priority, activation]`` rows in seq order."""
+        return [
+            [seq, priority, activation.to_dict()]
+            for _, seq, priority, activation in sorted(self.ready, key=itemgetter(1))
+        ]
+
+    def load_ready(self, rows: list) -> None:
+        """Restore :meth:`ready_state` output."""
+        ranked = self._ranked
+        self.ready = [
+            (-priority if ranked else 0, seq, priority, _Activation.from_dict(data))
+            for seq, priority, data in rows
+        ]
+        if not self._scanned:
+            heapify(self.ready)
 
     # Both delays are computed on first use, so a bad cycle count raises
     # at the first step or delivery that needs it, and only then.
@@ -189,16 +240,16 @@ class _PERuntime:
 
     def _round_robin_index(self) -> int:
         """The earliest entry of the 'next' process after the last served."""
-        names = sorted({entry[2].process for entry in self.ready})
+        names = sorted({entry[3].process for entry in self.ready})
         if self.last_process is not None:
             after = [n for n in names if n > self.last_process]
             next_name = after[0] if after else names[0]
         else:
             next_name = names[0]
         candidates = [
-            (entry[0], i)
+            (entry[1], i)
             for i, entry in enumerate(self.ready)
-            if entry[2].process == next_name
+            if entry[3].process == next_name
         ]
         return min(candidates)[1]
 
@@ -221,8 +272,8 @@ class SimulationResult:
     def log(self) -> LogFile:
         """The run's log, built on first use from the writer's records.
 
-        It equals ``parse_log(self.writer.render())``: the same (frozen)
-        record objects in a fresh list, the meta spelled as the file
+        It equals ``parse_log(self.writer.render())``: the same immutable
+        record tuples in a fresh list, the meta spelled as the file
         spells it, and the end time; no text is rendered or parsed.
         """
         if self._log is None:
@@ -321,11 +372,11 @@ class SystemSimulation:
         self.dropped = 0
         self._started = False
         self._restored = False
-        # pending signal/start deliveries keyed by their kernel event
-        # sequence; entries are removed when the event fires, so at any
-        # quiescent instant this is exactly the set of in-flight deliveries
-        # a checkpoint must re-materialize
-        self._pending_deliveries: Dict[int, tuple] = {}
+        # pending signal/start deliveries: activation -> its kernel event;
+        # entries are removed when the event fires, so at any quiescent
+        # instant this is exactly the set of in-flight deliveries a
+        # checkpoint must re-materialize
+        self._pending_deliveries: Dict[_Activation, Event] = {}
 
     # ------------------------------------------------------------------
     # run
@@ -373,18 +424,15 @@ class SystemSimulation:
     def _schedule_deliver(self, delay_ps: int, activation: _Activation) -> None:
         """Schedule a delivery and register it for checkpointing.
 
-        The registry entry is keyed by the event's sequence number and
-        removed when the event fires, so the registry always holds exactly
-        the in-flight deliveries a snapshot must capture."""
-        event = self.kernel.schedule(delay_ps, _noop)
-        sequence = event[EV_SEQ]
-        event[EV_CALLBACK] = (
-            lambda a=activation, s=sequence: self._fire_delivery(a, s)
+        The registry entry is keyed by the activation and removed when the
+        event fires, so the registry always holds exactly the in-flight
+        deliveries a snapshot must capture."""
+        self._pending_deliveries[activation] = self.kernel.schedule(
+            delay_ps, self._fire_delivery, activation
         )
-        self._pending_deliveries[sequence] = (activation, event)
 
-    def _fire_delivery(self, activation: _Activation, sequence: int) -> None:
-        self._pending_deliveries.pop(sequence, None)
+    def _fire_delivery(self, activation: _Activation) -> None:
+        del self._pending_deliveries[activation]
         self._deliver(activation)
 
     def _deliver(self, activation: _Activation) -> None:
@@ -525,14 +573,15 @@ class SystemSimulation:
                     duration_ps = stalled_ps
             runtime.busy = True
             runtime.last_process = activation.process
-            started_ps = self.kernel.now_ps
-            event = self.kernel.schedule(
+            runtime.active_step = self.kernel.schedule(
                 duration_ps,
-                lambda r=runtime, a=activation, o=outcome, c=cycles, s=started_ps: (
-                    self._complete_step(r, a, o, c, s)
-                ),
+                self._complete_step,
+                runtime,
+                activation,
+                outcome,
+                cycles,
+                self.kernel.now_ps,
             )
-            runtime.active_step = (activation, outcome, cycles, started_ps, event)
             return
 
     def _execute(self, executor: ProcessExecutor, activation: _Activation):
@@ -638,8 +687,7 @@ class SystemSimulation:
                         tick_ps = timer_duration_ps(tick_us)
                         delay_ps = -(-delay_ps // tick_ps) * tick_ps
                 self.timers[key] = self.kernel.schedule(
-                    delay_ps,
-                    lambda a=activation: self._deliver(a),
+                    delay_ps, self._deliver, activation
                 )
         for intent in outcome.sends:
             self._dispatch_send(process_name, intent)
@@ -731,33 +779,31 @@ class SystemSimulation:
             # Bus transport pays the wire latency plus the same receive
             # cost a local delivery pays (wrapper -> CPU hand-off).
             activation.transport = TRANSPORT_BUS
-            on_fault = None
-            if self.faults is not None:
-                on_fault = (
-                    lambda kind, _latency, args, a=activation, pe=receiver_pe: (
-                        self._bus_fault(kind, args, a, pe)
-                    )
-                )
             self.bus.transfer(
                 sender_pe,
                 receiver_pe,
                 activation.bytes,
-                lambda _latency, a=activation, pe=receiver_pe: (
-                    self._schedule_deliver(self.pe_runtimes[pe].receive_delay_ps, a)
-                ),
+                self._bus_delivered,
                 signal=activation.signal,
                 args=activation.args,
-                on_fault=on_fault,
-                # snapshot description: enough to rebuild both callbacks
-                payload={
-                    "activation": activation.to_dict(),
-                    "receiver_pe": receiver_pe,
-                },
+                on_fault=self._bus_fault if self.faults is not None else None,
+                # both callbacks' trailing arguments, encoded only by a
+                # snapshot (_encode_bus_payload)
+                payload=(activation, receiver_pe),
             )
+
+    def _bus_delivered(
+        self, _latency_ps: int, activation: _Activation, receiver_pe: str
+    ) -> None:
+        """A bus transfer arrived: the receiver's PE takes it off its wrapper."""
+        self._schedule_deliver(
+            self.pe_runtimes[receiver_pe].receive_delay_ps, activation
+        )
 
     def _bus_fault(
         self,
         kind: str,
+        _latency_ps: int,
         args: Tuple[int, ...],
         activation: _Activation,
         receiver_pe: str,
@@ -807,10 +853,9 @@ class SystemSimulation:
         for name in sorted(self.pe_runtimes):
             runtime = self.pe_runtimes[name]
             active = None
-            if runtime.active_step is not None:
-                activation, outcome, cycles, started_ps, event = (
-                    runtime.active_step
-                )
+            event = runtime.active_step
+            if event is not None:
+                _, activation, outcome, cycles, started_ps = event[EV_ARGS]
                 active = {
                     "activation": activation.to_dict(),
                     "outcome": outcome.to_dict(),
@@ -820,10 +865,7 @@ class SystemSimulation:
                     "sequence": event[EV_SEQ],
                 }
             runtimes[name] = {
-                "ready": [
-                    [seq, priority, activation.to_dict()]
-                    for seq, priority, activation in runtime.ready
-                ],
+                "ready": runtime.ready_state(),
                 "busy": runtime.busy,
                 "busy_ps": runtime.busy_ps,
                 "last_process": runtime.last_process,
@@ -850,16 +892,16 @@ class SystemSimulation:
             ],
             "deliveries": [
                 {
-                    "sequence": sequence,
+                    "sequence": event[EV_SEQ],
                     "time_ps": event[EV_TIME],
                     "activation": activation.to_dict(),
                 }
-                for sequence, (activation, event) in sorted(
-                    self._pending_deliveries.items()
+                for activation, event in sorted(
+                    self._pending_deliveries.items(), key=lambda item: item[1][EV_SEQ]
                 )
                 if event_pending(event)
             ],
-            "bus": self.bus.state_dict(),
+            "bus": self.bus.state_dict(self._encode_bus_payload),
             "writer": self.writer.state_dict(),
             "faults": (
                 self.faults.state_dict() if self.faults is not None else None
@@ -906,49 +948,43 @@ class SystemSimulation:
                 raise SimulationError(
                     f"snapshot references unknown processing element {name!r}"
                 )
-            runtime.ready = [
-                (seq, priority, _Activation.from_dict(activation))
-                for seq, priority, activation in runtime_state["ready"]
-            ]
+            runtime.load_ready(runtime_state["ready"])
             runtime.busy = bool(runtime_state["busy"])
             runtime.busy_ps = int(runtime_state["busy_ps"])
             runtime.last_process = runtime_state["last_process"]
             runtime._seq = int(runtime_state["seq"])
             step = runtime_state["active_step"]
             if step is not None:
-                activation = _Activation.from_dict(step["activation"])
-                outcome = StepOutcome.from_dict(step["outcome"])
-                cycles = int(step["cycles"])
-                started_ps = int(step["started_ps"])
-                event = self.kernel.restore_event(
+                runtime.active_step = self.kernel.restore_event(
                     int(step["time_ps"]),
                     int(step["sequence"]),
-                    lambda r=runtime, a=activation, o=outcome, c=cycles, s=started_ps: (
-                        self._complete_step(r, a, o, c, s)
-                    ),
-                )
-                runtime.active_step = (
-                    activation, outcome, cycles, started_ps, event,
+                    self._complete_step,
+                    runtime,
+                    _Activation.from_dict(step["activation"]),
+                    StepOutcome.from_dict(step["outcome"]),
+                    int(step["cycles"]),
+                    int(step["started_ps"]),
                 )
         for entry in state["timers"]:
             activation = _Activation(
                 kind="timer", process=entry["process"], timer=entry["timer"]
             )
-            event = self.kernel.restore_event(
-                int(entry["time_ps"]),
-                int(entry["sequence"]),
-                lambda a=activation: self._deliver(a),
+            self.timers[(entry["process"], entry["timer"])] = (
+                self.kernel.restore_event(
+                    int(entry["time_ps"]),
+                    int(entry["sequence"]),
+                    self._deliver,
+                    activation,
+                )
             )
-            self.timers[(entry["process"], entry["timer"])] = event
         for entry in state["deliveries"]:
             activation = _Activation.from_dict(entry["activation"])
-            sequence = int(entry["sequence"])
-            event = self.kernel.restore_event(
+            self._pending_deliveries[activation] = self.kernel.restore_event(
                 int(entry["time_ps"]),
-                sequence,
-                lambda a=activation, s=sequence: self._fire_delivery(a, s),
+                int(entry["sequence"]),
+                self._fire_delivery,
+                activation,
             )
-            self._pending_deliveries[sequence] = (activation, event)
         self.bus.load_state_dict(state["bus"], self._resolve_bus_payload)
         self.writer.load_state_dict(state["writer"])
         if self.faults is not None:
@@ -957,14 +993,13 @@ class SystemSimulation:
             self.tracer.load_state_dict(state["tracer"])
         self._restored = True
 
-    def _resolve_bus_payload(self, payload: dict) -> tuple:
-        """Rebuild an in-flight transfer's callbacks from its payload."""
-        activation = _Activation.from_dict(payload["activation"])
-        receiver_pe = payload["receiver_pe"]
-        on_complete = lambda _latency, a=activation, pe=receiver_pe: (
-            self._schedule_deliver(self.pe_runtimes[pe].receive_delay_ps, a)
-        )
-        on_fault = lambda kind, _latency, args, a=activation, pe=receiver_pe: (
-            self._bus_fault(kind, args, a, pe)
-        )
-        return on_complete, on_fault
+    @staticmethod
+    def _encode_bus_payload(payload: tuple) -> dict:
+        """The snapshot form of an in-flight transfer's payload."""
+        activation, receiver_pe = payload
+        return {"activation": activation.to_dict(), "receiver_pe": receiver_pe}
+
+    def _resolve_bus_payload(self, data: dict) -> tuple:
+        """Rebuild an in-flight transfer's callbacks and payload."""
+        payload = (_Activation.from_dict(data["activation"]), data["receiver_pe"])
+        return self._bus_delivered, self._bus_fault, payload

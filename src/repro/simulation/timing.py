@@ -12,7 +12,7 @@ time), independent of any PE clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.platform.components import ProcessingElementSpec
 from repro.simulation.kernel import PS_PER_US, cycles_to_ps
@@ -45,8 +45,7 @@ WORKSTATION_SPEC = ProcessingElementSpec(
 )
 
 
-@dataclass(frozen=True)
-class StepCost:
+class StepCost(NamedTuple):
     """Cycles and wall time of one run-to-completion step."""
 
     cycles: int

@@ -51,6 +51,7 @@ from repro.uml.actions import (
     Name,
     ResetTimer,
     Send,
+    SendIntent,
     SetTimer,
     Stmt,
     UnaryOp,
@@ -106,6 +107,7 @@ _RUNTIME = {
     "_undefined": _undefined,
     "_read_only": _read_only,
     "_rand16": _rand16,
+    "_Send": SendIntent,
     # a guard's own rand16 state, fresh per evaluation like the oracle's
     "_Environment": ActionEnvironment,
 }
@@ -137,6 +139,9 @@ _ARITHMETIC = {
 }
 _COMPARISON = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
 _HELPERS = {"/": "_c_div", "%": "_c_mod"}
+# C truncation by a positive constant, inline: the dividend is bound to
+# ``t`` once, and a negative one is divided as its magnitude
+_BY_CONSTANT = {"/": "//", "%": "%"}
 _MIN_MAX = {"min": "min", "max": "max"}
 
 
@@ -148,6 +153,11 @@ def _literal(value) -> str:
         f"action-language AST holds a {type(value).__name__} where a name or "
         "integer belongs"
     )
+
+
+def _positive_literal(node: Expr) -> bool:
+    """True for an integer literal divisor that can never fault."""
+    return isinstance(node, IntLiteral) and type(node.value) is int and node.value > 0
 
 
 def _wrap(fragment, level: int) -> str:
@@ -216,6 +226,12 @@ class _Writer:
             # operands bind at least as tight as `|` (level 4)
             test = f"{_wrap(left, 4)} {_COMPARISON[op]} {_wrap(right, 4)}"
             return f"1 if {test} else 0", _LOWEST
+        if op in _BY_CONSTANT and _positive_literal(node.right):
+            python_op, divisor = _BY_CONSTANT[op], right[0]
+            return (
+                f"t {python_op} {divisor} if (t := {left[0]}) >= 0 "
+                f"else -(-t {python_op} {divisor})"
+            ), _LOWEST
         if op in _HELPERS:
             return f"{_HELPERS[op]}({left[0]}, {right[0]})", _ATOM
         message = f"unknown binary operator {op!r}"
@@ -267,7 +283,7 @@ class _Writer:
             args = [self.expr(arg)[0] for arg in stmt.args]
             packed = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
             signal, via = _literal(stmt.signal), _literal(stmt.via)
-            self.emit(depth, f"env.sent.append(({signal}, {packed}, {via}))")
+            self.emit(depth, f"env.sent.append(_Send({signal}, {packed}, {via}))")
         elif isinstance(stmt, If):
             self.emit(depth, f"if {self.condition(stmt.condition)}:")
             self.counted(stmt.then_body, depth + 1, len(stmt.then_body))
@@ -289,11 +305,9 @@ class _Writer:
             self.emit(depth, f"d = {self.expr(stmt.duration)[0]}")
             self.emit(depth, "if d < 0:")
             self.emit(depth + 1, "_fail(f'negative timer duration {d}')")
-            self.emit(depth, f"env.timers_set.append(({timer}, d))")
             self.emit(depth, f"env.timer_ops.append(('set', {timer}, d))")
         elif isinstance(stmt, ResetTimer):
             timer = _literal(stmt.timer)
-            self.emit(depth, f"env.timers_reset.append({timer})")
             self.emit(depth, f"env.timer_ops.append(('reset', {timer}, 0))")
         else:
             message = f"cannot execute {stmt!r}"

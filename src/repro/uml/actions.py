@@ -21,11 +21,14 @@ as the differential oracle the compiled form is tested against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ActionRuntimeError
 
 MAX_LOOP_ITERATIONS = 100_000
+
+#: The state every fresh ``rand16`` generator starts from.
+RAND16_SEED = 0x2F6E
 
 
 def c_div(left: int, right: int) -> int:
@@ -324,6 +327,33 @@ def sent_signal_names(stmts: Sequence[Stmt]):
 # ---------------------------------------------------------------------------
 
 
+class SendIntent(NamedTuple):
+    """A signal produced during a step, before routing."""
+
+    signal: str
+    args: Tuple[int, ...]
+    via: Optional[str]
+
+    def to_dict(self) -> dict:
+        """A JSON-safe encoding (tuples become lists)."""
+        return {"signal": self.signal, "args": list(self.args), "via": self.via}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SendIntent":
+        """Rebuild from :meth:`to_dict` output (restores the args tuple)."""
+        return cls(data["signal"], tuple(data["args"]), data["via"])
+
+
+def timers_set(timer_ops: Sequence[tuple]) -> List[Tuple[str, int]]:
+    """``(name, duration)`` of every ``set`` in a timer-operation log."""
+    return [(name, duration) for op, name, duration in timer_ops if op == "set"]
+
+
+def timers_reset(timer_ops: Sequence[tuple]) -> List[str]:
+    """The name of every ``reset`` in a timer-operation log."""
+    return [name for op, name, _ in timer_ops if op == "reset"]
+
+
 class ActionEnvironment:
     """What the interpreter needs from its host (the simulator or tests).
 
@@ -335,13 +365,21 @@ class ActionEnvironment:
     def __init__(self, variables: Optional[Dict[str, int]] = None) -> None:
         self.variables: Dict[str, int] = dict(variables or {})
         self.parameters: Dict[str, int] = {}
-        self.sent: List[tuple] = []
-        self.timers_set: List[tuple] = []
-        self.timers_reset: List[str] = []
+        self.sent: List[SendIntent] = []
         # program-order log of timer operations: ("set", name, duration) or
         # ("reset", name, 0) — set/reset interleaving matters semantically
         self.timer_ops: List[tuple] = []
-        self._rand_state = 0x2F6E
+        self._rand_state = RAND16_SEED
+
+    @property
+    def timers_set(self) -> List[Tuple[str, int]]:
+        """``(name, duration)`` of each ``set_timer``, in program order."""
+        return timers_set(self.timer_ops)
+
+    @property
+    def timers_reset(self) -> List[str]:
+        """The name of each ``reset_timer``, in program order."""
+        return timers_reset(self.timer_ops)
 
     # -- variable access -----------------------------------------------------
 
@@ -360,14 +398,12 @@ class ActionEnvironment:
     # -- effect hooks ----------------------------------------------------------
 
     def send(self, signal: str, args: List[int], via: Optional[str]) -> None:
-        self.sent.append((signal, tuple(args), via))
+        self.sent.append(SendIntent(signal, tuple(args), via))
 
     def set_timer(self, timer: str, duration: int) -> None:
-        self.timers_set.append((timer, duration))
         self.timer_ops.append(("set", timer, duration))
 
     def reset_timer(self, timer: str) -> None:
-        self.timers_reset.append(timer)
         self.timer_ops.append(("reset", timer, 0))
 
     # -- builtins ----------------------------------------------------------------

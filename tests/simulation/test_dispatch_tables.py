@@ -6,8 +6,13 @@ state's in ``(priority, serial)`` order.  These cases pin that order, the
 guard-evaluation count charged to the step and the drop reasons.  Routes
 and bus paths are resolved on first use, so a model error still surfaces
 at the first send that needs it; and a whole run makes a bounded number
-of model lookups, however long it simulates.
+of model lookups, however long it simulates.  Nor does a run build
+per-step bookkeeping: one step environment per executor, no snapshot
+encoding unless a snapshot is taken, and kernel events that call bound
+methods rather than fresh closures.
 """
+
+import inspect
 
 import pytest
 
@@ -19,7 +24,9 @@ from repro.mapping import MappingModel
 from repro.platform import standard_library
 from repro.platform.model import PlatformModel
 from repro.simulation import ProcessExecutor
-from repro.simulation.system import SystemSimulation
+from repro.simulation.executor import _StepEnvironment
+from repro.simulation.kernel import EV_CALLBACK
+from repro.simulation.system import SystemSimulation, _Activation
 from repro.uml import StateMachine
 from repro.uml.statemachine import State
 
@@ -304,3 +311,32 @@ def test_the_hierarchy_is_not_resolved_per_step(monkeypatch):
     short = call_counts(monkeypatch, HIERARCHY_WALKS, generated_system, 3_000)
     long = call_counts(monkeypatch, HIERARCHY_WALKS, generated_system, 6_000)
     assert short == long
+
+
+STEP_ENVIRONMENTS = ((_StepEnvironment, "__init__"),)
+
+
+def test_each_executor_builds_one_step_environment(monkeypatch):
+    """The environment is reset per step, never rebuilt."""
+    for build, short_us, long_us in (
+        (generated_system, 3_000, 6_000),
+        (build_tutwlan_system, 100_000, 200_000),
+    ):
+        short = call_counts(monkeypatch, STEP_ENVIRONMENTS, build, short_us)
+        long = call_counts(monkeypatch, STEP_ENVIRONMENTS, build, long_us)
+        assert short == long == {"__init__": len(build()[0].processes)}
+
+
+def test_activations_are_encoded_only_for_snapshots(monkeypatch):
+    counts = call_counts(
+        monkeypatch, ((_Activation, "to_dict"),), build_tutwlan_system, 100_000
+    )
+    assert counts == {"to_dict": 0}
+
+
+def test_pending_events_hold_bound_methods_not_closures():
+    simulation = SystemSimulation(*build_tutwlan_system())
+    simulation.run(100_000)
+    pending = simulation.kernel._heap
+    assert pending
+    assert all(inspect.ismethod(event[EV_CALLBACK]) for event in pending)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simulation import ProcessExecutor
 from repro.uml import StateMachine
+from repro.uml.statemachine import SignalTrigger, TimerTrigger
 
 
 def machine():
@@ -176,6 +177,19 @@ class TestTimersAndSends:
         outcome, reason = executor.fire_timer("ghost")
         assert outcome is None
         assert reason == "no-transition"
+
+    def test_timer_with_all_guards_false_drops_like_a_signal(self):
+        m = machine()
+        m.variable("x", 0)
+        m.state("a", initial=True)
+        m.state("b")
+        m.transition("a", "b", trigger=TimerTrigger("t"), guard="x > 0")
+        m.transition("a", "b", trigger=SignalTrigger("go"), guard="x > 0")
+        executor = ProcessExecutor("p", m)
+        executor.start()
+        assert executor.consume_signal("go", []) == (None, "guards-false")
+        assert executor.fire_timer("t") == (None, "guards-false")
+        assert executor.current.name == "a"
 
     def test_sends_collected_in_order(self):
         m = machine()

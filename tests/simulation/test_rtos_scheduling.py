@@ -1,12 +1,18 @@
 """RTOS scheduling policies in the system simulation."""
 
+import json
+
 import pytest
 
 from repro.application import ApplicationModel
+from repro.checkpoint.state import canonical_json, state_hash
 from repro.mapping import MappingModel
 from repro.platform import PlatformModel, standard_library
 from repro.simulation import SystemSimulation
 from repro.uml import Port
+
+
+POLICIES = ("priority", "fifo", "round-robin")
 
 
 def build_three_worker_app():
@@ -48,7 +54,11 @@ def build_three_worker_app():
     return app
 
 
-def run_with_policy(policy, dispatch_overhead=0, tick=0):
+RUN_US = 10_000
+
+
+def policy_simulation(policy, dispatch_overhead=0, tick=0):
+    """The three-worker system on one PE under ``policy``, not yet run."""
     app = build_three_worker_app()
     platform = PlatformModel("OneCpu", standard_library())
     platform.instantiate("cpu1", "NiosCPU")
@@ -61,7 +71,11 @@ def run_with_policy(policy, dispatch_overhead=0, tick=0):
         )
     mapping = MappingModel(app, platform)
     mapping.map("g", "cpu1")
-    result = SystemSimulation(app, platform, mapping).run(10_000)
+    return SystemSimulation(app, platform, mapping)
+
+
+def run_with_policy(policy, dispatch_overhead=0, tick=0):
+    result = policy_simulation(policy, dispatch_overhead, tick).run(RUN_US)
     jobs = [
         r.process for r in result.log.exec_records
         if r.trigger == "job"
@@ -90,6 +104,38 @@ class TestPolicies:
         with_default, _ = run_with_policy(None)
         with_priority, _ = run_with_policy("priority")
         assert with_default == with_priority
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+class TestSnapshots:
+    """Every policy's ready queue survives a snapshot at any event."""
+
+    def snapshots(self, policy):
+        simulation = policy_simulation(policy)
+        states = []
+        simulation.kernel.after_event = lambda: states.append(
+            json.loads(canonical_json(simulation.state_dict()))
+        )
+        log = simulation.run(RUN_US).writer.render()
+        return states, log
+
+    def test_ready_queues_are_snapshotted_in_arrival_order(self, policy):
+        states, _ = self.snapshots(policy)
+        queued = 0
+        for state in states:
+            ready = state["runtimes"]["cpu1"]["ready"]
+            queued += bool(ready)
+            sequences = [seq for seq, _priority, _activation in ready]
+            assert sequences == sorted(sequences)
+        assert (len(states), queued) == (20, 17)
+
+    def test_every_snapshot_resumes_to_the_uninterrupted_log(self, policy):
+        states, log = self.snapshots(policy)
+        for state in states:
+            resumed = policy_simulation(policy)
+            resumed.load_state_dict(state)
+            assert state_hash(resumed.state_dict()) == state_hash(state)
+            assert resumed.run(RUN_US).writer.render() == log
 
 
 class TestOverheadAccounting:

@@ -23,6 +23,8 @@ from repro.uml.actions import (
     Send,
     SetTimer,
     UnaryOp,
+    c_div,
+    c_mod,
     execute,
 )
 
@@ -132,6 +134,56 @@ def test_long_left_chains_compile_flat():
     # deeper than the 200 parentheses Python's parser accepts
     block = parse_actions("x = " + " + ".join(["1"] * 300) + ";")
     assert both(block)[1] == {"x": 300}
+
+
+# -- constant divisors compile inline ---------------------------------------------
+
+DIVISORS = (1, 7, 13, 64, 97)
+
+
+def dividends(divisor):
+    magnitudes = (0, 1, divisor - 1, divisor, divisor + 1, 2**40)
+    return sorted({sign * value for value in magnitudes for sign in (1, -1)})
+
+
+@pytest.mark.parametrize("divisor", DIVISORS)
+def test_constant_divisors_truncate_like_c(divisor):
+    block = parse_actions(f"q = x / {divisor}; r = x % {divisor};")
+    guard_q = compile_guard(parse_expression(f"x / {divisor}"))
+    guard_r = compile_guard(parse_expression(f"x % {divisor}"))
+    for x in dividends(divisor):
+        expected = {"x": x, "q": c_div(x, divisor), "r": c_mod(x, divisor)}
+        assert both(block, {"x": x})[1] == expected
+        assert guard_q({}, {"x": x}) == c_div(x, divisor)
+        assert guard_r({}, {"x": x}) == c_mod(x, divisor)
+
+
+def test_a_constant_divisor_compiles_without_the_helpers():
+    source = block_source(parse_actions("q = x / 7; r = (x + 1) % 64;"))
+    assert "_c_div(" not in source and "_c_mod(" not in source
+
+
+def test_the_dividend_is_evaluated_once():
+    block = parse_actions("a = 40 + (rand16() % 60); b = rand16();")
+    _, variables, _, _, rand_state = both(block)
+    reference = ActionEnvironment()
+    execute(block, reference)
+    assert variables == reference.variables
+    assert rand_state == reference._rand_state
+
+
+@pytest.mark.parametrize("text", ["x % 0", "x / 0", "x % -3", "x / -3", "x % y"])
+def test_other_divisors_keep_the_helpers(text):
+    source = block_source(parse_actions(f"r = {text};"))
+    assert "_c_mod(" in source or "_c_div(" in source
+    for x in (-7, 7):
+        result, variables, *_ = both(parse_actions(f"r = {text};"), {"x": x, "y": -3})
+        if text.endswith(" 0"):
+            message = "modulo by zero" if "%" in text else "division by zero"
+            assert result == ("ActionRuntimeError", message)
+        else:
+            helper = c_mod if "%" in text else c_div
+            assert variables["r"] == helper(x, -3)
 
 
 # -- hostile AST strings ---------------------------------------------------------
