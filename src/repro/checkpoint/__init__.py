@@ -15,21 +15,15 @@ inspect|diff|resume`` plus ``--checkpoint-dir`` on ``flow`` and
 ``explore``.
 """
 
-from repro.checkpoint.policy import (
-    CheckpointPolicy,
-    EveryEvents,
-    EveryInterval,
-)
+from repro.checkpoint.policy import EveryEvents
 from repro.checkpoint.runner import Checkpointer, resume_simulation
 from repro.checkpoint.state import canonical_json, diff_states, state_hash
 from repro.checkpoint.store import SNAPSHOT_KIND, CheckpointStore, Snapshot
 
 __all__ = [
-    "CheckpointPolicy",
     "Checkpointer",
     "CheckpointStore",
     "EveryEvents",
-    "EveryInterval",
     "SNAPSHOT_KIND",
     "Snapshot",
     "canonical_json",

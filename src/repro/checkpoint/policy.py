@@ -1,30 +1,18 @@
-"""When to checkpoint: event-count and simulated-time policies.
+"""When to checkpoint: every N dispatched kernel events.
 
-Policies are deliberately derived from the kernel's *cumulative* counters
-(lifetime dispatch count, absolute clock) rather than from wall time or
-per-run counters, so a resumed run takes its remaining checkpoints at
-exactly the instants the uninterrupted run would have — a requirement for
-byte-identical replay when checkpoint instants leave marks in the trace.
+The policy is derived from the kernel's *cumulative* dispatch count
+rather than from wall time or per-run counters, so a resumed run takes its
+remaining checkpoints at exactly the instants the uninterrupted run would
+have — a requirement for byte-identical replay when checkpoint instants
+leave marks in the trace.
 """
 
 from __future__ import annotations
 
 from repro.errors import CheckpointError
-from repro.simulation.kernel import PS_PER_US
 
 
-class CheckpointPolicy:
-    """Decides, after each dispatched event, whether a snapshot is due."""
-
-    def reset(self, now_ps: int, dispatched: int) -> None:
-        """(Re)anchor the policy at the attach point (fresh or restored)."""
-
-    def due(self, now_ps: int, dispatched: int) -> bool:
-        """True when a snapshot should be taken at this quiescent point."""
-        raise NotImplementedError
-
-
-class EveryEvents(CheckpointPolicy):
+class EveryEvents:
     """Checkpoint every ``events`` dispatched kernel events.
 
     Stateless: due whenever the lifetime dispatch count hits a multiple
@@ -40,32 +28,3 @@ class EveryEvents(CheckpointPolicy):
     def due(self, now_ps: int, dispatched: int) -> bool:
         """Due at every multiple of the stride (lifetime dispatch count)."""
         return dispatched % self.events == 0
-
-
-class EveryInterval(CheckpointPolicy):
-    """Checkpoint when simulated time crosses an ``interval_us`` boundary.
-
-    Buckets are absolute (``now_ps // interval``), so a restored run skips
-    the boundaries the original already checkpointed and fires at the same
-    remaining boundaries.  At most one snapshot is taken per bucket even
-    when many events fall inside it."""
-
-    def __init__(self, interval_us: int) -> None:
-        if interval_us <= 0:
-            raise CheckpointError(
-                f"checkpoint interval must be positive, got {interval_us} us"
-            )
-        self.interval_ps = interval_us * PS_PER_US
-        self._last_bucket = 0
-
-    def reset(self, now_ps: int, dispatched: int) -> None:
-        """Anchor at the attach-time bucket so restored runs skip past ones."""
-        self._last_bucket = now_ps // self.interval_ps
-
-    def due(self, now_ps: int, dispatched: int) -> bool:
-        """Due once per absolute ``interval_us`` bucket the clock enters."""
-        bucket = now_ps // self.interval_ps
-        if bucket > self._last_bucket:
-            self._last_bucket = bucket
-            return True
-        return False

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import CheckpointError, SimulationInterrupted
-from repro.checkpoint.policy import CheckpointPolicy
+from repro.checkpoint.policy import EveryEvents
 from repro.checkpoint.state import diff_states, state_hash
 from repro.checkpoint.store import CheckpointStore, Snapshot
 from repro.observability.tracer import KERNEL_TRACK
@@ -29,7 +29,7 @@ class Checkpointer:
     def __init__(
         self,
         store: CheckpointStore,
-        policy: Optional[CheckpointPolicy] = None,
+        policy: Optional[EveryEvents] = None,
         tag: str = "run",
         interrupt_after_events: Optional[int] = None,
     ) -> None:
@@ -61,10 +61,6 @@ class Checkpointer:
             )
         self.simulation = simulation
         self._events_since_attach = 0
-        if self.policy is not None:
-            self.policy.reset(
-                simulation.kernel.now_ps, simulation.kernel.dispatched
-            )
         simulation.kernel.after_event = self._after_event
 
     def detach(self) -> None:

@@ -2,8 +2,9 @@
 
 The subsystem the paper defers to its tool flow — "execution monitoring
 of the physical implementation" — reproduced for the simulated platform:
-a :class:`Tracer` threaded through the kernel, the EFSM executor, the
-HIBI bus and the system simulator collects spans, instants and counters;
+a :class:`Tracer` threaded through the kernel, the HIBI bus and the
+system simulator collects spans, instants and counters, and takes the
+exec, signal, drop and fault events from the simulation log's records;
 :func:`collect_metrics` turns the stream into per-PE/bus metrics; the
 export helpers write Chrome-trace JSON that loads in ``ui.perfetto.dev``.
 

@@ -58,8 +58,10 @@ def to_chrome_trace(
     """The trace as a Chrome-trace JSON object (``traceEvents`` container).
 
     ``metadata`` lands in the container's ``metadata`` field (Perfetto
-    shows it in the trace-info dialog); event order follows emission
-    order, which the deterministic kernel makes reproducible.
+    shows it in the trace-info dialog).  Events keep the tracer's order:
+    for a simulation, the live events in emission order, then the exec,
+    signal, drop and fault events derived from the log's records, in log
+    order; the deterministic kernel makes both reproducible.
     """
     ids = _assign_ids(tracer)
     events: List[Dict[str, object]] = []

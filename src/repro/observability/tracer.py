@@ -4,8 +4,11 @@ The paper's Figure 2 loop hinges on *observing* the executing model: the
 instrumented run emits a log the profiling tool aggregates.  The tracer is
 the fine-grained counterpart of that log-file — a stream of **spans**
 (named intervals on a track), **instant events** (points in time) and
-**counter samples** (numeric time series) that the simulator's hot paths
-emit while running.  The stream feeds two consumers:
+**counter samples** (numeric time series).  The simulator's hot paths
+emit live only what no log record holds (bus grants, EFSM transitions,
+dispatches, queue depths, stall times); the exec, signal, drop and fault
+events are derived from the log's records when the run finishes (each
+record's ``trace_event()``).  The stream feeds two consumers:
 
 * :mod:`repro.observability.metrics` — per-PE utilisation and stall
   breakdown, bus occupancy and contention, latency histograms;
@@ -18,10 +21,11 @@ Design constraints (mirroring :mod:`repro.faults`):
   ``tracer is not None``; an untraced run executes not a single extra
   instruction beyond that check, and its outputs are byte-identical to a
   pre-observability run.
-* **Deterministic.**  Events are appended in execution order, which the
-  kernel makes reproducible; two traced runs of the same seeded system
-  produce byte-identical event streams (and therefore byte-identical
-  exported JSON).
+* **Deterministic.**  Live events are appended in execution order and
+  derived events in log order, both of which the kernel makes
+  reproducible; two traced runs of the same seeded system produce
+  byte-identical event streams (and therefore byte-identical exported
+  JSON).
 
 Tracks
 ------
@@ -32,7 +36,8 @@ Perfetto process row, the lane its thread row.  The simulator uses:
 ==========  =======================  ===================================
 group       lane                     carries
 ==========  =======================  ===================================
-``pe``      processing element       EXEC step spans, ready-queue depth
+``pe``      processing element       EXEC step spans, ready-queue depth,
+                                     pe-stall/pe-crash instants
 ``bus``     HIBI segment             occupancy spans, request-queue depth
 ``efsm``    application process      transition instants
 ``system``  ``dispatch``             send/deliver/drop/fault instants
@@ -44,8 +49,7 @@ group       lane                     carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 
@@ -77,16 +81,15 @@ def efsm_track(process: str) -> Track:
     return (GROUP_EFSM, process)
 
 
-@dataclass(frozen=True)
-class SpanEvent:
+class SpanEvent(NamedTuple):
     """A named interval on a track (Chrome-trace ``ph=X``)."""
 
     name: str
     track: Track
     start_ps: int
     duration_ps: int
-    category: str = ""
-    args: Dict[str, object] = field(default_factory=dict)
+    category: str
+    args: Dict[str, object]
 
     @property
     def end_ps(self) -> int:
@@ -94,28 +97,30 @@ class SpanEvent:
         return self.start_ps + self.duration_ps
 
 
-@dataclass(frozen=True)
-class InstantEvent:
+class InstantEvent(NamedTuple):
     """A point event on a track (Chrome-trace ``ph=i``)."""
 
     name: str
     track: Track
     time_ps: int
-    category: str = ""
-    args: Dict[str, object] = field(default_factory=dict)
+    category: str
+    args: Dict[str, object]
 
 
-@dataclass(frozen=True)
-class CounterEvent:
+class CounterEvent(NamedTuple):
     """One sample of a numeric time series (Chrome-trace ``ph=C``)."""
 
     name: str
     track: Track
     time_ps: int
-    values: Dict[str, int] = field(default_factory=dict)
+    values: Dict[str, int]
 
 
 TraceEvent = Union[SpanEvent, InstantEvent, CounterEvent]
+
+#: Snapshot tag of each event type (the ``kind`` of an encoded event).
+_EVENT_KINDS = {"span": SpanEvent, "instant": InstantEvent, "counter": CounterEvent}
+_KIND_TAGS = {cls: tag for tag, cls in _EVENT_KINDS.items()}
 
 
 class _OpenSpan:
@@ -139,7 +144,7 @@ class Tracer:
     explicit ``time_ps`` or the tracer asks the ``clock`` callable bound
     by the simulator (:meth:`bind_clock`).  Before a clock is bound, the
     implicit time is 0 — which keeps the tracer usable in clock-free unit
-    tests of the executor.
+    tests.
     """
 
     __slots__ = ("events", "_clock", "_open")
@@ -286,39 +291,12 @@ class Tracer:
         """
         encoded = []
         for event in self.events:
-            if isinstance(event, SpanEvent):
-                encoded.append(
-                    {
-                        "kind": "span",
-                        "name": event.name,
-                        "track": list(event.track),
-                        "start_ps": event.start_ps,
-                        "duration_ps": event.duration_ps,
-                        "category": event.category,
-                        "args": dict(event.args),
-                    }
-                )
-            elif isinstance(event, InstantEvent):
-                encoded.append(
-                    {
-                        "kind": "instant",
-                        "name": event.name,
-                        "track": list(event.track),
-                        "time_ps": event.time_ps,
-                        "category": event.category,
-                        "args": dict(event.args),
-                    }
-                )
-            else:
-                encoded.append(
-                    {
-                        "kind": "counter",
-                        "name": event.name,
-                        "track": list(event.track),
-                        "time_ps": event.time_ps,
-                        "values": dict(event.values),
-                    }
-                )
+            # "kind" tags the event type; no event field is named "kind"
+            data = {"kind": _KIND_TAGS[type(event)], **event._asdict()}
+            data["track"] = list(event.track)
+            payload = event._fields[-1]  # "args", or a counter's "values"
+            data[payload] = dict(data[payload])
+            encoded.append(data)
         return {
             "events": encoded,
             "open": [
@@ -342,37 +320,12 @@ class Tracer:
                 "recorded)"
             )
         for data in state["events"]:
-            track = tuple(data["track"])
-            if data["kind"] == "span":
-                self.events.append(
-                    SpanEvent(
-                        name=data["name"],
-                        track=track,
-                        start_ps=data["start_ps"],
-                        duration_ps=data["duration_ps"],
-                        category=data["category"],
-                        args=dict(data["args"]),
-                    )
-                )
-            elif data["kind"] == "instant":
-                self.events.append(
-                    InstantEvent(
-                        name=data["name"],
-                        track=track,
-                        time_ps=data["time_ps"],
-                        category=data["category"],
-                        args=dict(data["args"]),
-                    )
-                )
-            else:
-                self.events.append(
-                    CounterEvent(
-                        name=data["name"],
-                        track=track,
-                        time_ps=data["time_ps"],
-                        values=dict(data["values"]),
-                    )
-                )
+            fields = dict(data)
+            cls = _EVENT_KINDS[fields.pop("kind")]
+            fields["track"] = tuple(fields["track"])
+            payload = cls._fields[-1]
+            fields[payload] = dict(fields[payload])
+            self.events.append(cls(**fields))
         for data in state["open"]:
             span = _OpenSpan(
                 data["name"],

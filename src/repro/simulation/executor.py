@@ -4,7 +4,8 @@ The executor is deliberately time-free: it computes *what happens* (state
 changes, statements executed, signals produced, timers armed) and leaves
 *when and how long* to the system simulator's cost model.  This split lets
 the same executor serve the full-platform simulation, the workstation
-reference run, and direct unit tests.
+reference run, and direct unit tests.  It is observation-free too: the
+system simulator traces the steps it returns.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.observability.tracer import Tracer, efsm_track
 from repro.uml.action_compiler import compile_block, compile_guard
 
 # The tree-walking ``execute``/``evaluate`` stay importable from here (the
@@ -144,26 +144,15 @@ class ProcessExecutor:
     Each executor resolves its machine's hierarchy once, at construction
     (:func:`~repro.uml.plan.plan_machine`), and every step reads that
     plan, so the machine must not change once its executor exists.
-
-    With a :class:`~repro.observability.tracer.Tracer` installed, every
-    fired transition emits an instant event on the process's ``efsm``
-    track (timestamped by the tracer's bound clock); ``tracer=None`` adds
-    no work to any step.
     """
 
-    def __init__(
-        self,
-        name: str,
-        machine: StateMachine,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, name: str, machine: StateMachine) -> None:
         if machine.initial_state is None:
             raise SimulationError(
                 f"machine {machine.name!r} of process {name!r} has no initial state"
             )
         self.name = name
         self.machine = machine
-        self.tracer = tracer
         self.variables: Dict[str, int] = dict(machine.variables)
         self.current: Optional[State] = None
         self.terminated = False
@@ -307,7 +296,7 @@ class ProcessExecutor:
             chased, chase_guards = self._chase_completions(environment)
             statements += chased
             guards += chase_guards
-        outcome = StepOutcome(
+        return StepOutcome(
             True,
             source.name,
             self.current.name,
@@ -318,9 +307,6 @@ class ProcessExecutor:
             environment.timer_ops,
             self.terminated,
         )
-        if self.tracer is not None:
-            self._trace_step(outcome)
-        return outcome
 
     def _run_step(self, step: Step, environment) -> int:
         """Run a planned step's exit, effect and entry blocks; move to its leaf.
@@ -360,16 +346,4 @@ class ProcessExecutor:
         raise SimulationError(
             f"process {self.name!r} chained more than {MAX_COMPLETION_CHAIN} "
             "completion transitions (livelock in the model?)"
-        )
-
-    def _trace_step(self, outcome: StepOutcome) -> None:
-        """Emit the fired transition as an instant on the ``efsm`` track."""
-        self.tracer.instant(
-            outcome.trigger or "step",
-            efsm_track(self.name),
-            category="efsm",
-            from_state=outcome.from_state,
-            to_state=outcome.to_state,
-            statements=outcome.statements,
-            sends=len(outcome.sends),
         )

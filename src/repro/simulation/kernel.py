@@ -13,9 +13,10 @@ uses C list comparison instead of a Python ``__lt__`` call per compare.
 An event carries its callback's arguments, so callers schedule a bound
 method plus arguments instead of building a closure per event.
 
-Hook dispatch is gated: registering a tracer or an ``after_event`` hook
-flips one fused ``_hooks_active`` flag (recomputed only on hook
-(un)registration), and the run loop checks that single flag per event.
+Hook dispatch is gated: a tracer (fixed at construction) or an
+``after_event`` hook sets one fused ``_hooks_active`` flag (recomputed
+only when ``after_event`` is reassigned), and the run loop checks that
+single flag per event.
 """
 
 from __future__ import annotations
@@ -109,16 +110,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # fused hook gate
     # ------------------------------------------------------------------
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """Tracer sampled every :data:`TRACE_STRIDE` dispatches (or ``None``)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Optional[Tracer]) -> None:
-        self._tracer = value
-        self._hooks_active = value is not None or self._after_event is not None
 
     @property
     def after_event(self) -> Optional[Callable[[], None]]:

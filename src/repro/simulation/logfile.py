@@ -21,6 +21,10 @@ fields), so it diffs well and any log line can be grepped:
 ``FAULT`` records and the optional ``corrupt`` flag appear only in runs
 with fault injection enabled (see ``docs/fault_injection.md``); fault-free
 logs are byte-identical to the pre-fault format.
+
+The log is also the source of a traced run's exec, signal, drop and fault
+events: each record's ``trace_event()`` gives the trace event it stands
+for (``docs/logfile_format.md``).
 """
 
 from __future__ import annotations
@@ -29,9 +33,13 @@ from sys import intern as _intern
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.errors import SimulationError
+from repro.observability.tracer import SYSTEM_TRACK, InstantEvent, SpanEvent, pe_track
 from repro.util.fsio import ensure_parent
 
 MAGIC = "TUTLOG 1"
+
+#: The ``pe`` of an EXEC record of an environment (testbench) process.
+ENVIRONMENT_PE = "-"
 
 TRANSPORT_LOCAL = "local"
 TRANSPORT_BUS = "bus"
@@ -58,6 +66,25 @@ class ExecRecord(NamedTuple):
             f"from={self.from_state} to={self.to_state} trigger={self.trigger}"
         )
 
+    def trace_event(self) -> Optional[SpanEvent]:
+        """The step as a span on its PE's track; ``None`` for an
+        environment step, which runs on no PE."""
+        if self.pe == ENVIRONMENT_PE:
+            return None
+        return SpanEvent(
+            self.process,
+            pe_track(self.pe),
+            self.time_ps,
+            self.duration_ps,
+            "exec",
+            {
+                "from_state": self.from_state,
+                "to_state": self.to_state,
+                "trigger": self.trigger,
+                "cycles": self.cycles,
+            },
+        )
+
 
 class SignalRecord(NamedTuple):
     """One delivered signal instance."""
@@ -82,6 +109,23 @@ class SignalRecord(NamedTuple):
             line += " corrupt=1"
         return line
 
+    def trace_event(self) -> InstantEvent:
+        """The delivery as a ``signal`` instant on the system track."""
+        return InstantEvent(
+            self.signal,
+            SYSTEM_TRACK,
+            self.time_ps,
+            "signal",
+            {
+                "sender": self.sender,
+                "receiver": self.receiver,
+                "latency_ps": self.latency_ps,
+                "transport": self.transport,
+                "bytes": self.bytes,
+                "corrupt": self.corrupt,
+            },
+        )
+
 
 class DropRecord(NamedTuple):
     """A signal consumed without firing any transition."""
@@ -96,6 +140,16 @@ class DropRecord(NamedTuple):
         return (
             f"DROP time={self.time_ps} process={self.process} "
             f"signal={self.signal} reason={self.reason}"
+        )
+
+    def trace_event(self) -> InstantEvent:
+        """The drop as a ``drop`` instant on the system track."""
+        return InstantEvent(
+            self.signal,
+            SYSTEM_TRACK,
+            self.time_ps,
+            "drop",
+            {"process": self.process, "reason": self.reason},
         )
 
 
@@ -113,6 +167,31 @@ class FaultRecord(NamedTuple):
         return (
             f"FAULT time={self.time_ps} kind={self.kind} signal={self.signal} "
             f"source={self.source} target={self.target}"
+        )
+
+    def trace_event(self) -> Optional[InstantEvent]:
+        """The fault as a ``fault`` instant: a crash on its PE's track, any
+        other kind on the system track.
+
+        ``None`` for ``pe-stall``: the simulator emits that instant itself,
+        because the time the stall added is in no record.
+        """
+        if self.kind == "pe-stall":
+            return None
+        if self.kind == "pe-crash":
+            return InstantEvent(
+                self.kind,
+                pe_track(self.source),
+                self.time_ps,
+                "fault",
+                {"signal": self.signal, "process": self.target},
+            )
+        return InstantEvent(
+            self.kind,
+            SYSTEM_TRACK,
+            self.time_ps,
+            "fault",
+            {"signal": self.signal, "source": self.source, "target": self.target},
         )
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.errors import SimulationError
 from repro.application.model import ApplicationModel
 from repro.mapping.model import MappingModel
-from repro.observability.tracer import SYSTEM_TRACK, Tracer, pe_track
+from repro.observability.tracer import SYSTEM_TRACK, Tracer, efsm_track, pe_track
 from repro.platform.model import PlatformModel
 from repro.simulation.bus import HibiBus, TransferStats
 from repro.simulation.executor import ProcessExecutor, SendIntent, StepOutcome
@@ -40,6 +40,7 @@ from repro.simulation.kernel import (
 # span recorder looks it up in this module) even though a run's log is
 # handed over from the writer's records instead of re-parsed.
 from repro.simulation.logfile import (  # noqa: F401
+    ENVIRONMENT_PE,
     LogFile,
     LogWriter,
     TRANSPORT_BUS,
@@ -49,8 +50,6 @@ from repro.simulation.logfile import (  # noqa: F401
     parse_log,
 )
 from repro.simulation.timing import CostModel, timer_duration_ps
-
-ENVIRONMENT_PE = "-"
 
 
 class _Route(NamedTuple):
@@ -317,7 +316,8 @@ class SystemSimulation:
         self.mapping = mapping
         # The tracer mirrors the faults pattern: every hook sits behind a
         # None check, so an untraced run is byte-identical (log and all)
-        # to the pre-observability simulator.
+        # to the pre-observability simulator.  Live hooks emit only what no
+        # log record holds; run() derives the rest from the records.
         self.tracer = tracer
         self.kernel = Kernel(max_events=max_events, tracer=tracer)
         if tracer is not None:
@@ -354,9 +354,7 @@ class SystemSimulation:
         self._process_type_of: Dict[str, str] = {}
         self._routes: Dict[Tuple[str, str, Optional[str]], _Route] = {}
         for name, process in application.processes.items():
-            self.executors[name] = ProcessExecutor(
-                name, process.behavior, tracer=tracer
-            )
+            self.executors[name] = ProcessExecutor(name, process.behavior)
             self._priority_of[name] = process.priority()
             self._process_type_of[name] = process.process_type()
             if process.is_environment:
@@ -400,6 +398,11 @@ class SystemSimulation:
         self.kernel.run(until_ps=duration_us * PS_PER_US)
         end = self.kernel.now_ps
         self.writer.finish(end)
+        if self.tracer is not None:
+            # the exec, signal, drop and fault events, derived from the
+            # whole log (restored records included) after the live ones
+            events = (record.trace_event() for record in self.writer.records)
+            self.tracer.events.extend(e for e in events if e is not None)
         fault_stats = None
         if self.faults is not None:
             fault_stats = self.faults.stats
@@ -458,15 +461,6 @@ class SystemSimulation:
                 signal=activation.describe(),
                 reason="pe-crash",
             )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "pe-crash",
-                    pe_track(pe_name),
-                    category="fault",
-                    signal=activation.describe(),
-                    process=activation.process,
-                )
-                self._trace_drop(activation, "pe-crash")
             return
         if activation.kind == "signal":
             self.writer.signal(
@@ -482,18 +476,6 @@ class SystemSimulation:
             if self.faults is not None and not activation.corrupt:
                 # a clean delivery may repair an earlier tracked loss
                 self.faults.note_delivery(activation.signal, activation.args)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    activation.signal,
-                    SYSTEM_TRACK,
-                    category="signal",
-                    sender=activation.sender,
-                    receiver=activation.process,
-                    latency_ps=self.kernel.now_ps - activation.sent_ps,
-                    transport=activation.transport,
-                    bytes=activation.bytes,
-                    corrupt=1 if activation.corrupt else 0,
-                )
         if pe_name is None:
             self._run_environment_step(activation)
             return
@@ -506,16 +488,6 @@ class SystemSimulation:
             )
         if not runtime.busy:
             self._start_next(runtime)
-
-    def _trace_drop(self, activation: _Activation, reason: str) -> None:
-        """Mirror a DROP log record as a trace instant (tracing only)."""
-        self.tracer.instant(
-            activation.describe(),
-            SYSTEM_TRACK,
-            category="drop",
-            process=activation.process,
-            reason=reason,
-        )
 
     def _start_next(self, runtime: _PERuntime) -> None:
         """Pop ready activations until one fires a step or the queue drains."""
@@ -535,8 +507,6 @@ class SystemSimulation:
                     signal=activation.describe(),
                     reason=reason or "no-transition",
                 )
-                if self.tracer is not None:
-                    self._trace_drop(activation, reason or "no-transition")
                 continue
             cost = runtime.cost_model.step_cost(
                 process_type=self._process_type_of[activation.process],
@@ -563,6 +533,7 @@ class SystemSimulation:
                         target=activation.process,
                     )
                     if self.tracer is not None:
+                        # live: the time the stall adds is in no record
                         self.tracer.instant(
                             "pe-stall",
                             pe_track(runtime.name),
@@ -585,14 +556,30 @@ class SystemSimulation:
             return
 
     def _execute(self, executor: ProcessExecutor, activation: _Activation):
+        """Run the step ``activation`` triggers; ``(outcome, drop reason)``."""
         if activation.kind == "start":
-            return executor.start(), None
-        if activation.kind == "signal":
-            return executor.consume_signal(activation.signal, activation.args)
-        if activation.kind == "timer":
+            outcome, reason = executor.start(), None
+        elif activation.kind == "signal":
+            outcome, reason = executor.consume_signal(
+                activation.signal, activation.args
+            )
+        elif activation.kind == "timer":
             self.timers.pop((activation.process, activation.timer), None)
-            return executor.fire_timer(activation.timer)
-        raise SimulationError(f"unknown activation kind {activation.kind!r}")
+            outcome, reason = executor.fire_timer(activation.timer)
+        else:
+            raise SimulationError(f"unknown activation kind {activation.kind!r}")
+        if self.tracer is not None and outcome is not None:
+            # the fired transition, on the process's efsm track
+            self.tracer.instant(
+                outcome.trigger or "step",
+                efsm_track(executor.name),
+                category="efsm",
+                from_state=outcome.from_state,
+                to_state=outcome.to_state,
+                statements=outcome.statements,
+                sends=len(outcome.sends),
+            )
+        return outcome, reason
 
     def _complete_step(
         self,
@@ -618,18 +605,6 @@ class SystemSimulation:
             to_state=outcome.to_state,
             trigger=activation.describe(),
         )
-        if self.tracer is not None:
-            self.tracer.span(
-                activation.process,
-                pe_track(runtime.name),
-                start_ps=started_ps,
-                duration_ps=self.kernel.now_ps - started_ps,
-                category="exec",
-                from_state=outcome.from_state,
-                to_state=outcome.to_state,
-                trigger=activation.describe(),
-                cycles=cycles,
-            )
         self._apply_outcome(activation.process, outcome)
         self._start_next(runtime)
 
@@ -647,8 +622,6 @@ class SystemSimulation:
                 signal=activation.describe(),
                 reason=reason or "no-transition",
             )
-            if self.tracer is not None:
-                self._trace_drop(activation, reason or "no-transition")
             return
         self.writer.exec_step(
             time_ps=self.kernel.now_ps,
@@ -736,15 +709,6 @@ class SystemSimulation:
                     source=sender,
                     target=receiver,
                 )
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        fault,
-                        SYSTEM_TRACK,
-                        category="fault",
-                        signal=intent.signal,
-                        source=sender,
-                        target=receiver,
-                    )
                 if fault == "signal-drop":
                     return  # the signal is lost before any transport
                 deliveries = 2  # signal-dup: delivered twice, independently
@@ -816,15 +780,6 @@ class SystemSimulation:
             source=activation.sender,
             target=activation.process,
         )
-        if self.tracer is not None:
-            self.tracer.instant(
-                kind,
-                SYSTEM_TRACK,
-                category="fault",
-                signal=activation.signal,
-                source=activation.sender,
-                target=activation.process,
-            )
         if kind == "bus-drop":
             return  # the frame is gone; only an ARQ timeout can notice
         # bus-corrupt: the frame arrives with a flipped payload bit — the

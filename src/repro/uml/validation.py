@@ -226,7 +226,7 @@ def _check_state_machines(root: Element, report: ValidationReport) -> None:
                     "entering it directly activates no substate",
                     state,
                 )
-        reachable = _reachable_states(machine)
+        reachable = reachable_states(machine)
         for state in machine.states:
             if state not in reachable:
                 report.warning(
@@ -272,10 +272,6 @@ def reachable_states(machine: StateMachine):
             if transition.source is state and transition.target not in reachable:
                 frontier.extend(absorb(transition.target))
     return reachable
-
-
-#: Backwards-compatible alias (the name this module used internally).
-_reachable_states = reachable_states
 
 
 def _check_required_tags(root: Element, report: ValidationReport) -> None:

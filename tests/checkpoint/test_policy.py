@@ -1,10 +1,9 @@
-"""Checkpoint policies must be resume-invariant (cumulative counters)."""
+"""The checkpoint policy must be resume-invariant (cumulative counters)."""
 
 import pytest
 
-from repro.checkpoint import EveryEvents, EveryInterval
+from repro.checkpoint import EveryEvents
 from repro.errors import CheckpointError
-from repro.simulation.kernel import PS_PER_US
 
 
 class TestEveryEvents:
@@ -18,8 +17,6 @@ class TestEveryEvents:
         # a run restored at event 250 fires at the same instants (300,
         # 400, ...) the uninterrupted run would have
         fresh, resumed = EveryEvents(100), EveryEvents(100)
-        fresh.reset(0, 0)
-        resumed.reset(0, 250)
         fired_fresh = [n for n in range(251, 500) if fresh.due(0, n)]
         fired_resumed = [n for n in range(251, 500) if resumed.due(0, n)]
         assert fired_fresh == fired_resumed == [300, 400]
@@ -28,23 +25,3 @@ class TestEveryEvents:
         with pytest.raises(CheckpointError):
             EveryEvents(0)
 
-
-class TestEveryInterval:
-    def test_due_once_per_time_bucket(self):
-        policy = EveryInterval(10)
-        policy.reset(0, 0)
-        assert not policy.due(5 * PS_PER_US, 1)
-        assert policy.due(11 * PS_PER_US, 2)
-        assert not policy.due(12 * PS_PER_US, 3)  # same bucket
-        assert policy.due(25 * PS_PER_US, 4)
-
-    def test_reset_anchors_at_restored_clock(self):
-        # restoring inside bucket 3 must not re-fire bucket 3's snapshot
-        policy = EveryInterval(10)
-        policy.reset(34 * PS_PER_US, 100)
-        assert not policy.due(38 * PS_PER_US, 101)
-        assert policy.due(41 * PS_PER_US, 102)
-
-    def test_positive_interval_required(self):
-        with pytest.raises(CheckpointError):
-            EveryInterval(-1)

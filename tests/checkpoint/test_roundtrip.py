@@ -24,6 +24,8 @@ from repro.observability.metrics import collect_metrics
 from repro.observability.tracer import Tracer
 from repro.simulation.system import SystemSimulation
 
+from tests.simulation.test_golden_runs import stress_plan
+
 DURATION_US = 20_000
 STRIDE = 100
 INTERRUPT_AT = 401
@@ -123,6 +125,46 @@ class TestByteIdenticalResume:
             observed_sim.tracer, observed.end_time_ps
         )
         assert observed_metrics.to_dict() == bare_metrics.to_dict()
+
+
+class TestTracedSnapshotContent:
+    def test_snapshot_holds_no_event_a_record_holds(self, tmp_path):
+        """A traced snapshot keeps only the live trace events: its log
+        records stand for the exec, signal, drop and fault events, which
+        the trace gets from them when the run finishes."""
+        simulation = SystemSimulation(
+            *build_tutwlan_system(), faults=stress_plan(), tracer=Tracer()
+        )
+        checkpointer = Checkpointer(
+            CheckpointStore(tmp_path), interrupt_after_events=2_500
+        )
+        checkpointer.attach(simulation)
+        with pytest.raises(SimulationInterrupted) as excinfo:
+            simulation.run(100_000)
+        state = excinfo.value.snapshot.state
+
+        records = {record["record"] for record in state["writer"]["records"]}
+        assert records == {"EXEC", "SIG", "DROP", "FAULT"}
+        fault_kinds = {
+            record["kind"]
+            for record in state["writer"]["records"]
+            if record["record"] == "FAULT"
+        }
+        assert {"pe-stall", "pe-crash", "bus-drop", "signal-dup"} <= fault_kinds
+
+        categories = {
+            (event.get("category"), event["name"])
+            for event in state["tracer"]["events"]
+        }
+        assert {category for category, _ in categories} >= {"efsm", "dispatch"}
+        assert not {
+            (category, name)
+            for category, name in categories
+            if category in ("exec", "signal", "drop")
+            or (category == "fault" and name != "pe-stall")
+        }
+        # the interrupted run derived nothing either
+        assert len(simulation.tracer.events) == len(state["tracer"]["events"])
 
 
 class TestRestoreValidation:

@@ -1,7 +1,10 @@
 """Golden runs: the simulator's output, pinned byte for byte.
 
 Every tutlog, Chrome trace, checkpoint snapshot and event count below
-was recorded in ``golden_runs.json`` beside this file.  A change to the
+was recorded in ``golden_runs.json`` beside this file.  Traced runs also
+pin two digests that do not depend on event order: the sorted set of
+Chrome-trace events (``trace_events``) and the metrics reports with and
+without process groups (``metrics``).  A change to the
 simulator's internals (its queues, events, records or step bookkeeping)
 must leave all of them identical; a change of behaviour on purpose
 regenerates the file and says so in CHANGES.md:
@@ -21,12 +24,16 @@ import pytest
 
 from repro.cases.tutmac import TutmacParameters
 from repro.cases.tutwlan import build_tutwlan_system
-from repro.checkpoint.state import state_hash
+from repro.checkpoint.state import canonical_json, state_hash
+from repro.faults import PE_CRASH, PE_STALL, FaultPlan, PEWindow
 from repro.faults.campaign import build_campaign_plan
 from repro.genmodel import config_for_seed, generate_model
 from repro.genmodel.pipeline import DEFAULT_DURATION_US
-from repro.observability.export import render_chrome_trace
+from repro.observability.export import render_chrome_trace, to_chrome_trace
+from repro.observability.metrics import collect_metrics
 from repro.observability.tracer import Tracer
+from repro.profiling.groupinfo import group_info_from_model
+from repro.simulation.kernel import PS_PER_MS
 from repro.simulation.system import SystemSimulation
 
 from tests.simulation.test_rtos_scheduling import POLICIES, RUN_US, policy_simulation
@@ -42,6 +49,25 @@ CORPUS_STRIDE = 31
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _trace_digests(simulation, end_time_ps):
+    """Order-free digests of a traced run: its event set and its metrics."""
+    tracer = simulation.tracer
+    events = sorted(
+        canonical_json(event) for event in to_chrome_trace(tracer)["traceEvents"]
+    )
+    group_of = dict(
+        group_info_from_model(simulation.application.model).process_to_group
+    )
+    reports = [
+        collect_metrics(tracer, end_time_ps).to_dict(),
+        collect_metrics(tracer, end_time_ps, group_of=group_of).to_dict(),
+    ]
+    return {
+        "trace_events": _sha("\n".join(events)),
+        "metrics": state_hash(reports),
+    }
 
 
 def _run(simulation, duration_us, stride=None):
@@ -64,14 +90,35 @@ def _run(simulation, duration_us, stride=None):
         entry["snapshots"] = digest.hexdigest()
     if simulation.tracer is not None:
         entry["trace"] = _sha(render_chrome_trace(simulation.tracer))
+        entry.update(_trace_digests(simulation, result.end_time_ps))
     return entry
 
 
+def stress_plan():
+    """Every fault kind: bus and dispatch faults plus PE stall and crash windows."""
+    return FaultPlan(
+        seed=11,
+        bus_corrupt_rate=0.03,
+        bus_drop_rate=0.02,
+        signal_drop_rate=0.02,
+        signal_dup_rate=0.02,
+        pe_windows=[
+            PEWindow("accelerator1", 5 * PS_PER_MS, 9 * PS_PER_MS, PE_STALL, 3),
+            PEWindow("processor1", 20 * PS_PER_MS, 26 * PS_PER_MS, PE_CRASH),
+            PEWindow("processor1", 40 * PS_PER_MS, 60 * PS_PER_MS, PE_STALL, 4),
+            PEWindow("processor2", 70 * PS_PER_MS, 80 * PS_PER_MS, PE_CRASH),
+        ],
+    )
+
+
 def tutmac_run(name):
-    """TUTMAC plain, or ARQ under the seed-7 campaign fault plan."""
+    """TUTMAC plain, ARQ under the seed-7 campaign fault plan, or plain
+    under the stress plan."""
     variant, tracing = name.split("/")
     if variant == "plain":
         system, plan = build_tutwlan_system(), None
+    elif variant == "stress":
+        system, plan = build_tutwlan_system(), stress_plan()
     else:
         system = build_tutwlan_system(params=TutmacParameters(arq_enabled=True))
         plan = build_campaign_plan(seed=7, fault_rate=0.05)
@@ -94,7 +141,13 @@ def rtos_run(policy):
     return _run(policy_simulation(policy), RUN_US, stride=1)
 
 
-TUTMAC_RUNS = ("plain/untraced", "plain/traced", "arq/untraced", "arq/traced")
+TUTMAC_RUNS = (
+    "plain/untraced",
+    "plain/traced",
+    "arq/untraced",
+    "arq/traced",
+    "stress/traced",
+)
 
 
 def record():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.observability.tracer import SYSTEM_TRACK, InstantEvent, SpanEvent, pe_track
 from repro.simulation import (
     DropRecord,
     ExecRecord,
+    FaultRecord,
     LogWriter,
     SignalRecord,
     parse_log,
@@ -126,6 +128,98 @@ class TestAggregation:
         writer.finish(1)
         log = parse_log(writer.render())
         assert log.signal_counts() == {("a", "b"): 3, ("b", "a"): 1}
+
+
+class TestTraceEvents:
+    """Each record gives the trace event it stands for (or ``None``)."""
+
+    def test_exec_on_a_pe_is_a_span_on_its_track(self):
+        record = ExecRecord(100, "a", "cpu1", 7, 40, "idle", "run", "ping")
+        assert record.trace_event() == SpanEvent(
+            "a",
+            pe_track("cpu1"),
+            100,
+            40,
+            "exec",
+            {"from_state": "idle", "to_state": "run", "trigger": "ping", "cycles": 7},
+        )
+
+    def test_environment_exec_has_no_event(self):
+        record = ExecRecord(100, "env", "-", 0, 0, "idle", "idle", "start")
+        assert record.trace_event() is None
+
+    def test_signal_is_a_system_instant(self):
+        record = SignalRecord(900, "ping", "a", "b", 12, 500, "bus", 1)
+        assert record.trace_event() == InstantEvent(
+            "ping",
+            SYSTEM_TRACK,
+            900,
+            "signal",
+            {
+                "sender": "a",
+                "receiver": "b",
+                "latency_ps": 500,
+                "transport": "bus",
+                "bytes": 12,
+                "corrupt": 1,
+            },
+        )
+
+    def test_drop_is_a_system_instant(self):
+        record = DropRecord(300, "b", "timer:t1", "guards-false")
+        assert record.trace_event() == InstantEvent(
+            "timer:t1",
+            SYSTEM_TRACK,
+            300,
+            "drop",
+            {"process": "b", "reason": "guards-false"},
+        )
+
+    def test_pe_crash_is_an_instant_on_the_crashed_pe(self):
+        record = FaultRecord(50, "pe-crash", "ping", "cpu2", "b")
+        assert record.trace_event() == InstantEvent(
+            "pe-crash",
+            pe_track("cpu2"),
+            50,
+            "fault",
+            {"signal": "ping", "process": "b"},
+        )
+
+    def test_pe_stall_has_no_event(self):
+        record = FaultRecord(50, "pe-stall", "ping", "cpu2", "b")
+        assert record.trace_event() is None
+
+    @pytest.mark.parametrize(
+        "kind", ["bus-corrupt", "bus-drop", "signal-drop", "signal-dup"]
+    )
+    def test_other_faults_are_system_instants(self, kind):
+        record = FaultRecord(60, kind, "ping", "a", "b")
+        assert record.trace_event() == InstantEvent(
+            kind,
+            SYSTEM_TRACK,
+            60,
+            "fault",
+            {"signal": "ping", "source": "a", "target": "b"},
+        )
+
+    def test_a_parsed_log_gives_the_writers_events(self):
+        writer = sample_writer()
+        writer.exec_step(
+            time_ps=3000, process="env", pe="-", cycles=0, duration_ps=0,
+            from_state="s", to_state="s", trigger="start",
+        )
+        writer.signal(
+            time_ps=3500, signal="pong", sender="b", receiver="a", bytes=4,
+            latency_ps=20, transport="local", corrupt=1,
+        )
+        for kind in ("pe-stall", "pe-crash", "bus-corrupt", "signal-dup"):
+            writer.fault(
+                time_ps=4000, kind=kind, signal="ping", source="cpu1", target="a"
+            )
+        parsed = parse_log(writer.render()).records
+        assert [r.trace_event() for r in parsed] == [
+            r.trace_event() for r in writer.records
+        ]
 
 
 @given(
