@@ -69,6 +69,23 @@ class Checkpointer:
             self.simulation.kernel.after_event = None
             self.simulation = None
 
+    def run(self, simulation, duration_us: int):
+        """Run ``simulation`` to ``duration_us`` under this checkpointer.
+
+        When the store already holds a snapshot for this checkpointer's
+        tag, the run resumes from the latest one first, so the continued
+        run's artefacts are byte-identical to an uninterrupted run's.
+        The hook is removed afterwards, also when the run raises.
+        """
+        snapshot = self.store.latest(self.tag)
+        if snapshot is not None:
+            resume_simulation(simulation, snapshot)
+        self.attach(simulation)
+        try:
+            return simulation.run(duration_us)
+        finally:
+            self.detach()
+
     def take(self, mark: bool = True) -> Snapshot:
         """Snapshot the attached simulation now and persist it.
 
@@ -122,8 +139,16 @@ def resume_simulation(simulation, snapshot: Snapshot) -> None:
     After loading, the restored world is re-serialized and its hash
     compared against the snapshot's — restore infidelity (model drift,
     schema skew) is caught here, before a single event replays, instead
-    of surfacing later as silently divergent artefacts."""
-    simulation.load_state_dict(snapshot.state)
+    of surfacing later as silently divergent artefacts.  A state that
+    lacks a field this version reads (a snapshot written in an older
+    format) is rejected the same way."""
+    try:
+        simulation.load_state_dict(snapshot.state)
+    except KeyError as exc:
+        raise CheckpointError(
+            f"snapshot state has no field {exc}; it was likely written by "
+            "a different version of the simulator"
+        ) from exc
     restored = simulation.state_dict()
     digest = state_hash(restored)
     if digest != snapshot.digest:

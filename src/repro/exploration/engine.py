@@ -128,9 +128,9 @@ class ExplorationRun:
     def supervisor_counters(self) -> Dict[str, int]:
         """Retry/timeout/crash/quarantine counters (all zero when clean).
 
-        This is the dict surfaced through the ``repro explore`` CLI and
-        attachable to :class:`repro.observability.metrics.MetricsReport`
-        as its ``campaign`` section.
+        This is the dict surfaced as the ``supervisor`` block of
+        ``repro explore --format json`` and of the flow's
+        ``exploration.json``.
         """
         return self.supervisor_stats.counters()
 

@@ -103,18 +103,10 @@ def evaluate(
     to an uninterrupted evaluation (the simulator's resume guarantee).
     """
     simulation = SystemSimulation(application, platform, mapping, faults=faults)
-    if checkpointer is not None:
-        from repro.checkpoint import resume_simulation
-
-        snapshot = checkpointer.store.latest(checkpointer.tag)
-        if snapshot is not None:
-            resume_simulation(simulation, snapshot)
-        checkpointer.attach(simulation)
-    try:
+    if checkpointer is None:
         result = simulation.run(duration_us)
-    finally:
-        if checkpointer is not None:
-            checkpointer.detach()
+    else:
+        result = checkpointer.run(simulation, duration_us)
     metrics = summarize(result, application)
     delivered = 0
     if "user" in simulation.executors:

@@ -191,7 +191,7 @@ class SupervisorStats:
     spawned_pids: List[int] = field(default_factory=list)
 
     def counters(self) -> Dict[str, int]:
-        """The counter dict surfaced through MetricsReport and the CLI."""
+        """The counter dict the explore JSON and ``exploration.json`` carry."""
         return {
             "timeouts": self.timeouts,
             "crashes": self.crashes,

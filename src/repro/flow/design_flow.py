@@ -284,28 +284,17 @@ def run_design_flow(
         simulation = SystemSimulation(
             application, platform, mapping, faults=faults, tracer=tracer
         )
-        checkpointer = None
-        if checkpoint_dir is not None:
-            from repro.checkpoint import (
-                Checkpointer,
-                CheckpointStore,
-                EveryEvents,
-                resume_simulation,
-            )
-
-            store = CheckpointStore(checkpoint_dir)
-            snapshot = store.latest("flow")
-            if snapshot is not None:
-                resume_simulation(simulation, snapshot)
-            checkpointer = Checkpointer(
-                store, EveryEvents(checkpoint_every_events), tag="flow"
-            )
-            checkpointer.attach(simulation)
-        try:
+        if checkpoint_dir is None:
             result = simulation.run(duration_us)
-        finally:
-            if checkpointer is not None:
-                checkpointer.detach()
+        else:
+            from repro.checkpoint import Checkpointer, CheckpointStore, EveryEvents
+
+            checkpointer = Checkpointer(
+                CheckpointStore(checkpoint_dir),
+                EveryEvents(checkpoint_every_events),
+                tag="flow",
+            )
+            result = checkpointer.run(simulation, duration_us)
         result.writer.write(log_path)
         return result
 
@@ -338,7 +327,10 @@ def run_design_flow(
                 else None
             )
             report = collect_metrics(
-                tracer, result.end_time_ps, group_of=group_of
+                tracer,
+                result.end_time_ps,
+                group_of=group_of,
+                pes=platform.processing_elements,
             )
             with open(ensure_parent(metrics_path), "w", encoding="utf-8") as handle:
                 json.dump(
@@ -416,24 +408,6 @@ def run_design_flow(
         exploration = runner.run("explore", _explore, requires=("simulate",))
         if exploration is None:
             exploration_path = None
-        elif metrics_report is not None and metrics_path is not None:
-            # surface the campaign's fault-tolerance counters through the
-            # observability report and refresh the already-written artefact
-            from repro.util.jsonout import envelope
-
-            for engine_run in engine_runs:
-                for key, value in engine_run.supervisor_counters().items():
-                    metrics_report.campaign[key] = (
-                        metrics_report.campaign.get(key, 0) + value
-                    )
-            with open(ensure_parent(metrics_path), "w", encoding="utf-8") as handle:
-                json.dump(
-                    envelope("trace-metrics", metrics_report.to_dict()),
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                )
-                handle.write("\n")
 
     artifacts: Dict[str, str] = {}
     if exploration_path is not None:

@@ -39,12 +39,7 @@ import random
 import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint import (
-    Checkpointer,
-    CheckpointStore,
-    EveryEvents,
-    resume_simulation,
-)
+from repro.checkpoint import Checkpointer, CheckpointStore, EveryEvents
 from repro.errors import InvariantViolation, SimulationInterrupted
 from repro.exploration.engine import run_candidates
 from repro.exploration.pruning import PruneConfig, prune_candidates
@@ -430,20 +425,19 @@ def check_resume(
 ) -> int:
     """Interrupt/resume must replay the uninterrupted run byte-for-byte.
 
-    Returns the interrupt point used (0 = too few events to interrupt).
+    Every run resumes from its store's latest snapshot, so ``work_dir``
+    must hold none from an earlier check.  Returns the interrupt point
+    used (0 = too few events to interrupt).
     """
     def checkpointed_run(simulation, store, interrupt=None):
+        # resumes from the store's latest snapshot when there is one
         checkpointer = Checkpointer(
             CheckpointStore(store),
             EveryEvents(CHECKPOINT_STRIDE),
             tag="fuzz",
             interrupt_after_events=interrupt,
         )
-        checkpointer.attach(simulation)
-        try:
-            return simulation.run(duration_us)
-        finally:
-            checkpointer.detach()
+        return checkpointer.run(simulation, duration_us)
 
     reference_model = build_from_blueprint(blueprint, config=config)
     reference_sim = SystemSimulation(
@@ -493,7 +487,7 @@ def check_resume(
         resumed_model.mapping,
         tracer=Tracer(),
     )
-    resume_simulation(resumed_sim, snapshot)
+    # the interruption's snapshot is the latest in the interrupted store
     resumed = checkpointed_run(resumed_sim, f"{work_dir}/interrupted")
 
     if resumed.writer.render() != reference.writer.render():
@@ -521,11 +515,12 @@ def check_resume(
         reference_sim.tracer
     ):
         _fail("resume", "resumed Chrome trace differs from reference", config)
+    pes = reference_model.platform.processing_elements
     reference_metrics = collect_metrics(
-        reference_sim.tracer, reference.end_time_ps
+        reference_sim.tracer, reference.end_time_ps, pes=pes
     ).to_dict()
     resumed_metrics = collect_metrics(
-        resumed_sim.tracer, resumed.end_time_ps
+        resumed_sim.tracer, resumed.end_time_ps, pes=pes
     ).to_dict()
     if resumed_metrics != reference_metrics:
         _fail("resume", "resumed metrics differ from reference", config)

@@ -31,7 +31,7 @@ Definitions (``T`` = simulated end time in ps):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.observability.tracer import (
     CounterEvent,
@@ -129,10 +129,6 @@ class MetricsReport:
     dropped_signals: int = 0
     transitions: int = 0
     faults_by_kind: Dict[str, int] = field(default_factory=dict)
-    # exploration-campaign fault-tolerance counters (timeouts, crashes,
-    # errors, retries, quarantined) — empty unless a supervised campaign
-    # attached its ledger totals, see ExplorationRun.supervisor_counters()
-    campaign: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """The metrics JSON body (wrapped in the shared envelope by callers)."""
@@ -171,7 +167,6 @@ class MetricsReport:
             "dropped_signals": self.dropped_signals,
             "transitions": self.transitions,
             "faults_by_kind": dict(sorted(self.faults_by_kind.items())),
-            "campaign": dict(sorted(self.campaign.items())),
         }
 
 
@@ -179,14 +174,20 @@ def collect_metrics(
     tracer: Tracer,
     end_time_ps: int,
     group_of: Optional[Dict[str, str]] = None,
+    pes: Iterable[str] = (),
 ) -> MetricsReport:
     """Aggregate one run's trace into a :class:`MetricsReport`.
 
     ``group_of`` maps process names to process-group names; with it,
     latency histograms are keyed ``sender_group->receiver_group``, without
     it by transport.  Unknown processes fall back to their own name.
+    ``pes`` names the platform's processing elements: each gets a row,
+    so a PE that never ran reports 0 steps and utilisation 0.0 (a PE the
+    trace names is reported either way).
     """
-    report = MetricsReport(end_time_ps=end_time_ps)
+    report = MetricsReport(
+        end_time_ps=end_time_ps, pes={name: PEMetrics() for name in pes}
+    )
     for event in tracer.events:
         if isinstance(event, SpanEvent):
             if event.track[0] == GROUP_PE:

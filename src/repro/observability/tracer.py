@@ -123,20 +123,6 @@ _EVENT_KINDS = {"span": SpanEvent, "instant": InstantEvent, "counter": CounterEv
 _KIND_TAGS = {cls: tag for tag, cls in _EVENT_KINDS.items()}
 
 
-class _OpenSpan:
-    """Book-keeping for a span opened with :meth:`Tracer.begin`."""
-
-    __slots__ = ("name", "track", "category", "start_ps", "args", "closed")
-
-    def __init__(self, name, track, category, start_ps, args) -> None:
-        self.name = name
-        self.track = track
-        self.category = category
-        self.start_ps = start_ps
-        self.args = args
-        self.closed = False
-
-
 class Tracer:
     """Collects the trace event stream of one simulation run.
 
@@ -147,12 +133,11 @@ class Tracer:
     tests.
     """
 
-    __slots__ = ("events", "_clock", "_open")
+    __slots__ = ("events", "_clock")
 
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
         self.events: List[TraceEvent] = []
         self._clock = clock
-        self._open: List[_OpenSpan] = []
 
     # ------------------------------------------------------------------
     # clock
@@ -170,53 +155,6 @@ class Tracer:
     # spans
     # ------------------------------------------------------------------
 
-    def begin(
-        self,
-        name: str,
-        track: Track,
-        category: str = "",
-        time_ps: Optional[int] = None,
-        **args: object,
-    ) -> int:
-        """Open a span; returns a handle for :meth:`end`.
-
-        Handles nest freely (the bus opens one span per in-flight segment
-        grant); unmatched handles are caught by :meth:`end`.
-        """
-        start = self.now_ps() if time_ps is None else time_ps
-        self._open.append(_OpenSpan(name, track, category, start, dict(args)))
-        return len(self._open) - 1
-
-    def end(
-        self, handle: int, time_ps: Optional[int] = None, **args: object
-    ) -> SpanEvent:
-        """Close the span ``handle`` and append the completed event."""
-        if not 0 <= handle < len(self._open) or self._open[handle].closed:
-            raise SimulationError(f"no open span for handle {handle}")
-        pending = self._open[handle]
-        pending.closed = True
-        # drop fully-closed spans from the tail so handles stay small
-        while self._open and self._open[-1].closed:
-            self._open.pop()
-        end = self.now_ps() if time_ps is None else time_ps
-        if end < pending.start_ps:
-            raise SimulationError(
-                f"span {pending.name!r} ends before it starts "
-                f"({end} < {pending.start_ps})"
-            )
-        merged = dict(pending.args)
-        merged.update(args)
-        event = SpanEvent(
-            name=pending.name,
-            track=pending.track,
-            start_ps=pending.start_ps,
-            duration_ps=end - pending.start_ps,
-            category=pending.category,
-            args=merged,
-        )
-        self.events.append(event)
-        return event
-
     def span(
         self,
         name: str,
@@ -226,7 +164,11 @@ class Tracer:
         category: str = "",
         **args: object,
     ) -> None:
-        """Append a completed span in one call (start and end both known)."""
+        """Append a completed span (its start and end both known).
+
+        A span is recorded once it has ended: the bus appends each
+        segment grant's span at release, from the grant time it kept.
+        """
         if duration_ps < 0:
             raise SimulationError(f"span duration must be >= 0, got {duration_ps}")
         self.events.append(
@@ -282,12 +224,12 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The full event stream plus open-span book-keeping, JSON-safe.
+        """The event stream, JSON-safe.
 
         Restoring this onto a fresh tracer makes a resumed simulation's
         trace (and every metric derived from it) byte-identical to an
-        uninterrupted run's.  Span handles are indices into the open-span
-        list, so the list is serialized in order, closed entries included.
+        uninterrupted run's.  Nothing is open between events: a span in
+        progress (a bus grant) is appended only when it ends.
         """
         encoded = []
         for event in self.events:
@@ -297,24 +239,11 @@ class Tracer:
             payload = event._fields[-1]  # "args", or a counter's "values"
             data[payload] = dict(data[payload])
             encoded.append(data)
-        return {
-            "events": encoded,
-            "open": [
-                {
-                    "name": span.name,
-                    "track": list(span.track),
-                    "category": span.category,
-                    "start_ps": span.start_ps,
-                    "args": dict(span.args),
-                    "closed": span.closed,
-                }
-                for span in self._open
-            ],
-        }
+        return {"events": encoded}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto this (fresh) tracer."""
-        if self.events or self._open:
+        if self.events:
             raise SimulationError(
                 "load_state_dict needs a fresh tracer (events already "
                 "recorded)"
@@ -326,25 +255,10 @@ class Tracer:
             payload = cls._fields[-1]
             fields[payload] = dict(fields[payload])
             self.events.append(cls(**fields))
-        for data in state["open"]:
-            span = _OpenSpan(
-                data["name"],
-                tuple(data["track"]),
-                data["category"],
-                data["start_ps"],
-                dict(data["args"]),
-            )
-            span.closed = data["closed"]
-            self._open.append(span)
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-
-    @property
-    def open_spans(self) -> int:
-        """Spans begun but not yet ended (0 after a clean run)."""
-        return sum(1 for span in self._open if not span.closed)
 
     def spans(self) -> List[SpanEvent]:
         """All completed spans, in emission order."""

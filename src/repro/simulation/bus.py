@@ -23,7 +23,14 @@ from repro.errors import SimulationError
 from repro.observability.tracer import Tracer, bus_track
 from repro.platform.components import SegmentSpec, WrapperSpec
 from repro.platform.model import PlatformModel
-from repro.simulation.kernel import EV_SEQ, EV_TIME, Kernel, cycles_to_ps
+from repro.simulation.kernel import (
+    EV_ARGS,
+    EV_CALLBACK,
+    EV_SEQ,
+    EV_TIME,
+    Kernel,
+    cycles_to_ps,
+)
 
 
 @dataclass
@@ -44,12 +51,12 @@ class _Transfer:
     on_complete: Callable[..., None]  # on_complete(latency_ps, *payload)
     started_ps: int = 0
     enqueued_ps: int = 0
+    granted_ps: int = 0  # grant instant of the current (or last) hop
     # fault injection (None without a fault plan): the injected fault kind
     # and the payload after corruption, resolved via on_fault at delivery
     fault: Optional[str] = None
     fault_args: tuple = ()
     on_fault: Optional[Callable[..., None]] = None
-    trace_handle: Optional[int] = None  # open tracer span of the current hop
     # the callbacks' trailing arguments, kept live; a checkpoint encodes
     # them through the owner's encoder, and a restore rebuilds callbacks
     # and payload through its resolver
@@ -64,8 +71,6 @@ class _SegmentRuntime:
         self.queue: List[tuple] = []  # (wrapper_spec, transfer)
         self.last_served_address = -1
         self.stats = TransferStats()
-        # the granted transfer and its pending _release event, while busy
-        self.active: Optional[tuple] = None
 
 
 class HibiBus:
@@ -83,8 +88,9 @@ class HibiBus:
         # an optional repro.faults.FaultPlan; None keeps transfers fault-free
         # with zero per-transfer overhead
         self.faults = faults
-        # an optional repro.observability.Tracer: grant→release spans and
-        # request-queue depth samples per segment, same None-gated pattern
+        # an optional repro.observability.Tracer: one grant→release span per
+        # hop (appended at release) and request-queue depth samples per
+        # segment, same None-gated pattern
         self.tracer = tracer
         self.segments: Dict[str, _SegmentRuntime] = {
             name: _SegmentRuntime(name, instance.spec)
@@ -223,29 +229,27 @@ class HibiBus:
         runtime.stats.words += runtime.spec.words_for_bytes(transfer.size_bytes)
         runtime.stats.busy_ps += duration_ps
         runtime.stats.wait_ps += self.kernel.now_ps - transfer.enqueued_ps
-        if self.tracer is not None:
-            args = {
-                "bytes": transfer.size_bytes,
-                "wait_ps": self.kernel.now_ps - transfer.enqueued_ps,
-            }
-            if transfer.fault is not None:
-                args["fault"] = transfer.fault
-            transfer.trace_handle = self.tracer.begin(
-                transfer.agents[0] if transfer.agents else "transfer",
-                bus_track(runtime.name),
-                category="bus",
-                time_ps=self.kernel.now_ps,
-                **args,
-            )
-        event = self.kernel.schedule(duration_ps, self._release, runtime, transfer)
-        runtime.active = (transfer, event)
+        transfer.granted_ps = self.kernel.now_ps
+        self.kernel.schedule(duration_ps, self._release, runtime, transfer)
 
     def _release(self, runtime: _SegmentRuntime, transfer: _Transfer) -> None:
         runtime.busy = False
-        runtime.active = None
-        if self.tracer is not None and transfer.trace_handle is not None:
-            self.tracer.end(transfer.trace_handle, time_ps=self.kernel.now_ps)
-            transfer.trace_handle = None
+        if self.tracer is not None:
+            # the hop's grant span, appended once its end is known
+            args = {
+                "bytes": transfer.size_bytes,
+                "wait_ps": transfer.granted_ps - transfer.enqueued_ps,
+            }
+            if transfer.fault is not None:
+                args["fault"] = transfer.fault
+            self.tracer.span(
+                transfer.agents[0],
+                bus_track(runtime.name),
+                transfer.granted_ps,
+                self.kernel.now_ps - transfer.granted_ps,
+                category="bus",
+                **args,
+            )
         transfer.path = transfer.path[1:]
         transfer.agents = transfer.agents[1:]
         self._request_next_hop(transfer)
@@ -288,9 +292,9 @@ class HibiBus:
             "size_bytes": transfer.size_bytes,
             "started_ps": transfer.started_ps,
             "enqueued_ps": transfer.enqueued_ps,
+            "granted_ps": transfer.granted_ps,
             "fault": transfer.fault,
             "fault_args": list(transfer.fault_args),
-            "trace_handle": transfer.trace_handle,
             "payload": encode(transfer.payload),
         }
 
@@ -305,10 +309,10 @@ class HibiBus:
             on_complete=on_complete,
             started_ps=int(data["started_ps"]),
             enqueued_ps=int(data["enqueued_ps"]),
+            granted_ps=int(data["granted_ps"]),
             fault=data["fault"],
             fault_args=tuple(data["fault_args"]),
             on_fault=on_fault if data["fault"] is not None else None,
-            trace_handle=data["trace_handle"],
             payload=payload,
         )
 
@@ -318,19 +322,22 @@ class HibiBus:
         Transfer callbacks are not serialized — ``encode(payload)`` turns
         each transfer's live payload into a JSON-safe description instead,
         and :meth:`load_state_dict` rebuilds callbacks and payload from it
-        through a resolver.
+        through a resolver.  Granted transfers are read from the kernel's
+        pending ``_release`` events.
         """
-        segments = {}
-        for name in sorted(self.segments):
-            runtime = self.segments[name]
-            active = None
-            if runtime.active is not None:
-                transfer, event = runtime.active
-                active = {
+        release = self._release
+        granted = {}
+        for event in self.kernel.pending_events():
+            if event[EV_CALLBACK] == release:
+                runtime, transfer = event[EV_ARGS]
+                granted[runtime.name] = {
                     "transfer": self._transfer_state(transfer, encode),
                     "release_ps": event[EV_TIME],
                     "sequence": event[EV_SEQ],
                 }
+        segments = {}
+        for name in sorted(self.segments):
+            runtime = self.segments[name]
             segments[name] = {
                 "busy": runtime.busy,
                 "last_served_address": runtime.last_served_address,
@@ -344,7 +351,7 @@ class HibiBus:
                     self._transfer_state(transfer, encode)
                     for _, transfer in runtime.queue
                 ],
-                "active": active,
+                "active": granted.get(name),
             }
         return {"segments": segments}
 
@@ -388,17 +395,13 @@ class HibiBus:
                 )
                 runtime.queue.append((wrapper, transfer))
             if data["active"] is not None:
-                transfer = self._restore_transfer(
-                    data["active"]["transfer"], resolve
-                )
-                event = self.kernel.restore_event(
+                self.kernel.restore_event(
                     int(data["active"]["release_ps"]),
                     int(data["active"]["sequence"]),
                     self._release,
                     runtime,
-                    transfer,
+                    self._restore_transfer(data["active"]["transfer"], resolve),
                 )
-                runtime.active = (transfer, event)
 
     def _occupancy_cycles(
         self, spec: SegmentSpec, wrapper: WrapperSpec, transfer: _Transfer

@@ -24,8 +24,6 @@ from repro.uml.actions import (  # noqa: F401
     SendIntent,
     evaluate,
     execute,
-    timers_reset,
-    timers_set,
 )
 from repro.uml.plan import COMPLETION, Step, plan_machine, signal_key, timer_key
 from repro.uml.statemachine import SignalTrigger, State, StateMachine
@@ -38,8 +36,7 @@ class StepOutcome:
 
     ``sends`` and ``timer_ops`` are the lists the step's action blocks
     appended to, handed over rather than copied.  ``timer_ops`` is the
-    only record of timer operations; ``timers_set`` and ``timers_reset``
-    are read from it.
+    only record of timer operations, in program order.
     """
 
     __slots__ = (
@@ -76,16 +73,6 @@ class StepOutcome:
         self.timer_ops = timer_ops
         self.reached_final = reached_final
 
-    @property
-    def timers_set(self) -> List[Tuple[str, int]]:
-        """``(name, duration)`` of each timer the step set, in order."""
-        return timers_set(self.timer_ops)
-
-    @property
-    def timers_reset(self) -> List[str]:
-        """The name of each timer the step reset, in order."""
-        return timers_reset(self.timer_ops)
-
     def to_dict(self) -> dict:
         """A JSON-safe encoding for checkpoints of in-flight steps."""
         return {
@@ -96,8 +83,6 @@ class StepOutcome:
             "statements": self.statements,
             "guards_evaluated": self.guards_evaluated,
             "sends": [intent.to_dict() for intent in self.sends],
-            "timers_set": [list(item) for item in self.timers_set],
-            "timers_reset": self.timers_reset,
             "timer_ops": [list(item) for item in self.timer_ops],
             "reached_final": self.reached_final,
         }

@@ -22,6 +22,7 @@ single flag per event.
 from __future__ import annotations
 
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 from repro.errors import InvalidScheduleError, SimulationError
@@ -174,6 +175,18 @@ class Kernel:
         """Scheduled events not yet dispatched or cancelled (O(1))."""
         return len(self._heap) - self._tombstones
 
+    def pending_events(self) -> List[Event]:
+        """The live events, in sequence order (cancelled tombstones skipped).
+
+        The heap is the one record of outstanding work: a checkpoint
+        reads each owner's in-flight events from here, picking them out
+        by callback.  A dispatched event has left the heap already.
+        """
+        return sorted(
+            (event for event in self._heap if not event[EV_CANCELLED]),
+            key=itemgetter(EV_SEQ),
+        )
+
     @property
     def dispatched(self) -> int:
         """Events dispatched over the kernel's whole life (survives restore).
@@ -250,9 +263,9 @@ class Kernel:
         """The kernel's serializable state (clock, sequence, dispatch count).
 
         Pending queue events are *not* serialized — they hold bound
-        methods and live arguments.  Each owning component records what
-        its events would do and re-materializes them on restore via
-        :meth:`restore_event`.
+        methods and live arguments.  Each owning component encodes its
+        own events from :meth:`pending_events` and re-materializes them
+        on restore via :meth:`restore_event`.
         """
         return {
             "now_ps": self.now_ps,

@@ -28,10 +28,10 @@ from repro.simulation.bus import HibiBus, TransferStats
 from repro.simulation.executor import ProcessExecutor, SendIntent, StepOutcome
 from repro.simulation.kernel import (
     EV_ARGS,
+    EV_CALLBACK,
     EV_SEQ,
     EV_TIME,
     PS_PER_US,
-    Event,
     Kernel,
     cycles_to_ps,
     event_pending,
@@ -62,11 +62,7 @@ class _Route(NamedTuple):
 
 
 class _Activation:
-    """A pending reason to run a process: start, signal, or timer.
-
-    Hashed by identity: an in-flight delivery is registered under its
-    activation (see :meth:`SystemSimulation._schedule_deliver`).
-    """
+    """A pending reason to run a process: start, signal, or timer."""
 
     __slots__ = (
         "kind",  # 'start' | 'signal' | 'timer'
@@ -178,10 +174,6 @@ class _PERuntime:
         self._seq = 0
         self._scanned = policy == "round-robin"
         self._ranked = policy != "fifo" and not self._scanned  # priority
-        # the in-flight step's completion event while busy, for
-        # checkpointing; its args are (runtime, activation, outcome,
-        # cycles, started_ps)
-        self.active_step: Optional[Event] = None
 
     def enqueue(self, activation: _Activation, priority: int) -> None:
         """Add an activation to the ready queue."""
@@ -370,11 +362,6 @@ class SystemSimulation:
         self.dropped = 0
         self._started = False
         self._restored = False
-        # pending signal/start deliveries: activation -> its kernel event;
-        # entries are removed when the event fires, so at any quiescent
-        # instant this is exactly the set of in-flight deliveries a
-        # checkpoint must re-materialize
-        self._pending_deliveries: Dict[_Activation, Event] = {}
 
     # ------------------------------------------------------------------
     # run
@@ -393,8 +380,9 @@ class SystemSimulation:
             # canonical start order (name-sorted): the same design produces
             # the same log regardless of model construction or reload order
             for name in sorted(self.application.processes):
-                activation = _Activation(kind="start", process=name)
-                self._schedule_deliver(0, activation)
+                self.kernel.schedule(
+                    0, self._deliver, _Activation(kind="start", process=name)
+                )
         self.kernel.run(until_ps=duration_us * PS_PER_US)
         end = self.kernel.now_ps
         self.writer.finish(end)
@@ -423,20 +411,6 @@ class SystemSimulation:
     # ------------------------------------------------------------------
     # activation delivery and execution
     # ------------------------------------------------------------------
-
-    def _schedule_deliver(self, delay_ps: int, activation: _Activation) -> None:
-        """Schedule a delivery and register it for checkpointing.
-
-        The registry entry is keyed by the activation and removed when the
-        event fires, so the registry always holds exactly the in-flight
-        deliveries a snapshot must capture."""
-        self._pending_deliveries[activation] = self.kernel.schedule(
-            delay_ps, self._fire_delivery, activation
-        )
-
-    def _fire_delivery(self, activation: _Activation) -> None:
-        del self._pending_deliveries[activation]
-        self._deliver(activation)
 
     def _deliver(self, activation: _Activation) -> None:
         """An activation arrives at its process (kernel time = arrival)."""
@@ -544,7 +518,7 @@ class SystemSimulation:
                     duration_ps = stalled_ps
             runtime.busy = True
             runtime.last_process = activation.process
-            runtime.active_step = self.kernel.schedule(
+            self.kernel.schedule(
                 duration_ps,
                 self._complete_step,
                 runtime,
@@ -590,7 +564,6 @@ class SystemSimulation:
         started_ps: int,
     ) -> None:
         runtime.busy = False
-        runtime.active_step = None
         # accrue busy time at completion so it equals the sum of logged
         # step durations exactly (steps in flight at the horizon are not
         # logged and not counted)
@@ -733,11 +706,13 @@ class SystemSimulation:
         if sender_pe is None or receiver_pe is None:
             # Environment boundary: no platform transport involved.
             activation.transport = TRANSPORT_ENV
-            self._schedule_deliver(0, activation)
+            self.kernel.schedule(0, self._deliver, activation)
         elif sender_pe == receiver_pe:
             activation.transport = TRANSPORT_LOCAL
-            self._schedule_deliver(
-                self.pe_runtimes[receiver_pe].receive_delay_ps, activation
+            self.kernel.schedule(
+                self.pe_runtimes[receiver_pe].receive_delay_ps,
+                self._deliver,
+                activation,
             )
         else:
             # Bus transport pays the wire latency plus the same receive
@@ -760,8 +735,8 @@ class SystemSimulation:
         self, _latency_ps: int, activation: _Activation, receiver_pe: str
     ) -> None:
         """A bus transfer arrived: the receiver's PE takes it off its wrapper."""
-        self._schedule_deliver(
-            self.pe_runtimes[receiver_pe].receive_delay_ps, activation
+        self.kernel.schedule(
+            self.pe_runtimes[receiver_pe].receive_delay_ps, self._deliver, activation
         )
 
     def _bus_fault(
@@ -786,8 +761,8 @@ class SystemSimulation:
         # receiver's CRC check is responsible for catching it
         activation.args = tuple(args)
         activation.corrupt = True
-        self._schedule_deliver(
-            self.pe_runtimes[receiver_pe].receive_delay_ps, activation
+        self.kernel.schedule(
+            self.pe_runtimes[receiver_pe].receive_delay_ps, self._deliver, activation
         )
 
     # ------------------------------------------------------------------
@@ -800,18 +775,30 @@ class SystemSimulation:
         Callable only at a quiescent instant (between kernel dispatches —
         the :attr:`Kernel.after_event` hook, which is where the checkpoint
         subsystem calls it from).  Pending kernel events are not serialized
-        as callbacks; each owner records what its events would do and
+        as callbacks: the in-flight deliveries and steps are read from
+        :meth:`Kernel.pending_events` by callback, and
         :meth:`load_state_dict` re-materializes them with their original
         sequence numbers, so a resumed run replays byte-identically.
         """
-        runtimes = {}
-        for name in sorted(self.pe_runtimes):
-            runtime = self.pe_runtimes[name]
-            active = None
-            event = runtime.active_step
-            if event is not None:
-                _, activation, outcome, cycles, started_ps = event[EV_ARGS]
-                active = {
+        deliver = self._deliver
+        complete_step = self._complete_step
+        deliveries = []
+        steps = {}
+        for event in self.kernel.pending_events():
+            callback = event[EV_CALLBACK]
+            if callback == deliver:
+                activation = event[EV_ARGS][0]
+                if activation.kind != "timer":  # timer rows come from self.timers
+                    deliveries.append(
+                        {
+                            "sequence": event[EV_SEQ],
+                            "time_ps": event[EV_TIME],
+                            "activation": activation.to_dict(),
+                        }
+                    )
+            elif callback == complete_step:
+                runtime, activation, outcome, cycles, started_ps = event[EV_ARGS]
+                steps[runtime.name] = {
                     "activation": activation.to_dict(),
                     "outcome": outcome.to_dict(),
                     "cycles": cycles,
@@ -819,14 +806,17 @@ class SystemSimulation:
                     "time_ps": event[EV_TIME],
                     "sequence": event[EV_SEQ],
                 }
-            runtimes[name] = {
+        runtimes = {
+            name: {
                 "ready": runtime.ready_state(),
                 "busy": runtime.busy,
                 "busy_ps": runtime.busy_ps,
                 "last_process": runtime.last_process,
                 "seq": runtime._seq,
-                "active_step": active,
+                "active_step": steps.get(name),
             }
+            for name, runtime in sorted(self.pe_runtimes.items())
+        }
         return {
             "kernel": self.kernel.state_dict(),
             "dropped": self.dropped,
@@ -845,17 +835,7 @@ class SystemSimulation:
                 for (process, timer), event in sorted(self.timers.items())
                 if event_pending(event)
             ],
-            "deliveries": [
-                {
-                    "sequence": event[EV_SEQ],
-                    "time_ps": event[EV_TIME],
-                    "activation": activation.to_dict(),
-                }
-                for activation, event in sorted(
-                    self._pending_deliveries.items(), key=lambda item: item[1][EV_SEQ]
-                )
-                if event_pending(event)
-            ],
+            "deliveries": deliveries,
             "bus": self.bus.state_dict(self._encode_bus_payload),
             "writer": self.writer.state_dict(),
             "faults": (
@@ -910,7 +890,7 @@ class SystemSimulation:
             runtime._seq = int(runtime_state["seq"])
             step = runtime_state["active_step"]
             if step is not None:
-                runtime.active_step = self.kernel.restore_event(
+                self.kernel.restore_event(
                     int(step["time_ps"]),
                     int(step["sequence"]),
                     self._complete_step,
@@ -933,12 +913,11 @@ class SystemSimulation:
                 )
             )
         for entry in state["deliveries"]:
-            activation = _Activation.from_dict(entry["activation"])
-            self._pending_deliveries[activation] = self.kernel.restore_event(
+            self.kernel.restore_event(
                 int(entry["time_ps"]),
                 int(entry["sequence"]),
-                self._fire_delivery,
-                activation,
+                self._deliver,
+                _Activation.from_dict(entry["activation"]),
             )
         self.bus.load_state_dict(state["bus"], self._resolve_bus_payload)
         self.writer.load_state_dict(state["writer"])

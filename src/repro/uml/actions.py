@@ -344,16 +344,6 @@ class SendIntent(NamedTuple):
         return cls(data["signal"], tuple(data["args"]), data["via"])
 
 
-def timers_set(timer_ops: Sequence[tuple]) -> List[Tuple[str, int]]:
-    """``(name, duration)`` of every ``set`` in a timer-operation log."""
-    return [(name, duration) for op, name, duration in timer_ops if op == "set"]
-
-
-def timers_reset(timer_ops: Sequence[tuple]) -> List[str]:
-    """The name of every ``reset`` in a timer-operation log."""
-    return [name for op, name, _ in timer_ops if op == "reset"]
-
-
 class ActionEnvironment:
     """What the interpreter needs from its host (the simulator or tests).
 
@@ -370,16 +360,6 @@ class ActionEnvironment:
         # ("reset", name, 0) — set/reset interleaving matters semantically
         self.timer_ops: List[tuple] = []
         self._rand_state = RAND16_SEED
-
-    @property
-    def timers_set(self) -> List[Tuple[str, int]]:
-        """``(name, duration)`` of each ``set_timer``, in program order."""
-        return timers_set(self.timer_ops)
-
-    @property
-    def timers_reset(self) -> List[str]:
-        """The name of each ``reset_timer``, in program order."""
-        return timers_reset(self.timer_ops)
 
     # -- variable access -----------------------------------------------------
 

@@ -5,6 +5,7 @@ arbitrary event and resumed from its snapshot produces the **same bytes**
 — tutlog, Chrome trace, aggregated metrics — as the uninterrupted run.
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -16,6 +17,7 @@ from repro.checkpoint import (
     CheckpointStore,
     EveryEvents,
     resume_simulation,
+    state_hash,
 )
 from repro.errors import CheckpointError, SimulationError, SimulationInterrupted
 from repro.faults.campaign import build_campaign_plan
@@ -24,7 +26,12 @@ from repro.observability.metrics import collect_metrics
 from repro.observability.tracer import Tracer
 from repro.simulation.system import SystemSimulation
 
-from tests.simulation.test_golden_runs import stress_plan
+from tests.simulation.test_golden_runs import (
+    TUTMAC_DURATION_US,
+    TUTMAC_STRIDE,
+    stress_plan,
+)
+from tests.simulation.test_rtos_scheduling import POLICIES, RUN_US, policy_simulation
 
 DURATION_US = 20_000
 STRIDE = 100
@@ -45,6 +52,40 @@ def build_simulation(faulted: bool, traced: bool = True):
     return SystemSimulation(
         application, platform, mapping, faults=plan, tracer=tracer
     )
+
+
+def interrupted_mid_grant(tmp_path, traced=True):
+    """The uninterrupted plain run, and a snapshot taken while a bus grant
+    is in flight (the first such point from event ``INTERRUPT_AT`` on)."""
+    reference_sim = build_simulation(faulted=False, traced=traced)
+    kernel = reference_sim.kernel
+    granted = []
+
+    def probe():
+        if (
+            not granted
+            and kernel.dispatched >= INTERRUPT_AT
+            and any(segment.busy for segment in reference_sim.bus.segments.values())
+        ):
+            granted.append(kernel.dispatched)
+
+    kernel.after_event = probe
+    reference = reference_sim.run(DURATION_US)
+    (interrupt_at,) = granted
+
+    interrupted = build_simulation(faulted=False, traced=traced)
+    checkpointer = Checkpointer(
+        CheckpointStore(tmp_path), interrupt_after_events=interrupt_at
+    )
+    checkpointer.attach(interrupted)
+    with pytest.raises(SimulationInterrupted) as excinfo:
+        interrupted.run(DURATION_US)
+    snapshot = excinfo.value.snapshot
+    assert any(
+        segment["active"] is not None
+        for segment in snapshot.state["bus"]["segments"].values()
+    )
+    return reference_sim, reference, snapshot
 
 
 def run_to_completion(simulation, store_root, interrupt=None):
@@ -166,6 +207,64 @@ class TestTracedSnapshotContent:
         # the interrupted run derived nothing either
         assert len(simulation.tracer.events) == len(state["tracer"]["events"])
 
+    def test_tracer_state_is_events_only_and_resume_mid_grant_is_exact(
+        self, tmp_path
+    ):
+        """A bus grant's span is appended once, at release: a snapshot
+        taken while the grant is in flight holds no open span, only the
+        granted transfer's ``granted_ps``, and resuming from it closes
+        the span exactly where the uninterrupted run did."""
+        reference_sim, reference, snapshot = interrupted_mid_grant(tmp_path)
+        assert list(snapshot.state["tracer"]) == ["events"]
+
+        resumed_sim = build_simulation(faulted=False)
+        resume_simulation(resumed_sim, snapshot)
+        resumed = resumed_sim.run(DURATION_US)
+        assert resumed.writer.render() == reference.writer.render()
+        assert render_chrome_trace(resumed_sim.tracer) == render_chrome_trace(
+            reference_sim.tracer
+        )
+
+
+def snapshot_rows(state):
+    """In-flight rows of a snapshot: deliveries, timers, steps, grants."""
+    return (
+        len(state["deliveries"])
+        + len(state["timers"])
+        + sum(1 for pe in state["runtimes"].values() if pe["active_step"])
+        + sum(1 for seg in state["bus"]["segments"].values() if seg["active"])
+    )
+
+
+class TestSnapshotRowsCoverThePendingEvents:
+    """Every live kernel event is one in-flight row of the snapshot: the
+    rows are read from the heap, so none is missed or counted twice."""
+
+    def check(self, simulation, duration_us, stride):
+        kernel = simulation.kernel
+        points = []
+
+        def hook():
+            if kernel.dispatched % stride == 0:
+                state = simulation.state_dict()
+                points.append((snapshot_rows(state), kernel.pending))
+
+        kernel.after_event = hook
+        simulation.run(duration_us)
+        assert points
+        assert [rows for rows, _ in points] == [pending for _, pending in points]
+        return len(points)
+
+    def test_stress_traced_tutmac(self):
+        simulation = SystemSimulation(
+            *build_tutwlan_system(), faults=stress_plan(), tracer=Tracer()
+        )
+        assert self.check(simulation, TUTMAC_DURATION_US, TUTMAC_STRIDE) == 31
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rtos_policy(self, policy):
+        assert self.check(policy_simulation(policy), RUN_US, 1) == 20
+
 
 class TestRestoreValidation:
     def test_snapshot_restored_onto_wrong_build_rejected(self, tmp_path):
@@ -185,6 +284,34 @@ class TestRestoreValidation:
         tampered = dataclasses.replace(snapshot, state=tampered_state)
         with pytest.raises(CheckpointError, match="does not reproduce"):
             resume_simulation(build_simulation(faulted=False), tampered)
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    def test_snapshot_in_the_previous_format_rejected(self, tmp_path, traced):
+        """Snapshots written before in-flight work was read from the kernel
+        heap kept open bus spans, a ``trace_handle`` per transfer and
+        derived timer lists per in-flight step; resuming one fails with a
+        CheckpointError, not a KeyError."""
+        _, _, snapshot = interrupted_mid_grant(tmp_path, traced=traced)
+        state = copy.deepcopy(snapshot.state)
+        if traced:
+            state["tracer"]["open"] = []
+        for segment in state["bus"]["segments"].values():
+            transfers = list(segment["queue"])
+            if segment["active"] is not None:
+                transfers.append(segment["active"]["transfer"])
+            for transfer in transfers:
+                del transfer["granted_ps"]
+                transfer["trace_handle"] = None
+        for runtime in state["runtimes"].values():
+            if runtime["active_step"] is not None:
+                ops = runtime["active_step"]["outcome"]["timer_ops"]
+                runtime["active_step"]["outcome"].update(
+                    timers_set=[[n, d] for op, n, d in ops if op == "set"],
+                    timers_reset=[n for op, n, _ in ops if op == "reset"],
+                )
+        old = dataclasses.replace(snapshot, state=state, digest=state_hash(state))
+        with pytest.raises(CheckpointError, match="granted_ps"):
+            resume_simulation(build_simulation(faulted=False, traced=traced), old)
 
     def test_restore_needs_fresh_simulation(self, tmp_path):
         simulation = build_simulation(faulted=False)

@@ -39,6 +39,15 @@ class TestTraceCommand:
             assert pe["busy_ps"] + pe["idle_ps"] == end
             assert pe["utilization"] == pe["busy_ps"] / end
 
+    def test_json_lists_every_platform_pe(self, capsys):
+        """processor3 runs nothing in the example mapping; it still has a row."""
+        assert main(["trace", "examples", "--format", "json"]) == 0
+        pes = json.loads(capsys.readouterr().out)["results"]["pes"]
+        assert set(pes) == {"accelerator1", "processor1", "processor2", "processor3"}
+        assert pes["processor3"]["steps"] == 0
+        assert pes["processor3"]["utilization"] == 0.0
+        assert all(pes[name]["steps"] > 0 for name in pes if name != "processor3")
+
     def test_chrome_format_is_a_plain_trace_container(self, capsys):
         assert main(
             ["trace", "--duration-us", "2000", "--format", "chrome"]

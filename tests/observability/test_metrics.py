@@ -110,3 +110,20 @@ class TestCollectMetrics:
         for pe in data["pes"].values():
             assert pe["busy_ps"] + pe["idle_ps"] == data["end_time_ps"]
             assert pe["utilization"] == pe["busy_ps"] / data["end_time_ps"]
+
+    def test_every_named_pe_gets_a_row(self):
+        report = collect_metrics(build_trace(), end_time_ps=1000, pes=["cpu", "dsp"])
+        pes = report.to_dict()["pes"]
+        assert set(pes) == {"cpu", "dsp"}
+        assert pes["cpu"]["steps"] == 2  # the trace's PE keeps its figures
+        assert pes["dsp"] == {
+            "busy_ps": 0,
+            "idle_ps": 1000,
+            "stall_ps": 0,
+            "steps": 0,
+            "utilization": 0.0,
+            "ready_queue_peak": 0,
+        }
+
+    def test_report_holds_no_campaign_counters(self):
+        assert "campaign" not in collect_metrics(build_trace(), 1000).to_dict()

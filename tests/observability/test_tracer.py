@@ -49,42 +49,6 @@ class TestClock:
 
 
 class TestSpans:
-    def test_begin_end_produces_span(self):
-        now = [100]
-        tracer = Tracer(clock=lambda: now[0])
-        handle = tracer.begin("step", pe_track("cpu"), category="exec", n=1)
-        now[0] = 400
-        span = tracer.end(handle, m=2)
-        assert span.start_ps == 100 and span.duration_ps == 300
-        assert span.end_ps == 400
-        assert span.args == {"n": 1, "m": 2}
-        assert tracer.open_spans == 0
-
-    def test_nested_handles_stay_valid(self):
-        # the bus holds one open span per in-flight segment grant; closing
-        # the later one must not invalidate the earlier handle
-        tracer = Tracer()
-        outer = tracer.begin("outer", bus_track("s1"), time_ps=0)
-        inner = tracer.begin("inner", bus_track("s2"), time_ps=10)
-        tracer.end(inner, time_ps=20)
-        tracer.end(outer, time_ps=30)
-        names = [span.name for span in tracer.spans()]
-        assert names == ["inner", "outer"]
-        assert tracer.open_spans == 0
-
-    def test_double_end_raises(self):
-        tracer = Tracer()
-        handle = tracer.begin("x", pe_track("cpu"), time_ps=0)
-        tracer.end(handle, time_ps=1)
-        with pytest.raises(SimulationError):
-            tracer.end(handle, time_ps=2)
-
-    def test_end_before_start_raises(self):
-        tracer = Tracer()
-        handle = tracer.begin("x", pe_track("cpu"), time_ps=10)
-        with pytest.raises(SimulationError):
-            tracer.end(handle, time_ps=5)
-
     def test_one_shot_span(self):
         tracer = Tracer()
         tracer.span("x", pe_track("cpu"), start_ps=5, duration_ps=10, k=3)

@@ -164,7 +164,7 @@ class TestTimersAndSends:
         m.on_timer("a", "b", "t")
         executor = ProcessExecutor("p", m)
         start_outcome = executor.start()
-        assert start_outcome.timers_set == [("t", 10)]
+        assert start_outcome.timer_ops == [("set", "t", 10)]
         outcome, reason = executor.fire_timer("t")
         assert reason is None
         assert outcome.to_state == "b"

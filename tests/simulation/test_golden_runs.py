@@ -60,9 +60,10 @@ def _trace_digests(simulation, end_time_ps):
     group_of = dict(
         group_info_from_model(simulation.application.model).process_to_group
     )
+    pes = simulation.platform.processing_elements
     reports = [
-        collect_metrics(tracer, end_time_ps).to_dict(),
-        collect_metrics(tracer, end_time_ps, group_of=group_of).to_dict(),
+        collect_metrics(tracer, end_time_ps, pes=pes).to_dict(),
+        collect_metrics(tracer, end_time_ps, group_of=group_of, pes=pes).to_dict(),
     ]
     return {
         "trace_events": _sha("\n".join(events)),

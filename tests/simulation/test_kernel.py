@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulation import Kernel, cycles_to_ps
-from repro.simulation.kernel import EV_SEQ, PS_PER_US
+from repro.simulation.kernel import EV_ARGS, EV_CALLBACK, EV_SEQ, EV_TIME, PS_PER_US
 
 
 class TestScheduling:
@@ -189,6 +189,40 @@ class TestPendingCounter:
         assert kernel.pending == 10
         assert len(kernel._heap) < 30
         assert kernel.run() == 10
+
+
+class TestPendingEvents:
+    """`Kernel.pending_events()` is the one record of outstanding work."""
+
+    def test_live_events_in_sequence_order_with_callback_and_args(self):
+        kernel = Kernel()
+        first, second = (lambda *args: None), (lambda *args: None)
+        kernel.schedule(30, first, "a", 1)
+        kernel.schedule(10, second)
+        kernel.schedule(10, first, "b")
+        pending = kernel.pending_events()
+        # sequence order, not dispatch (time) order
+        assert [event[EV_SEQ] for event in pending] == [1, 2, 3]
+        rows = [
+            (event[EV_TIME], event[EV_CALLBACK], event[EV_ARGS]) for event in pending
+        ]
+        assert rows == [(30, first, ("a", 1)), (10, second, ()), (10, first, ("b",))]
+
+    def test_skips_cancelled_and_dispatched_events(self):
+        kernel = Kernel()
+        events = [kernel.schedule(d, lambda: None) for d in (10, 20, 30, 40)]
+        kernel.cancel(events[2])
+        kernel.run(until_ps=15)
+        assert kernel.pending_events() == [events[1], events[3]]
+        assert len(kernel.pending_events()) == kernel.pending
+
+    def test_matches_pending_after_compaction(self):
+        kernel = Kernel()
+        events = [kernel.schedule(d + 1, lambda: None) for d in range(50)]
+        for event in events[::3] + events[1::3]:
+            kernel.cancel(event)
+        assert kernel.pending_events() == events[2::3]
+        assert kernel.pending == len(events[2::3])
 
 
 class TestStateProtocol:

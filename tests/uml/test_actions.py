@@ -157,8 +157,7 @@ class TestExecution:
     def test_timers(self):
         env = ActionEnvironment()
         execute(parse_actions("set_timer(t1, 100); reset_timer(t2);"), env)
-        assert env.timers_set == [("t1", 100)]
-        assert env.timers_reset == ["t2"]
+        assert env.timer_ops == [("set", "t1", 100), ("reset", "t2", 0)]
 
     def test_negative_timer_duration_rejected(self):
         env = ActionEnvironment()
