@@ -611,6 +611,10 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
     leaves: Dict[int, State] = {}
     join_counts: Dict[int, int] = {}
     worklist: List[State] = []
+    # id(leaf) -> the environment object its last pop ran; every push that
+    # changes a leaf stores a new object, so an identical one marks a stale
+    # worklist entry whose steps would only repeat no-op pushes
+    ran: Dict[int, Env] = {}
 
     def push(leaf: State, incoming: Optional[Env]) -> None:
         if incoming is None:
@@ -642,6 +646,9 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
         if leaf.is_final:
             continue
         current = state_envs[id(leaf)]
+        if ran.get(id(leaf)) is current:
+            continue
+        ran[id(leaf)] = current
         for step in plan.steps[leaf]:
             new_leaf, out = _transition_step(step, current)
             if new_leaf is not None:

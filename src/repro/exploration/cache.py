@@ -21,7 +21,7 @@ import os
 import tempfile
 from typing import Dict, Optional, Tuple
 
-from repro.exploration.objectives import EvaluationResult
+from repro.exploration.objectives import EvaluationResult, encoding_hash
 from repro.exploration.spec import CandidateSpec
 
 #: Bump when the entry format changes incompatibly.
@@ -66,12 +66,13 @@ class ResultCache:
             return None
         path = self.path_for(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        encoding = result.to_dict()
         entry = {
             "schema": CACHE_SCHEMA,
             "digest": digest,
             "spec": spec.to_json_dict(),
-            "result": result.to_dict(),
-            "result_hash": result.stable_hash(),
+            "result": encoding,
+            "result_hash": encoding_hash(encoding),
             "elapsed_s": elapsed_s,
         }
         handle = tempfile.NamedTemporaryFile(

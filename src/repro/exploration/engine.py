@@ -3,9 +3,11 @@
 The paper's Figure 2 loop — simulate, profile, regroup, remap — needs
 *many* simulations, and the discrete-event simulator is pure-Python CPU
 work, so candidates fan out over ``multiprocessing`` **worker processes**
-(threads would serialise on the GIL).  Each worker rebuilds its system
-from a picklable :class:`CandidateSpec`; live UML objects never cross the
-process boundary.
+(threads would serialise on the GIL).  Each candidate is a picklable
+:class:`CandidateSpec`; live UML objects never cross the process
+boundary.  Every process re-maps its cached design view of the spec's
+system (:func:`~repro.exploration.spec.build_system`) instead of
+rebuilding it, and a forked worker starts with its parent's view.
 
 Dispatch is fault-tolerant: the campaign supervisor
 (:mod:`repro.exploration.supervisor`) owns the worker processes, so a
@@ -35,9 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExplorationError
 from repro.exploration.cache import ResultCache
-from repro.exploration.objectives import EvaluationResult, evaluate
+from repro.exploration.objectives import EvaluationResult, encoding_hash, evaluate
 from repro.exploration.pruning import PruneConfig, PrunedRecord, prune_candidates
-from repro.exploration.spec import CandidateSpec, build_system
+from repro.exploration.spec import CandidateSpec, build_system, design_view
 from repro.exploration.supervisor import (
     FailureRecord,
     QuarantineRecord,
@@ -72,14 +74,15 @@ class CandidateOutcome:
         return self.result.cost()
 
     def to_json_dict(self) -> Dict[str, object]:
+        encoding = self.result.to_dict()
         return {
             "index": self.index,
             "label": self.spec.label,
             "spec": self.spec.to_json_dict(),
             "digest": self.spec.digest(),
             "cost": self.cost,
-            "result": self.result.to_dict(),
-            "result_hash": self.result.stable_hash(),
+            "result": encoding,
+            "result_hash": encoding_hash(encoding),
             "elapsed_s": self.elapsed_s,
             "cached": self.cached,
             "attempts": self.attempts,
@@ -182,13 +185,18 @@ class ExplorationRun:
 def evaluate_spec(
     spec: CandidateSpec, checkpointer=None
 ) -> EvaluationResult:
-    """Evaluate one candidate from scratch (the worker-side entry point).
+    """Evaluate one candidate (the worker-side entry point).
 
-    With a :class:`repro.checkpoint.Checkpointer` the evaluation resumes
-    from the latest snapshot under the checkpointer's tag (if any) and
-    snapshots as it goes — see :func:`repro.exploration.objectives.evaluate`.
+    The candidate runs on its re-mapped design view
+    (:func:`~repro.exploration.spec.build_system`), with the machine
+    tables the view keeps; its result equals that of a freshly built
+    system.  With a :class:`repro.checkpoint.Checkpointer` the evaluation
+    resumes from the latest snapshot under the checkpointer's tag (if any)
+    and snapshots as it goes — see
+    :func:`repro.exploration.objectives.evaluate`.
     """
     application, platform, mapping = build_system(spec)
+    view = design_view(spec.builder, spec.grouping, spec.arq)
     faults = spec.faults.build_plan() if spec.faults is not None else None
     return evaluate(
         application,
@@ -197,6 +205,7 @@ def evaluate_spec(
         duration_us=spec.duration_us,
         faults=faults,
         checkpointer=checkpointer,
+        machine_tables=view.machine_tables,
     )
 
 

@@ -26,7 +26,7 @@ from repro.platform.model import PlatformModel
 from repro.tutprofile.tags import process_runs_on
 from repro.exploration.engine import ProgressCallback, run_candidates
 from repro.exploration.objectives import EvaluationResult
-from repro.exploration.spec import CandidateSpec, builder_ref, resolve_builder
+from repro.exploration.spec import CandidateSpec, builder_ref, design_view
 
 
 @dataclass
@@ -41,10 +41,11 @@ class MappingCandidate:
         return self.result.cost()
 
 
-#: A factory builds a *fresh* (application, platform) pair per evaluation
-#: — simulation consumes executor state, so design points cannot share
-#: models.  It may be a callable or a ``"module:callable"`` dotted path
-#: (required for parallel evaluation and result caching).
+#: A factory builds a fresh (application, platform) pair per call; the
+#: engine calls it once per design view (:func:`~repro.exploration.spec
+#: .design_view`) and re-maps that view per candidate.  It may be a
+#: callable or a ``"module:callable"`` dotted path (required for parallel
+#: evaluation and result caching).
 ApplicationFactory = Union[
     str, Callable[[], Tuple[ApplicationModel, PlatformModel]]
 ]
@@ -93,8 +94,8 @@ def mapping_sweep_specs(
     limit: Optional[int] = None,
 ) -> List[CandidateSpec]:
     """Candidate specs for the exhaustive sweep (one per assignment)."""
-    probe_application, probe_platform = resolve_builder(factory)()
-    assignments = enumerate_assignments(probe_application, probe_platform)
+    view = design_view(factory)
+    assignments = enumerate_assignments(view.application, view.platform)
     if limit is not None:
         assignments = assignments[:limit]
     builder = _spec_builder(factory)

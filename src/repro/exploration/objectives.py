@@ -20,7 +20,15 @@ from repro.observability.metrics import summarize_result
 from repro.platform.model import PlatformModel
 from repro.profiling.analysis import analyze
 from repro.profiling.groupinfo import group_info_from_model
+from repro.simulation.executor import MachineTable
 from repro.simulation.system import SimulationResult, SystemSimulation
+from repro.uml.statemachine import StateMachine
+
+
+def encoding_hash(encoding: Dict[str, object]) -> str:
+    """:meth:`EvaluationResult.stable_hash` of a ``to_dict()`` encoding."""
+    canonical = json.dumps(encoding, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -65,10 +73,7 @@ class EvaluationResult:
         deterministic simulator guarantees for a fixed seed — yield the
         identical hash in every process, interpreter and worker count.
         """
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return encoding_hash(self.to_dict())
 
     def cost(self) -> float:
         """Scalar cost: bus traffic dominates, utilisation imbalance tie-breaks.
@@ -90,6 +95,7 @@ def evaluate(
     duration_us: int = 50_000,
     faults: Optional[object] = None,
     checkpointer: Optional[object] = None,
+    machine_tables: Optional[Dict[StateMachine, MachineTable]] = None,
 ) -> EvaluationResult:
     """Simulate one design point and compute its metrics.
 
@@ -101,8 +107,19 @@ def evaluate(
     a snapshot for its tag the run *resumes* from the latest one instead
     of starting over, and the continued run's metrics are byte-identical
     to an uninterrupted evaluation (the simulator's resume guarantee).
+
+    ``machine_tables`` holds the machine tables earlier runs of the same
+    application already built (see :class:`repro.exploration.spec
+    .DesignView`); without it each executor builds its own, for this run
+    only.
     """
-    simulation = SystemSimulation(application, platform, mapping, faults=faults)
+    simulation = SystemSimulation(
+        application,
+        platform,
+        mapping,
+        faults=faults,
+        machine_tables=machine_tables,
+    )
     if checkpointer is None:
         result = simulation.run(duration_us)
     else:

@@ -21,7 +21,6 @@ tier-2 harness asserts both properties on the TUTMAC sweep.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +30,7 @@ from repro.analysis.mapping import (
     static_mapping_estimate,
 )
 from repro.errors import ExplorationError
-from repro.exploration.spec import CandidateSpec, builder_ref, resolve_builder
+from repro.exploration.spec import CandidateSpec, design_view
 
 #: Keep a candidate when its static estimate is within this factor of the
 #: sweep's best static estimate.  Calibrated on the TUTMAC mapping sweep:
@@ -79,59 +78,23 @@ class PrunedRecord:
         }
 
 
-def _probe_key(spec: CandidateSpec):
-    ref = builder_ref(spec.builder)
-    return (
-        ref if ref is not None else id(spec.builder),
-        spec.grouping,
-        spec.arq,
-    )
-
-
-def _probe_system(spec: CandidateSpec):
-    """Build the (application, platform) pair a spec describes, unmapped.
-
-    Mirrors :func:`repro.exploration.spec.build_system` minus the mapping
-    view: the estimator scores assignments against the bare system, so one
-    probe serves every candidate sharing (builder, grouping, arq).
-    """
-    builder = resolve_builder(spec.builder)
-    parameters = inspect.signature(builder).parameters
-    accepts_var_kw = any(
-        p.kind == inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-    kwargs = {}
-    if spec.grouping is not None:
-        if "grouping" not in parameters and not accepts_var_kw:
-            raise ExplorationError(
-                f"spec sets a grouping but builder {builder_ref(spec.builder)!r} "
-                "does not accept a 'grouping' keyword"
-            )
-        kwargs["grouping"] = dict(spec.grouping)
-    if spec.arq:
-        if "arq" not in parameters and not accepts_var_kw:
-            raise ExplorationError(
-                f"spec sets arq=True but builder {builder_ref(spec.builder)!r} "
-                "does not accept an 'arq' keyword"
-            )
-        kwargs["arq"] = True
-    return builder(**kwargs)
-
-
 def static_estimates(
     specs: Sequence[CandidateSpec],
 ) -> List[StaticEstimate]:
-    """Score every spec statically (one probe per distinct system)."""
-    probes: Dict[object, Tuple[object, object]] = {}
+    """Score every spec statically (one profile per design view).
+
+    The estimator scores assignments against the system alone, so every
+    spec sharing a :func:`~repro.exploration.spec.design_view` shares one
+    application profile, whatever the view is mapped to.
+    """
     estimates: List[StaticEstimate] = []
+    profiled = profile = None
     for spec in specs:
-        key = _probe_key(spec)
-        if key not in probes:
-            application, platform = _probe_system(spec)
-            probes[key] = (static_application_profile(application), platform)
-        profile, platform = probes[key]
+        view = design_view(spec.builder, spec.grouping, spec.arq)
+        if view is not profiled:
+            profiled, profile = view, static_application_profile(view.application)
         estimates.append(
-            static_mapping_estimate(profile, platform, spec.mapping_dict)
+            static_mapping_estimate(profile, view.platform, spec.mapping_dict)
         )
     return estimates
 

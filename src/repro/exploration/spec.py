@@ -3,9 +3,16 @@
 A :class:`CandidateSpec` describes one design point of the paper's
 Figure 2 loop — a grouping, a group→PE mapping, an optional fault plan and
 a simulation horizon — **by value**, so it can cross a process boundary
-and be hashed for the on-disk result cache.  Workers rebuild the live
-system from the spec with :func:`build_system`; no UML objects are ever
+and be hashed for the on-disk result cache.  No UML objects are ever
 pickled.
+
+The paper keeps the application, the platform and the mapping as
+separate views, so a candidate that only changes the mapping does not
+rebuild the application.  Each process caches one :class:`DesignView`,
+keyed by ``(builder, grouping, arq)``: the built system, one reusable
+mapping view and each machine's plan and compiled code.
+:func:`build_system` re-maps the cached view for every candidate, and a
+spec with another key replaces it.
 
 The builder is referenced by dotted path (``"module:callable"``).  A
 builder callable must return a fresh ``(application, platform)`` pair per
@@ -196,37 +203,110 @@ class CandidateSpec:
         return hashlib.sha256(self.sort_key().encode("utf-8")).hexdigest()
 
 
-def build_system(spec: CandidateSpec):
-    """Rebuild the live ``(application, platform, mapping)`` triple.
+Pairs = Tuple[Tuple[str, str], ...]
 
-    This is the worker-side entry point: everything is constructed fresh
-    from the spec, because simulation consumes executor state and live
-    UML objects cannot be shared between design points (or processes).
+
+class DesignView:
+    """One built system, re-mapped per candidate, and what its runs share.
+
+    A view holds the builder's ``(application, platform)``, the one
+    ``ExploreMapping`` view of the application's model that every
+    candidate re-maps, and each machine's
+    :class:`~repro.simulation.executor.MachineTable`, keyed by machine.
+    Runs may share all of it: each simulation's executors own all run
+    state, and nothing writes to the model during a run.  The mapping is
+    the one part a candidate changes (:meth:`remap`).
     """
-    from repro.mapping.model import MappingModel
 
-    builder = resolve_builder(spec.builder)
-    parameters = inspect.signature(builder).parameters
+    def __init__(self, application, platform) -> None:
+        from repro.mapping.model import MappingModel
+
+        self.application = application
+        self.platform = platform
+        self.mapping = MappingModel(
+            application, platform, view_name="ExploreMapping"
+        )
+        #: machine -> its :class:`~repro.simulation.executor.MachineTable`,
+        #: filled by the first run
+        self.machine_tables: dict = {}
+
+    def remap(self, assignment: Pairs):
+        """Map exactly ``assignment``'s (group, PE) pairs, in order.
+
+        Every earlier mapping is removed first, so the view ends up as a
+        freshly built one would, errors included.  A pair that raises
+        :class:`~repro.errors.MappingError` leaves the view part-mapped
+        until the next re-map.
+        """
+        mapping = self.mapping
+        for group_name in list(mapping.mappings):
+            mapping.unmap(group_name)
+        for group_name, pe_name in assignment:
+            mapping.map(group_name, pe_name)
+        return mapping
+
+
+#: The process's one cached view as ``(key, view)``, keyed by (builder
+#: reference or unnamed builder, grouping, arq); a campaign evaluates
+#: candidates of one key, and a view for another key replaces it
+_cached: Optional[Tuple[tuple, DesignView]] = None
+
+
+def _build(builder: Builder, grouping: Optional[Pairs], arq: bool):
+    """Call ``builder`` with the keywords a spec sets (a view-cache miss)."""
+    target = resolve_builder(builder)
+    parameters = inspect.signature(target).parameters
     accepts_var_kw = any(
         p.kind == inspect.Parameter.VAR_KEYWORD for p in parameters.values()
     )
     kwargs = {}
-    if spec.grouping is not None:
+    if grouping is not None:
         if "grouping" not in parameters and not accepts_var_kw:
             raise ExplorationError(
-                f"spec sets a grouping but builder {builder_ref(spec.builder)!r} "
+                f"spec sets a grouping but builder {builder_ref(builder)!r} "
                 "does not accept a 'grouping' keyword"
             )
-        kwargs["grouping"] = dict(spec.grouping)
-    if spec.arq:
+        kwargs["grouping"] = dict(grouping)
+    if arq:
         if "arq" not in parameters and not accepts_var_kw:
             raise ExplorationError(
-                f"spec sets arq=True but builder {builder_ref(spec.builder)!r} "
+                f"spec sets arq=True but builder {builder_ref(builder)!r} "
                 "does not accept an 'arq' keyword"
             )
         kwargs["arq"] = True
-    application, platform = builder(**kwargs)
-    mapping = MappingModel(application, platform, view_name="ExploreMapping")
-    for group_name, pe_name in spec.mapping:
-        mapping.map(group_name, pe_name)
-    return application, platform, mapping
+    return target(**kwargs)
+
+
+def design_view(
+    builder: Builder, grouping: Optional[Pairs] = None, arq: bool = False
+) -> DesignView:
+    """This process's view of the system ``builder`` builds.
+
+    The process caches the view of the last ``(builder, grouping, arq)``
+    asked for, so the builder runs once per key until a call with another
+    key replaces the view.  A builder is keyed by its ``"module:callable"``
+    reference, or, when it has none (a lambda, a closure), by the callable
+    object itself.  ``grouping`` is a spec's sorted (process, group) pairs.
+    """
+    global _cached
+    reference = builder_ref(builder)
+    key = (reference if reference is not None else builder, grouping, arq)
+    if _cached is None or _cached[0] != key:
+        _cached = (key, DesignView(*_build(builder, grouping, arq)))
+    return _cached[1]
+
+
+def build_system(spec: CandidateSpec):
+    """The live ``(application, platform, mapping)`` triple of ``spec``.
+
+    This is the worker-side entry point.  The system comes from the
+    process's cached :func:`design_view` for the spec's builder, grouping
+    and arq, re-mapped to the spec's mapping.  The three objects are the
+    view's own and shared: the next call for the same key re-maps the
+    returned mapping, and a change to the application or platform reaches
+    every later candidate of that key.  A caller that needs a system of
+    its own calls the builder.  A forked worker inherits its parent's view
+    and re-maps its own copy; no UML objects are ever pickled.
+    """
+    view = design_view(spec.builder, spec.grouping, spec.arq)
+    return view.application, view.platform, view.remap(spec.mapping)

@@ -121,17 +121,41 @@ class _StepEnvironment(ActionEnvironment):
         self._rand_state = RAND16_SEED
 
 
+class MachineTable:
+    """What every executor of one machine reads and none changes.
+
+    ``plan`` is the machine's :func:`~repro.uml.plan.plan_machine` plan.
+    ``compiled`` maps ``id(AST)`` to ``(AST, compiled function)`` for the
+    guards and action blocks run so far; holding the AST keeps its id from
+    being reused while the entry lives.  A table is built from the machine
+    as it is now, so the machine must not change while the table is used.
+    """
+
+    __slots__ = ("plan", "compiled")
+
+    def __init__(self, machine: StateMachine) -> None:
+        self.plan = plan_machine(machine)
+        self.compiled: Dict[int, Tuple[object, Callable[..., int]]] = {}
+
+
 class ProcessExecutor:
     """Runtime state of one application process (one EFSM instance).
 
     Guards and action blocks run as functions compiled by
-    :mod:`repro.uml.action_compiler`, looked up once per AST per executor.
-    Each executor resolves its machine's hierarchy once, at construction
-    (:func:`~repro.uml.plan.plan_machine`), and every step reads that
-    plan, so the machine must not change once its executor exists.
+    :mod:`repro.uml.action_compiler`, looked up once per AST per table.
+    The machine's hierarchy is resolved once per table
+    (:func:`~repro.uml.plan.plan_machine`), and every step reads that plan.
+    ``machine_tables`` maps machines to the :class:`MachineTable` their
+    executors share; a machine missing from it gets a table, which is
+    added to it.  Without it the executor builds a table of its own.
     """
 
-    def __init__(self, name: str, machine: StateMachine) -> None:
+    def __init__(
+        self,
+        name: str,
+        machine: StateMachine,
+        machine_tables: Optional[Dict[StateMachine, MachineTable]] = None,
+    ) -> None:
         if machine.initial_state is None:
             raise SimulationError(
                 f"machine {machine.name!r} of process {name!r} has no initial state"
@@ -141,13 +165,14 @@ class ProcessExecutor:
         self.variables: Dict[str, int] = dict(machine.variables)
         self.current: Optional[State] = None
         self.terminated = False
-        # id(AST) -> (AST, compiled function); holding the AST keeps its id
-        # from being reused while the entry lives
-        self._compiled: Dict[int, Tuple[object, Callable[..., int]]] = {}
-        plan = plan_machine(machine)
-        self._start = plan.start
+        tables = machine_tables if machine_tables is not None else {}
+        table = tables.get(machine)
+        if table is None:
+            table = tables[machine] = MachineTable(machine)
+        self._compiled = table.compiled
+        self._start = table.plan.start
         # active state -> trigger key -> candidate steps in search order
-        self._dispatch = plan.by_trigger
+        self._dispatch = table.plan.by_trigger
         self._environment = _StepEnvironment(self.variables)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,12 @@ from repro.mapping.model import MappingModel
 from repro.observability.tracer import SYSTEM_TRACK, Tracer, efsm_track, pe_track
 from repro.platform.model import PlatformModel
 from repro.simulation.bus import HibiBus, TransferStats
-from repro.simulation.executor import ProcessExecutor, SendIntent, StepOutcome
+from repro.simulation.executor import (
+    MachineTable,
+    ProcessExecutor,
+    SendIntent,
+    StepOutcome,
+)
 from repro.simulation.kernel import (
     EV_ARGS,
     EV_CALLBACK,
@@ -50,6 +55,7 @@ from repro.simulation.logfile import (  # noqa: F401
     parse_log,
 )
 from repro.simulation.timing import CostModel, timer_duration_ps
+from repro.uml.statemachine import StateMachine
 
 
 class _Route(NamedTuple):
@@ -291,7 +297,11 @@ class SimulationResult:
 
 
 class SystemSimulation:
-    """Executes an application mapped onto a platform."""
+    """Executes an application mapped onto a platform.
+
+    ``machine_tables`` is handed to every :class:`ProcessExecutor`: runs
+    of one application that share it plan and compile each machine once.
+    """
 
     def __init__(
         self,
@@ -301,6 +311,7 @@ class SystemSimulation:
         max_events: int = 5_000_000,
         faults=None,
         tracer: Optional[Tracer] = None,
+        machine_tables: Optional[Dict[StateMachine, MachineTable]] = None,
     ) -> None:
         mapping.check_complete()
         self.application = application
@@ -346,7 +357,9 @@ class SystemSimulation:
         self._process_type_of: Dict[str, str] = {}
         self._routes: Dict[Tuple[str, str, Optional[str]], _Route] = {}
         for name, process in application.processes.items():
-            self.executors[name] = ProcessExecutor(name, process.behavior)
+            self.executors[name] = ProcessExecutor(
+                name, process.behavior, machine_tables
+            )
             self._priority_of[name] = process.priority()
             self._process_type_of[name] = process.process_type()
             if process.is_environment:
