@@ -443,12 +443,7 @@ def _cmd_trace(args) -> int:
         print(render_chrome_trace(tracer, metadata))
         return 0
     group_of = dict(group_info_from_model(application.model).process_to_group)
-    report = collect_metrics(
-        tracer,
-        result.end_time_ps,
-        group_of=group_of,
-        pes=platform.processing_elements,
-    )
+    report = collect_metrics(tracer, result.account, group_of=group_of)
     if args.format == "json":
         from repro.util.jsonout import render_envelope
 

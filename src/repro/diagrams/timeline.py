@@ -93,22 +93,13 @@ def timeline_text(
     return "\n".join(lines)
 
 
-def utilization_summary(log: LogFile, end_ps: Optional[int] = None) -> str:
-    """One line per PE: busy time and share of the horizon."""
-    if end_ps is None:
-        end_ps = log.end_time_ps
-    busy: Dict[str, int] = {}
-    steps: Dict[str, int] = {}
-    for record in log.exec_records:
-        if record.pe == "-":
-            continue
-        busy[record.pe] = busy.get(record.pe, 0) + record.duration_ps
-        steps[record.pe] = steps.get(record.pe, 0) + 1
-    lines = []
-    for pe in sorted(busy):
-        share = busy[pe] / end_ps if end_ps else 0.0
-        lines.append(
-            f"{pe:>14}: {steps[pe]:>6} steps, busy {busy[pe] / 1e6:10.1f} us "
-            f"({share:6.1%})"
-        )
-    return "\n".join(lines)
+def utilization_summary(log: LogFile) -> str:
+    """One line per PE of the log's account: steps, busy time and share
+    of the horizon (a PE that never ran shows 0 steps)."""
+    account = log.account
+    utilization = account.pe_utilization()
+    return "\n".join(
+        f"{pe:>14}: {account.pe_steps[pe]:>6} steps, "
+        f"busy {account.pe_busy_ps[pe] / 1e6:10.1f} us ({utilization[pe]:6.1%})"
+        for pe in sorted(account.pe_busy_ps)
+    )

@@ -16,11 +16,12 @@ from typing import Dict, Optional
 
 from repro.application.model import ApplicationModel
 from repro.mapping.model import MappingModel
-from repro.observability.metrics import summarize_result
+from repro.observability.metrics import LatencyHistogram, summarize_result
 from repro.platform.model import PlatformModel
 from repro.profiling.analysis import analyze
 from repro.profiling.groupinfo import group_info_from_model
 from repro.simulation.executor import MachineTable
+from repro.simulation.logfile import TRANSPORT_BUS
 from repro.simulation.system import SimulationResult, SystemSimulation
 from repro.uml.statemachine import StateMachine
 
@@ -139,23 +140,20 @@ def evaluate(
 
 def summarize(result: SimulationResult, application: ApplicationModel) -> EvaluationResult:
     """Metrics from an existing simulation result."""
-    bus_records = [
-        r for r in result.log.signal_records if r.transport == "bus"
-    ]
-    utilization = result.pe_utilization()
+    account = result.account
     data = analyze(result.log, group_info_from_model(application.model))
+    bus = data.transport_latency.get(TRANSPORT_BUS, LatencyHistogram())
+    utilization = account.pe_utilization()
     return EvaluationResult(
-        bus_signals=len(bus_records),
-        bus_bytes=sum(r.bytes for r in bus_records),
+        bus_signals=bus.count,
+        bus_bytes=sum(
+            n for flow, n in account.flow_bytes.items() if flow[3] == TRANSPORT_BUS
+        ),
         bus_busy_ps=sum(s.busy_ps for s in result.bus_stats.values()),
         max_pe_utilization=max(utilization.values()) if utilization else 0.0,
-        mean_latency_ps=(
-            sum(r.latency_ps for r in bus_records) / len(bus_records)
-            if bus_records
-            else 0.0
-        ),
+        mean_latency_ps=bus.mean_ps,
         delivered_msdus=0,
-        dropped_signals=result.dropped_signals,
+        dropped_signals=account.dropped,
         group_cycles=dict(data.group_cycles),
         observability=summarize_result(result),
     )

@@ -10,6 +10,7 @@ module turns that score into the exploration engine's pruning oracle:
   unknown PE, process type the PE cannot execute) are skipped outright;
 * candidates **dominated** by the sweep's best static estimate — more
   than ``margin`` times worse — are skipped as not worth simulating.
+  A candidate whose system cannot be built is kept for the supervisor.
 
 Pruning is computed serially over the full spec list *before* any
 dispatch, so the pruned ledger and the surviving candidate set are
@@ -80,17 +81,22 @@ class PrunedRecord:
 
 def static_estimates(
     specs: Sequence[CandidateSpec],
-) -> List[StaticEstimate]:
+) -> List[Optional[StaticEstimate]]:
     """Score every spec statically (one profile per design view).
 
     The estimator scores assignments against the system alone, so every
     spec sharing a :func:`~repro.exploration.spec.design_view` shares one
-    application profile, whatever the view is mapped to.
+    application profile, whatever the view is mapped to.  A spec whose
+    builder raises scores ``None``.
     """
-    estimates: List[StaticEstimate] = []
+    estimates: List[Optional[StaticEstimate]] = []
     profiled = profile = None
     for spec in specs:
-        view = design_view(spec.builder, spec.grouping, spec.arq)
+        try:
+            view = design_view(spec.builder, spec.grouping, spec.arq)
+        except Exception:  # its evaluation fails too, under the supervisor
+            estimates.append(None)
+            continue
         if view is not profiled:
             profiled, profile = view, static_application_profile(view.application)
         estimates.append(
@@ -106,18 +112,20 @@ def prune_candidates(
     """Partition specs into survivors and a pruned ledger.
 
     Returns ``(kept_indices, pruned_records, estimates)``; indices refer
-    to positions in ``specs``.  Deterministic: a pure function of the spec
-    list and the config.
+    to positions in ``specs``; a spec without an estimate is kept.
+    Deterministic: a pure function of the spec list and the config.
     """
     config = config if config is not None else PruneConfig()
     estimates = static_estimates(specs)
-    feasible = [e.cost for e in estimates if e.infeasible is None]
+    feasible = [e.cost for e in estimates if e is not None and e.infeasible is None]
     best = min(feasible) if feasible else 0.0
     threshold = config.margin * best
     kept: List[int] = []
     pruned: List[PrunedRecord] = []
     for index, (spec, estimate) in enumerate(zip(specs, estimates)):
-        if estimate.infeasible is not None:
+        if estimate is None:
+            kept.append(index)
+        elif estimate.infeasible is not None:
             pruned.append(
                 PrunedRecord(
                     index=index,

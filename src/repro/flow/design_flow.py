@@ -326,12 +326,7 @@ def run_design_flow(
                 if group_info is not None
                 else None
             )
-            report = collect_metrics(
-                tracer,
-                result.end_time_ps,
-                group_of=group_of,
-                pes=platform.processing_elements,
-            )
+            report = collect_metrics(tracer, result.account, group_of=group_of)
             with open(ensure_parent(metrics_path), "w", encoding="utf-8") as handle:
                 json.dump(
                     envelope("trace-metrics", report.to_dict()),

@@ -515,13 +515,10 @@ def check_resume(
         reference_sim.tracer
     ):
         _fail("resume", "resumed Chrome trace differs from reference", config)
-    pes = reference_model.platform.processing_elements
     reference_metrics = collect_metrics(
-        reference_sim.tracer, reference.end_time_ps, pes=pes
+        reference_sim.tracer, reference.account
     ).to_dict()
-    resumed_metrics = collect_metrics(
-        resumed_sim.tracer, resumed.end_time_ps, pes=pes
-    ).to_dict()
+    resumed_metrics = collect_metrics(resumed_sim.tracer, resumed.account).to_dict()
     if resumed_metrics != reference_metrics:
         _fail("resume", "resumed metrics differ from reference", config)
     return interrupt_at

@@ -5,8 +5,9 @@ of the physical implementation" — reproduced for the simulated platform:
 a :class:`Tracer` threaded through the kernel, the HIBI bus and the
 system simulator collects spans, instants and counters, and takes the
 exec, signal, drop and fault events from the simulation log's records;
-:func:`collect_metrics` turns the stream into per-PE/bus metrics; the
-export helpers write Chrome-trace JSON that loads in ``ui.perfetto.dev``.
+:func:`collect_metrics` joins the stream with the run's log account
+into per-PE/bus metrics; the export helpers write Chrome-trace JSON that
+loads in ``ui.perfetto.dev``.
 
 See ``docs/observability.md`` for the metric definitions and a Perfetto
 walkthrough.

@@ -1,37 +1,19 @@
-"""Metrics aggregation over the trace stream.
+"""Metrics of one run: its run account plus what only the trace holds.
 
 Where :mod:`repro.profiling` answers the paper's Table 4 questions (group
 execution shares, signal-count matrix), this module answers the
 *designer's why*: why is a mapping slow?  Which PE idles, which stalls,
-which bus segment saturates, where do signals queue?
-
-Every metric is a pure function of the trace event stream plus the run's
-end time, so the numbers are as deterministic as the simulation itself.
-Definitions (``T`` = simulated end time in ps):
-
-* **PE utilisation** — ``busy / T`` where ``busy`` is the sum of the PE's
-  EXEC span durations.  ``idle = T - busy``.
-* **PE stall time** — the extra picoseconds injected ``pe-stall`` windows
-  added to steps on that PE (the ``extra_ps`` argument of ``pe-stall``
-  instants); part of ``busy``, broken out separately.
-* **Bus segment occupancy** — ``busy / T`` over the segment's grant
-  spans; **contention wait** is the sum of each transfer's
-  enqueue→grant delay (the span's ``wait_ps`` argument).
-* **Queue high-water marks** — the maximum sampled depth of each PE
-  ready queue, each segment request queue (the wrapper FIFO), and the
-  kernel scheduler queue.  Kernel samples are matched by track, not by
-  counter name, so older traces (counter ``events``) aggregate
-  identically to current ones (``queue_depth``).
-* **Signal latency histograms** — send→delivery latency, bucketed by
-  powers of two (bucket key ``2**k`` holds latencies in
-  ``(2**(k-1), 2**k]`` ps), keyed by sender→receiver process group when
-  group information is available, by transport otherwise.
+which bus segment saturates, where do signals queue?  Every metric is a
+pure function of the run's log and trace, so the numbers are as
+deterministic as the simulation itself; ``docs/observability.md``
+defines each one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.observability.tracer import (
     CounterEvent,
@@ -42,6 +24,9 @@ from repro.observability.tracer import (
     SpanEvent,
     Tracer,
 )
+
+if TYPE_CHECKING:  # the log module imports this one
+    from repro.simulation.logfile import RunAccount
 
 
 @dataclass
@@ -61,6 +46,15 @@ class LatencyHistogram:
             self.max_ps = latency_ps
         bucket = 0 if latency_ps <= 0 else 1 << (latency_ps - 1).bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Add every sample of ``other``."""
+        self.count += other.count
+        self.total_ps += other.total_ps
+        if other.max_ps > self.max_ps:
+            self.max_ps = other.max_ps
+        for bucket, n in other.buckets.items():
+            self.buckets[bucket] = self.buckets.get(bucket, 0) + n
 
     @property
     def mean_ps(self) -> float:
@@ -172,29 +166,39 @@ class MetricsReport:
 
 def collect_metrics(
     tracer: Tracer,
-    end_time_ps: int,
+    account: "RunAccount",
     group_of: Optional[Dict[str, str]] = None,
-    pes: Iterable[str] = (),
 ) -> MetricsReport:
-    """Aggregate one run's trace into a :class:`MetricsReport`.
+    """One run's :class:`MetricsReport`.
 
-    ``group_of`` maps process names to process-group names; with it,
-    latency histograms are keyed ``sender_group->receiver_group``, without
-    it by transport.  Unknown processes fall back to their own name.
-    ``pes`` names the platform's processing elements: each gets a row,
-    so a PE that never ran reports 0 steps and utilisation 0.0 (a PE the
-    trace names is reported either way).
+    What a log record holds comes from ``account``, the run's
+    :class:`~repro.simulation.logfile.RunAccount`, and each PE it lists
+    gets a row; the trace adds the rest (bus spans, queue peaks,
+    ``pe-stall`` extra time, dispatches, transitions).  With ``group_of``
+    (process -> group; unknown processes keep their own name) latency is
+    keyed ``sender_group->receiver_group``, without it by transport.
     """
+    if group_of is None:
+        key = itemgetter(3)  # a flow's transport
+    else:
+
+        def key(flow):  # sender_group->receiver_group
+            return "->".join(group_of.get(name, name) for name in flow[:2])
+
     report = MetricsReport(
-        end_time_ps=end_time_ps, pes={name: PEMetrics() for name in pes}
+        end_time_ps=account.end_time_ps,
+        pes={
+            pe: PEMetrics(busy_ps=busy, steps=account.pe_steps[pe])
+            for pe, busy in account.pe_busy_ps.items()
+        },
+        latency=account.latency_by(key),
+        delivered_signals=sum(h.count for h in account.flow_latency.values()),
+        dropped_signals=account.dropped,
+        faults_by_kind=dict(account.faults_by_kind),
     )
     for event in tracer.events:
         if isinstance(event, SpanEvent):
-            if event.track[0] == GROUP_PE:
-                pe = report.pes.setdefault(event.track[1], PEMetrics())
-                pe.busy_ps += event.duration_ps
-                pe.steps += 1
-            elif event.track[0] == GROUP_BUS:
+            if event.track[0] == GROUP_BUS:
                 segment = report.segments.setdefault(
                     event.track[1], SegmentMetrics()
                 )
@@ -205,35 +209,20 @@ def collect_metrics(
                 if event.args.get("fault"):
                     segment.faulted_transfers += 1
         elif isinstance(event, InstantEvent):
-            if event.category == "signal":
-                report.delivered_signals += 1
-                if group_of is not None:
-                    sender = str(event.args.get("sender", "-"))
-                    receiver = str(event.args.get("receiver", "-"))
-                    key = (
-                        f"{group_of.get(sender, sender)}->"
-                        f"{group_of.get(receiver, receiver)}"
-                    )
-                else:
-                    key = str(event.args.get("transport", "-"))
-                report.latency.setdefault(key, LatencyHistogram()).observe(
-                    int(event.args.get("latency_ps", 0))
-                )
-            elif event.category == "dispatch":
+            if event.category == "dispatch":
                 report.dispatched_signals += 1
-            elif event.category == "drop":
-                report.dropped_signals += 1
-            elif event.category == "fault":
-                report.faults_by_kind[event.name] = (
-                    report.faults_by_kind.get(event.name, 0) + 1
-                )
-                if event.name == "pe-stall" and event.track[0] == GROUP_PE:
-                    pe = report.pes.setdefault(event.track[1], PEMetrics())
-                    pe.stall_ps += int(event.args.get("extra_ps", 0))
             elif event.category == "efsm":
                 report.transitions += 1
+            elif (
+                event.category == "fault"
+                and event.name == "pe-stall"
+                and event.track[0] == GROUP_PE
+            ):
+                pe = report.pes.setdefault(event.track[1], PEMetrics())
+                pe.stall_ps += int(event.args.get("extra_ps", 0))
         elif isinstance(event, CounterEvent):
             depth = int(event.values.get("depth", 0))
+            # by track, not counter name: older traces name it "events"
             if event.track == KERNEL_TRACK:
                 if depth > report.kernel_queue_peak:
                     report.kernel_queue_peak = depth
@@ -253,19 +242,16 @@ def collect_metrics(
 def summarize_result(result) -> Dict[str, object]:
     """A compact, JSON-able observability summary of a simulation result.
 
-    Computed from :class:`~repro.simulation.system.SimulationResult`
-    aggregates alone — no tracer required — so the exploration engine can
-    attach it to every :class:`~repro.exploration.objectives
-    .EvaluationResult` at zero additional simulation cost and rankings can
-    be explained per candidate.
+    Computed from the run account and bus statistics alone — no tracer
+    required — so the exploration engine can attach it to every
+    :class:`~repro.exploration.objectives.EvaluationResult` at no extra
+    simulation cost and rankings can be explained per candidate.
     """
+    account = result.account
     return {
         "end_time_ps": result.end_time_ps,
-        "pe_utilization": {
-            name: utilization
-            for name, utilization in sorted(result.pe_utilization().items())
-        },
-        "pe_busy_ps": dict(sorted(result.pe_busy_ps.items())),
+        "pe_utilization": dict(sorted(account.pe_utilization().items())),
+        "pe_busy_ps": dict(sorted(account.pe_busy_ps.items())),
         "bus": {
             name: {
                 "busy_ps": stats.busy_ps,
@@ -275,5 +261,5 @@ def summarize_result(result) -> Dict[str, object]:
             }
             for name, stats in sorted(result.bus_stats.items())
         },
-        "dropped_signals": result.dropped_signals,
+        "dropped_signals": account.dropped,
     }

@@ -19,7 +19,6 @@ from repro.profiling.groupinfo import (
 )
 from repro.profiling.analysis import (
     FaultSummary,
-    LatencyStats,
     ProfilingData,
     analyze,
 )
@@ -60,7 +59,6 @@ def profile_run(result, application):
 __all__ = [
     "ENVIRONMENT_GROUP",
     "FaultSummary",
-    "LatencyStats",
     "render_fault_section",
     "render_latency_detail",
     "group_times_csv",

@@ -8,36 +8,19 @@ results are gathered to a profiling report."
 group (Table 4a), the number of signals between groups (Table 4b), and the
 finer-grained metrics the paper mentions ("other metrics, such as
 transfers between individual application processes, are also available").
+Every figure is a view of the log's
+:class:`~repro.simulation.logfile.RunAccount` through the group info.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
+from repro.observability.metrics import LatencyHistogram
 from repro.simulation.logfile import LogFile
 from repro.profiling.groupinfo import ENVIRONMENT_GROUP, ProcessGroupInfo
-
-
-@dataclass
-class LatencyStats:
-    """Delivery-latency statistics of one signal population."""
-
-    count: int = 0
-    total_ps: int = 0
-    max_ps: int = 0
-
-    def observe(self, latency_ps: int) -> None:
-        """Add one delivery-latency sample."""
-        self.count += 1
-        self.total_ps += latency_ps
-        if latency_ps > self.max_ps:
-            self.max_ps = latency_ps
-
-    @property
-    def mean_ps(self) -> float:
-        """Arithmetic mean latency (0.0 on an empty population)."""
-        return self.total_ps / self.count if self.count else 0.0
 
 
 @dataclass
@@ -93,8 +76,8 @@ class ProfilingData:
     process_signals: Dict[Tuple[str, str], int] = field(default_factory=dict)
     group_bytes: Dict[Tuple[str, str], int] = field(default_factory=dict)
     group_steps: Dict[str, int] = field(default_factory=dict)
-    signal_latency: Dict[str, LatencyStats] = field(default_factory=dict)
-    transport_latency: Dict[str, LatencyStats] = field(default_factory=dict)
+    signal_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
+    transport_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
     dropped_signals: int = 0
     end_time_ps: int = 0
     fault_stats: Optional[FaultSummary] = None
@@ -139,27 +122,15 @@ class ProfilingData:
     def external_signals(self) -> int:
         """Signals crossing group boundaries (the quantity the paper's
         grouping objective minimises)."""
-        return sum(
-            count
-            for (sender, receiver), count in self.group_signals.items()
-            if sender != receiver
-        )
+        return _crossing(self.group_signals, True)
 
     def internal_signals(self) -> int:
         """Signals delivered within a single group."""
-        return sum(
-            count
-            for (sender, receiver), count in self.group_signals.items()
-            if sender == receiver
-        )
+        return _crossing(self.group_signals, False)
 
     def external_bytes(self) -> int:
         """Bytes carried by group-crossing signals."""
-        return sum(
-            count
-            for (sender, receiver), count in self.group_bytes.items()
-            if sender != receiver
-        )
+        return _crossing(self.group_bytes, True)
 
     def busiest_group(self) -> str:
         """The group with the most charged cycles (name breaks ties)."""
@@ -168,37 +139,39 @@ class ProfilingData:
         return max(self.group_cycles, key=lambda g: (self.group_cycles[g], g))
 
 
+def _crossing(by_pair: Dict[Tuple[str, str], int], crossing: bool) -> int:
+    """Sum of the pairs whose sender and receiver groups differ (or not)."""
+    return sum(n for (a, b), n in by_pair.items() if (a != b) == crossing)
+
+
+def _add(counts: dict, key, amount: int) -> None:
+    counts[key] = counts.get(key, 0) + amount
+
+
 def analyze(log: LogFile, group_info: ProcessGroupInfo) -> ProfilingData:
-    """Join a parsed log-file with group info (profiling stage 3)."""
-    data = ProfilingData(group_info=group_info, end_time_ps=log.end_time_ps)
-    for group in group_info.all_groups():
-        data.group_cycles.setdefault(group, 0)
-        data.group_steps.setdefault(group, 0)
-    for record in log.exec_records:
-        group = group_info.group_of(record.process)
-        data.group_cycles[group] = data.group_cycles.get(group, 0) + record.cycles
-        data.group_steps[group] = data.group_steps.get(group, 0) + 1
-        data.process_cycles[record.process] = (
-            data.process_cycles.get(record.process, 0) + record.cycles
-        )
-    for record in log.signal_records:
-        sender_group = group_info.group_of(record.sender)
-        receiver_group = group_info.group_of(record.receiver)
-        group_key = (sender_group, receiver_group)
-        process_key = (record.sender, record.receiver)
-        data.group_signals[group_key] = data.group_signals.get(group_key, 0) + 1
-        data.process_signals[process_key] = (
-            data.process_signals.get(process_key, 0) + 1
-        )
-        data.group_bytes[group_key] = (
-            data.group_bytes.get(group_key, 0) + record.bytes
-        )
-        data.signal_latency.setdefault(record.signal, LatencyStats()).observe(
-            record.latency_ps
-        )
-        data.transport_latency.setdefault(
-            record.transport, LatencyStats()
-        ).observe(record.latency_ps)
-    data.dropped_signals = len(log.drop_records)
-    data.fault_stats = _fault_summary_from_meta(log.meta)
+    """Join a parsed log-file with group info (profiling stage 3): the
+    log's run account, viewed per process group."""
+    account = log.account
+    group_of = group_info.group_of
+    groups = group_info.all_groups()
+    data = ProfilingData(
+        group_info=group_info,
+        group_cycles=dict.fromkeys(groups, 0),
+        process_cycles=dict(account.process_cycles),
+        group_steps=dict.fromkeys(groups, 0),
+        signal_latency=account.latency_by(itemgetter(2)),
+        transport_latency=account.latency_by(itemgetter(3)),
+        dropped_signals=account.dropped,
+        end_time_ps=log.end_time_ps,
+        fault_stats=_fault_summary_from_meta(log.meta),
+    )
+    for process, cycles in account.process_cycles.items():
+        _add(data.group_cycles, group_of(process), cycles)
+        _add(data.group_steps, group_of(process), account.process_steps[process])
+    for flow, histogram in account.flow_latency.items():
+        sender, receiver = flow[0], flow[1]
+        pair = (group_of(sender), group_of(receiver))
+        _add(data.group_signals, pair, histogram.count)
+        _add(data.group_bytes, pair, account.flow_bytes[flow])
+        _add(data.process_signals, (sender, receiver), histogram.count)
     return data

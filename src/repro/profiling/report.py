@@ -85,36 +85,25 @@ def render_process_detail(data: ProfilingData) -> str:
 
 def render_latency_detail(data: ProfilingData) -> str:
     """Delivery latency per transport and per signal type."""
-    transport_rows = [
-        (
-            name,
-            stats.count,
-            round(stats.mean_ps / 1000.0, 1),
-            stats.max_ps // 1000,
-        )
-        for name, stats in sorted(data.transport_latency.items())
-    ]
-    signal_rows = [
-        (
-            name,
-            stats.count,
-            round(stats.mean_ps / 1000.0, 1),
-            stats.max_ps // 1000,
-        )
-        for name, stats in sorted(
-            data.signal_latency.items(),
-            key=lambda item: (-item[1].count, item[0]),
-        )
-    ]
+
+    def rows(items):
+        return [
+            (name, h.count, round(h.mean_ps / 1000.0, 1), h.max_ps // 1000)
+            for name, h in items
+        ]
+
+    signals = sorted(
+        data.signal_latency.items(), key=lambda item: (-item[1].count, item[0])
+    )
     parts = [
         render_table(
             ("Transport", "Signals", "Mean latency (ns)", "Max latency (ns)"),
-            transport_rows,
+            rows(sorted(data.transport_latency.items())),
             title="Delivery latency by transport",
         ),
         render_table(
             ("Signal", "Count", "Mean latency (ns)", "Max latency (ns)"),
-            signal_rows,
+            rows(signals),
             title="Delivery latency by signal type",
         ),
     ]

@@ -24,15 +24,19 @@ logs are byte-identical to the pre-fault format.
 
 The log is also the source of a traced run's exec, signal, drop and fault
 events: each record's ``trace_event()`` gives the trace event it stands
-for (``docs/logfile_format.md``).
+for (``docs/logfile_format.md``), and of every per-run total: one fold
+of the records, :class:`RunAccount`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import cached_property
 from sys import intern as _intern
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import SimulationError
+from repro.observability.metrics import LatencyHistogram
 from repro.observability.tracer import SYSTEM_TRACK, InstantEvent, SpanEvent, pe_track
 from repro.util.fsio import ensure_parent
 
@@ -345,18 +349,108 @@ class LogWriter:
         self.end_time_ps = int(state["end_time_ps"])
 
 
+#: A signal flow: (sender, receiver, signal, transport).
+FlowKey = Tuple[str, str, str, str]
+
+
+@dataclass
+class RunAccount:
+    """Every per-run total of one log, from one fold of its records.
+
+    ``pe_*`` count the steps that ran on a PE; ``process_*`` count every
+    step, environment ones included.  ``flow_latency`` holds each flow's
+    delivered signals (their count is the histogram's), ``flow_bytes``
+    their bytes.  Dicts keep first-appearance order.
+    """
+
+    end_time_ps: int = 0
+    pe_busy_ps: Dict[str, int] = field(default_factory=dict)
+    pe_steps: Dict[str, int] = field(default_factory=dict)
+    process_cycles: Dict[str, int] = field(default_factory=dict)
+    process_steps: Dict[str, int] = field(default_factory=dict)
+    flow_latency: Dict[FlowKey, LatencyHistogram] = field(default_factory=dict)
+    flow_bytes: Dict[FlowKey, int] = field(default_factory=dict)
+    drops_by_reason: Dict[str, int] = field(default_factory=dict)
+    faults_by_kind: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def fold(
+        cls, records: Iterable[LogRecord], end_time_ps: int, pes: Iterable[str] = ()
+    ) -> "RunAccount":
+        """Fold ``records``; each of ``pes`` gets a PE row, ran or not."""
+        pes = tuple(pes)
+        account = cls(end_time_ps, dict.fromkeys(pes, 0), dict.fromkeys(pes, 0))
+        pe_busy, pe_steps = account.pe_busy_ps, account.pe_steps
+        cycles, steps = account.process_cycles, account.process_steps
+        latency, sizes = account.flow_latency, account.flow_bytes
+        drops, faults = account.drops_by_reason, account.faults_by_kind
+        for record in records:
+            kind = type(record)
+            if kind is ExecRecord:
+                process, pe = record.process, record.pe
+                cycles[process] = cycles.get(process, 0) + record.cycles
+                steps[process] = steps.get(process, 0) + 1
+                if pe != ENVIRONMENT_PE:
+                    pe_busy[pe] = pe_busy.get(pe, 0) + record.duration_ps
+                    pe_steps[pe] = pe_steps.get(pe, 0) + 1
+            elif kind is SignalRecord:
+                key = (record.sender, record.receiver, record.signal, record.transport)
+                if key not in latency:
+                    latency[key], sizes[key] = LatencyHistogram(), 0
+                latency[key].observe(record.latency_ps)
+                sizes[key] += record.bytes
+            elif kind is DropRecord:
+                drops[record.reason] = drops.get(record.reason, 0) + 1
+            else:
+                faults[record.kind] = faults.get(record.kind, 0) + 1
+        return account
+
+    @property
+    def dropped(self) -> int:
+        """Signals consumed without firing a transition (DROP records)."""
+        return sum(self.drops_by_reason.values())
+
+    def pe_utilization(self) -> Dict[str, float]:
+        """Busy fraction of the horizon per PE (0.0 for an empty run)."""
+        end = self.end_time_ps
+        if end <= 0:
+            return dict.fromkeys(self.pe_busy_ps, 0.0)
+        return {pe: min(1.0, busy / end) for pe, busy in self.pe_busy_ps.items()}
+
+    def latency_by(self, key: Callable[[FlowKey], str]) -> Dict[str, LatencyHistogram]:
+        """The flows' latency histograms merged under ``key(flow key)``."""
+        merged: Dict[str, LatencyHistogram] = {}
+        for flow, histogram in self.flow_latency.items():
+            name = key(flow)
+            if name not in merged:
+                merged[name] = LatencyHistogram()
+            merged[name].merge(histogram)
+        return merged
+
+
 class LogFile:
-    """A parsed simulation log."""
+    """A parsed simulation log.
+
+    Its :attr:`account` has a row for each of ``pes`` even if it ran no
+    step: a simulation's log names its platform's PEs, a file names none.
+    """
 
     def __init__(
         self,
         meta: Dict[str, str],
         records: List[LogRecord],
         end_time_ps: int,
+        pes: Iterable[str] = (),
     ) -> None:
         self.meta = meta
         self.records = records
         self.end_time_ps = end_time_ps
+        self.pes = tuple(pes)
+
+    @cached_property
+    def account(self) -> RunAccount:
+        """The run's :class:`RunAccount`, folded on first use."""
+        return RunAccount.fold(self.records, self.end_time_ps, self.pes)
 
     @property
     def exec_records(self) -> List[ExecRecord]:
@@ -377,28 +471,6 @@ class LogFile:
     def fault_records(self) -> List[FaultRecord]:
         """All FAULT records, in log order."""
         return [r for r in self.records if isinstance(r, FaultRecord)]
-
-    def faults_by_kind(self) -> Dict[str, int]:
-        """Injected-fault counts keyed by fault kind."""
-        counts: Dict[str, int] = {}
-        for record in self.fault_records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return counts
-
-    def cycles_by_process(self) -> Dict[str, int]:
-        """Total charged PE cycles per process, over all EXEC records."""
-        totals: Dict[str, int] = {}
-        for record in self.exec_records:
-            totals[record.process] = totals.get(record.process, 0) + record.cycles
-        return totals
-
-    def signal_counts(self) -> Dict[tuple, int]:
-        """(sender, receiver) -> number of delivered signals."""
-        counts: Dict[tuple, int] = {}
-        for record in self.signal_records:
-            key = (record.sender, record.receiver)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
 
 def _parse_fields(line: str, start: int) -> Dict[str, str]:

@@ -48,6 +48,7 @@ from repro.simulation.logfile import (  # noqa: F401
     ENVIRONMENT_PE,
     LogFile,
     LogWriter,
+    RunAccount,
     TRANSPORT_BUS,
     TRANSPORT_ENV,
     TRANSPORT_LOCAL,
@@ -175,7 +176,6 @@ class _PERuntime:
         self.tick_period_us = tick_period_us
         self.ready: List[tuple] = []  # (rank, seq, priority, activation)
         self.busy = False
-        self.busy_ps = 0
         self.last_process: Optional[str] = None
         self._seq = 0
         self._scanned = policy == "round-robin"
@@ -258,9 +258,8 @@ class SimulationResult:
     writer: LogWriter
     end_time_ps: int
     dispatched_events: int
-    pe_busy_ps: Dict[str, int]
+    pes: Tuple[str, ...]                  # the platform's processing elements
     bus_stats: Dict[str, TransferStats]
-    dropped_signals: int
     fault_stats: Optional[object] = None  # repro.faults.FaultStats when injecting
     trace: Optional[Tracer] = None        # the run's tracer when tracing was on
     _log: Optional[LogFile] = field(default=None, repr=False)
@@ -279,21 +278,28 @@ class SimulationResult:
                 {key: meta_value(writer.meta[key]) for key in sorted(writer.meta)},
                 list(writer.records),
                 writer.end_time_ps,
+                self.pes,
             )
         return self._log
 
+    @property
+    def account(self) -> RunAccount:
+        """The :attr:`log`'s account, with a row for every platform PE."""
+        return self.log.account
+
+    @property
+    def pe_busy_ps(self) -> Dict[str, int]:
+        """Picoseconds each processing element spent on logged steps."""
+        return self.account.pe_busy_ps
+
+    @property
+    def dropped_signals(self) -> int:
+        """Signals consumed without firing a transition (DROP records)."""
+        return self.account.dropped
+
     def pe_utilization(self) -> Dict[str, float]:
         """Busy fraction of the simulated interval, per processing element."""
-        if self.end_time_ps <= 0:
-            return {pe: 0.0 for pe in self.pe_busy_ps}
-        return {
-            pe: min(1.0, busy / self.end_time_ps)
-            for pe, busy in self.pe_busy_ps.items()
-        }
-
-    def total_cycles(self) -> int:
-        """Total PE clock cycles charged across all logged steps."""
-        return sum(self.log.cycles_by_process().values())
+        return self.account.pe_utilization()
 
 
 class SystemSimulation:
@@ -372,7 +378,6 @@ class SystemSimulation:
                     )
                 self.pe_of_process[name] = pe_name
         self.timers: Dict[Tuple[str, str], object] = {}
-        self.dropped = 0
         self._started = False
         self._restored = False
 
@@ -414,9 +419,8 @@ class SystemSimulation:
             # the kernel's lifetime counter survives checkpoint/restore, so
             # a resumed run reports the same total as an uninterrupted one
             dispatched_events=self.kernel.dispatched,
-            pe_busy_ps={n: r.busy_ps for n, r in self.pe_runtimes.items()},
+            pes=tuple(self.pe_runtimes),
             bus_stats=self.bus.stats(),
-            dropped_signals=self.dropped,
             fault_stats=fault_stats,
             trace=self.tracer,
         )
@@ -441,7 +445,6 @@ class SystemSimulation:
                 source=pe_name,
                 target=activation.process,
             )
-            self.dropped += 1
             self.writer.drop(
                 time_ps=self.kernel.now_ps,
                 process=activation.process,
@@ -487,7 +490,6 @@ class SystemSimulation:
                 continue
             outcome, reason = self._execute(executor, activation)
             if outcome is None:
-                self.dropped += 1
                 self.writer.drop(
                     time_ps=self.kernel.now_ps,
                     process=activation.process,
@@ -577,10 +579,6 @@ class SystemSimulation:
         started_ps: int,
     ) -> None:
         runtime.busy = False
-        # accrue busy time at completion so it equals the sum of logged
-        # step durations exactly (steps in flight at the horizon are not
-        # logged and not counted)
-        runtime.busy_ps += self.kernel.now_ps - started_ps
         self.writer.exec_step(
             time_ps=started_ps,
             process=activation.process,
@@ -601,7 +599,6 @@ class SystemSimulation:
             return
         outcome, reason = self._execute(executor, activation)
         if outcome is None:
-            self.dropped += 1
             self.writer.drop(
                 time_ps=self.kernel.now_ps,
                 process=activation.process,
@@ -823,7 +820,6 @@ class SystemSimulation:
             name: {
                 "ready": runtime.ready_state(),
                 "busy": runtime.busy,
-                "busy_ps": runtime.busy_ps,
                 "last_process": runtime.last_process,
                 "seq": runtime._seq,
                 "active_step": steps.get(name),
@@ -832,7 +828,6 @@ class SystemSimulation:
         }
         return {
             "kernel": self.kernel.state_dict(),
-            "dropped": self.dropped,
             "executors": {
                 name: self.executors[name].state_dict()
                 for name in sorted(self.executors)
@@ -882,7 +877,6 @@ class SystemSimulation:
                 "must have fault injection enabled"
             )
         self.kernel.load_state_dict(state["kernel"])
-        self.dropped = int(state["dropped"])
         for name, executor_state in state["executors"].items():
             executor = self.executors.get(name)
             if executor is None:
@@ -898,7 +892,6 @@ class SystemSimulation:
                 )
             runtime.load_ready(runtime_state["ready"])
             runtime.busy = bool(runtime_state["busy"])
-            runtime.busy_ps = int(runtime_state["busy_ps"])
             runtime.last_process = runtime_state["last_process"]
             runtime._seq = int(runtime_state["seq"])
             step = runtime_state["active_step"]

@@ -126,10 +126,8 @@ class TestByteIdenticalResume:
         assert render_chrome_trace(resumed_sim.tracer) == render_chrome_trace(
             reference_sim.tracer
         )
-        reference_metrics = collect_metrics(
-            reference_sim.tracer, reference.end_time_ps
-        )
-        resumed_metrics = collect_metrics(resumed_sim.tracer, resumed.end_time_ps)
+        reference_metrics = collect_metrics(reference_sim.tracer, reference.account)
+        resumed_metrics = collect_metrics(resumed_sim.tracer, resumed.account)
         assert resumed_metrics.to_dict() == reference_metrics.to_dict()
 
     def test_resume_without_tracer(self, tmp_path, faulted):
@@ -161,10 +159,8 @@ class TestByteIdenticalResume:
 
         assert observed.writer.render() == bare.writer.render()
         assert observed.dispatched_events == bare.dispatched_events
-        bare_metrics = collect_metrics(bare_sim.tracer, bare.end_time_ps)
-        observed_metrics = collect_metrics(
-            observed_sim.tracer, observed.end_time_ps
-        )
+        bare_metrics = collect_metrics(bare_sim.tracer, bare.account)
+        observed_metrics = collect_metrics(observed_sim.tracer, observed.account)
         assert observed_metrics.to_dict() == bare_metrics.to_dict()
 
 
@@ -206,6 +202,16 @@ class TestTracedSnapshotContent:
         }
         # the interrupted run derived nothing either
         assert len(simulation.tracer.events) == len(state["tracer"]["events"])
+
+    def test_snapshot_holds_no_total_the_log_holds(self, tmp_path):
+        """Drops and PE busy time are folded from the log's records, so a
+        snapshot keeps no counter of them beside the records."""
+        _, _, snapshot = interrupted_mid_grant(tmp_path)
+        state = snapshot.state
+        assert "dropped" not in state
+        assert state["runtimes"]
+        for runtime in state["runtimes"].values():
+            assert "busy_ps" not in runtime
 
     def test_tracer_state_is_events_only_and_resume_mid_grant_is_exact(
         self, tmp_path
@@ -280,7 +286,9 @@ class TestRestoreValidation:
         with pytest.raises(SimulationInterrupted) as excinfo:
             run_to_completion(simulation, tmp_path / "ck", interrupt=INTERRUPT_AT)
         snapshot = excinfo.value.snapshot
-        tampered_state = dict(snapshot.state, dropped=snapshot.state["dropped"] + 1)
+        tampered_state = copy.deepcopy(snapshot.state)
+        runtime = next(iter(tampered_state["runtimes"].values()))
+        runtime["seq"] += 1
         tampered = dataclasses.replace(snapshot, state=tampered_state)
         with pytest.raises(CheckpointError, match="does not reproduce"):
             resume_simulation(build_simulation(faulted=False), tampered)
@@ -289,9 +297,27 @@ class TestRestoreValidation:
     def test_snapshot_in_the_previous_format_rejected(self, tmp_path, traced):
         """Snapshots written before in-flight work was read from the kernel
         heap kept open bus spans, a ``trace_handle`` per transfer and
-        derived timer lists per in-flight step; resuming one fails with a
-        CheckpointError, not a KeyError."""
+        derived timer lists per in-flight step; snapshots written before
+        the run account kept live ``dropped`` and per-PE ``busy_ps``
+        counters.  Resuming either fails with a CheckpointError, not a
+        KeyError."""
         _, _, snapshot = interrupted_mid_grant(tmp_path, traced=traced)
+
+        counted = copy.deepcopy(snapshot.state)
+        records = counted["writer"]["records"]
+        counted["dropped"] = sum(1 for r in records if r["record"] == "DROP")
+        for name, runtime in counted["runtimes"].items():
+            runtime["busy_ps"] = sum(
+                r["duration_ps"]
+                for r in records
+                if r["record"] == "EXEC" and r["pe"] == name
+            )
+        old = dataclasses.replace(
+            snapshot, state=counted, digest=state_hash(counted)
+        )
+        with pytest.raises(CheckpointError, match="does not reproduce"):
+            resume_simulation(build_simulation(faulted=False, traced=traced), old)
+
         state = copy.deepcopy(snapshot.state)
         if traced:
             state["tracer"]["open"] = []

@@ -120,3 +120,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "timeline" in out
         assert "processor1" in out
+
+    def test_timeline_summary_lists_every_platform_pe(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["timeline", "--duration-us", "3000"]) == 0
+        summary = capsys.readouterr().out.rstrip("\n").split("\n\n")[-1]
+        pes = [line.split(":")[0].strip() for line in summary.splitlines()]
+        assert pes == ["accelerator1", "processor1", "processor2", "processor3"]
+        # processor3 runs nothing on TUTWLAN, and still gets its line
+        assert summary.splitlines()[-1] == (
+            "    processor3:      0 steps, busy        0.0 us (  0.0%)"
+        )

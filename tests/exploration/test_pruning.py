@@ -23,6 +23,7 @@ from repro.exploration import (
 )
 
 from tests.exploration.test_engine import pingpong_factory
+from tests.exploration.test_supervisor import fast_config
 
 
 def sweep_specs():
@@ -36,6 +37,20 @@ def ghost_spec():
         {"g1": "ghost", "g2": "cpu1"},
         duration_us=3_000,
         label="g1->ghost,g2->cpu1",
+    )
+
+
+def broken_factory():
+    """A builder that cannot build its system."""
+    raise RuntimeError("the builder is broken")
+
+
+def broken_spec():
+    return CandidateSpec.make(
+        broken_factory,
+        {"g1": "cpu1", "g2": "cpu1"},
+        duration_us=3_000,
+        label="broken",
     )
 
 
@@ -154,6 +169,34 @@ class TestEngineIntegration:
         assert len(run.outcomes) == len(specs) - 1
         (record,) = [r for r in run.pruned if r.reason == "infeasible"]
         assert record.label == "g1->ghost,g2->cpu1"
+
+    def test_unbuildable_candidate_is_quarantined_as_unpruned(self):
+        specs = sweep_specs()
+        specs.insert(1, broken_spec())
+        estimates = static_estimates(specs)
+        assert estimates[1] is None
+        kept, pruned, _ = prune_candidates(specs, PruneConfig(margin=1.2))
+        assert 1 in kept and all(record.index != 1 for record in pruned)
+        run = run_candidates(
+            specs,
+            workers=0,
+            supervisor=fast_config(),
+            prune_static=PruneConfig(margin=1.2),
+        )
+        (record,) = run.quarantined
+        assert record.index == 1 and record.failures == 3
+        unpruned = run_candidates(specs, workers=0, supervisor=fast_config())
+        assert [r.to_json_dict() for r in run.quarantined] == [
+            r.to_json_dict() for r in unpruned.quarantined
+        ]
+        # the unbuildable spec takes no part in the best estimate
+        clean = run_candidates(
+            sweep_specs(), workers=0, prune_static=PruneConfig(margin=1.2)
+        )
+        assert [r.best_estimate for r in run.pruned] == [
+            r.best_estimate for r in clean.pruned
+        ]
+        assert [r.label for r in run.pruned] == [r.label for r in clean.pruned]
 
     def test_prune_true_uses_default_config(self):
         run = run_candidates(sweep_specs(), workers=0, prune_static=True)

@@ -39,7 +39,7 @@ class TestCampaign:
     def test_fault_records_in_log(self, campaign):
         log = campaign.simulation.log
         assert len(log.fault_records) == campaign.stats.injected
-        by_kind = log.faults_by_kind()
+        by_kind = log.account.faults_by_kind
         assert by_kind == dict(campaign.stats.injected_by_kind)
 
     def test_meta_carries_ledger(self, campaign):
@@ -56,7 +56,7 @@ class TestCampaign:
 
     def test_corrupt_frames_marked_in_log(self, campaign):
         corrupt = [r for r in campaign.simulation.log.signal_records if r.corrupt]
-        by_kind = campaign.simulation.log.faults_by_kind()
+        by_kind = campaign.simulation.log.account.faults_by_kind
         assert len(corrupt) == by_kind.get("bus-corrupt", 0)
         assert all(r.signal == "pdu_tx" for r in corrupt)
 

@@ -1,4 +1,5 @@
-"""Metrics aggregation: histogram buckets, per-PE/segment arithmetic."""
+"""Metrics aggregation: histogram buckets, per-PE/segment arithmetic, and
+the split between the run account and the trace."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.observability import (
     efsm_track,
     pe_track,
 )
+from repro.simulation.logfile import LogFile, LogWriter
 
 
 class TestLatencyHistogram:
@@ -33,11 +35,36 @@ class TestLatencyHistogram:
         assert histogram.to_dict()["buckets"] == {"4": 1}
 
 
+def build_log() -> LogFile:
+    """A small log with every record kind, over a 1000 ps horizon."""
+    writer = LogWriter()
+    writer.exec_step(
+        time_ps=0, process="p1", pe="cpu", cycles=30, duration_ps=300,
+        from_state="s", to_state="s", trigger="start",
+    )
+    writer.exec_step(
+        time_ps=500, process="p1", pe="cpu", cycles=20, duration_ps=200,
+        from_state="s", to_state="s", trigger="msg",
+    )
+    writer.signal(
+        time_ps=150, signal="msg", sender="a", receiver="b", bytes=32,
+        latency_ps=50, transport="bus",
+    )
+    writer.signal(
+        time_ps=250, signal="msg", sender="a", receiver="a", bytes=8,
+        latency_ps=3, transport="local",
+    )
+    writer.drop(time_ps=300, process="b", signal="msg", reason="no-transition")
+    writer.fault(time_ps=400, kind="pe-stall", source="cpu", target="p1")
+    writer.finish(1000)
+    return LogFile(writer.meta, writer.records, writer.end_time_ps)
+
+
 def build_trace() -> Tracer:
-    """A small synthetic trace with every event category."""
+    """A small trace with every event category: the live events, and the
+    exec, signal, drop and fault events of :func:`build_log`'s records, as
+    a simulation appends them."""
     tracer = Tracer()
-    tracer.span("p1", pe_track("cpu"), start_ps=0, duration_ps=300, category="exec")
-    tracer.span("p1", pe_track("cpu"), start_ps=500, duration_ps=200, category="exec")
     tracer.span(
         "cpu", bus_track("seg"), start_ps=100, duration_ps=50,
         category="bus", bytes=32, wait_ps=10,
@@ -46,16 +73,7 @@ def build_trace() -> Tracer:
         "cpu", bus_track("seg"), start_ps=200, duration_ps=50,
         category="bus", bytes=8, wait_ps=0, fault="bus-corrupt",
     )
-    tracer.instant(
-        "msg", SYSTEM_TRACK, category="signal", time_ps=150,
-        sender="a", receiver="b", latency_ps=50, transport="bus",
-    )
-    tracer.instant(
-        "msg", SYSTEM_TRACK, category="signal", time_ps=250,
-        sender="a", receiver="a", latency_ps=3, transport="local",
-    )
     tracer.instant("msg", SYSTEM_TRACK, category="dispatch", time_ps=100)
-    tracer.instant("msg", SYSTEM_TRACK, category="drop", time_ps=300)
     tracer.instant(
         "pe-stall", pe_track("cpu"), category="fault", time_ps=400, extra_ps=77
     )
@@ -64,12 +82,18 @@ def build_trace() -> Tracer:
     tracer.counter("ready", pe_track("cpu"), {"depth": 2}, time_ps=60)
     tracer.counter("requests", bus_track("seg"), {"depth": 3}, time_ps=70)
     tracer.counter("queue_depth", KERNEL_TRACK, {"depth": 9}, time_ps=80)
+    events = (record.trace_event() for record in build_log().records)
+    tracer.events.extend(event for event in events if event is not None)
     return tracer
+
+
+def collect(**kwargs):
+    return collect_metrics(build_trace(), build_log().account, **kwargs)
 
 
 class TestCollectMetrics:
     def test_pe_breakdown(self):
-        report = collect_metrics(build_trace(), end_time_ps=1000)
+        report = collect()
         cpu = report.pes["cpu"]
         assert cpu.busy_ps == 500 and cpu.steps == 2
         assert cpu.stall_ps == 77
@@ -78,7 +102,7 @@ class TestCollectMetrics:
         assert cpu.idle_ps(1000) == 500
 
     def test_segment_breakdown(self):
-        report = collect_metrics(build_trace(), end_time_ps=1000)
+        report = collect()
         seg = report.segments["seg"]
         assert seg.busy_ps == 100 and seg.transfers == 2
         assert seg.wait_ps == 10 and seg.bytes == 40
@@ -87,7 +111,7 @@ class TestCollectMetrics:
         assert seg.occupancy(1000) == 0.1
 
     def test_signal_accounting_and_latency_by_transport(self):
-        report = collect_metrics(build_trace(), end_time_ps=1000)
+        report = collect()
         assert report.dispatched_signals == 1
         assert report.delivered_signals == 2
         assert report.dropped_signals == 1
@@ -99,23 +123,21 @@ class TestCollectMetrics:
         assert report.latency["bus"].max_ps == 50
 
     def test_latency_keyed_by_group_with_group_of(self):
-        report = collect_metrics(
-            build_trace(), end_time_ps=1000, group_of={"a": "g1", "b": "g2"}
-        )
+        report = collect(group_of={"a": "g1", "b": "g2"})
         assert set(report.latency) == {"g1->g2", "g1->g1"}
 
     def test_to_dict_utilization_consistent_with_simulated_time(self):
-        report = collect_metrics(build_trace(), end_time_ps=1000)
-        data = report.to_dict()
+        data = collect().to_dict()
         for pe in data["pes"].values():
             assert pe["busy_ps"] + pe["idle_ps"] == data["end_time_ps"]
             assert pe["utilization"] == pe["busy_ps"] / data["end_time_ps"]
 
     def test_every_named_pe_gets_a_row(self):
-        report = collect_metrics(build_trace(), end_time_ps=1000, pes=["cpu", "dsp"])
-        pes = report.to_dict()["pes"]
+        log = build_log()
+        account = LogFile(log.meta, log.records, log.end_time_ps, ["cpu", "dsp"]).account
+        pes = collect_metrics(build_trace(), account).to_dict()["pes"]
         assert set(pes) == {"cpu", "dsp"}
-        assert pes["cpu"]["steps"] == 2  # the trace's PE keeps its figures
+        assert pes["cpu"]["steps"] == 2  # the log's PE keeps its figures
         assert pes["dsp"] == {
             "busy_ps": 0,
             "idle_ps": 1000,
@@ -126,4 +148,4 @@ class TestCollectMetrics:
         }
 
     def test_report_holds_no_campaign_counters(self):
-        assert "campaign" not in collect_metrics(build_trace(), 1000).to_dict()
+        assert "campaign" not in collect().to_dict()

@@ -2,22 +2,32 @@
 
 import pytest
 
-from repro.profiling import LatencyStats, analyze, render_latency_detail
+from repro.observability import LatencyHistogram
+from repro.profiling import analyze, render_latency_detail
 from repro.profiling.groupinfo import ProcessGroupInfo
 from repro.simulation import LogWriter, parse_log
 
 
-class TestLatencyStats:
-    def test_observe_accumulates(self):
-        stats = LatencyStats()
-        for value in (10, 20, 60):
-            stats.observe(value)
-        assert stats.count == 3
-        assert stats.mean_ps == pytest.approx(30.0)
-        assert stats.max_ps == 60
+def histogram(*latencies):
+    merged = LatencyHistogram()
+    for latency in latencies:
+        merged.observe(latency)
+    return merged
 
-    def test_empty_mean_is_zero(self):
-        assert LatencyStats().mean_ps == 0.0
+
+class TestLatencyMerge:
+    def test_merge_accumulates(self):
+        merged = histogram(10)
+        merged.merge(histogram(20, 60))
+        assert merged == histogram(10, 20, 60)
+        assert merged.count == 3
+        assert merged.mean_ps == pytest.approx(30.0)
+        assert merged.max_ps == 60
+
+    def test_merging_an_empty_histogram_changes_nothing(self):
+        merged = histogram(5, 7)
+        merged.merge(LatencyHistogram())
+        assert merged == histogram(5, 7)
 
 
 def build_data():

@@ -51,7 +51,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _trace_digests(simulation, end_time_ps):
+def _trace_digests(simulation, result):
     """Order-free digests of a traced run: its event set and its metrics."""
     tracer = simulation.tracer
     events = sorted(
@@ -60,10 +60,9 @@ def _trace_digests(simulation, end_time_ps):
     group_of = dict(
         group_info_from_model(simulation.application.model).process_to_group
     )
-    pes = simulation.platform.processing_elements
     reports = [
-        collect_metrics(tracer, end_time_ps, pes=pes).to_dict(),
-        collect_metrics(tracer, end_time_ps, group_of=group_of, pes=pes).to_dict(),
+        collect_metrics(tracer, result.account).to_dict(),
+        collect_metrics(tracer, result.account, group_of=group_of).to_dict(),
     ]
     return {
         "trace_events": _sha("\n".join(events)),
@@ -91,7 +90,7 @@ def _run(simulation, duration_us, stride=None):
         entry["snapshots"] = digest.hexdigest()
     if simulation.tracer is not None:
         entry["trace"] = _sha(render_chrome_trace(simulation.tracer))
-        entry.update(_trace_digests(simulation, result.end_time_ps))
+        entry.update(_trace_digests(simulation, result))
     return entry
 
 

@@ -112,7 +112,8 @@ class TestAggregation:
         )
         writer.finish(1)
         log = parse_log(writer.render())
-        assert log.cycles_by_process() == {"p": 60, "q": 5}
+        assert log.account.process_cycles == {"p": 60, "q": 5}
+        assert log.account.process_steps == {"p": 3, "q": 1}
 
     def test_signal_counts(self):
         writer = LogWriter()
@@ -127,7 +128,8 @@ class TestAggregation:
         )
         writer.finish(1)
         log = parse_log(writer.render())
-        assert log.signal_counts() == {("a", "b"): 3, ("b", "a"): 1}
+        counts = {key: h.count for key, h in log.account.flow_latency.items()}
+        assert counts == {("a", "b", "x", "local"): 3, ("b", "a", "y", "local"): 1}
 
 
 class TestTraceEvents:

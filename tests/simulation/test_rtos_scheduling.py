@@ -142,8 +142,8 @@ class TestOverheadAccounting:
     def test_dispatch_overhead_charged_per_step(self):
         _, without = run_with_policy("priority", dispatch_overhead=0)
         _, with_overhead = run_with_policy("priority", dispatch_overhead=200)
-        free = without.log.cycles_by_process()
-        taxed = with_overhead.log.cycles_by_process()
+        free = without.account.process_cycles
+        taxed = with_overhead.account.process_cycles
         step_count = sum(
             1 for r in with_overhead.log.exec_records if r.process == "w_a"
         )
