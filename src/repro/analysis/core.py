@@ -266,19 +266,23 @@ class LintContext:
 def const_value(expr) -> Optional[int]:
     """Constant-fold an action-language expression; ``None`` = not constant.
 
-    Booleans fold to 0/1.  Logical operators short-circuit on a constant
-    deciding side even when the other side is non-constant, matching the
-    interpreter.  Division/modulo by a folded zero does not fold (the
-    div-by-zero rule reports it instead).
+    Operators mean what :data:`repro.uml.actions.BINARY_OPS` and
+    :data:`~repro.uml.actions.UNARY_OPS` say; booleans fold to 0/1 and
+    calls never fold.  The folder adds two rules of its own: a logical
+    operator folds on a constant deciding side even when the other side is
+    non-constant, and an operation that raises at run time (division or
+    modulo by zero) does not fold (the div-by-zero rule reports it).
     """
+    from repro.errors import ActionRuntimeError
     from repro.uml.actions import (
+        BINARY_OPS,
+        SHORT_CIRCUIT,
+        UNARY_OPS,
         BinaryOp,
         BoolLiteral,
         Conditional,
         IntLiteral,
         UnaryOp,
-        c_div,
-        c_mod,
     )
 
     if isinstance(expr, IntLiteral):
@@ -287,15 +291,10 @@ def const_value(expr) -> Optional[int]:
         return 1 if expr.value else 0
     if isinstance(expr, UnaryOp):
         operand = const_value(expr.operand)
-        if operand is None:
+        function = UNARY_OPS.get(expr.op)
+        if operand is None or function is None:
             return None
-        if expr.op == "-":
-            return -operand
-        if expr.op == "!":
-            return 0 if operand else 1
-        if expr.op == "~":
-            return ~operand
-        return None
+        return function(operand)
     if isinstance(expr, Conditional):
         condition = const_value(expr.condition)
         if condition is None:
@@ -304,51 +303,22 @@ def const_value(expr) -> Optional[int]:
         return const_value(branch)
     if isinstance(expr, BinaryOp):
         left = const_value(expr.left)
-        right = const_value(expr.right)
-        if expr.op == "&&":
-            if left == 0 or right == 0:
-                return 0
-            if left is not None and right is not None:
-                return 1
-            return None
-        if expr.op == "||":
-            if (left is not None and left != 0) or (right is not None and right != 0):
-                return 1
-            if left == 0 and right == 0:
-                return 0
-            return None
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op in ("/", "%"):
-            if right == 0:
+        decides = SHORT_CIRCUIT.get(expr.op)
+        if decides is not None:
+            if left is not None and bool(left) == decides:
+                return int(decides)
+            right = const_value(expr.right)
+            if right is not None and bool(right) == decides:
+                return int(decides)
+            if left is None or right is None:
                 return None
-            return c_div(left, right) if expr.op == "/" else c_mod(left, right)
-        if expr.op == "<<":
-            return left << right
-        if expr.op == ">>":
-            return left >> right
-        if expr.op == "&":
-            return left & right
-        if expr.op == "|":
-            return left | right
-        if expr.op == "^":
-            return left ^ right
-        if expr.op == "==":
-            return 1 if left == right else 0
-        if expr.op == "!=":
-            return 1 if left != right else 0
-        if expr.op == "<":
-            return 1 if left < right else 0
-        if expr.op == "<=":
-            return 1 if left <= right else 0
-        if expr.op == ">":
-            return 1 if left > right else 0
-        if expr.op == ">=":
-            return 1 if left >= right else 0
+            return int(not decides)
+        right = const_value(expr.right)
+        function = BINARY_OPS.get(expr.op)
+        if left is None or right is None or function is None:
+            return None
+        try:
+            return function(left, right)
+        except ActionRuntimeError:
+            return None
     return None

@@ -23,10 +23,11 @@ from repro.uml.actions import (
     Send,
     SetTimer,
     While,
+    subexpressions,
     walk_expressions,
     walk_statements,
 )
-from repro.uml.statemachine import SignalTrigger, StateMachine
+from repro.uml.statemachine import SignalTrigger, StateMachine, machine_blocks
 
 register_rule(
     "D001",
@@ -91,16 +92,12 @@ def _signal_params(machine: StateMachine) -> Set[str]:
 
 
 def _assigned_names(machine: StateMachine) -> Set[str]:
-    names: Set[str] = set()
-    for state in machine.states:
-        for stmt in walk_statements(state.entry + state.exit):
-            if isinstance(stmt, Assign):
-                names.add(stmt.target)
-    for transition in machine.transitions:
-        for stmt in walk_statements(transition.effect):
-            if isinstance(stmt, Assign):
-                names.add(stmt.target)
-    return names
+    return {
+        stmt.target
+        for _, stmts, _ in machine_blocks(machine)
+        for stmt in walk_statements(stmts)
+        if isinstance(stmt, Assign)
+    }
 
 
 class _BlockChecker:
@@ -237,13 +234,13 @@ def check_machine(
     # D003: stores never read.  A read anywhere (guards included, and
     # self-references like ``n = n + 1``) keeps a variable alive.
     read_names: Set[str] = set()
-    for _, stmts, _ in _all_blocks(machine):
+    for _, stmts, _ in machine_blocks(machine):
         for expr in walk_expressions(stmts):
             if isinstance(expr, Name):
                 read_names.add(expr.identifier)
     for transition in machine.transitions:
         if transition.guard is not None:
-            for expr in _expand(transition.guard):
+            for expr in subexpressions(transition.guard):
                 if isinstance(expr, Name):
                     read_names.add(expr.identifier)
     for name in sorted((declared | assigned_anywhere) - read_names - all_params):
@@ -259,7 +256,7 @@ def check_machine(
     # D004/D005: send statements against declared signals.
     # D007: trigger parameter lists against declared signals.
     if signal_decls:
-        for where, stmts, anchor in _all_blocks(machine):
+        for where, stmts, anchor in machine_blocks(machine):
             for stmt in walk_statements(stmts):
                 if not isinstance(stmt, Send):
                     continue
@@ -304,12 +301,12 @@ def check_machine(
                 )
 
     # D006: division/modulo by constant zero anywhere.
-    for where, stmts, anchor in _all_blocks(machine):
+    for where, stmts, anchor in machine_blocks(machine):
         for expr in walk_expressions(stmts):
             _check_div(expr, ctx, findings, label, where, anchor)
     for transition in machine.transitions:
         if transition.guard is not None:
-            for expr in _expand(transition.guard):
+            for expr in subexpressions(transition.guard):
                 _check_div(
                     expr,
                     ctx,
@@ -333,15 +330,3 @@ def _check_div(expr, ctx, findings, label, where, anchor) -> None:
             label,
             (anchor,),
         )
-
-
-def _all_blocks(machine: StateMachine):
-    from repro.analysis.efsm import machine_blocks
-
-    return list(machine_blocks(machine))
-
-
-def _expand(expr: Expr):
-    yield expr
-    for child in expr.children():
-        yield from _expand(child)

@@ -14,7 +14,7 @@ from typing import List
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
 from repro.uml.actions import SetTimer, walk_statements
 from repro.uml.plan import plan_machine, trigger_key
-from repro.uml.statemachine import StateMachine, TimerTrigger
+from repro.uml.statemachine import StateMachine, TimerTrigger, machine_blocks
 from repro.uml.validation import reachable_states
 
 register_rule(
@@ -69,18 +69,6 @@ def machine_label(machine: StateMachine) -> str:
     if context is not None and getattr(context, "name", ""):
         return f"{context.name}.{name}"
     return name
-
-
-def machine_blocks(machine: StateMachine):
-    """Yield every action block of a machine as ``(where, stmts, anchor)``."""
-    for state in machine.states:
-        if state.entry:
-            yield f"state {state.name!r} entry", state.entry, state
-        if state.exit:
-            yield f"state {state.name!r} exit", state.exit, state
-    for transition in machine.transitions:
-        if transition.effect:
-            yield f"transition {transition.describe()!r}", transition.effect, transition
 
 
 def check_machine(

@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.core import Finding, LintContext, register_rule
-from repro.analysis.efsm import machine_blocks
 from repro.analysis.sigflow import signal_flow_matrix
 from repro.application.model import ENVIRONMENT_GROUP
 from repro.tutprofile.tags import process_runs_on
 from repro.uml.actions import walk_statements
 from repro.uml.classifier import Signal
 from repro.uml.dependency import Dependency
+from repro.uml.statemachine import machine_blocks
 from repro.tutprofile import PLATFORM_MAPPING
 
 register_rule(

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, LintContext, register_rule
-from repro.analysis.efsm import machine_blocks
 from repro.uml.actions import Send, walk_statements
+from repro.uml.statemachine import machine_blocks
 
 register_rule(
     "S001",

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.errors import CodegenError
+from repro.errors import ActionRuntimeError, CodegenError
 from repro.uml.actions import (
+    BINARY_OPS,
+    SHORT_CIRCUIT,
+    UNARY_OPS,
     Assign,
     BinaryOp,
     BoolLiteral,
@@ -38,10 +41,12 @@ from repro.uml.actions import (
     Stmt,
     UnaryOp,
     While,
+    resolve_builtin,
+    walk_statements,
 )
 from repro.uml.classifier import Class
 from repro.uml.plan import COMPLETION, Step, plan_machine
-from repro.uml.statemachine import StateMachine, TimerTrigger
+from repro.uml.statemachine import StateMachine, TimerTrigger, machine_blocks
 
 
 def sanitize(name: str) -> str:
@@ -99,22 +104,14 @@ class CGenerator:
             name: index for index, name in enumerate(self.machine.timer_names())
         }
         # set_timer targets may include timers no trigger listens to yet
-        for state in self.machine.states:
-            for block in (state.entry, state.exit):
-                self._collect_timers(block)
-        for transition in self.machine.transitions:
-            self._collect_timers(transition.effect)
-
-    def _collect_timers(self, stmts: Sequence[Stmt]) -> None:
-        from repro.uml.actions import walk_statements
-
-        for stmt in walk_statements(stmts):
-            if isinstance(stmt, (SetTimer, ResetTimer)):
-                if stmt.timer not in self.timer_ids:
-                    self.timer_ids[stmt.timer] = len(self.timer_ids)
+        for _, stmts, _ in machine_blocks(self.machine):
+            for stmt in walk_statements(stmts):
+                if isinstance(stmt, (SetTimer, ResetTimer)):
+                    self.timer_ids.setdefault(stmt.timer, len(self.timer_ids))
 
     # ------------------------------------------------------------------
-    # expressions
+    # expressions: C spells every operator of the action language's table
+    # the same way, so an operator the table lacks has no translation
     # ------------------------------------------------------------------
 
     def expr(self, node: Expr, params: Sequence[str]) -> str:
@@ -127,8 +124,12 @@ class CGenerator:
                 return sanitize(node.identifier)
             return f"ctx->v_{sanitize(node.identifier)}"
         if isinstance(node, UnaryOp):
+            if node.op not in UNARY_OPS:
+                raise CodegenError(f"unknown unary operator {node.op!r}")
             return f"({node.op}{self.expr(node.operand, params)})"
         if isinstance(node, BinaryOp):
+            if node.op not in BINARY_OPS and node.op not in SHORT_CIRCUIT:
+                raise CodegenError(f"unknown binary operator {node.op!r}")
             left = self.expr(node.left, params)
             right = self.expr(node.right, params)
             return f"({left} {node.op} {right})"
@@ -140,6 +141,10 @@ class CGenerator:
             )
         if isinstance(node, Call):
             args = [self.expr(arg, params) for arg in node.args]
+            try:
+                resolve_builtin(node.function, len(args))
+            except ActionRuntimeError as error:
+                raise CodegenError(str(error)) from None
             if node.function == "crc32":
                 if len(args) == 1:
                     args.append("0")
@@ -152,7 +157,7 @@ class CGenerator:
                 return f"tut_{node.function}({args[0]}, {args[1]})"
             if node.function == "abs":
                 return f"tut_abs({args[0]})"
-            raise CodegenError(f"unknown builtin {node.function!r}")
+            raise CodegenError(f"no C translation of builtin {node.function!r}")
         raise CodegenError(f"cannot translate expression {node!r}")
 
     # ------------------------------------------------------------------

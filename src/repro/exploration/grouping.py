@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.faults.plan import _hash_site
 from repro.profiling.analysis import ProfilingData
 
 
@@ -44,8 +45,9 @@ def round_robin_grouping(
     assignment = {}
     software = [n for n in process_names if process_types.get(n) != "hardware"]
     hardware = [n for n in process_names if process_types.get(n) == "hardware"]
-    # deterministic shuffle: sort by a seeded hash of the name
-    software.sort(key=lambda n: hash((seed, n)) & 0xFFFFFFFF)
+    # deterministic shuffle: sort by a seeded FNV-1a hash of the name,
+    # which (unlike ``hash``) does not change with PYTHONHASHSEED
+    software.sort(key=lambda n: _hash_site(f"{seed}:{n}"))
     for index, name in enumerate(software):
         assignment[name] = f"g{index % max(1, group_count - (1 if hardware else 0))}"
     for name in hardware:

@@ -178,7 +178,7 @@ def _run_action(run, environment: ActionEnvironment, rand_state: bool = True):
         environment.variables,
         environment.sent,
         environment.timer_ops,
-        environment._rand_state if rand_state else None,
+        environment.rand_state if rand_state else None,
     )
 
 

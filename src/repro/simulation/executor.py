@@ -118,7 +118,7 @@ class _StepEnvironment(ActionEnvironment):
         self.parameters = parameters
         self.sent = []
         self.timer_ops = []
-        self._rand_state = RAND16_SEED
+        self.rand_state = RAND16_SEED
 
 
 class MachineTable:

@@ -16,10 +16,12 @@ the resulting function:
 Both reproduce the tree-walker exactly: statement counts (each ``if`` and
 each ``while`` pass counts), left-to-right evaluation, short-circuiting,
 names resolving to trigger parameters before variables, the loop bound,
-and every error type and message.  Compiled blocks implement the default
-:class:`ActionEnvironment` hooks inline (they read and write
-``env.variables``, ``env.sent``, ``env.timer_ops`` ... directly), so an
-environment that overrides those hooks must use the tree-walker.
+and every error type and message.  Compiled blocks read and write the
+environment's fields directly, as the tree-walker does.  Operators and
+builtins mean what the tables of :mod:`repro.uml.actions` say: an
+operator compiles to an inline Python spelling only when its table entry
+is the Python operator that spelling computes, and everything else calls
+the table's function.
 
 Functions are memoised by the block's source text in a module-level cache
 bounded by :data:`COMPILE_CACHE_SIZE`, so every model, candidate and
@@ -28,17 +30,21 @@ key is a canonical rendering of the AST in which every model string is a
 ``repr()`` literal, so two ASTs share a key only if they compile to the
 same code.  Model strings (variable, signal, port and timer names) reach
 the generated source only as ``repr()`` literals as well, never as
-identifiers or code, and the functions run with no builtins besides the
-few the language needs.
+identifiers or code, and the functions run with no Python builtins.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ActionRuntimeError
 from repro.uml.actions import (
+    BINARY_OPS,
+    BUILTINS,
     MAX_LOOP_ITERATIONS,
+    SHORT_CIRCUIT,
+    UNARY_OPS,
     ActionEnvironment,
     Assign,
     BinaryOp,
@@ -54,13 +60,13 @@ from repro.uml.actions import (
     SendIntent,
     SetTimer,
     Stmt,
+    Truth,
     UnaryOp,
     While,
     c_div,
     c_mod,
-    rand16_next,
+    resolve_builtin,
 )
-from repro.util.crc import crc32_of_int
 
 #: Most compiled functions kept per process (least recently used evicted
 #: first), about
@@ -89,24 +95,16 @@ def _read_only(name: str) -> None:
     raise ActionRuntimeError(f"cannot assign to trigger parameter {name!r}")
 
 
-def _rand16(environment: ActionEnvironment, *ignored) -> int:
-    environment._rand_state = state = rand16_next(environment._rand_state)
-    return state & 0xFFFF
-
-
 _RUNTIME = {
     "__builtins__": {},
     "KeyError": KeyError,
-    "min": min,
-    "max": max,
-    "abs": abs,
-    "_crc32": crc32_of_int,
-    "_c_div": c_div,
-    "_c_mod": c_mod,
+    # the operator and builtin tables, read when the function runs
+    "_unary": UNARY_OPS,
+    "_binary": BINARY_OPS,
+    "_builtins": BUILTINS,
     "_fail": _fail,
     "_undefined": _undefined,
     "_read_only": _read_only,
-    "_rand16": _rand16,
     "_Send": SendIntent,
     # a guard's own rand16 state, fresh per evaluation like the oracle's
     "_Environment": ActionEnvironment,
@@ -124,25 +122,32 @@ _LOWEST = 0  # conditional expressions: ``a if c else b``
 _UNARY = 10
 _ATOM = 12
 
-# Operator spellings come from these tables, never from the AST's strings.
-_UNARY_OPS = {"-": "-", "~": "~"}
-_LOGICAL = {"&&": " and ", "||": " or "}
-_ARITHMETIC = {
-    "|": ("|", 4),
-    "^": ("^", 5),
-    "&": ("&", 6),
-    "<<": ("<<", 7),
-    ">>": (">>", 7),
-    "+": ("+", 8),
-    "-": ("-", 8),
-    "*": ("*", 9),
+# Inline spellings, keyed by the table entry they compute; an operator
+# whose entry is not here is called through the table.  No spelling comes
+# from the AST's strings.
+_INLINE_UNARY = {operator.neg: "-", operator.invert: "~"}
+_INLINE_BINARY = {
+    operator.or_: ("|", 4),
+    operator.xor: ("^", 5),
+    operator.and_: ("&", 6),
+    operator.lshift: ("<<", 7),
+    operator.rshift: (">>", 7),
+    operator.add: ("+", 8),
+    operator.sub: ("-", 8),
+    operator.mul: ("*", 9),
 }
-_COMPARISON = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
-_HELPERS = {"/": "_c_div", "%": "_c_mod"}
+# the tests of ``Truth`` entries, each inlined as ``1 if test else 0``
+_INLINE_TESTS = {
+    operator.eq: "==",
+    operator.ne: "!=",
+    operator.lt: "<",
+    operator.le: "<=",
+    operator.gt: ">",
+    operator.ge: ">=",
+}
 # C truncation by a positive constant, inline: the dividend is bound to
 # ``t`` once, and a negative one is divided as its magnitude
-_BY_CONSTANT = {"/": "//", "%": "%"}
-_MIN_MAX = {"min": "min", "max": "max"}
+_BY_CONSTANT = {c_div: "//", c_mod: "%"}
 
 
 def _literal(value) -> str:
@@ -171,9 +176,10 @@ class _Writer:
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.loops = 0
-        #: where ``rand16`` keeps its state: the environment, or a guard's own
-        self.rand_state = "env"
-        self.uses_rand = False
+        #: the environment a stateful builtin (``rand16``) keeps its state
+        #: in: the block's own, or a guard's fresh one
+        self.environment = "env"
+        self.stateful = False
         #: True once an if-branch or loop pass adds to the count at run time
         self.dynamic = False
 
@@ -192,13 +198,7 @@ class _Writer:
             key = _literal(node.identifier)
             return f"P[{key}] if {key} in P else V[{key}]", _LOWEST
         if isinstance(node, UnaryOp):
-            operand = self.expr(node.operand)
-            if node.op in _UNARY_OPS:
-                return _UNARY_OPS[node.op] + _wrap(operand, _UNARY), _UNARY
-            if node.op == "!":
-                return f"0 if {_wrap(operand, 1)} else 1", _LOWEST
-            message = f"unknown unary operator {node.op!r}"
-            return f"_fail({_literal(message)}, {operand[0]})", _ATOM
+            return self.unary(node)
         if isinstance(node, BinaryOp):
             return self.binary(node)
         if isinstance(node, Conditional):
@@ -210,57 +210,58 @@ class _Writer:
             return self.call(node)
         return f"_fail({_literal(f'cannot evaluate {node!r}')})", _ATOM
 
+    def unary(self, node: UnaryOp):
+        operand = self.expr(node.operand)
+        function = UNARY_OPS.get(node.op)
+        if function in _INLINE_UNARY:
+            return _INLINE_UNARY[function] + _wrap(operand, _UNARY), _UNARY
+        if isinstance(function, Truth) and function.test is operator.not_:
+            return f"0 if {_wrap(operand, 1)} else 1", _LOWEST
+        if function is not None:
+            return f"_unary[{_literal(node.op)}]({operand[0]})", _ATOM
+        message = f"unknown unary operator {node.op!r}"
+        return f"_fail({_literal(message)}, {operand[0]})", _ATOM
+
     def binary(self, node: BinaryOp):
         op = node.op
         left = self.expr(node.left)
         right = self.expr(node.right)
-        if op in _LOGICAL:
+        decides = SHORT_CIRCUIT.get(op)
+        if decides is not None:
             # `and`/`or` operands must bind tighter than `not` (level 1)
-            test = _wrap(left, 2) + _LOGICAL[op] + _wrap(right, 2)
-            return f"1 if {test} else 0", _LOWEST
-        if op in _ARITHMETIC:
-            spelling, level = _ARITHMETIC[op]
+            joiner = " or " if decides else " and "
+            return f"1 if {_wrap(left, 2)}{joiner}{_wrap(right, 2)} else 0", _LOWEST
+        function = BINARY_OPS.get(op)
+        if function in _INLINE_BINARY:
+            spelling, level = _INLINE_BINARY[function]
             text = f"{_wrap(left, level)} {spelling} {_wrap(right, level + 1)}"
             return text, level
-        if op in _COMPARISON:
+        if isinstance(function, Truth) and function.test in _INLINE_TESTS:
             # operands bind at least as tight as `|` (level 4)
-            test = f"{_wrap(left, 4)} {_COMPARISON[op]} {_wrap(right, 4)}"
-            return f"1 if {test} else 0", _LOWEST
-        if op in _BY_CONSTANT and _positive_literal(node.right):
-            python_op, divisor = _BY_CONSTANT[op], right[0]
+            spelling = _INLINE_TESTS[function.test]
+            return f"1 if {_wrap(left, 4)} {spelling} {_wrap(right, 4)} else 0", _LOWEST
+        if function in _BY_CONSTANT and _positive_literal(node.right):
+            python_op, divisor = _BY_CONSTANT[function], right[0]
             return (
                 f"t {python_op} {divisor} if (t := {left[0]}) >= 0 "
                 f"else -(-t {python_op} {divisor})"
             ), _LOWEST
-        if op in _HELPERS:
-            return f"{_HELPERS[op]}({left[0]}, {right[0]})", _ATOM
+        if function is not None:
+            return f"_binary[{_literal(op)}]({left[0]}, {right[0]})", _ATOM
         message = f"unknown binary operator {op!r}"
         return f"_fail({_literal(message)}, {left[0]}, {right[0]})", _ATOM
 
     def call(self, node: Call):
         args = [self.expr(arg)[0] for arg in node.args]
-        joined = ", ".join(args)
-        function = node.function
-        if function in _MIN_MAX:
-            spelling = _MIN_MAX[function]
-            if len(args) >= 2:
-                return f"{spelling}({joined})", _ATOM
-            # one or no argument: the tree-walker's min(list) semantics
-            return f"{spelling}(({joined}{',' if args else ''}))", _ATOM
-        if function == "abs" and len(args) == 1:
-            return f"abs({joined})", _ATOM
-        if function == "crc32" and len(args) in (1, 2):
-            return f"_crc32({joined})", _ATOM
-        if function == "rand16":
-            self.uses_rand = True
-            return f"_rand16({', '.join([self.rand_state] + args)})", _ATOM
-        if function == "abs":
-            message = "abs() takes exactly one argument"
-        elif function == "crc32":
-            message = "crc32() takes one or two arguments"
-        else:
-            message = f"unknown builtin {function!r}"
-        return f"_fail({', '.join([_literal(message)] + args)})", _ATOM
+        try:
+            builtin = resolve_builtin(node.function, len(args))
+        except ActionRuntimeError as error:
+            return f"_fail({', '.join([_literal(str(error))] + args)})", _ATOM
+        if builtin.stateful:
+            self.stateful = True
+            args.insert(0, self.environment)
+        name = _literal(node.function)
+        return f"_builtins[{name}].function({', '.join(args)})", _ATOM
 
     def condition(self, node: Expr) -> str:
         return _wrap(self.expr(node), 1)
@@ -352,9 +353,9 @@ def block_source(stmts: Sequence[Stmt]) -> str:
 def guard_source(expr: Expr) -> str:
     """The Python source :func:`compile_guard` compiles for ``expr``."""
     writer = _Writer()
-    writer.rand_state = "R"
+    writer.environment = "R"
     writer.emit(1, f"return {writer.expr(expr)[0]}")
-    prologue = ["R = _Environment()"] if writer.uses_rand else []
+    prologue = ["R = _Environment()"] if writer.stateful else []
     return _function("def guard(P, V):", prologue, writer, None)
 
 

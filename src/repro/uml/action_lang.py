@@ -298,6 +298,7 @@ class _Parser:
         ("+", "-"),
         ("*", "/", "%"),
     )
+    _UNARY: Tuple[str, ...] = ("-", "!", "~")
 
     def _parse_binary(self, level: int) -> Expr:
         if level >= len(self._LEVELS):
@@ -310,7 +311,7 @@ class _Parser:
         return left
 
     def _parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text in ("-", "!", "~"):
+        if self.peek().kind == "op" and self.peek().text in self._UNARY:
             op = self.advance().text
             return UnaryOp(op, self._parse_unary())
         return self._parse_primary()

@@ -1,4 +1,4 @@
-"""AST and interpreter for the textual action language.
+"""AST, operator table and interpreter for the textual action language.
 
 The paper models behaviour as "statechart diagrams combined with the UML 2.0
 textual notation".  This module defines the small imperative language used in
@@ -12,18 +12,24 @@ transition effects, guards and state entry/exit actions:
 * ``set_timer(name, expr);`` / ``reset_timer(name);``
 * builtin calls: ``min``, ``max``, ``abs``, ``crc32``, ``rand16``
 
-The simulator (:mod:`repro.simulation`) runs the AST as Python functions
-compiled once per process by :mod:`repro.uml.action_compiler`; the code
-generator (:mod:`repro.codegen`) translates it to C.  The tree-walking
-:func:`execute` and :func:`evaluate` below define the semantics and serve
-as the differential oracle the compiled form is tested against.
+Every operator and builtin is defined once, in :data:`UNARY_OPS`,
+:data:`BINARY_OPS` and :data:`BUILTINS`; the tree-walker below, the lint
+constant folder (:func:`repro.analysis.core.const_value`), the compiler
+(:mod:`repro.uml.action_compiler`) and the C generator
+(:mod:`repro.codegen.cgen`) all look operators up there.  The simulator
+(:mod:`repro.simulation`) runs the AST as Python functions compiled once
+per process; the code generator translates it to C.  The tree-walking
+:func:`execute` and :func:`evaluate` below serve as the differential
+oracle the compiled form is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ActionRuntimeError
+from repro.util.crc import crc32_of_int
 
 MAX_LOOP_ITERATIONS = 100_000
 
@@ -34,8 +40,7 @@ RAND16_SEED = 0x2F6E
 def c_div(left: int, right: int) -> int:
     """C integer division: the exact quotient truncated toward zero.
 
-    Shared by the tree-walker, compiled actions and the lint const-folder;
-    raises :class:`ActionRuntimeError` on a zero divisor.
+    Raises :class:`ActionRuntimeError` on a zero divisor.
     """
     if right == 0:
         raise ActionRuntimeError("division by zero")
@@ -55,9 +60,99 @@ def c_mod(left: int, right: int) -> int:
     return remainder
 
 
-def rand16_next(state: int) -> int:
-    """One step of the ``rand16`` generator (a 16-bit LCG mod 65537)."""
-    return (state * 75 + 74) % 65537
+# ---------------------------------------------------------------------------
+# Operators and builtins: the one definition every reader looks up
+# ---------------------------------------------------------------------------
+
+
+class Truth:
+    """A Python test as an operator on ints: 1 where it holds, else 0."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test: Callable[..., bool]) -> None:
+        self.test = test
+
+    def __call__(self, *operands: int) -> int:
+        return 1 if self.test(*operands) else 0
+
+
+#: Each unary operator's value on ints (booleans are 0/1).
+UNARY_OPS: Dict[str, Callable[[int], int]] = {
+    "-": operator.neg,
+    "!": Truth(operator.not_),
+    "~": operator.invert,
+}
+
+#: Each binary operator's value on ints (booleans are 0/1).
+BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": c_div,
+    "%": c_mod,
+    "<<": operator.lshift,
+    ">>": operator.rshift,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "==": Truth(operator.eq),
+    "!=": Truth(operator.ne),
+    "<": Truth(operator.lt),
+    "<=": Truth(operator.le),
+    ">": Truth(operator.gt),
+    ">=": Truth(operator.ge),
+}
+
+#: The short-circuit operators, which every reader evaluates itself: each
+#: maps to the truth of the left operand that decides the result alone.
+SHORT_CIRCUIT: Dict[str, bool] = {"&&": False, "||": True}
+
+
+class Builtin(NamedTuple):
+    """A builtin function and the argument counts it accepts."""
+
+    function: Callable[..., int]
+    min_args: int = 0
+    #: ``None``: any number of arguments from ``min_args`` on
+    max_args: Optional[int] = None
+    #: the message of the error a call with another argument count raises
+    arity_error: str = ""
+    #: ``function`` takes the environment first (``rand16`` keeps its state there)
+    stateful: bool = False
+
+
+def _rand16(environment: "ActionEnvironment", *ignored: int) -> int:
+    """The next value of a deterministic 16-bit LCG (mod 65537)."""
+    state = (environment.rand_state * 75 + 74) % 65537
+    environment.rand_state = state
+    return state & 0xFFFF
+
+
+#: Each builtin function, by name.
+BUILTINS: Dict[str, Builtin] = {
+    "min": Builtin(lambda *args: min(args)),
+    "max": Builtin(lambda *args: max(args)),
+    "abs": Builtin(abs, 1, 1, "abs() takes exactly one argument"),
+    "crc32": Builtin(crc32_of_int, 1, 2, "crc32() takes one or two arguments"),
+    "rand16": Builtin(_rand16, stateful=True),
+}
+
+
+def resolve_builtin(name: str, count: int) -> Builtin:
+    """The builtin a call of ``name`` with ``count`` arguments runs.
+
+    Raises :class:`ActionRuntimeError` for an unknown name or an argument
+    count the builtin does not accept.
+    """
+    builtin = BUILTINS.get(name)
+    if builtin is None:
+        raise ActionRuntimeError(f"unknown builtin {name!r}")
+    if count < builtin.min_args or (
+        builtin.max_args is not None and count > builtin.max_args
+    ):
+        raise ActionRuntimeError(builtin.arity_error)
+    return builtin
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +206,6 @@ class Name(Expr):
 
 
 class UnaryOp(Expr):
-    OPS = ("-", "!", "~")
-
     def __init__(self, op: str, operand: Expr) -> None:
         self.op = op
         self.operand = operand
@@ -125,11 +218,6 @@ class UnaryOp(Expr):
 
 
 class BinaryOp(Expr):
-    ARITHMETIC = ("+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^")
-    COMPARISON = ("==", "!=", "<", "<=", ">", ">=")
-    LOGICAL = ("&&", "||")
-    OPS = ARITHMETIC + COMPARISON + LOGICAL
-
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
         self.op = op
         self.left = left
@@ -161,8 +249,6 @@ class Conditional(Expr):
 
 
 class Call(Expr):
-    BUILTINS = ("min", "max", "abs", "crc32", "rand16")
-
     def __init__(self, function: str, args: Sequence[Expr]) -> None:
         self.function = function
         self.args = list(args)
@@ -293,26 +379,25 @@ def walk_statements(stmts: Sequence[Stmt]):
             yield from walk_statements(stmt.body)
 
 
+def subexpressions(expr: Expr):
+    """Yield ``expr`` and every expression nested in it (pre-order)."""
+    yield expr
+    for child in expr.children():
+        yield from subexpressions(child)
+
+
 def walk_expressions(stmts: Sequence[Stmt]):
     """Yield every expression appearing in a block (pre-order)."""
-
-    def expand(expr: Expr):
-        yield expr
-        for child in expr.children():
-            yield from expand(child)
-
     for stmt in walk_statements(stmts):
         if isinstance(stmt, Assign):
-            yield from expand(stmt.value)
+            yield from subexpressions(stmt.value)
         elif isinstance(stmt, Send):
             for arg in stmt.args:
-                yield from expand(arg)
-        elif isinstance(stmt, If):
-            yield from expand(stmt.condition)
-        elif isinstance(stmt, While):
-            yield from expand(stmt.condition)
+                yield from subexpressions(arg)
+        elif isinstance(stmt, (If, While)):
+            yield from subexpressions(stmt.condition)
         elif isinstance(stmt, SetTimer):
-            yield from expand(stmt.duration)
+            yield from subexpressions(stmt.duration)
 
 
 def sent_signal_names(stmts: Sequence[Stmt]):
@@ -345,11 +430,12 @@ class SendIntent(NamedTuple):
 
 
 class ActionEnvironment:
-    """What the interpreter needs from its host (the simulator or tests).
+    """The record an action block reads and writes.
 
-    Subclasses override the hooks; the defaults implement an in-memory
-    variable store and record sends/timer operations, which is enough for
-    unit testing action semantics without a simulator.
+    ``variables`` and the read-only trigger ``parameters`` (which shadow
+    variables of the same name), the sends and timer operations in program
+    order, and the ``rand16`` generator state.  The tree-walker and
+    compiled blocks both read and write these fields directly.
     """
 
     def __init__(self, variables: Optional[Dict[str, int]] = None) -> None:
@@ -359,60 +445,7 @@ class ActionEnvironment:
         # program-order log of timer operations: ("set", name, duration) or
         # ("reset", name, 0) — set/reset interleaving matters semantically
         self.timer_ops: List[tuple] = []
-        self._rand_state = RAND16_SEED
-
-    # -- variable access -----------------------------------------------------
-
-    def read(self, name: str) -> int:
-        if name in self.parameters:
-            return self.parameters[name]
-        if name in self.variables:
-            return self.variables[name]
-        raise ActionRuntimeError(f"undefined name {name!r}")
-
-    def write(self, name: str, value: int) -> None:
-        if name in self.parameters:
-            raise ActionRuntimeError(f"cannot assign to trigger parameter {name!r}")
-        self.variables[name] = value
-
-    # -- effect hooks ----------------------------------------------------------
-
-    def send(self, signal: str, args: List[int], via: Optional[str]) -> None:
-        self.sent.append(SendIntent(signal, tuple(args), via))
-
-    def set_timer(self, timer: str, duration: int) -> None:
-        self.timer_ops.append(("set", timer, duration))
-
-    def reset_timer(self, timer: str) -> None:
-        self.timer_ops.append(("reset", timer, 0))
-
-    # -- builtins ----------------------------------------------------------------
-
-    def call_builtin(self, function: str, args: List[int]) -> int:
-        if function == "min":
-            return min(args)
-        if function == "max":
-            return max(args)
-        if function == "abs":
-            if len(args) != 1:
-                raise ActionRuntimeError("abs() takes exactly one argument")
-            return abs(args[0])
-        if function == "crc32":
-            if len(args) not in (1, 2):
-                raise ActionRuntimeError("crc32() takes one or two arguments")
-            from repro.util.crc import crc32_of_int
-
-            seed = args[1] if len(args) == 2 else 0
-            return crc32_of_int(args[0], seed)
-        if function == "rand16":
-            # deterministic 16-bit LCG; the state lives in the environment
-            self._rand_state = rand16_next(self._rand_state)
-            return self._rand_state & 0xFFFF
-        raise ActionRuntimeError(f"unknown builtin {function!r}")
-
-
-def _as_bool(value) -> bool:
-    return bool(value)
+        self.rand_state = RAND16_SEED
 
 
 def evaluate(expr: Expr, env: ActionEnvironment) -> int:
@@ -422,69 +455,41 @@ def evaluate(expr: Expr, env: ActionEnvironment) -> int:
     if isinstance(expr, BoolLiteral):
         return 1 if expr.value else 0
     if isinstance(expr, Name):
-        return env.read(expr.identifier)
+        name = expr.identifier
+        if name in env.parameters:
+            return env.parameters[name]
+        if name in env.variables:
+            return env.variables[name]
+        raise ActionRuntimeError(f"undefined name {name!r}")
     if isinstance(expr, UnaryOp):
         value = evaluate(expr.operand, env)
-        if expr.op == "-":
-            return -value
-        if expr.op == "!":
-            return 0 if _as_bool(value) else 1
-        if expr.op == "~":
-            return ~value
-        raise ActionRuntimeError(f"unknown unary operator {expr.op!r}")
+        function = UNARY_OPS.get(expr.op)
+        if function is None:
+            raise ActionRuntimeError(f"unknown unary operator {expr.op!r}")
+        return function(value)
     if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, env)
+        decides = SHORT_CIRCUIT.get(expr.op)
+        if decides is not None:
+            if bool(evaluate(expr.left, env)) == decides:
+                return int(decides)
+            return 1 if evaluate(expr.right, env) else 0
+        left = evaluate(expr.left, env)
+        right = evaluate(expr.right, env)
+        function = BINARY_OPS.get(expr.op)
+        if function is None:
+            raise ActionRuntimeError(f"unknown binary operator {expr.op!r}")
+        return function(left, right)
     if isinstance(expr, Conditional):
-        if _as_bool(evaluate(expr.condition, env)):
+        if evaluate(expr.condition, env):
             return evaluate(expr.then_value, env)
         return evaluate(expr.else_value, env)
     if isinstance(expr, Call):
         args = [evaluate(arg, env) for arg in expr.args]
-        return env.call_builtin(expr.function, args)
+        builtin = resolve_builtin(expr.function, len(args))
+        if builtin.stateful:
+            return builtin.function(env, *args)
+        return builtin.function(*args)
     raise ActionRuntimeError(f"cannot evaluate {expr!r}")
-
-
-def _evaluate_binary(expr: BinaryOp, env: ActionEnvironment) -> int:
-    op = expr.op
-    if op == "&&":
-        return 1 if (_as_bool(evaluate(expr.left, env)) and _as_bool(evaluate(expr.right, env))) else 0
-    if op == "||":
-        return 1 if (_as_bool(evaluate(expr.left, env)) or _as_bool(evaluate(expr.right, env))) else 0
-    left = evaluate(expr.left, env)
-    right = evaluate(expr.right, env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return c_div(left, right)
-    if op == "%":
-        return c_mod(left, right)
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    raise ActionRuntimeError(f"unknown binary operator {op!r}")
 
 
 def execute(stmts: Sequence[Stmt], env: ActionEnvironment) -> int:
@@ -502,20 +507,25 @@ def execute(stmts: Sequence[Stmt], env: ActionEnvironment) -> int:
 
 def _execute_one(stmt: Stmt, env: ActionEnvironment) -> int:
     if isinstance(stmt, Assign):
-        env.write(stmt.target, evaluate(stmt.value, env))
+        value = evaluate(stmt.value, env)
+        if stmt.target in env.parameters:
+            raise ActionRuntimeError(
+                f"cannot assign to trigger parameter {stmt.target!r}"
+            )
+        env.variables[stmt.target] = value
         return 1
     if isinstance(stmt, Send):
-        args = [evaluate(arg, env) for arg in stmt.args]
-        env.send(stmt.signal, args, stmt.via)
+        args = tuple([evaluate(arg, env) for arg in stmt.args])
+        env.sent.append(SendIntent(stmt.signal, args, stmt.via))
         return 1
     if isinstance(stmt, If):
-        if _as_bool(evaluate(stmt.condition, env)):
+        if evaluate(stmt.condition, env):
             return 1 + execute(stmt.then_body, env)
         return 1 + execute(stmt.else_body, env)
     if isinstance(stmt, While):
         executed = 0
         iterations = 0
-        while _as_bool(evaluate(stmt.condition, env)):
+        while evaluate(stmt.condition, env):
             iterations += 1
             if iterations > MAX_LOOP_ITERATIONS:
                 raise ActionRuntimeError(
@@ -527,9 +537,9 @@ def _execute_one(stmt: Stmt, env: ActionEnvironment) -> int:
         duration = evaluate(stmt.duration, env)
         if duration < 0:
             raise ActionRuntimeError(f"negative timer duration {duration}")
-        env.set_timer(stmt.timer, duration)
+        env.timer_ops.append(("set", stmt.timer, duration))
         return 1
     if isinstance(stmt, ResetTimer):
-        env.reset_timer(stmt.timer)
+        env.timer_ops.append(("reset", stmt.timer, 0))
         return 1
     raise ActionRuntimeError(f"cannot execute {stmt!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ModelError
-from repro.uml.actions import Expr, Stmt
+from repro.uml.actions import Expr, Stmt, sent_signal_names
 from repro.uml.action_lang import parse_actions, parse_expression
 from repro.uml.element import NamedElement
 
@@ -347,12 +347,22 @@ class StateMachine(NamedElement):
 
     def sent_signal_names(self) -> List[str]:
         """All signal names the machine may emit (static over-approximation)."""
-        from repro.uml.actions import sent_signal_names
+        return sent_signal_names(
+            [stmt for _, stmts, _ in machine_blocks(self) for stmt in stmts]
+        )
 
-        blocks: List[Stmt] = []
-        for state in self.states:
-            blocks.extend(state.entry)
-            blocks.extend(state.exit)
-        for transition in self.transitions:
-            blocks.extend(transition.effect)
-        return sent_signal_names(blocks)
+
+def machine_blocks(machine: StateMachine):
+    """Yield every action block of a machine as ``(where, stmts, anchor)``.
+
+    State entry and exit blocks come first, in state order, then transition
+    effects in declaration order; empty blocks are skipped.
+    """
+    for state in machine.states:
+        if state.entry:
+            yield f"state {state.name!r} entry", state.entry, state
+        if state.exit:
+            yield f"state {state.name!r} exit", state.exit, state
+    for transition in machine.transitions:
+        if transition.effect:
+            yield f"transition {transition.describe()!r}", transition.effect, transition

@@ -141,6 +141,8 @@ class TestConstFolding:
             ("false || 1", 1),
             ("x && 0", 0),          # short-circuit despite non-constant side
             ("1 || x", 1),
+            ("0 && (1 << -1)", 0),  # the deciding side alone, as evaluated
+            ("1 || (1 >> -1)", 1),
             ("7 / 2", 3),
             ("-7 / 2", -3),         # C truncating division
             ("-7 % 2", -1),
@@ -151,6 +153,8 @@ class TestConstFolding:
     def test_folds(self, source, expected):
         assert const_value(parse_expression(source)) == expected
 
-    @pytest.mark.parametrize("source", ["x", "x + 1", "x ? 1 : 2", "1 / 0", "5 % 0"])
+    @pytest.mark.parametrize(
+        "source", ["x", "x + 1", "x ? 1 : 2", "1 / 0", "5 % 0", "abs(-3)"]
+    )
     def test_does_not_fold(self, source):
         assert const_value(parse_expression(source)) is None

@@ -2,9 +2,19 @@
 
 import pytest
 
-from repro.errors import CodegenError
+from repro.errors import ActionRuntimeError, CodegenError
 from repro.codegen import CGenerator, sanitize
 from repro.uml import Class, StateMachine, parse_actions, parse_expression
+from repro.uml.actions import (
+    ActionEnvironment,
+    Assign,
+    BinaryOp,
+    Call,
+    IntLiteral,
+    Name,
+    UnaryOp,
+    evaluate,
+)
 from repro.uml.structure import Port
 
 SIGNAL_IDS = {"ping": 0, "pong": 1}
@@ -66,6 +76,24 @@ class TestExpressionTranslation:
     def test_unknown_builtin_rejected(self, generator):
         with pytest.raises(CodegenError):
             generator.expr(parse_expression("mystery(1)"), ())
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            BinaryOp("**", Name("x"), IntLiteral(2)),
+            UnaryOp("+", Name("x")),
+            Call("abs", [Name("x"), IntLiteral(1)]),
+            Call("crc32", []),
+        ],
+        ids=["power", "unary-plus", "abs-arity", "crc32-arity"],
+    )
+    def test_what_the_simulator_rejects_is_not_translated(self, value):
+        with pytest.raises(ActionRuntimeError):
+            evaluate(value, ActionEnvironment({"x": 3}))
+        component = component_with_machine()
+        component.classifier_behavior.transitions[0].effect = [Assign("x", value)]
+        with pytest.raises(CodegenError):
+            CGenerator(component, SIGNAL_IDS).source()
 
 
 class TestStatementTranslation:

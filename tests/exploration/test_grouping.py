@@ -1,5 +1,10 @@
 """Grouping strategies and the communication-minimising merge."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.exploration import (
@@ -55,6 +60,30 @@ class TestBasicStrategies:
         first = round_robin_grouping(PROCESS_TYPES, PROCESS_TYPES, 3, seed=7)
         second = round_robin_grouping(PROCESS_TYPES, PROCESS_TYPES, 3, seed=7)
         assert first == second
+
+    def test_round_robin_does_not_change_with_string_hashing(self):
+        """``PYTHONHASHSEED`` changes ``hash(str)``; the grouping must not."""
+        snippet = (
+            "import json\n"
+            "from repro.exploration import round_robin_grouping\n"
+            "types = {f'p{i}': 'general' for i in range(1, 8)}\n"
+            "print(json.dumps(round_robin_grouping(types, types, 4, seed=2)))\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", snippet],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=env,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        types = {f"p{i}": "general" for i in range(1, 8)}
+        in_process = round_robin_grouping(types, types, 4, seed=2)
+        assert json.loads(outputs.pop()) == in_process
 
     def test_round_robin_respects_group_count(self):
         assignment = round_robin_grouping(PROCESS_TYPES, PROCESS_TYPES, 2)

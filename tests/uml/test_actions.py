@@ -104,11 +104,12 @@ class TestBuiltins:
         assert ev("crc32(1234)") == crc32_of_int(1234)
 
     def test_rand16_deterministic_and_bounded(self):
+        draw = parse_expression("rand16()")
         env = ActionEnvironment()
-        values = [env.call_builtin("rand16", []) for _ in range(100)]
+        values = [evaluate(draw, env) for _ in range(100)]
         assert all(0 <= v <= 0xFFFF for v in values)
         env2 = ActionEnvironment()
-        values2 = [env2.call_builtin("rand16", []) for _ in range(100)]
+        values2 = [evaluate(draw, env2) for _ in range(100)]
         assert values == values2
 
     def test_unknown_builtin(self):
