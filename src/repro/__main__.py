@@ -15,17 +15,16 @@ Commands:
   multi-seed fault-campaign sweep, with ``--workers`` fan-out, a
   ``--cache-dir`` content-addressed result cache, static pruning of
   provably bad candidates (``--prune-static``/``--prune-margin``) and a
-  fault-tolerance policy (``--timeout``, ``--max-retries``,
-  ``--quarantine-after``).
+  fault-tolerance policy (``--timeout``, ``--max-retries``).
   Exit codes: 0 clean, 3 interrupted (Ctrl-C, SIGTERM or
   ``--interrupt-after-events`` — completed results are flushed to the
   cache for resume), 4 completed but with quarantined candidates
   (partial ranking; the failure ledger is in the JSON output);
 * ``checkpoint`` — operate on simulation snapshot stores:
-  ``inspect`` lists a store's snapshots, ``diff`` structurally compares
-  two snapshot files, ``resume`` continues an interrupted ``flow`` run
-  from its latest snapshot (byte-identical artefacts, see
-  ``docs/checkpoint.md``);
+  ``inspect`` lists a store's snapshots and ``diff`` structurally
+  compares two snapshot files; an interrupted ``flow --checkpoint-dir``
+  run resumes by running the same command again (byte-identical
+  artefacts, see ``docs/checkpoint.md``);
 * ``timeline`` — simulate on the TUTWLAN platform and draw a text Gantt
   of the processors;
 * ``trace`` — run the example system under the observability tracer and
@@ -76,9 +75,9 @@ def _cmd_tutmac(args) -> int:
     return 0
 
 
-def _flow_inputs(args):
-    """The (application, platform, mapping, faults) quad for ``flow``."""
+def _cmd_flow(args) -> int:
     from repro.cases.tutwlan import build_tutwlan_system
+    from repro.flow import run_design_flow
 
     faults = None
     if args.fault_rate > 0.0:
@@ -91,13 +90,6 @@ def _flow_inputs(args):
         faults = build_campaign_plan(seed=args.seed, fault_rate=args.fault_rate)
     else:
         application, platform, mapping = build_tutwlan_system()
-    return application, platform, mapping, faults
-
-
-def _cmd_flow(args) -> int:
-    from repro.flow import run_design_flow
-
-    application, platform, mapping, faults = _flow_inputs(args)
     result = run_design_flow(
         application,
         platform,
@@ -236,7 +228,6 @@ def _cmd_explore(args) -> int:
         supervisor = SupervisorConfig(
             timeout_s=args.timeout,
             max_retries=args.max_retries,
-            quarantine_after=args.quarantine_after,
         )
         worker_faults = parse_worker_faults(args.inject_worker_fault)
         prune = None
@@ -344,47 +335,17 @@ def _cmd_checkpoint(args) -> int:
         )
         return 0
 
-    if args.action == "diff":
-        store = CheckpointStore(".")  # load() only needs the paths
-        left = store.load(args.first)
-        right = store.load(args.second)
-        lines = diff_states(left.state, right.state)
-        if not lines:
-            print("snapshots are identical")
-            return 0
-        for line in lines:
-            print(line)
-        return 1
-
-    # resume: continue an interrupted `flow` run from its latest snapshot
-    store = CheckpointStore(args.checkpoint_dir)
-    if store.latest("flow") is None:
-        print(
-            f"nothing to resume: no 'flow' snapshot under "
-            f"{args.checkpoint_dir}",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.flow import run_design_flow
-
-    application, platform, mapping, faults = _flow_inputs(args)
-    result = run_design_flow(
-        application,
-        platform,
-        mapping,
-        args.workdir,
-        duration_us=args.duration_us,
-        faults=faults,
-        trace=args.trace,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every_events=args.checkpoint_every_events,
-    )
-    print(result.report_text)
-    print()
-    print("artefacts:")
-    for kind, path in sorted(result.artifacts.items()):
-        print(f"  {kind:<8} {path}")
-    return 0
+    # diff
+    store = CheckpointStore(".")  # load() only needs the paths
+    left = store.load(args.first)
+    right = store.load(args.second)
+    lines = diff_states(left.state, right.state)
+    if not lines:
+        print("snapshots are identical")
+        return 0
+    for line in lines:
+        print(line)
+    return 1
 
 
 def _cmd_faults(args) -> int:
@@ -805,14 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="failed attempts retried per candidate (with exponential "
-        "backoff) before it is quarantined",
-    )
-    explore.add_argument(
-        "--quarantine-after",
-        type=int,
-        default=3,
-        help="total failures after which a candidate is quarantined "
-        "(recorded in the failure ledger, excluded from the ranking)",
+        "backoff) before it is quarantined (recorded in the failure "
+        "ledger, excluded from the ranking)",
     )
     explore.add_argument(
         "--inject-worker-fault",
@@ -826,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.set_defaults(handler=_cmd_explore)
 
     checkpoint = subparsers.add_parser(
-        "checkpoint", help="inspect, diff or resume simulation snapshots"
+        "checkpoint", help="inspect or diff simulation snapshots"
     )
     checkpoint_actions = checkpoint.add_subparsers(dest="action", required=True)
     inspect = checkpoint_actions.add_parser(
@@ -844,34 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("first")
     diff.add_argument("second")
     diff.set_defaults(handler=_cmd_checkpoint)
-    resume = checkpoint_actions.add_parser(
-        "resume",
-        help="continue an interrupted flow run from its latest snapshot",
-    )
-    resume.add_argument("--checkpoint-dir", required=True)
-    resume.add_argument(
-        "--checkpoint-every-events",
-        type=int,
-        default=5_000,
-        help="must match the interrupted run's snapshot stride",
-    )
-    resume.add_argument("--workdir", default="./tut_flow_output")
-    resume.add_argument("--duration-us", type=int, default=100_000)
-    resume.add_argument(
-        "--seed", type=int, default=1, help="fault-plan seed (with --fault-rate)"
-    )
-    resume.add_argument(
-        "--fault-rate",
-        type=_rate,
-        default=0.0,
-        help="must match the interrupted run's fault rate",
-    )
-    resume.add_argument(
-        "--trace",
-        action="store_true",
-        help="must match the interrupted run's --trace",
-    )
-    resume.set_defaults(handler=_cmd_checkpoint)
 
     faults = subparsers.add_parser(
         "faults", help="seeded fault-injection campaign on ARQ-enabled TUTMAC"

@@ -12,7 +12,9 @@ optionally, the platform and mapping views) without simulating it:
 
 Entry points: :func:`run_lint` for a whole application,
 :func:`lint_machine` for one state machine (the code generator's
-precondition hook).  See ``docs/static_analysis.md`` for the catalogue.
+precondition hook).  Both resolve each machine's hierarchy once
+(:func:`repro.uml.plan.plan_machine`) and hand that plan to the EFSM and
+value passes.  See ``docs/static_analysis.md`` for the catalogue.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.analysis.report import (
     validation_records,
 )
 from repro.analysis.sigflow import group_flow_matrix, signal_flow_matrix
+from repro.uml.plan import plan_machine
 
 _SEVERITY_ORDER = {"error": 0, "warning": 1}
 
@@ -75,9 +78,10 @@ def run_lint(
         if machine is None or id(machine) in seen:
             continue
         seen.add(id(machine))
-        efsm.check_machine(machine, ctx, findings)
+        plan = plan_machine(machine)
+        efsm.check_machine(machine, plan, ctx, findings)
         dataflow.check_machine(machine, ctx, findings, application.signals)
-        values.check_machine(machine, ctx, findings)
+        values.check_machine(machine, plan, ctx, findings)
     sigflow.check_application(ctx, findings)
     mapping_pass.check_mapping(ctx, findings)
     return LintReport(_sorted(findings))
@@ -99,9 +103,10 @@ def lint_machine(
     )
     ctx.config.validate()
     findings: List[Finding] = []
-    efsm.check_machine(machine, ctx, findings)
+    plan = plan_machine(machine)
+    efsm.check_machine(machine, plan, ctx, findings)
     dataflow.check_machine(machine, ctx, findings, signal_decls)
-    values.check_machine(machine, ctx, findings)
+    values.check_machine(machine, plan, ctx, findings)
     return LintReport(_sorted(findings))
 
 

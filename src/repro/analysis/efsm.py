@@ -13,9 +13,8 @@ from typing import List
 
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
 from repro.uml.actions import SetTimer, walk_statements
-from repro.uml.plan import plan_machine, trigger_key
+from repro.uml.plan import MachinePlan, trigger_key
 from repro.uml.statemachine import StateMachine, TimerTrigger, machine_blocks
-from repro.uml.validation import reachable_states
 
 register_rule(
     "E001",
@@ -72,11 +71,14 @@ def machine_label(machine: StateMachine) -> str:
 
 
 def check_machine(
-    machine: StateMachine, ctx: LintContext, findings: List[Finding]
+    machine: StateMachine,
+    plan: MachinePlan,
+    ctx: LintContext,
+    findings: List[Finding],
 ) -> None:
-    """Run all EFSM rules over one state machine."""
+    """Run all EFSM rules over one state machine and its plan."""
     label = machine_label(machine)
-    reachable = reachable_states(machine)
+    reachable = plan.reachable
 
     # E001: unreachable states.
     for state in machine.states:
@@ -133,11 +135,10 @@ def check_machine(
 
     # E004: reachable non-final leaf states with no way out.  Transitions
     # from enclosing composite states count — the executor bubbles up.
-    candidates = plan_machine(machine).steps
     for state in machine.states:
         if state.is_final or state.is_composite or state not in reachable:
             continue
-        if candidates[state]:
+        if plan.steps[state]:
             continue
         ctx.emit(
             findings,

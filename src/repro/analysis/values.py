@@ -51,7 +51,6 @@ from repro.uml.actions import (
 )
 from repro.uml.plan import MachinePlan, Step, plan_machine
 from repro.uml.statemachine import State, StateMachine, Transition
-from repro.uml.validation import reachable_states
 
 register_rule(
     "A001",
@@ -550,6 +549,10 @@ class MachineValues:
     leaves: Dict[int, State]
     #: the resolved hierarchy the fixpoint ran on
     plan: MachinePlan
+    #: transition -> whether its guard could hold at the last visit of some
+    #: leaf it may fire from; a leaf's last visit runs on its final
+    #: environment, and transitions no leaf visited are absent
+    guard_holds: Dict[Transition, bool]
 
     def env_of(self, leaf: State) -> Optional[Env]:
         return self.state_envs.get(id(leaf))
@@ -562,15 +565,6 @@ class MachineValues:
                 existing = joined.get(name)
                 joined[name] = interval if existing is None else existing.join(interval)
         return joined
-
-    def source_leaves(self, transition: Transition) -> List[State]:
-        """Reachable leaves from which ``transition`` may fire (bubbling)."""
-        return [
-            leaf
-            for leaf in self.leaves.values()
-            if not leaf.is_final
-            and any(step.transition is transition for step in self.plan.steps[leaf])
-        ]
 
 
 def _transition_step(
@@ -596,9 +590,13 @@ def _transition_step(
 
 def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
     """Run the interval fixpoint; ``None`` when the machine cannot start."""
-    if machine.initial_state is None:
+    return _fixpoint(machine, plan_machine(machine))
+
+
+def _fixpoint(machine: StateMachine, plan: MachinePlan) -> Optional[MachineValues]:
+    """The interval fixpoint of ``machine`` over its plan ``plan``."""
+    if plan.start is None:
         return None
-    plan = plan_machine(machine)
     env: Optional[Env] = {
         name: Interval.const(value) for name, value in machine.variables.items()
     }
@@ -615,6 +613,9 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
     # changes a leaf stores a new object, so an identical one marks a stale
     # worklist entry whose steps would only repeat no-op pushes
     ran: Dict[int, Env] = {}
+    # id(leaf) -> whether each candidate's guard could hold, as of its
+    # latest visit
+    verdicts: Dict[int, Dict[Transition, bool]] = {}
 
     def push(leaf: State, incoming: Optional[Env]) -> None:
         if incoming is None:
@@ -649,11 +650,17 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
         if ran.get(id(leaf)) is current:
             continue
         ran[id(leaf)] = current
+        holds = verdicts[id(leaf)] = {}
         for step in plan.steps[leaf]:
             new_leaf, out = _transition_step(step, current)
+            holds[step.transition] = new_leaf is not None
             if new_leaf is not None:
                 push(new_leaf, out)
-    return MachineValues(machine, state_envs, leaves, plan)
+    guard_holds: Dict[Transition, bool] = {}
+    for holds in verdicts.values():
+        for transition, held in holds.items():
+            guard_holds[transition] = guard_holds.get(transition, False) or held
+    return MachineValues(machine, state_envs, leaves, plan, guard_holds)
 
 
 # ---------------------------------------------------------------------------
@@ -661,36 +668,27 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
 # ---------------------------------------------------------------------------
 
 
-def _guard_infeasible(values: MachineValues, transition: Transition) -> bool:
-    """True when the guard is false in every reachable source context."""
-    sources = values.source_leaves(transition)
-    if not sources:
-        return False
-    for leaf in sources:
-        env = values.env_of(leaf)
-        if refine_env(env, transition.guard, True) is not None:
-            return False
-    return True
-
-
 def check_machine(
-    machine: StateMachine, ctx: LintContext, findings: List[Finding]
+    machine: StateMachine,
+    plan: MachinePlan,
+    ctx: LintContext,
+    findings: List[Finding],
 ) -> None:
     """Run the value-analysis rules (A001-A004) over one state machine."""
     from repro.analysis.efsm import machine_label
 
     label = machine_label(machine)
-    values = analyze_machine(machine)
+    values = _fixpoint(machine, plan)
     if values is None:
         return
-    graph_reachable = reachable_states(machine)
 
-    # A001: guards infeasible under every reachable valuation.  Constant
-    # guards stay with E002; A001 needs the fixpoint to decide.
+    # A001: guards infeasible under every reachable valuation: every leaf
+    # that visited the transition found its guard false.  Constant guards
+    # stay with E002; A001 needs the fixpoint to decide.
     for transition in machine.transitions:
         if transition.guard is None or const_value(transition.guard) is not None:
             continue
-        if _guard_infeasible(values, transition):
+        if not values.guard_holds.get(transition, True):
             ctx.emit(
                 findings,
                 "A001",
@@ -720,18 +718,16 @@ def check_machine(
             )
 
     # A003: graph-reachable source state that value analysis proves never
-    # activates (E001 keeps graph-unreachable states).
+    # activates (E001 keeps graph-unreachable states): no leaf the fixpoint
+    # reached may fire the transition.
+    fireable = {
+        step.transition
+        for leaf in values.leaves.values()
+        for step in plan.steps[leaf]
+    }
     for transition in machine.transitions:
         source = transition.source
-        if source not in graph_reachable:
-            continue
-        if source.is_composite:
-            activated = any(
-                source.contains(leaf) for leaf in values.leaves.values()
-            )
-        else:
-            activated = values.env_of(source) is not None
-        if not activated:
+        if source in plan.reachable and transition not in fireable:
             ctx.emit(
                 findings,
                 "A003",

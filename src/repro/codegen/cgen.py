@@ -152,8 +152,6 @@ class CGenerator:
             if node.function == "rand16":
                 return "tut_rand16(&ctx->rng)"
             if node.function in ("min", "max"):
-                if len(args) != 2:
-                    raise CodegenError(f"{node.function}() needs two arguments in C")
                 return f"tut_{node.function}({args[0]}, {args[1]})"
             if node.function == "abs":
                 return f"tut_abs({args[0]})"

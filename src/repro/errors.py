@@ -114,7 +114,8 @@ class SimulationInterrupted(ReproError):
 
 
 class ExplorationError(ReproError):
-    """The design-space exploration engine was misconfigured.
+    """The design-space exploration engine was misconfigured, or a
+    candidate a search needs could not be evaluated.
 
     Raised e.g. when a candidate's builder is not importable by name but
     parallel evaluation (which must re-import it in worker processes) or

@@ -265,7 +265,7 @@ def run_candidates(
 
     ``supervisor`` is the fault-tolerance policy
     (:class:`~repro.exploration.supervisor.SupervisorConfig`; None means
-    the defaults: no timeout, 2 retries, quarantine after 3 failures).  A
+    the defaults: no timeout, 2 retries, so 3 attempts in all).  A
     candidate whose worker times out, crashes or raises is retried with
     seeded exponential backoff and, once its failure budget is spent,
     quarantined — the campaign completes without it, and every failed

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import MappingError
+from repro.errors import ExplorationError, MappingError
 from repro.application.model import ApplicationModel
 from repro.mapping.model import MappingModel
 from repro.platform.model import PlatformModel
@@ -172,8 +172,18 @@ def improvement_loop(
         engine_run = run_candidates([spec], workers=0, cache_dir=cache_dir)
         if runs_out is not None:
             runs_out.append(engine_run)
-        outcome = engine_run.outcomes[0]
-        return MappingCandidate(dict(assignment), outcome.result)
+        if not engine_run.outcomes:
+            # the supervisor quarantined it; its ledger says why, as
+            # "<exception type>: <message>".  Only a mapping the platform
+            # rejects is a bad move; any other failure is raised as such.
+            detail = engine_run.failures[-1].detail
+            error = (
+                MappingError
+                if detail.startswith("MappingError:")
+                else ExplorationError
+            )
+            raise error(f"assignment {assignment} cannot run: {detail}")
+        return MappingCandidate(dict(assignment), engine_run.outcomes[0].result)
 
     candidate = run(current)
     history.append(candidate)

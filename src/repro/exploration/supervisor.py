@@ -51,9 +51,8 @@ FAILURE_TIMEOUT = "timeout"      # wall-clock deadline exceeded, worker killed
 FAILURE_CRASH = "crash"          # worker died without reporting (e.g. SIGKILL)
 FAILURE_ERROR = "error"          # worker reported an exception
 
-#: Quarantine reasons.
-QUARANTINE_FAILURE_BUDGET = "failure-budget"     # quarantine_after reached
-QUARANTINE_RETRIES_EXHAUSTED = "retries-exhausted"
+#: The reason a quarantine record gives: the candidate used its attempts.
+QUARANTINE_FAILURE_BUDGET = "failure-budget"
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ class SupervisorConfig:
     ``timeout_s`` is the per-candidate wall-clock deadline (None disables
     it; serial in-process evaluation cannot preempt a running simulation,
     so the timeout only applies with ``workers >= 1``).  A candidate is
-    retried after a failure until it has failed ``quarantine_after``
-    times or used up ``max_retries`` retries, whichever comes first —
-    then it is quarantined and the campaign continues without it.
+    retried after a failure until it has used up ``max_retries`` retries,
+    that is ``max_retries + 1`` attempts — then it is quarantined and the
+    campaign continues without it.
     Backoff before the *n*-th retry is
     ``min(backoff_max_s, backoff_base_s * backoff_factor**(n-1))`` plus a
     deterministic jitter in ``[0, backoff_jitter_s)`` derived from
@@ -74,7 +73,6 @@ class SupervisorConfig:
 
     timeout_s: Optional[float] = None
     max_retries: int = 2
-    quarantine_after: int = 3
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_max_s: float = 2.0
@@ -89,10 +87,6 @@ class SupervisorConfig:
         if self.max_retries < 0:
             raise ExplorationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.quarantine_after < 1:
-            raise ExplorationError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
         if self.backoff_base_s < 0 or self.backoff_jitter_s < 0:
             raise ExplorationError("backoff durations must be >= 0")
@@ -163,7 +157,7 @@ class QuarantineRecord:
     label: str
     digest: Optional[str]
     failures: int
-    reason: str   # QUARANTINE_FAILURE_BUDGET | QUARANTINE_RETRIES_EXHAUSTED
+    reason: str   # QUARANTINE_FAILURE_BUDGET
 
     def to_json_dict(self) -> Dict[str, object]:
         """Plain-JSON encoding for campaign summaries and artefacts."""
@@ -548,11 +542,17 @@ class Supervisor:
         task.failures.append(record)
         self.failures.append(record)
         self.stats.note(kind)
-        if len(task.failures) >= self.config.quarantine_after:
-            self._quarantine(task, QUARANTINE_FAILURE_BUDGET)
-            return "quarantined"
         if task.attempt > self.config.max_retries:
-            self._quarantine(task, QUARANTINE_RETRIES_EXHAUSTED)
+            self.quarantines.append(
+                QuarantineRecord(
+                    index=task.index,
+                    label=task.spec.label,
+                    digest=task.spec.digest(),
+                    failures=len(task.failures),
+                    reason=QUARANTINE_FAILURE_BUDGET,
+                )
+            )
+            self.stats.quarantined += 1
             return "quarantined"
         record.backoff_s = self.config.backoff_s(task.key(), task.attempt)
         task.attempt += 1
@@ -561,18 +561,6 @@ class Supervisor:
         if delayed is not None:
             delayed.append(task)
         return "retry"
-
-    def _quarantine(self, task: _Task, reason: str) -> None:
-        self.quarantines.append(
-            QuarantineRecord(
-                index=task.index,
-                label=task.spec.label,
-                digest=task.spec.digest(),
-                failures=len(task.failures),
-                reason=reason,
-            )
-        )
-        self.stats.quarantined += 1
 
     # ------------------------------------------------------------------
     # in-process evaluation (workers=0 and serial degradation)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checkpoint import Checkpointer, CheckpointStore, EveryEvents
 from repro.errors import InvariantViolation, SimulationInterrupted
@@ -61,7 +61,8 @@ from repro.simulation.system import SimulationResult, SystemSimulation
 from repro.tutprofile.rules import check_design_rules
 from repro.uml.action_compiler import compile_block, compile_guard
 from repro.uml.actions import ActionEnvironment, Expr, evaluate, execute
-from repro.uml.statemachine import SignalTrigger, TimerTrigger, Transition
+from repro.uml.plan import plan_machine, trigger_key
+from repro.uml.statemachine import SignalTrigger, Transition
 from repro.uml.validation import validate_model
 
 #: Defect sets the pipeline may still *simulate*: the injected dead-guard
@@ -331,41 +332,17 @@ def _log_mismatch(log: LogFile, parsed: LogFile) -> Optional[str]:
     return None
 
 
-def _trigger_label(transition: Transition) -> Optional[str]:
-    trigger = transition.trigger
-    if isinstance(trigger, TimerTrigger):
-        return f"timer:{trigger.timer_name}"
-    if isinstance(trigger, SignalTrigger):
-        return trigger.signal_name
-    return None
-
-
-def _target_leaf(transition: Transition) -> str:
-    return transition.target.enter_target().name
-
-
-def _source_leaves(transition: Transition) -> set:
-    source = transition.source
-    if not source.is_composite:
-        return {source.name}
-    names = set()
-    stack = list(source.substates)
-    while stack:
-        state = stack.pop()
-        if state.is_composite:
-            stack.extend(state.substates)
-        else:
-            names.add(state.name)
-    names.add(source.name)
-    return names
-
-
 def check_soundness(
     generated: GeneratedModel, report, result: SimulationResult
 ) -> int:
     """No transition flagged dead by A001/A003 may execute concretely.
 
-    Returns the number of flagged transitions checked.
+    A log record takes a flagged transition when its process runs the
+    machine owning it, its ``(from, to)`` states are the active leaf and
+    the landing leaf of one of the transition's planned steps, and its
+    trigger is the transition's, spelled as the log spells it.  The start
+    record names the initial state as its ``from``, for the steps of the
+    start leaf.  Returns the number of flagged transitions checked.
     """
     config = generated.config
     flagged: List[Tuple[str, Transition]] = []
@@ -378,24 +355,44 @@ def check_soundness(
     if not flagged:
         return 0
 
-    # which processes run the machine owning each flagged transition
-    transition_processes: Dict[int, List[str]] = {}
+    # the processes running each transition's machine, and the (from, to)
+    # leaves each of its planned steps logs
+    owners: Dict[Transition, Set[str]] = {}
+    moves: Dict[Transition, Set[Tuple[str, str]]] = {}
+    planned = set()
     for name, process in generated.application.processes.items():
         machine = process.component.classifier_behavior
         if machine is None:
             continue
         for transition in machine.transitions:
-            transition_processes.setdefault(id(transition), []).append(name)
+            owners.setdefault(transition, set()).add(name)
+        if machine not in planned:
+            planned.add(machine)
+            plan = plan_machine(machine)
+            for leaf, steps in plan.steps.items():
+                for step in steps:
+                    moves.setdefault(step.transition, set()).add(
+                        (leaf.name, step.leaf.name)
+                    )
+            if plan.start is not None:
+                # the start record's ``from`` is the initial state; when that
+                # is a composite it is never active, so no other record's is
+                for step in plan.steps.get(plan.start.leaf, ()):
+                    moves[step.transition].add(
+                        (machine.initial_state.name, step.leaf.name)
+                    )
 
     from repro.simulation.logfile import ExecRecord
 
     checked = 0
     for rule, transition in flagged:
         checked += 1
-        processes = set(transition_processes.get(id(transition), ()))
-        trigger = _trigger_label(transition)
-        sources = _source_leaves(transition)
-        target = None if transition.internal else _target_leaf(transition)
+        processes = owners.get(transition, set())
+        pairs = moves.get(transition, set())
+        # a completion transition is logged under the trigger that started
+        # its run-to-completion step, so it matches any
+        kind, trigger_name = trigger_key(transition.trigger)
+        trigger = {"signal": trigger_name, "timer": f"timer:{trigger_name}"}.get(kind)
         for record in result.log.records:
             if not isinstance(record, ExecRecord):
                 continue
@@ -403,9 +400,7 @@ def check_soundness(
                 continue
             if trigger is not None and record.trigger != trigger:
                 continue
-            if record.from_state not in sources:
-                continue
-            if target is not None and record.to_state != target:
+            if (record.from_state, record.to_state) not in pairs:
                 continue
             _fail(
                 "soundness",

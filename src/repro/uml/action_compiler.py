@@ -130,8 +130,6 @@ _INLINE_BINARY = {
     operator.or_: ("|", 4),
     operator.xor: ("^", 5),
     operator.and_: ("&", 6),
-    operator.lshift: ("<<", 7),
-    operator.rshift: (">>", 7),
     operator.add: ("+", 8),
     operator.sub: ("-", 8),
     operator.mul: ("*", 9),

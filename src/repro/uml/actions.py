@@ -60,6 +60,22 @@ def c_mod(left: int, right: int) -> int:
     return remainder
 
 
+def shift_left(left: int, right: int) -> int:
+    """``left << right``; a negative count, undefined in C, raises
+    :class:`ActionRuntimeError`."""
+    if right < 0:
+        raise ActionRuntimeError("negative shift count")
+    return left << right
+
+
+def shift_right(left: int, right: int) -> int:
+    """``left >> right`` (arithmetic); a negative count raises like
+    :func:`shift_left`."""
+    if right < 0:
+        raise ActionRuntimeError("negative shift count")
+    return left >> right
+
+
 # ---------------------------------------------------------------------------
 # Operators and builtins: the one definition every reader looks up
 # ---------------------------------------------------------------------------
@@ -91,8 +107,8 @@ BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
     "*": operator.mul,
     "/": c_div,
     "%": c_mod,
-    "<<": operator.lshift,
-    ">>": operator.rshift,
+    "<<": shift_left,
+    ">>": shift_right,
     "&": operator.and_,
     "|": operator.or_,
     "^": operator.xor,
@@ -113,16 +129,15 @@ class Builtin(NamedTuple):
     """A builtin function and the argument counts it accepts."""
 
     function: Callable[..., int]
-    min_args: int = 0
-    #: ``None``: any number of arguments from ``min_args`` on
-    max_args: Optional[int] = None
+    min_args: int
+    max_args: int
     #: the message of the error a call with another argument count raises
-    arity_error: str = ""
+    arity_error: str
     #: ``function`` takes the environment first (``rand16`` keeps its state there)
     stateful: bool = False
 
 
-def _rand16(environment: "ActionEnvironment", *ignored: int) -> int:
+def _rand16(environment: "ActionEnvironment") -> int:
     """The next value of a deterministic 16-bit LCG (mod 65537)."""
     state = (environment.rand_state * 75 + 74) % 65537
     environment.rand_state = state
@@ -131,11 +146,11 @@ def _rand16(environment: "ActionEnvironment", *ignored: int) -> int:
 
 #: Each builtin function, by name.
 BUILTINS: Dict[str, Builtin] = {
-    "min": Builtin(lambda *args: min(args)),
-    "max": Builtin(lambda *args: max(args)),
+    "min": Builtin(min, 2, 2, "min() takes exactly two arguments"),
+    "max": Builtin(max, 2, 2, "max() takes exactly two arguments"),
     "abs": Builtin(abs, 1, 1, "abs() takes exactly one argument"),
     "crc32": Builtin(crc32_of_int, 1, 2, "crc32() takes one or two arguments"),
-    "rand16": Builtin(_rand16, stateful=True),
+    "rand16": Builtin(_rand16, 0, 0, "rand16() takes no arguments", stateful=True),
 }
 
 
@@ -148,9 +163,7 @@ def resolve_builtin(name: str, count: int) -> Builtin:
     builtin = BUILTINS.get(name)
     if builtin is None:
         raise ActionRuntimeError(f"unknown builtin {name!r}")
-    if count < builtin.min_args or (
-        builtin.max_args is not None and count > builtin.max_args
-    ):
+    if not builtin.min_args <= count <= builtin.max_args:
         raise ActionRuntimeError(builtin.arity_error)
     return builtin
 

@@ -8,17 +8,19 @@ the active state up to (excluding) the least common ancestor (LCA) of its
 source and target, then its effect, then entry actions from below the LCA
 down to the target, then the target's initial-substate descent.
 
-:func:`plan_machine` resolves all of this once per machine.  The
-simulator's executor, the C generator and the interval analysis each build
-a plan and read it, so the three back ends share one semantics.  A plan is
-read-only and never stored on the model: a model edited after a plan was
-built needs a new plan, not an invalidation.
+:func:`plan_machine` resolves all of this once per machine, together
+with the states a run can enter.  The simulator's executor, the C
+generator, the interval analysis, the EFSM rules, model validation and the
+fuzz soundness oracle each build a plan and read it, so the back ends and
+the checkers share one semantics.  A plan is read-only and never stored on
+the model: a model edited after a plan was built needs a new plan, not an
+invalidation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.uml.actions import Stmt
 from repro.uml.statemachine import (
@@ -90,6 +92,10 @@ class MachinePlan:
     steps: Dict[State, Tuple[Step, ...]]
     #: active state -> trigger key -> the candidates for it, in search order
     by_trigger: Dict[State, Dict[tuple, List[Step]]]
+    #: the states a run can enter: the leaves the steps reach from the
+    #: start step and every state enclosing them (every state when the
+    #: machine has no initial state)
+    reachable: FrozenSet[State]
 
 
 def _chain(node: Optional[State], stop: Optional[State]) -> List[State]:
@@ -164,4 +170,21 @@ def plan_machine(machine: StateMachine) -> MachinePlan:
         table = by_trigger[active] = {}
         for step in steps[active]:
             table.setdefault(trigger_key(step.transition.trigger), []).append(step)
-    return MachinePlan(start, steps, by_trigger)
+    return MachinePlan(start, steps, by_trigger, _reachable(machine, start, steps))
+
+
+def _reachable(
+    machine: StateMachine, start: Optional[Step], steps: Dict[State, Tuple[Step, ...]]
+) -> FrozenSet[State]:
+    """The states a run entering ``start`` and taking ``steps`` can enter."""
+    if start is None:
+        return frozenset(machine.states)
+    leaves = {start.leaf}
+    frontier = [start.leaf]
+    while frontier:
+        # a target outside the machine (a malformed model) has no steps
+        for step in steps.get(frontier.pop(), ()):
+            if step.leaf not in leaves:
+                leaves.add(step.leaf)
+                frontier.append(step.leaf)
+    return frozenset(state for leaf in leaves for state in _chain(leaf, None))

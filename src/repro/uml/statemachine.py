@@ -105,13 +105,6 @@ class State(NamedElement):
             node = node.parent
         return False
 
-    def enter_target(self) -> "State":
-        """The leaf reached when this state is entered (initial descent)."""
-        node: State = self
-        while node.initial_substate is not None:
-            node = node.initial_substate
-        return node
-
 
 class FinalState(State):
     """A state that terminates the machine when entered."""

@@ -13,6 +13,7 @@ from typing import List
 from repro.errors import ValidationError
 from repro.uml.classifier import Class, Signal
 from repro.uml.element import Element
+from repro.uml.plan import plan_machine
 from repro.uml.statemachine import SignalTrigger, StateMachine
 from repro.uml.structure import Connector, Port
 from repro.uml.visitor import iter_instances
@@ -226,7 +227,7 @@ def _check_state_machines(root: Element, report: ValidationReport) -> None:
                     "entering it directly activates no substate",
                     state,
                 )
-        reachable = reachable_states(machine)
+        reachable = plan_machine(machine).reachable
         for state in machine.states:
             if state not in reachable:
                 report.warning(
@@ -235,43 +236,6 @@ def _check_state_machines(root: Element, report: ValidationReport) -> None:
                     "unreachable from the initial state",
                     state,
                 )
-
-
-def reachable_states(machine: StateMachine):
-    """States reachable from the initial state under hierarchical entry.
-
-    Public because the static-analysis engine (:mod:`repro.analysis`)
-    shares this reachability computation for its unreachable-state rule.
-    """
-    if machine.initial_state is None:
-        return set(machine.states)
-    reachable = set()
-    frontier = [machine.initial_state]
-
-    def absorb(state):
-        """Entering ``state`` activates its ancestors and descends into the
-        initial-substate chain; a leaf makes enclosing composites active."""
-        added = []
-        node = state
-        while node is not None and node not in reachable:
-            reachable.add(node)
-            added.append(node)
-            node = node.parent
-        node = state
-        while node.initial_substate is not None:
-            node = node.initial_substate
-            if node not in reachable:
-                reachable.add(node)
-                added.append(node)
-        return added
-
-    frontier = absorb(machine.initial_state)
-    while frontier:
-        state = frontier.pop()
-        for transition in machine.transitions:
-            if transition.source is state and transition.target not in reachable:
-                frontier.extend(absorb(transition.target))
-    return reachable
 
 
 def _check_required_tags(root: Element, report: ValidationReport) -> None:

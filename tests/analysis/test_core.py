@@ -154,7 +154,56 @@ class TestConstFolding:
         assert const_value(parse_expression(source)) == expected
 
     @pytest.mark.parametrize(
-        "source", ["x", "x + 1", "x ? 1 : 2", "1 / 0", "5 % 0", "abs(-3)"]
+        "source",
+        ["x", "x + 1", "x ? 1 : 2", "1 / 0", "5 % 0", "abs(-3)", "1 << -1", "8 >> -1"],
     )
     def test_does_not_fold(self, source):
         assert const_value(parse_expression(source)) is None
+
+    def test_a_guard_shifting_by_a_negative_count_lints(self):
+        m = StateMachine("M")
+        m.variable("x", 0)
+        m.state("idle", initial=True)
+        m.on_signal("idle", "idle", "go", guard="x > (1 << -1)")
+        report = lint_machine(m)
+        assert report.by_rule("E002") == []
+
+
+def count_plans(monkeypatch):
+    """Route every module's ``plan_machine`` through a call recorder."""
+    import sys
+
+    from repro.uml import plan
+
+    real = plan.plan_machine
+    planned = []
+
+    def recording(machine):
+        planned.append(machine)
+        return real(machine)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "plan_machine", None) is real:
+            monkeypatch.setattr(module, "plan_machine", recording)
+    return planned
+
+
+class TestOnePlanPerMachine:
+    def test_run_lint_plans_each_distinct_machine_once(self, monkeypatch):
+        from repro.cases.tutwlan import build_tutwlan_system
+
+        application, platform, mapping = build_tutwlan_system()
+        machines = {
+            id(process.component.classifier_behavior)
+            for process in application.processes.values()
+        }
+        planned = count_plans(monkeypatch)
+        run_lint(application, platform, mapping)
+        assert len(planned) == len(machines)
+        assert {id(machine) for machine in planned} == machines
+
+    def test_lint_machine_plans_once(self, monkeypatch):
+        machine = broken_machine()
+        planned = count_plans(monkeypatch)
+        lint_machine(machine)
+        assert planned == [machine]

@@ -84,8 +84,21 @@ class TestExpressionTranslation:
             UnaryOp("+", Name("x")),
             Call("abs", [Name("x"), IntLiteral(1)]),
             Call("crc32", []),
+            Call("min", []),
+            Call("min", [Name("x")]),
+            Call("max", [Name("x"), IntLiteral(1), IntLiteral(2)]),
+            Call("rand16", [IntLiteral(1)]),
         ],
-        ids=["power", "unary-plus", "abs-arity", "crc32-arity"],
+        ids=[
+            "power",
+            "unary-plus",
+            "abs-arity",
+            "crc32-arity",
+            "min-arity",
+            "min-one",
+            "max-arity",
+            "rand16-arity",
+        ],
     )
     def test_what_the_simulator_rejects_is_not_translated(self, value):
         with pytest.raises(ActionRuntimeError):

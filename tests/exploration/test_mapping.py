@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExplorationError, MappingError
 from repro.exploration import (
     enumerate_assignments,
     exhaustive_search,
@@ -87,6 +88,57 @@ class TestImprovementLoop:
         )
         costs = [candidate.cost for candidate in history]
         assert costs == sorted(costs, reverse=True)
+
+    def test_an_initial_assignment_that_cannot_run_raises(self):
+        from repro.cases.tutwlan import PAPER_MAPPING
+
+        with pytest.raises(MappingError, match="cannot run on 'accelerator1'"):
+            improvement_loop(
+                "repro.cases.tutwlan:exploration_factory",
+                {**PAPER_MAPPING, "group1": "accelerator1"},
+                duration_us=2_000,
+            )
+
+    def test_a_move_that_cannot_run_ends_the_loop(self, monkeypatch):
+        from repro.cases.tutwlan import PAPER_MAPPING
+        from repro.exploration import mapping
+
+        monkeypatch.setattr(
+            mapping,
+            "_best_colocation_move",
+            lambda candidate, assignment: ("group1", "accelerator1"),
+        )
+        history = improvement_loop(
+            "repro.cases.tutwlan:exploration_factory",
+            dict(PAPER_MAPPING),
+            duration_us=2_000,
+        )
+        assert [candidate.assignment for candidate in history] == [PAPER_MAPPING]
+
+    def test_a_move_that_fails_otherwise_raises(self, monkeypatch):
+        from repro.cases.tutwlan import PAPER_MAPPING
+        from repro.errors import SimulationError
+        from repro.exploration import engine, mapping
+
+        move = ("group1", "processor2")
+        evaluate = engine.evaluate_spec
+
+        def evaluate_or_fail(spec, checkpointer=None):
+            if spec.mapping_dict[move[0]] == move[1]:
+                raise SimulationError("the trial broke")
+            return evaluate(spec, checkpointer=checkpointer)
+
+        monkeypatch.setattr(engine, "evaluate_spec", evaluate_or_fail)
+        monkeypatch.setattr(
+            mapping, "_best_colocation_move", lambda candidate, assignment: move
+        )
+        assert PAPER_MAPPING[move[0]] != move[1]
+        with pytest.raises(ExplorationError, match="SimulationError: the trial broke"):
+            improvement_loop(
+                "repro.cases.tutwlan:exploration_factory",
+                dict(PAPER_MAPPING),
+                duration_us=2_000,
+            )
 
 
 class TestEvaluation:

@@ -23,7 +23,6 @@ from repro.exploration.supervisor import (
     FAILURE_ERROR,
     FAILURE_TIMEOUT,
     QUARANTINE_FAILURE_BUDGET,
-    QUARANTINE_RETRIES_EXHAUSTED,
     Supervisor,
 )
 
@@ -168,17 +167,17 @@ class TestQuarantine:
         plan = WorkerFaultPlan.make({0: ["flaky", "flaky"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(max_retries=0, quarantine_after=5),
+            supervisor=fast_config(max_retries=0),
             worker_faults=plan,
         )
-        assert run.quarantined[0].reason == QUARANTINE_RETRIES_EXHAUSTED
+        assert run.quarantined[0].reason == QUARANTINE_FAILURE_BUDGET
         assert run.quarantined[0].failures == 1
 
     def test_quarantine_after_bounds_failures(self):
         plan = WorkerFaultPlan.make({0: ["poison"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(max_retries=10, quarantine_after=2),
+            supervisor=fast_config(max_retries=1),
             worker_faults=plan,
         )
         assert run.quarantined[0].failures == 2
@@ -219,8 +218,6 @@ class TestBackoffPolicy:
             SupervisorConfig(timeout_s=0.0)
         with pytest.raises(ExplorationError):
             SupervisorConfig(max_retries=-1)
-        with pytest.raises(ExplorationError):
-            SupervisorConfig(quarantine_after=0)
         with pytest.raises(ExplorationError):
             SupervisorConfig(backoff_factor=0.5)
         with pytest.raises(ExplorationError):

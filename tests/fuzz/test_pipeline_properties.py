@@ -96,6 +96,77 @@ def test_soundness_catches_executed_flagged_transition():
         check_soundness(generated, forged, result)
 
 
+def _soundness_inputs(machine, flagged):
+    """A one-process model running ``machine``, an A003 finding on
+    ``flagged``, and a result whose log holds one given EXEC record."""
+    from types import SimpleNamespace
+
+    from repro.analysis.core import Finding
+    from repro.simulation.logfile import ExecRecord
+
+    def run(fired):
+        record = ExecRecord(
+            7, "p", "pe", 1, 1, fired.from_state, fired.to_state, fired.trigger
+        )
+        return SimpleNamespace(log=SimpleNamespace(records=[record]))
+
+    component = SimpleNamespace(classifier_behavior=machine)
+    generated = SimpleNamespace(
+        config=GeneratorConfig(seed=0),
+        application=SimpleNamespace(processes={"p": SimpleNamespace(component=component)}),
+    )
+    report = SimpleNamespace(findings=[Finding("A003", "warning", "x", "m", (flagged,))])
+    return generated, report, run
+
+
+def test_soundness_sees_a_flagged_transition_fired_from_a_nested_composite():
+    """A transition of composite ``s`` also fires while ``c``, a composite
+    of ``s`` without an initial substate, is the active state; ``s`` itself,
+    which has one, never is.  The oracle matches what the executor logs."""
+    from repro.simulation.executor import ProcessExecutor
+    from repro.uml.statemachine import StateMachine
+
+    machine = StateMachine("m")
+    machine.state("s", initial=True)
+    machine.state("a", parent="s", initial=True)
+    machine.state("c", parent="s")
+    machine.state("d", parent="c")
+    machine.state("out")
+    machine.on_signal("a", "c", "enter")
+    go = machine.on_signal("s", "out", "go")
+
+    executor = ProcessExecutor("p", machine)
+    started = executor.start()
+    executor.consume_signal("enter", ())
+    fired, _ = executor.consume_signal("go", ())
+    assert (fired.from_state, fired.to_state) == ("c", "out")
+
+    generated, report, run = _soundness_inputs(machine, go)
+    with pytest.raises(InvariantViolation, match="soundness"):
+        check_soundness(generated, report, run(fired))
+    assert check_soundness(generated, report, run(started)) == 1
+
+
+def test_soundness_sees_a_flagged_completion_transition_fired_at_start():
+    """The start record names the composite initial state ``s`` as its
+    ``from``, although the completion ``s --> out`` fires from ``a``."""
+    from repro.simulation.executor import ProcessExecutor
+    from repro.uml.statemachine import StateMachine
+
+    machine = StateMachine("m")
+    machine.state("s", initial=True)
+    machine.state("a", parent="s", initial=True)
+    machine.state("out")
+    done = machine.transition("s", "out")
+
+    fired = ProcessExecutor("p", machine).start()
+    assert (fired.from_state, fired.to_state, fired.trigger) == ("s", "out", "start")
+
+    generated, report, run = _soundness_inputs(machine, done)
+    with pytest.raises(InvariantViolation, match="soundness"):
+        check_soundness(generated, report, run(fired))
+
+
 def test_actions_stage_catches_a_divergent_compiler(monkeypatch):
     """A compiled block that miscounts must fail the actions stage (and
     so shrink like any other stage)."""

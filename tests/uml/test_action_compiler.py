@@ -118,11 +118,29 @@ def test_every_guard_evaluation_starts_from_the_same_rand16_seed():
 
 @pytest.mark.parametrize(
     "source",
-    ["min()", "max()", "abs()", "abs(1, 2)", "crc32()", "crc32(1, 2, 3)", "sqrt(2)"],
+    [
+        "min()",
+        "max()",
+        "abs()",
+        "abs(1, 2)",
+        "crc32()",
+        "crc32(1, 2, 3)",
+        "sqrt(2)",
+        "min(3)",
+        "max(1, 2, 3)",
+        "rand16(1)",
+    ],
 )
 def test_builtin_misuse_raises_like_the_oracle(source):
     result = both(parse_expression(source))[0]
     assert isinstance(result, tuple)
+    assert result[0] == "ActionRuntimeError"
+
+
+@pytest.mark.parametrize("source", ["1 << -1", "8 >> -2", "x << y"])
+def test_a_negative_shift_count_raises_like_the_oracle(source):
+    result = both(parse_expression(source), {"x": 1, "y": -1})[0]
+    assert result == ("ActionRuntimeError", "negative shift count")
 
 
 def test_arguments_are_evaluated_before_a_builtin_fails():

@@ -13,6 +13,7 @@ from repro.uml import (
     xml_to_model,
 )
 from repro.uml.compare import model_fingerprint
+from repro.uml.plan import plan_machine, signal_key
 
 
 def nested_machine():
@@ -42,7 +43,8 @@ class TestMetamodel:
         machine = nested_machine()
         on = machine.find_state("on")
         assert on.initial_substate is machine.find_state("idle")
-        assert on.enter_target() is machine.find_state("idle")
+        power = plan_machine(machine).by_trigger[machine.find_state("off")]
+        assert power[signal_key("power")][0].leaf is machine.find_state("idle")
 
     def test_double_initial_substate_rejected(self):
         machine = nested_machine()
@@ -66,7 +68,7 @@ class TestMetamodel:
         machine.state("c", parent="b", initial=True)
         a = machine.find_state("a")
         c = machine.find_state("c")
-        assert a.enter_target() is c
+        assert plan_machine(machine).start.leaf is c
         assert c.ancestors() == [machine.find_state("b"), a]
 
     def test_final_cannot_nest(self):

@@ -144,6 +144,6 @@ def closed_exprs():
 def test_the_folder_agrees_with_the_tree_walker(expr):
     try:
         expected = evaluate(expr, ActionEnvironment())
-    except (ActionRuntimeError, ValueError):  # a zero divisor, a negative shift
+    except ActionRuntimeError:  # a zero divisor, a negative shift
         return
     assert const_value(expr) == expected

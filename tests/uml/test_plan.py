@@ -95,6 +95,23 @@ def reference_candidates(machine, leaf):
     ]
 
 
+def reference_reachable(machine):
+    """Every state the reference walk enters from the start (every state
+    of a machine without an initial state)."""
+    if machine.initial_state is None:
+        return set(machine.states)
+    _, start = reference_start(machine)
+    leaves, frontier = {start}, [start]
+    while frontier:
+        leaf = frontier.pop()
+        for transition in reference_candidates(machine, leaf):
+            _, new_leaf, _ = reference_walk(leaf, transition)
+            if new_leaf not in leaves:
+                leaves.add(new_leaf)
+                frontier.append(new_leaf)
+    return {state for leaf in leaves for state in [leaf] + leaf.ancestors()}
+
+
 def planned(step):
     """A planned step as the oracle's records."""
     return (
@@ -248,6 +265,53 @@ def test_candidates_come_leaf_first_then_ancestors(machines):
                     t for t in expected if trigger_key(t.trigger) == key
                 ]
             assert sum(len(g) for g in plan.by_trigger[leaf].values()) == len(expected)
+
+
+def test_reachable_states_are_the_reference_walks(machines):
+    for machine in machines:
+        assert plan_machine(machine).reachable == reference_reachable(machine), (
+            machine.name
+        )
+
+
+def corner_machines():
+    """An internal transition, no initial state, a composite without an
+    initial substate; each leaves states unreachable."""
+    internal = StateMachine("internal")
+    internal.state("s", initial=True)
+    internal.state("x", parent="s", initial=True)
+    internal.state("island")
+    internal.on_signal("s", "s", "stay", internal=True)
+    internal.on_signal("island", "s", "back")
+
+    no_initial = StateMachine("no_initial")
+    no_initial.state("a")
+    no_initial.state("b")
+    no_initial.on_signal("a", "b", "go")
+
+    no_initial_substate = StateMachine("no_initial_substate")
+    no_initial_substate.state("s", initial=True)
+    no_initial_substate.state("a", parent="s", initial=True)
+    no_initial_substate.state("c", parent="s")
+    no_initial_substate.state("d", parent="c")
+    no_initial_substate.state("out")
+    no_initial_substate.state("never")
+    no_initial_substate.on_signal("a", "c", "enter")
+    no_initial_substate.on_signal("s", "out", "go")
+    no_initial_substate.on_signal("d", "never", "leave")
+    return {
+        "internal": (internal, {"s", "x"}),
+        "no_initial": (no_initial, {"a", "b"}),
+        "no_initial_substate": (no_initial_substate, {"s", "a", "c", "out"}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(corner_machines()))
+def test_reachable_corner_cases(name):
+    machine, expected = corner_machines()[name]
+    reachable = plan_machine(machine).reachable
+    assert reachable == reference_reachable(machine)
+    assert {state.name for state in reachable} == expected
 
 
 def test_hierarchical_sources_are_covered():
