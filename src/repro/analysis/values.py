@@ -49,7 +49,7 @@ from repro.uml.actions import (
     UnaryOp,
     While,
 )
-from repro.uml.plan import MachinePlan, Step, plan_machine
+from repro.uml.plan import MachinePlan, Step, plan_machine, terminates
 from repro.uml.statemachine import State, StateMachine, Transition
 
 register_rule(
@@ -644,7 +644,7 @@ def _fixpoint(machine: StateMachine, plan: MachinePlan) -> Optional[MachineValue
     push(plan.start.leaf, env)
     while worklist:
         leaf = worklist.pop()
-        if leaf.is_final:
+        if terminates(leaf):
             continue
         current = state_envs[id(leaf)]
         if ran.get(id(leaf)) is current:
@@ -762,7 +762,7 @@ def check_machine(
         if init_env is None:
             break
     for leaf in values.leaves.values():
-        if leaf.is_final:
+        if terminates(leaf):
             continue
         env = values.env_of(leaf)
         for step in values.plan.steps[leaf]:

@@ -8,21 +8,22 @@ where ``digest`` is the SHA-256 of the candidate spec's canonical JSON
 (:meth:`CandidateSpec.digest`).  Each entry stores the spec echo, the
 :class:`EvaluationResult` fields, the result's stable hash and the
 original evaluation wall-time, so warm re-runs can report what they
-skipped.  Entries are written atomically (temp file + ``os.replace``) so
-concurrent explorations sharing a cache directory never read torn JSON;
-unreadable or schema-mismatched entries are treated as misses and
-silently re-evaluated.
+skipped.  Entries are written atomically
+(:func:`~repro.util.fsio.write_json_atomic`) so concurrent explorations
+sharing a cache directory never read torn JSON; unreadable or
+schema-mismatched entries are treated as misses and silently
+re-evaluated.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Dict, Optional, Tuple
 
 from repro.exploration.objectives import EvaluationResult, encoding_hash
 from repro.exploration.spec import CandidateSpec
+from repro.util.fsio import write_json_atomic
 
 #: Bump when the entry format changes incompatibly.
 CACHE_SCHEMA = 1
@@ -65,7 +66,6 @@ class ResultCache:
         if digest is None:
             return None
         path = self.path_for(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         encoding = result.to_dict()
         entry = {
             "schema": CACHE_SCHEMA,
@@ -75,24 +75,7 @@ class ResultCache:
             "result_hash": encoding_hash(encoding),
             "elapsed_s": elapsed_s,
         }
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=os.path.dirname(path),
-            prefix=digest[:8] + ".",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, entry)
         return path
 
     def __len__(self) -> int:

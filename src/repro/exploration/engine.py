@@ -10,11 +10,14 @@ system (:func:`~repro.exploration.spec.build_system`) instead of
 rebuilding it, and a forked worker starts with its parent's view.
 
 Dispatch is fault-tolerant: the campaign supervisor
-(:mod:`repro.exploration.supervisor`) owns the worker processes, so a
-hung worker is killed at its wall-clock timeout, a crashed worker
-(SIGKILL, OOM) is detected through its closed pipe, failed candidates are
-retried with seeded exponential backoff and a poison candidate is
-quarantined after a bounded failure budget instead of aborting the sweep.
+(:mod:`repro.exploration.supervisor`) owns the worker processes, and each
+worker serves candidates until it dies, so the fork is paid once per
+worker, not once per candidate.  A hung worker is killed at its
+wall-clock timeout, a crashed worker (SIGKILL, OOM) is detected through
+its closed pipe, either is replaced only when another worker is needed,
+failed candidates are retried with seeded exponential backoff and a
+poison candidate is quarantined after a bounded failure budget instead
+of aborting the sweep.
 
 Determinism contract: the simulator is seeded and bit-reproducible, every
 candidate is evaluated independently, and :meth:`ExplorationRun.ranking`
@@ -23,9 +26,9 @@ sorts by the stable key ``(cost, spec canonical JSON)`` — so the ranking
 ``workers=0``, ``workers=1`` and ``workers=N``, warm or cold cache, with
 or without infrastructure faults along the way (a retried candidate
 re-simulates — or checkpoint-resumes — to the byte-identical result).
-``workers=0`` evaluates serially in-process (no pool at all), which is
-the fallback for determinism debugging and for builders that cannot be
-imported by name.
+``workers=0`` evaluates serially in-process (no pool at all), through
+the supervisor's one dispatch loop; it is the fallback for determinism
+debugging and for builders that cannot be imported by name.
 """
 
 from __future__ import annotations
@@ -209,24 +212,6 @@ def evaluate_spec(
     )
 
 
-def _make_checkpointer(
-    spec: CandidateSpec,
-    checkpoint_dir: Optional[str],
-    checkpoint_every_events: int,
-    interrupt_after_events: Optional[int] = None,
-):
-    if checkpoint_dir is None:
-        return None
-    from repro.checkpoint import Checkpointer, CheckpointStore, EveryEvents
-
-    return Checkpointer(
-        CheckpointStore(checkpoint_dir),
-        EveryEvents(checkpoint_every_events),
-        tag=spec.digest(),
-        interrupt_after_events=interrupt_after_events,
-    )
-
-
 def _pool_context():
     # fork keeps already-imported modules (and sys.path) in the children;
     # fall back to the platform default where fork does not exist.
@@ -249,7 +234,8 @@ def run_candidates(
     """Evaluate every spec; cache hits are served without simulating.
 
     ``workers=0`` runs serially in-process; ``workers>=1`` fans the
-    uncached candidates out over supervised worker processes.  The
+    uncached candidates out over at most ``workers`` supervised worker
+    processes, each serving candidates until it dies.  The
     returned outcomes are in submission order regardless of completion
     order; use :meth:`ExplorationRun.ranking` for the stable best-first
     view.
@@ -266,10 +252,12 @@ def run_candidates(
     ``supervisor`` is the fault-tolerance policy
     (:class:`~repro.exploration.supervisor.SupervisorConfig`; None means
     the defaults: no timeout, 2 retries, so 3 attempts in all).  A
-    candidate whose worker times out, crashes or raises is retried with
-    seeded exponential backoff and, once its failure budget is spent,
-    quarantined — the campaign completes without it, and every failed
-    attempt is recorded in the run's ``failures``/``quarantined`` ledger.
+    candidate whose worker times out, crashes or raises is retried after
+    a seeded exponential backoff (:func:`~repro.exploration.supervisor
+    .backoff_s`) while other candidates run and, once its failure budget
+    is spent, quarantined — the campaign completes without it, and every
+    failed attempt is recorded in the run's ``failures``/``quarantined``
+    ledger.
     ``worker_faults`` is the injectable infrastructure-fault harness
     (:class:`~repro.exploration.workerfaults.WorkerFaultPlan`) that makes
     all of the above deterministically testable.

@@ -169,20 +169,16 @@ def improvement_loop(
         # one candidate per iteration: a pool would only add fork overhead,
         # so the engine is used serially here — the win is the cache
         spec = CandidateSpec.make(builder, assignment, duration_us=duration_us)
+        # a mapping the platform rejects raises MappingError here, on the
+        # design view the engine would re-map, before any engine run
+        design_view(spec.builder).remap(spec.mapping)
         engine_run = run_candidates([spec], workers=0, cache_dir=cache_dir)
         if runs_out is not None:
             runs_out.append(engine_run)
         if not engine_run.outcomes:
-            # the supervisor quarantined it; its ledger says why, as
-            # "<exception type>: <message>".  Only a mapping the platform
-            # rejects is a bad move; any other failure is raised as such.
+            # the supervisor quarantined it; its ledger says why
             detail = engine_run.failures[-1].detail
-            error = (
-                MappingError
-                if detail.startswith("MappingError:")
-                else ExplorationError
-            )
-            raise error(f"assignment {assignment} cannot run: {detail}")
+            raise ExplorationError(f"assignment {assignment} cannot run: {detail}")
         return MappingCandidate(dict(assignment), engine_run.outcomes[0].result)
 
     candidate = run(current)

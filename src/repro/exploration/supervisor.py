@@ -1,19 +1,19 @@
-"""Campaign supervisor: fault-tolerant dispatch of exploration workers.
+"""Campaign supervisor: one fault-tolerant dispatch loop for every worker count.
 
 ``Pool.imap_unordered`` has no answer to an OOM-killed or wedged child —
 one dead worker stalls the whole campaign.  The supervisor replaces the
-pool with directly managed worker processes, one per in-flight
-candidate, each reporting over its own pipe, so the parent can
+pool with at most ``workers`` directly managed worker processes.  Each
+worker serves one candidate attempt after another over its own pipe,
+until it crashes, times out or is stopped, so the parent can
 
-* enforce a **per-candidate wall-clock timeout** (kill the worker,
-  reclaim the slot, retry the candidate),
+* enforce a **per-candidate wall-clock timeout** (kill the busy worker,
+  retry the candidate; a new worker is started when one is needed),
 * detect **crashed workers** (SIGKILL/exit-code death shows up as a
-  closed pipe; the slot is simply refilled — "pool repair" is free when
-  every candidate gets a fresh process),
+  closed pipe; only that worker is replaced),
 * **retry with exponential backoff** and deterministic, seeded jitter
-  (reproducible campaign behaviour; the *results* are worker-count
-  invariant regardless, because candidates are evaluated independently
-  by a bit-reproducible simulator),
+  (:func:`backoff_s`: reproducible campaign behaviour; the *results* are
+  worker-count invariant regardless, because candidates are evaluated
+  independently by a bit-reproducible simulator),
 * **quarantine poison candidates** after a bounded failure budget,
   recording every attempt in a structured failure ledger instead of
   aborting the campaign, and
@@ -21,9 +21,12 @@ candidate, each reporting over its own pipe, so the parent can
   no longer be spawned at all (fork/spawn failure — the pool is
   irreparable, but the campaign still finishes).
 
-With ``workers=0`` the supervisor runs every candidate in-process
-through that same serial loop, so retry, quarantine and the interrupt
-budget exist once for every worker count.
+:meth:`Supervisor.run` is the only dispatch loop and
+:meth:`_Campaign.run_attempt` the only attempt body.  With ``workers=0``,
+or once spawning has failed for good, the loop runs each attempt in this
+process; a failed attempt waits out its backoff in the same queue
+whatever ran it, so retry, quarantine and the interrupt budget exist
+once for every worker count.
 
 A retried candidate launched with ``checkpoint_dir`` resumes from its
 latest snapshot (see :mod:`repro.checkpoint`), so a timeout kill does not
@@ -35,24 +38,59 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ExplorationError, SimulationInterrupted, WorkerFaultError
+from repro.errors import ExplorationError, SimulationInterrupted
 from repro.exploration.spec import CandidateSpec
-from repro.exploration.workerfaults import WorkerFaultPlan, apply_worker_fault
+from repro.exploration.workerfaults import (
+    CRASH,
+    HANG,
+    WorkerFaultPlan,
+    apply_worker_fault,
+)
 from repro.faults.plan import _hash_site, _mix64
 
 #: Failure kinds recorded in the ledger.
 FAILURE_TIMEOUT = "timeout"      # wall-clock deadline exceeded, worker killed
 FAILURE_CRASH = "crash"          # worker died without reporting (e.g. SIGKILL)
-FAILURE_ERROR = "error"          # worker reported an exception
+FAILURE_ERROR = "error"          # the attempt raised an exception
 
 #: The reason a quarantine record gives: the candidate used its attempts.
 QUARANTINE_FAILURE_BUDGET = "failure-budget"
+
+#: The ledger kind of an injected fault that raises instead of happening
+#: for real (in-process, a crash or hang would take the campaign down):
+#: the failure it stands in for.  Other injected faults are errors.
+_INJECTED_KINDS = {CRASH: FAILURE_CRASH, HANG: FAILURE_TIMEOUT}
+
+#: Backoff before the *n*-th retry: ``min(BACKOFF_MAX_S, BACKOFF_BASE_S *
+#: BACKOFF_FACTOR**(n-1))`` plus a jitter in ``[0, BACKOFF_JITTER_S)``
+#: drawn from ``(BACKOFF_SEED, candidate, attempt)`` (:func:`backoff_s`).
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+BACKOFF_JITTER_S = 0.05
+BACKOFF_SEED = 0
+
+#: How often an idle worker checks that its supervisor is still alive.
+_ORPHAN_CHECK_S = 1.0
+
+
+def backoff_s(key: str, attempt: int) -> float:
+    """Deterministic backoff before retrying ``key``'s ``attempt``-th try.
+
+    ``key`` identifies the candidate (its digest, or its index as a
+    string for unhashable specs); ``attempt`` is the 1-based attempt
+    that just failed.  Reproducible: no wall-clock input.
+    """
+    base = min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1))
+    draw = _mix64(_mix64(BACKOFF_SEED ^ 0x5EED5EED) ^ _hash_site(key) ^ attempt)
+    return base + BACKOFF_JITTER_S * (draw / float(1 << 64))
 
 
 @dataclass(frozen=True)
@@ -61,23 +99,15 @@ class SupervisorConfig:
 
     ``timeout_s`` is the per-candidate wall-clock deadline (None disables
     it; serial in-process evaluation cannot preempt a running simulation,
-    so the timeout only applies with ``workers >= 1``).  A candidate is
-    retried after a failure until it has used up ``max_retries`` retries,
-    that is ``max_retries + 1`` attempts — then it is quarantined and the
-    campaign continues without it.
-    Backoff before the *n*-th retry is
-    ``min(backoff_max_s, backoff_base_s * backoff_factor**(n-1))`` plus a
-    deterministic jitter in ``[0, backoff_jitter_s)`` derived from
-    ``(seed, candidate, attempt)`` — reproducible, no wall-clock input.
+    so the timeout only applies with ``workers >= 1``).  A failed
+    candidate is retried once its :func:`backoff_s` has passed, until it
+    has used up ``max_retries`` retries, that is ``max_retries + 1``
+    attempts — then it is quarantined and the campaign continues without
+    it.
     """
 
     timeout_s: Optional[float] = None
     max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    backoff_jitter_s: float = 0.05
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -88,28 +118,6 @@ class SupervisorConfig:
             raise ExplorationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base_s < 0 or self.backoff_jitter_s < 0:
-            raise ExplorationError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ExplorationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def backoff_s(self, key: str, attempt: int) -> float:
-        """Deterministic backoff before retrying ``key``'s ``attempt``-th try.
-
-        ``key`` identifies the candidate (its digest, or its index as a
-        string for unhashable specs); ``attempt`` is the 1-based attempt
-        that just failed.
-        """
-        base = min(
-            self.backoff_max_s,
-            self.backoff_base_s * self.backoff_factor ** (attempt - 1),
-        )
-        draw = _mix64(
-            _mix64(self.seed ^ 0x5EED5EED) ^ _hash_site(key) ^ attempt
-        )
-        return base + self.backoff_jitter_s * (draw / float(1 << 64))
 
 
 @dataclass
@@ -219,57 +227,107 @@ class _Task:
         return digest if digest is not None else f"index:{self.index}"
 
 
-class _InFlight:
-    """One live worker process and its reporting pipe."""
+@dataclass(frozen=True)
+class _Campaign:
+    """What every attempt of one campaign shares; each worker gets a copy."""
 
-    def __init__(self, task, process, conn, deadline) -> None:
-        self.task = task
+    worker_faults: Optional[WorkerFaultPlan]
+    checkpoint_dir: Optional[str]
+    checkpoint_every_events: int
+
+    def run_attempt(
+        self,
+        index: int,
+        spec: CandidateSpec,
+        attempt: int,
+        in_worker: bool = False,
+        interrupt_after_events: Optional[int] = None,
+    ) -> Tuple[str, object, float, int]:
+        """Run one attempt at one candidate: the only attempt body.
+
+        Returns ``("ok", result, elapsed_s, events)``, ``events`` being
+        the simulation events the checkpointer saw (0 without one), or
+        ``(failure kind, "<exception type>: <message>", elapsed_s, 0)``.
+        An injected fault's kind comes from its mode
+        (:data:`_INJECTED_KINDS`); any other exception is an error.
+        ``SimulationInterrupted`` (the interrupt budget ran out) and
+        ``KeyboardInterrupt`` propagate: neither is a worker fault.
+        """
+        # deferred: the engine imports this module at load time, and
+        # evaluate_spec is looked up on it per call so it can be replaced
+        from repro.exploration import engine
+
+        started = time.perf_counter()
+        faults = self.worker_faults
+        mode = faults.mode_for(index, attempt) if faults is not None else None
+        # the injected fault's own exception is ledgered by its mode, any
+        # later one as an error
+        kind = _INJECTED_KINDS.get(mode, FAILURE_ERROR)
+        try:
+            if mode is not None:
+                apply_worker_fault(mode, faults, in_child=in_worker)
+            kind = FAILURE_ERROR
+            checkpointer = None
+            if self.checkpoint_dir is not None:
+                from repro.checkpoint import Checkpointer, CheckpointStore, EveryEvents
+
+                checkpointer = Checkpointer(
+                    CheckpointStore(self.checkpoint_dir),
+                    EveryEvents(self.checkpoint_every_events),
+                    tag=spec.digest(),
+                    interrupt_after_events=interrupt_after_events,
+                )
+            result = engine.evaluate_spec(spec, checkpointer=checkpointer)
+        except (SimulationInterrupted, KeyboardInterrupt):
+            raise
+        except Exception as exc:  # noqa: BLE001 — attempt failures are ledgered
+            detail = f"{type(exc).__name__}: {exc}"
+            return kind, detail, time.perf_counter() - started, 0
+        events = checkpointer.events_seen if checkpointer is not None else 0
+        return "ok", result, time.perf_counter() - started, events
+
+
+def _worker_main(conn, campaign: _Campaign) -> None:
+    """Worker-process entry point: serve attempts until told to stop.
+
+    A request is ``(index, spec, attempt)`` and its reply the attempt's
+    tuple; ``None`` asks the worker to exit.  A worker that dies
+    mid-attempt (an injected crash, a real SIGKILL) is seen by the
+    parent as a closed pipe.
+    """
+    # The parent kills a busy worker with SIGTERM; a SIGTERM handler
+    # inherited through fork (``repro explore`` installs one) would turn
+    # that into a traceback.  A terminal's Ctrl-C is the parent's to handle.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Keep the collector off the heap inherited from the parent: a full
+    # collection would write to every inherited object and so copy the
+    # whole heap page by page (copy-on-write).
+    gc.freeze()
+    parent = os.getppid()
+    while True:
+        if not conn.poll(_ORPHAN_CHECK_S):
+            if os.getppid() != parent:
+                return                  # the supervisor died without a stop
+            continue
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        conn.send(campaign.run_attempt(*request, in_worker=True))
+
+
+class _Worker:
+    """One live worker process, its pipe end and the task it is serving."""
+
+    def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.deadline = deadline  # monotonic instant, or None
-        self.started = time.monotonic()
-
-
-def _child_main(send_conn, payload) -> None:
-    """Worker-process entry point: evaluate one candidate, report by pipe.
-
-    Reports ``("ok", result_dict, elapsed_s)`` or ``("error", detail,
-    elapsed_s)``; a worker that dies without reporting (injected crash,
-    real SIGKILL) is detected by the parent through the closed pipe.
-    """
-    # Keep the collector off the heap inherited from the parent: a full
-    # collection here would write to every inherited object and so copy the
-    # whole heap page by page (copy-on-write) before the candidate runs.
-    gc.freeze()
-    index, spec, checkpoint_dir, every_events, fault_plan, fault_mode = payload
-    started = time.perf_counter()
-    try:
-        if fault_mode is not None:
-            apply_worker_fault(fault_mode, fault_plan, in_child=True)
-        # deferred import: keeps supervisor importable without the engine
-        # (the engine imports this module at load time)
-        from repro.exploration.engine import _make_checkpointer, evaluate_spec
-
-        checkpointer = _make_checkpointer(spec, checkpoint_dir, every_events)
-        result = evaluate_spec(spec, checkpointer=checkpointer)
-        send_conn.send(
-            ("ok", result.to_dict(), time.perf_counter() - started)
-        )
-    except BaseException as exc:  # noqa: BLE001 — anything must be reported
-        try:
-            send_conn.send(
-                (
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - started,
-                )
-            )
-        except (OSError, ValueError):
-            pass
-        finally:
-            send_conn.close()
-            os._exit(1)
-    send_conn.close()
+        self.task: Optional[_Task] = None   # None while idle
+        self.started = 0.0                  # monotonic start of the attempt
+        self.deadline: Optional[float] = None
 
 
 class Supervisor:
@@ -280,9 +338,8 @@ class Supervisor:
     callback; the supervisor owns worker lifecycle, deadlines, retries,
     quarantine and the interrupt budget, and leaves its ledger in
     :attr:`failures`, :attr:`quarantines` and :attr:`stats`.  With
-    ``workers=0`` every candidate runs in-process through the same retry
-    loop that serial degradation uses.  ``finally``-guarded cleanup
-    terminates every live worker on any exit path — a
+    ``workers=0`` every attempt runs in-process through the same loop.
+    ``finally``-guarded cleanup stops every worker on any exit path — a
     ``KeyboardInterrupt`` mid-campaign leaves no orphan processes behind.
     """
 
@@ -301,9 +358,9 @@ class Supervisor:
         self.in_process = workers == 0
         self.workers = max(1, workers)
         self.config = config
-        self.worker_faults = worker_faults
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every_events = checkpoint_every_events
+        self.campaign = _Campaign(
+            worker_faults, checkpoint_dir, checkpoint_every_events
+        )
         # events left before the in-process campaign is interrupted
         # (None: no budget); debited by each successful evaluation
         self.interrupt_budget = interrupt_after_events
@@ -325,190 +382,181 @@ class Supervisor:
             _Task(index=index, spec=spec) for index, spec in pending
         )
         delayed: List[_Task] = []       # tasks waiting out a backoff
-        inflight: List[_InFlight] = []
+        workers: List[_Worker] = []
         try:
-            while ready or delayed or inflight:
+            while ready or delayed or any(w.task is not None for w in workers):
                 now = time.monotonic()
                 # promote tasks whose backoff has elapsed
-                still_delayed = []
-                for task in delayed:
-                    if task.not_before <= now:
-                        ready.append(task)
-                    else:
-                        still_delayed.append(task)
-                delayed = still_delayed
+                ready.extend(task for task in delayed if task.not_before <= now)
+                delayed[:] = [task for task in delayed if task.not_before > now]
 
-                # fill free worker slots
-                while ready and len(inflight) < self.workers:
+                if ready and (self.in_process or self.stats.degraded_to_serial):
                     task = ready.popleft()
-                    if self.in_process or self.stats.degraded_to_serial:
-                        self._run_in_process(task, on_success)
-                        continue
-                    flight = self._spawn(task)
-                    if flight is None:          # spawn failed; task re-queued
-                        ready.appendleft(task)
-                        if self.stats.degraded_to_serial:
-                            continue
-                        break
-                    inflight.append(flight)
-
-                if not inflight:
-                    if delayed:
-                        next_due = min(t.not_before for t in delayed)
-                        time.sleep(max(0.0, next_due - time.monotonic()))
+                    budget = self.interrupt_budget
+                    reply = self.campaign.run_attempt(
+                        task.index,
+                        task.spec,
+                        task.attempt,
+                        interrupt_after_events=(
+                            max(1, budget) if budget is not None else None
+                        ),
+                    )
+                    self._settle(task, reply, on_success, delayed)
                     continue
 
-                # wait for a result, a death, a deadline or a backoff expiry
-                timeout = self._wait_timeout(inflight, delayed)
-                readable = _connection_wait(
-                    [flight.conn for flight in inflight], timeout=timeout
-                )
-                for conn in readable:
-                    flight = next(f for f in inflight if f.conn is conn)
-                    inflight.remove(flight)
-                    self._collect(flight, on_success, delayed)
+                # hand ready tasks to idle workers, starting them on demand
+                while ready:
+                    worker = next((w for w in workers if w.task is None), None)
+                    if worker is None and len(workers) < self.workers:
+                        worker = self._spawn()
+                        if worker is not None:
+                            workers.append(worker)
+                    if worker is None:
+                        break
+                    self._assign(worker, ready.popleft())
 
-                # enforce wall-clock deadlines on whatever is still running
-                now = time.monotonic()
-                for flight in [
-                    f
-                    for f in inflight
-                    if f.deadline is not None and f.deadline <= now
-                ]:
-                    inflight.remove(flight)
-                    self._timeout(flight, on_success, delayed)
+                busy = [w for w in workers if w.task is not None]
+                if busy:
+                    self._wait(busy, workers, delayed, on_success)
+                elif delayed and not ready:
+                    next_due = min(task.not_before for task in delayed)
+                    time.sleep(max(0.0, next_due - time.monotonic()))
         finally:
-            self._reap(inflight)
+            self._stop(workers)
         return self.stats
 
-    def _wait_timeout(
-        self, inflight: List[_InFlight], delayed: List[_Task]
-    ) -> Optional[float]:
-        """Sleep only until the next deadline or backoff expiry."""
-        now = time.monotonic()
-        horizons = [
-            flight.deadline for flight in inflight if flight.deadline is not None
-        ]
+    def _wait(self, busy, workers, delayed, on_success) -> None:
+        """Wait for a reply, a death, a deadline or a backoff expiry."""
+        horizons = [w.deadline for w in busy if w.deadline is not None]
         horizons += [task.not_before for task in delayed]
-        if not horizons:
-            return None                      # block until a pipe is readable
-        return max(0.0, min(horizons) - now)
+        timeout = (
+            max(0.0, min(horizons) - time.monotonic()) if horizons else None
+        )
+        for conn in _connection_wait([w.conn for w in busy], timeout=timeout):
+            worker = next(w for w in busy if w.conn is conn)
+            self._collect(worker, workers, delayed, on_success)
+        # enforce wall-clock deadlines on whatever is still running
+        now = time.monotonic()
+        for worker in busy:
+            if (
+                worker.task is not None
+                and worker.deadline is not None
+                and worker.deadline <= now
+            ):
+                self._timeout(worker, workers, delayed, on_success)
+
+    def _settle(self, task: _Task, reply, on_success, delayed) -> None:
+        """Act on one attempt's reply: report the result or ledger it."""
+        kind, payload, elapsed, events = reply
+        if kind != "ok":
+            self._failed(task, kind, payload, elapsed, delayed)
+            return
+        if self.interrupt_budget is not None:
+            self.interrupt_budget -= events
+        on_success(task.index, payload, elapsed, task.attempt, task.failures)
 
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn(self, task: _Task) -> Optional[_InFlight]:
+    def _spawn(self) -> Optional[_Worker]:
         """Start one worker; on repeated spawn failure degrade to serial."""
-        fault_mode = (
-            self.worker_faults.mode_for(task.index, task.attempt)
-            if self.worker_faults is not None
-            else None
-        )
-        payload = (
-            task.index,
-            task.spec,
-            self.checkpoint_dir,
-            self.checkpoint_every_events,
-            self.worker_faults,
-            fault_mode,
-        )
-        recv_conn, send_conn = self.context.Pipe(duplex=False)
+        conn, worker_end = self.context.Pipe(duplex=True)
         process = self.context.Process(
-            target=_child_main, args=(send_conn, payload), daemon=True
+            target=_worker_main, args=(worker_end, self.campaign), daemon=True
         )
         try:
             process.start()
         except OSError:
-            recv_conn.close()
-            send_conn.close()
+            conn.close()
+            worker_end.close()
             self.stats.spawn_failures += 1
             if self.stats.spawn_failures >= 2:
                 # the pool is irreparable: finish the campaign in-process
                 self.stats.degraded_to_serial = True
             return None
-        # close the parent's copy of the write end *immediately*: workers
-        # forked later must not inherit it, or a crashed sibling's pipe
-        # would never read as EOF
-        send_conn.close()
+        # close the parent's copy of the worker's end *immediately*: workers
+        # forked later must not inherit it, or this worker's death would
+        # never read as EOF
+        worker_end.close()
         self.stats.spawned_pids.append(process.pid)
-        deadline = (
-            time.monotonic() + self.config.timeout_s
-            if self.config.timeout_s is not None
-            else None
-        )
-        return _InFlight(task, process, recv_conn, deadline)
+        return _Worker(process, conn)
 
-    def _collect(self, flight: _InFlight, on_success, delayed) -> None:
-        """Handle a readable pipe: a result, an error report, or a death."""
-        task = flight.task
+    def _assign(self, worker: _Worker, task: _Task) -> None:
+        """Send one attempt to an idle worker and start its clock."""
         try:
-            kind, payload, elapsed = flight.conn.recv()
+            worker.conn.send((task.index, task.spec, task.attempt))
+        except OSError:
+            pass                        # a dead worker reads as EOF next
+        worker.task = task
+        worker.started = time.monotonic()
+        if self.config.timeout_s is not None:
+            worker.deadline = worker.started + self.config.timeout_s
+
+    def _collect(self, worker: _Worker, workers, delayed, on_success) -> None:
+        """Handle a readable pipe: a reply, or the worker's death."""
+        task, worker.task = worker.task, None
+        try:
+            reply = worker.conn.recv()
         except (EOFError, OSError):
-            flight.process.join()
-            flight.conn.close()
-            exitcode = flight.process.exitcode
+            workers.remove(worker)
+            self._join(worker)
+            exitcode = worker.process.exitcode
             self._failed(
                 task,
                 FAILURE_CRASH,
                 f"worker died without reporting (exit code {exitcode})",
-                time.monotonic() - flight.started,
+                time.monotonic() - worker.started,
                 delayed,
                 exitcode=exitcode,
             )
             return
-        flight.process.join()
-        flight.conn.close()
-        if kind == "ok":
-            from repro.exploration.objectives import EvaluationResult
+        self._settle(task, reply, on_success, delayed)
 
-            on_success(
-                task.index,
-                EvaluationResult.from_dict(payload),
-                elapsed,
-                task.attempt,
-                task.failures,
-            )
-        else:
-            self._failed(task, FAILURE_ERROR, str(payload), elapsed, delayed)
-
-    def _timeout(self, flight: _InFlight, on_success, delayed) -> None:
+    def _timeout(self, worker: _Worker, workers, delayed, on_success) -> None:
         """Kill a worker that blew its deadline — unless it just finished."""
-        if flight.conn.poll():
-            # the result arrived between the wait and the deadline check
-            self._collect(flight, on_success, delayed)
+        if worker.conn.poll():
+            # the reply arrived between the wait and the deadline check
+            self._collect(worker, workers, delayed, on_success)
             return
-        process = flight.process
-        process.terminate()
-        process.join(timeout=1.0)
-        if process.is_alive():
-            process.kill()
-            process.join()
-        flight.conn.close()
+        workers.remove(worker)
+        worker.process.terminate()
+        self._join(worker)
         self._failed(
-            flight.task,
+            worker.task,
             FAILURE_TIMEOUT,
             f"exceeded {self.config.timeout_s}s wall-clock timeout",
-            time.monotonic() - flight.started,
+            time.monotonic() - worker.started,
             delayed,
-            exitcode=process.exitcode,
+            exitcode=worker.process.exitcode,
         )
 
-    def _reap(self, inflight: List[_InFlight]) -> None:
-        """Terminate and join every live worker (no orphans on any exit)."""
-        for flight in inflight:
-            if flight.process.is_alive():
-                flight.process.terminate()
-        for flight in inflight:
-            flight.process.join(timeout=1.0)
-            if flight.process.is_alive():
-                flight.process.kill()
-                flight.process.join()
-            try:
-                flight.conn.close()
-            except OSError:
-                pass
-        inflight.clear()
+    def _stop(self, workers: List[_Worker]) -> None:
+        """Stop and join every worker (no orphans on any exit path).
+
+        An idle worker is asked to exit: closing the pipe is not enough,
+        because workers forked later hold a copy of its parent end.
+        """
+        for worker in workers:
+            if worker.task is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+            else:
+                worker.process.terminate()
+        for worker in workers:
+            self._join(worker)
+        workers.clear()
+
+    @staticmethod
+    def _join(worker: _Worker) -> None:
+        """Wait for a stopping worker, killing it if it lingers."""
+        worker.process.join(timeout=1.0)
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
 
     # ------------------------------------------------------------------
     # failure bookkeeping
@@ -520,14 +568,12 @@ class Supervisor:
         kind: str,
         detail: str,
         elapsed_s: float,
-        delayed: Optional[List[_Task]] = None,
+        delayed: List[_Task],
         exitcode: Optional[int] = None,
-    ) -> str:
-        """Record one failure; schedule a retry or quarantine the candidate.
+    ) -> None:
+        """Record one failure; queue a retry on ``delayed`` or quarantine.
 
-        Returns the disposition: ``"retry"`` (the task was re-queued onto
-        ``delayed`` when one was given, with ``not_before`` set to the end
-        of its backoff) or ``"quarantined"``.
+        A retry waits out its backoff: ``not_before`` is set to its end.
         """
         record = FailureRecord(
             index=task.index,
@@ -553,79 +599,9 @@ class Supervisor:
                 )
             )
             self.stats.quarantined += 1
-            return "quarantined"
-        record.backoff_s = self.config.backoff_s(task.key(), task.attempt)
+            return
+        record.backoff_s = backoff_s(task.key(), task.attempt)
         task.attempt += 1
         task.not_before = time.monotonic() + record.backoff_s
         self.stats.retries += 1
-        if delayed is not None:
-            delayed.append(task)
-        return "retry"
-
-    # ------------------------------------------------------------------
-    # in-process evaluation (workers=0 and serial degradation)
-    # ------------------------------------------------------------------
-
-    def _run_in_process(self, task: _Task, on_success) -> None:
-        """Evaluate one candidate in-process, retrying until it succeeds.
-
-        Failures are ledgered and retried exactly as in a worker process,
-        until the task is quarantined.  Backoffs are honoured by
-        sleeping; wall-clock timeouts cannot preempt an in-process
-        simulation and are skipped.  ``SimulationInterrupted`` (the
-        interrupt budget ran out) and ``KeyboardInterrupt`` propagate —
-        neither is a worker fault.
-        """
-        from repro.exploration.engine import _make_checkpointer, evaluate_spec
-
-        while True:
-            wait = task.not_before - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            budget = self.interrupt_budget
-            started = time.perf_counter()
-            try:
-                fault_mode = (
-                    self.worker_faults.mode_for(task.index, task.attempt)
-                    if self.worker_faults is not None
-                    else None
-                )
-                if fault_mode is not None:
-                    apply_worker_fault(
-                        fault_mode, self.worker_faults, in_child=False
-                    )
-                checkpointer = _make_checkpointer(
-                    task.spec,
-                    self.checkpoint_dir,
-                    self.checkpoint_every_events,
-                    interrupt_after_events=(
-                        max(1, budget) if budget is not None else None
-                    ),
-                )
-                result = evaluate_spec(task.spec, checkpointer=checkpointer)
-            except (SimulationInterrupted, KeyboardInterrupt):
-                raise
-            except Exception as exc:  # noqa: BLE001 — worker failures are ledgered
-                kind = FAILURE_ERROR
-                if isinstance(exc, WorkerFaultError):
-                    # simulated crash/hang injections surface as exceptions
-                    # in-process; classify them by their injected nature so
-                    # the ledger reads the same as the parallel campaign's
-                    if "crash" in str(exc):
-                        kind = FAILURE_CRASH
-                    elif "hang" in str(exc):
-                        kind = FAILURE_TIMEOUT
-                disposition = self._failed(
-                    task,
-                    kind,
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - started,
-                )
-                if disposition == "quarantined":
-                    return
-                continue
-            elapsed = time.perf_counter() - started
-            if budget is not None and checkpointer is not None:
-                self.interrupt_budget = budget - checkpointer.events_seen
-            on_success(task.index, result, elapsed, task.attempt, task.failures)
-            return
+        delayed.append(task)

@@ -15,9 +15,9 @@ Design constraints mirror :mod:`repro.faults.plan`:
   modes, consumed one per attempt; no randomness, no wall-clock input.
 * **Zero-cost when disabled.**  ``worker_faults=None`` (the default
   everywhere) injects nothing and adds no per-candidate work.
-* **Picklable.**  The plan crosses the process boundary by value inside
-  the worker payload, exactly like :class:`~repro.exploration.spec
-  .CandidateSpec`.
+* **Picklable.**  The plan crosses the process boundary by value: each
+  worker gets it once, when it starts, and looks up the mode of every
+  attempt it serves.
 """
 
 from __future__ import annotations
@@ -118,14 +118,15 @@ def apply_worker_fault(
 ) -> None:
     """Trigger one injected fault at the top of a candidate evaluation.
 
-    Inside a supervised child process (``in_child=True``) the fault is
-    *real*: :data:`CRASH` kills the process abruptly and :data:`HANG`
+    Inside a supervised worker process (``in_child=True``) the fault is
+    *real*: :data:`CRASH` kills the worker abruptly and :data:`HANG`
     sleeps for ``plan.hang_s`` seconds, so the parent's crash detection
     and wall-clock timeout are exercised for real.  In-process (serial
     ``workers=0`` evaluation) a crash or hang would take the whole
     campaign down with it, so both degrade to a raised
-    :class:`~repro.errors.WorkerFaultError` — the retry/quarantine path
-    is identical, only the delivery mechanism differs.
+    :class:`~repro.errors.WorkerFaultError`, which the supervisor ledgers
+    by the injected mode — the retry/quarantine path is identical, only
+    the delivery mechanism differs.
     """
     if mode == SLOW:
         time.sleep(plan.slow_s)

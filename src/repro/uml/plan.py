@@ -46,6 +46,15 @@ def timer_key(name: str) -> tuple:
     return ("timer", name)
 
 
+def terminates(state: State) -> bool:
+    """Whether entering ``state`` ends the machine's run.
+
+    Only a top-level final state does.  A nested final state is an active
+    state like any other: its enclosing states' transitions still fire.
+    """
+    return state.is_final and state.parent is None
+
+
 def trigger_key(trigger: Trigger) -> tuple:
     """The key a transition's trigger is filed under.
 
@@ -128,7 +137,7 @@ def _step(
         tuple(descent),
         tuple(filter(None, blocks)),
         leaf,
-        leaf.is_final and leaf.parent is None,
+        terminates(leaf),
     )
 
 

@@ -8,9 +8,10 @@ to create directories, they all call :func:`ensure_parent` first.
 :func:`write_json_atomic` is the shared publish primitive for JSON
 artefacts that concurrent readers (or racing writers) may touch — the
 exploration result cache that several ``repro explore`` processes may
-share, and benchmark records: the payload lands in a unique temp file in the target directory and is
-published with ``os.replace``, so an observer sees either the previous
-version or the complete new one, never torn bytes.
+share, checkpoint snapshots and benchmark records: the payload lands in a
+unique temp file in the target directory and is published with
+``os.replace``, so an observer sees either the previous version or the
+complete new one, never torn bytes.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ def ensure_parent(path: PathLike) -> Path:
 def write_json_atomic(path: PathLike, payload: object, indent=None) -> Path:
     """Atomically publish ``payload`` as key-sorted JSON at ``path``.
 
-    Creates missing parent directories (:func:`ensure_parent`), writes to
-    a sibling temp file and ``os.replace``-publishes it, unlinking the
-    temp file on any failure.  Returns the target as a
-    :class:`~pathlib.Path`.
+    Compact by default; with ``indent`` the JSON is pretty-printed and
+    ends in a newline.  Creates missing parent directories
+    (:func:`ensure_parent`), writes to a sibling temp file and
+    ``os.replace``-publishes it, unlinking the temp file on any failure.
+    Returns the target as a :class:`~pathlib.Path`.
     """
     target = ensure_parent(path)
     handle = tempfile.NamedTemporaryFile(
@@ -55,6 +57,8 @@ def write_json_atomic(path: PathLike, payload: object, indent=None) -> Path:
     try:
         with handle:
             json.dump(payload, handle, sort_keys=True, indent=indent)
+            if indent is not None:
+                handle.write("\n")
         os.replace(handle.name, target)
     except BaseException:
         try:

@@ -109,6 +109,39 @@ class TestMachineFixpoint:
         assert values.env_of(busy) is not None
 
 
+class TestNestedFinalState:
+    """Only a top-level final state ends a run; a nested one is a leaf."""
+
+    def machine(self):
+        m = StateMachine("M")
+        m.variable("x", 0)
+        comp = m.state("comp", initial=True)
+        m.state("sub", parent=comp, initial=True)
+        sub_done = m.final_state("sub_done")
+        sub_done.parent = comp
+        comp.substates.append(sub_done)
+        m.state("after")
+        m.on_signal("sub", sub_done, "finish", effect="x = 1;")
+        m.on_signal("comp", "after", "move_on", guard="x == 1")
+        m.on_signal("after", "comp", "again")
+        return m
+
+    def test_transitions_from_a_nested_final_state_are_live(self):
+        from repro.simulation import ProcessExecutor
+
+        m = self.machine()
+        executor = ProcessExecutor("p", m)
+        executor.start()
+        for signal, target in [
+            ("finish", "sub_done"), ("move_on", "after"), ("again", "sub")
+        ]:
+            outcome, reason = executor.consume_signal(signal, [])
+            assert reason is None and outcome.to_state == target
+        report = lint_machine(m)
+        assert report.by_rule("A001") == []
+        assert report.by_rule("A003") == []
+
+
 class TestGuardInfeasible:
     def test_a001_fires_on_provably_false_guard(self):
         m = machine()

@@ -115,6 +115,26 @@ class TestImprovementLoop:
         )
         assert [candidate.assignment for candidate in history] == [PAPER_MAPPING]
 
+    def test_an_illegal_move_runs_no_engine(self, monkeypatch):
+        from repro.cases.tutwlan import PAPER_MAPPING
+        from repro.exploration import mapping
+
+        monkeypatch.setattr(
+            mapping,
+            "_best_colocation_move",
+            lambda candidate, assignment: ("group1", "accelerator1"),
+        )
+        runs = []
+        improvement_loop(
+            "repro.cases.tutwlan:exploration_factory",
+            dict(PAPER_MAPPING),
+            duration_us=2_000,
+            runs_out=runs,
+        )
+        # the initial design's run only: the move is rejected before dispatch
+        assert [run.candidates_submitted for run in runs] == [1]
+        assert not runs[0].failures
+
     def test_a_move_that_fails_otherwise_raises(self, monkeypatch):
         from repro.cases.tutwlan import PAPER_MAPPING
         from repro.errors import SimulationError

@@ -23,7 +23,7 @@ from repro.exploration import (
 )
 
 from tests.exploration.test_engine import pingpong_factory
-from tests.exploration.test_supervisor import fast_config
+from tests.exploration.test_supervisor import quick_backoff  # noqa: F401 (fixture)
 
 
 def sweep_specs():
@@ -170,6 +170,7 @@ class TestEngineIntegration:
         (record,) = [r for r in run.pruned if r.reason == "infeasible"]
         assert record.label == "g1->ghost,g2->cpu1"
 
+    @pytest.mark.usefixtures("quick_backoff")
     def test_unbuildable_candidate_is_quarantined_as_unpruned(self):
         specs = sweep_specs()
         specs.insert(1, broken_spec())
@@ -178,14 +179,11 @@ class TestEngineIntegration:
         kept, pruned, _ = prune_candidates(specs, PruneConfig(margin=1.2))
         assert 1 in kept and all(record.index != 1 for record in pruned)
         run = run_candidates(
-            specs,
-            workers=0,
-            supervisor=fast_config(),
-            prune_static=PruneConfig(margin=1.2),
+            specs, workers=0, prune_static=PruneConfig(margin=1.2)
         )
         (record,) = run.quarantined
         assert record.index == 1 and record.failures == 3
-        unpruned = run_candidates(specs, workers=0, supervisor=fast_config())
+        unpruned = run_candidates(specs, workers=0)
         assert [r.to_json_dict() for r in run.quarantined] == [
             r.to_json_dict() for r in unpruned.quarantined
         ]

@@ -9,14 +9,18 @@ quarantine each get direct coverage.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import ExplorationError, SimulationInterrupted
 from repro.exploration import (
     SupervisorConfig,
     WorkerFaultPlan,
+    mapping_sweep_specs,
     parse_worker_faults,
     run_candidates,
+    supervisor,
 )
 from repro.exploration.supervisor import (
     FAILURE_CRASH,
@@ -24,20 +28,21 @@ from repro.exploration.supervisor import (
     FAILURE_TIMEOUT,
     QUARANTINE_FAILURE_BUDGET,
     Supervisor,
+    backoff_s,
 )
 
 from tests.exploration.test_engine import fault_free_specs, result_hashes
 
 
-def fast_config(**overrides):
-    """A supervisor policy with near-zero backoffs (tests must stay quick)."""
-    defaults = dict(
-        backoff_base_s=0.001, backoff_max_s=0.01, backoff_jitter_s=0.001
-    )
-    defaults.update(overrides)
-    return SupervisorConfig(**defaults)
+@pytest.fixture
+def quick_backoff(monkeypatch):
+    """Near-zero backoffs between attempts (tests must stay quick)."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.001)
+    monkeypatch.setattr(supervisor, "BACKOFF_MAX_S", 0.01)
+    monkeypatch.setattr(supervisor, "BACKOFF_JITTER_S", 0.001)
 
 
+@pytest.mark.usefixtures("quick_backoff")
 class TestFaultToleranceDeterminism:
     """Injected infrastructure faults never change the ranking."""
 
@@ -50,7 +55,7 @@ class TestFaultToleranceDeterminism:
         chaotic = run_candidates(
             fault_free_specs(),
             workers=workers,
-            supervisor=fast_config(),
+            supervisor=SupervisorConfig(),
             worker_faults=plan,
         )
         assert result_hashes(chaotic) == result_hashes(clean)
@@ -70,7 +75,7 @@ class TestFaultToleranceDeterminism:
         run = run_candidates(
             fault_free_specs(),
             workers=2,
-            supervisor=fast_config(timeout_s=1.0),
+            supervisor=SupervisorConfig(timeout_s=1.0),
             worker_faults=plan,
         )
         assert result_hashes(run) == result_hashes(clean)
@@ -87,7 +92,7 @@ class TestFaultToleranceDeterminism:
         plan = WorkerFaultPlan.make({0: ["hang"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(), worker_faults=plan,
+            supervisor=SupervisorConfig(), worker_faults=plan,
         )
         assert run.supervisor_counters()["timeouts"] == 1
         assert not run.quarantined
@@ -96,19 +101,20 @@ class TestFaultToleranceDeterminism:
         plan = WorkerFaultPlan.make({0: ["crash"]})
         run = run_candidates(
             fault_free_specs(), workers=2,
-            supervisor=fast_config(), worker_faults=plan,
+            supervisor=SupervisorConfig(), worker_faults=plan,
         )
         crash = next(f for f in run.failures if f.kind == FAILURE_CRASH)
         assert crash.exitcode == 137
         assert crash.attempt == 1
 
 
+@pytest.mark.usefixtures("quick_backoff")
 class TestAttemptAccounting:
     def test_outcomes_carry_attempts_and_ledger(self):
         plan = WorkerFaultPlan.make({1: ["flaky", "flaky"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(), worker_faults=plan,
+            supervisor=SupervisorConfig(), worker_faults=plan,
         )
         by_index = {o.index: o for o in run.outcomes}
         assert by_index[1].attempts == 3
@@ -122,7 +128,7 @@ class TestAttemptAccounting:
         plan = WorkerFaultPlan.make({0: ["flaky"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(), worker_faults=plan,
+            supervisor=SupervisorConfig(), worker_faults=plan,
         )
         summary = run.to_json_dict(top=2)
         block = summary["supervisor"]
@@ -138,6 +144,7 @@ class TestAttemptAccounting:
         assert all("attempts" in record for record in summary["records"])
 
 
+@pytest.mark.usefixtures("quick_backoff")
 class TestQuarantine:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_poison_candidate_is_quarantined(self, workers):
@@ -145,7 +152,7 @@ class TestQuarantine:
         plan = WorkerFaultPlan.make({1: ["poison"]})
         run = run_candidates(
             specs, workers=workers,
-            supervisor=fast_config(), worker_faults=plan,
+            supervisor=SupervisorConfig(), worker_faults=plan,
         )
         assert len(run.outcomes) == len(specs) - 1
         assert len(run.quarantined) == 1
@@ -167,7 +174,7 @@ class TestQuarantine:
         plan = WorkerFaultPlan.make({0: ["flaky", "flaky"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(max_retries=0),
+            supervisor=SupervisorConfig(max_retries=0),
             worker_faults=plan,
         )
         assert run.quarantined[0].reason == QUARANTINE_FAILURE_BUDGET
@@ -177,7 +184,7 @@ class TestQuarantine:
         plan = WorkerFaultPlan.make({0: ["poison"]})
         run = run_candidates(
             fault_free_specs(), workers=0,
-            supervisor=fast_config(max_retries=1),
+            supervisor=SupervisorConfig(max_retries=1),
             worker_faults=plan,
         )
         assert run.quarantined[0].failures == 2
@@ -185,32 +192,37 @@ class TestQuarantine:
 
 
 class TestBackoffPolicy:
-    def test_backoff_is_deterministic(self):
-        config = SupervisorConfig(seed=7)
-        assert config.backoff_s("digest-a", 1) == config.backoff_s("digest-a", 1)
-        assert config.backoff_s("digest-a", 1) != config.backoff_s("digest-b", 1)
-        assert config.backoff_s("digest-a", 1) != config.backoff_s("digest-a", 2)
-        assert (
-            SupervisorConfig(seed=1).backoff_s("k", 1)
-            != SupervisorConfig(seed=2).backoff_s("k", 1)
-        )
+    def test_backoff_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_SEED", 7)
+        assert backoff_s("digest-a", 1) == backoff_s("digest-a", 1)
+        assert backoff_s("digest-a", 1) != backoff_s("digest-b", 1)
+        assert backoff_s("digest-a", 1) != backoff_s("digest-a", 2)
+        monkeypatch.setattr(supervisor, "BACKOFF_SEED", 1)
+        first = backoff_s("k", 1)
+        monkeypatch.setattr(supervisor, "BACKOFF_SEED", 2)
+        assert backoff_s("k", 1) != first
 
-    def test_backoff_grows_and_caps(self):
-        config = SupervisorConfig(
-            backoff_base_s=0.1,
-            backoff_factor=2.0,
-            backoff_max_s=0.35,
-            backoff_jitter_s=0.0,
-        )
-        assert config.backoff_s("k", 1) == pytest.approx(0.1)
-        assert config.backoff_s("k", 2) == pytest.approx(0.2)
-        assert config.backoff_s("k", 3) == pytest.approx(0.35)  # capped
-        assert config.backoff_s("k", 9) == pytest.approx(0.35)
+    def test_default_backoffs_keep_their_values(self):
+        # every ledgered backoff_s of a campaign keeps its value
+        assert backoff_s("k", 1) == pytest.approx(0.07724578841973952)
+        assert backoff_s("k", 2) == pytest.approx(0.14958651452266855)
+        assert backoff_s("k", 7) == pytest.approx(2.0448529524871404)
 
-    def test_jitter_stays_bounded(self):
-        config = SupervisorConfig(backoff_base_s=0.0, backoff_jitter_s=0.05)
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(supervisor, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(supervisor, "BACKOFF_MAX_S", 0.35)
+        monkeypatch.setattr(supervisor, "BACKOFF_JITTER_S", 0.0)
+        assert backoff_s("k", 1) == pytest.approx(0.1)
+        assert backoff_s("k", 2) == pytest.approx(0.2)
+        assert backoff_s("k", 3) == pytest.approx(0.35)  # capped
+        assert backoff_s("k", 9) == pytest.approx(0.35)
+
+    def test_jitter_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.0)
+        monkeypatch.setattr(supervisor, "BACKOFF_JITTER_S", 0.05)
         for attempt in range(1, 20):
-            jitter = config.backoff_s("k", attempt)
+            jitter = backoff_s("k", attempt)
             assert 0.0 <= jitter < 0.05
 
     def test_config_validation(self):
@@ -218,10 +230,6 @@ class TestBackoffPolicy:
             SupervisorConfig(timeout_s=0.0)
         with pytest.raises(ExplorationError):
             SupervisorConfig(max_retries=-1)
-        with pytest.raises(ExplorationError):
-            SupervisorConfig(backoff_factor=0.5)
-        with pytest.raises(ExplorationError):
-            SupervisorConfig(backoff_base_s=-0.1)
 
 
 class TestWorkerFaultPlan:
@@ -283,11 +291,12 @@ class _UnspawnableContext:
             raise OSError("fork: resource temporarily unavailable")
 
 
+@pytest.mark.usefixtures("quick_backoff")
 class TestGracefulDegradation:
     def test_irreparable_pool_degrades_to_serial(self):
         specs = fault_free_specs()
         boss = Supervisor(
-            context=_UnspawnableContext(), workers=2, config=fast_config()
+            context=_UnspawnableContext(), workers=2, config=SupervisorConfig()
         )
         collected = []
 
@@ -309,6 +318,7 @@ class TestGracefulDegradation:
         assert run.to_json_dict()["supervisor"]["degraded_to_serial"] is False
 
 
+@pytest.mark.usefixtures("quick_backoff")
 class TestInProcessInterruptBudget:
     """A zero-worker supervisor owns the campaign-wide event budget."""
 
@@ -316,7 +326,7 @@ class TestInProcessInterruptBudget:
         boss = Supervisor(
             context=None,
             workers=0,
-            config=fast_config(),
+            config=SupervisorConfig(),
             checkpoint_dir=str(tmp_path / name),
             interrupt_after_events=budget,
         )
@@ -339,3 +349,62 @@ class TestInProcessInterruptBudget:
         with pytest.raises(SimulationInterrupted):
             self._run(tmp_path, "short", spent - 1, collected)
         assert collected == everything[:-1]
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.usefixtures("quick_backoff")
+class TestLongLivedWorkers:
+    """A worker serves candidates until it dies; only a failed one is replaced."""
+
+    def test_workers_serve_many_candidates(self):
+        specs = mapping_sweep_specs(
+            "repro.cases.tutwlan:exploration_factory", duration_us=2_000, limit=16
+        )
+        run = run_candidates(specs, workers=2)
+        assert run.evaluated == 16
+        pids = run.supervisor_stats.spawned_pids
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    @pytest.mark.parametrize("mode", ["crash", "hang"])
+    def test_a_failed_worker_alone_is_replaced(self, mode):
+        # candidate 0's worker dies (or is killed at its deadline) while the
+        # other worker still has slow candidates queued behind it
+        specs = mapping_sweep_specs(
+            "repro.cases.tutwlan:exploration_factory", duration_us=2_000, limit=12
+        )
+        schedule = {index: ["slow"] for index in range(1, len(specs))}
+        schedule[0] = [mode]
+        run = run_candidates(
+            specs,
+            workers=2,
+            supervisor=SupervisorConfig(timeout_s=0.5),
+            worker_faults=WorkerFaultPlan.make(schedule, hang_s=30.0, slow_s=0.1),
+        )
+        assert run.evaluated == len(specs)
+        assert [failure.index for failure in run.failures] == [0]
+        pids = run.supervisor_stats.spawned_pids
+        assert len(pids) == 3
+        assert not any(_alive(pid) for pid in pids)
+
+
+@pytest.mark.usefixtures("quick_backoff")
+class TestOneQueue:
+    def test_a_serial_retry_waits_in_the_queue(self):
+        # a failed candidate waits out its backoff while the others run, in
+        # a serial campaign as with workers
+        order = []
+        run_candidates(
+            fault_free_specs(),
+            workers=0,
+            progress=lambda outcome, done, total: order.append(outcome.index),
+            worker_faults=WorkerFaultPlan.make({0: ["flaky"]}),
+        )
+        assert order == [1, 2, 3, 0]
