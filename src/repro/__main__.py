@@ -767,7 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="failed attempts retried per candidate (with exponential "
         "backoff) before it is quarantined (recorded in the failure "
-        "ledger, excluded from the ranking)",
+        "ledger, excluded from the ranking); a mapping error is never "
+        "retried",
     )
     explore.add_argument(
         "--inject-worker-fault",

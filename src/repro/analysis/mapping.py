@@ -27,7 +27,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.core import Finding, LintContext, register_rule
 from repro.analysis.sigflow import signal_flow_matrix
 from repro.application.model import ENVIRONMENT_GROUP
-from repro.tutprofile.tags import process_runs_on
+from repro.mapping.model import (
+    CANNOT_RUN,
+    UNGROUPED_PROCESS,
+    UNKNOWN_PE,
+    UNMAPPED_GROUP,
+    MappingRelation,
+)
 from repro.uml.actions import walk_statements
 from repro.uml.classifier import Signal
 from repro.uml.dependency import Dependency
@@ -40,8 +46,8 @@ register_rule(
     "error",
     "A process group with members has no «PlatformMapping» dependency (the "
     "flow cannot place its processes), a non-environment process belongs to "
-    "no group, or a mapping points at an empty group — the lint-grade twin "
-    "of MappingModel.check_complete().",
+    "no group, or a mapping points at an empty group — the completeness half "
+    "of the mapping relation, which MappingModel.check_complete() enforces.",
 )
 register_rule(
     "M002",
@@ -99,13 +105,14 @@ class StaticProfile:
     """What the estimator needs from an application, computed once.
 
     ``statement_weight`` counts action-language statements per group (a
-    static stand-in for computation volume); ``pair_bytes`` prices the
-    directed group-to-group signal flow in wire bytes (send sites times
-    :meth:`Signal.size_bytes`).
+    static stand-in for computation volume); ``relation`` is the
+    application's :class:`~repro.mapping.model.MappingRelation`;
+    ``pair_bytes`` prices the directed group-to-group signal flow in wire
+    bytes (send sites times :meth:`Signal.size_bytes`).
     """
 
     statement_weight: Dict[str, int]
-    group_types: Dict[str, str]
+    relation: MappingRelation
     pair_bytes: Dict[Tuple[str, str], int]
 
     def total_pair_bytes(self) -> int:
@@ -123,17 +130,6 @@ class StaticEstimate:
     bridge_bytes: int
     infeasible: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
-        payload = {
-            "cost": round(self.cost, 6),
-            "max_share": round(self.max_share, 6),
-            "cross_bytes": self.cross_bytes,
-            "bridge_bytes": self.bridge_bytes,
-        }
-        if self.infeasible is not None:
-            payload["infeasible"] = self.infeasible
-        return payload
-
 
 def _signal_bytes(application, signal_name: str) -> int:
     declared = application.signals.get(signal_name)
@@ -145,10 +141,6 @@ def _signal_bytes(application, signal_name: str) -> int:
 def static_application_profile(application) -> StaticProfile:
     """Group statement weights and the directed group traffic matrix."""
     assignment = application.group_assignment()
-    group_types = {
-        name: group.tag("ProcessGroup", "ProcessType", "general")
-        for name, group in sorted(application.groups.items())
-    }
     weights: Dict[str, int] = {}
     for name, process in sorted(application.processes.items()):
         if process.is_environment:
@@ -176,7 +168,7 @@ def static_application_profile(application) -> StaticProfile:
         )
         key = (group_a, group_b)
         pair_bytes[key] = pair_bytes.get(key, 0) + total
-    return StaticProfile(weights, group_types, pair_bytes)
+    return StaticProfile(weights, MappingRelation.of(application), pair_bytes)
 
 
 def static_mapping_estimate(
@@ -184,42 +176,20 @@ def static_mapping_estimate(
 ) -> StaticEstimate:
     """Score ``assignment`` (group name -> PE name) on ``platform``.
 
-    An infeasible assignment — missing group, unknown PE, or a process
-    type the PE cannot execute — gets ``infeasible`` set and an infinite
-    cost, so pruning and ranking need no special cases.
+    An assignment the mapping relation finds a defect in (an ungrouped
+    process aside) gets ``infeasible`` set to its first defect and an
+    infinite cost, so pruning and ranking need no special cases.
     """
+    relation = profile.relation
+    for defect in relation.defects(platform, assignment):
+        if defect.kind != UNGROUPED_PROCESS:
+            return StaticEstimate(float("inf"), {}, 0.0, 0, 0, infeasible=str(defect))
     pe_seconds: Dict[str, float] = {}
     for group, weight in sorted(profile.statement_weight.items()):
-        pe_name = assignment.get(group)
-        if pe_name is None:
-            return StaticEstimate(
-                float("inf"), {}, 0.0, 0, 0,
-                infeasible=f"group {group!r} is not mapped",
-            )
-        if pe_name not in platform.processing_elements:
-            return StaticEstimate(
-                float("inf"), {}, 0.0, 0, 0,
-                infeasible=f"platform has no PE named {pe_name!r}",
-            )
-        pe = platform.pe(pe_name)
-        group_type = profile.group_types.get(group, "general")
-        if not process_runs_on(group_type, pe.spec.component_type):
-            return StaticEstimate(
-                float("inf"), {}, 0.0, 0, 0,
-                infeasible=(
-                    f"group {group!r} ({group_type}) cannot run on "
-                    f"{pe_name!r} ({pe.spec.component_type})"
-                ),
-            )
-        cycles = pe.spec.cycles_per_statement.get(group_type)
-        if cycles is None:
-            return StaticEstimate(
-                float("inf"), {}, 0.0, 0, 0,
-                infeasible=(
-                    f"PE {pe_name!r} has no cycle cost for {group_type!r}"
-                ),
-            )
-        seconds = weight * cycles / float(pe.spec.frequency_hz)
+        pe_name = assignment[group]
+        spec = platform.pe(pe_name).spec
+        cycles = spec.cycles_per_statement[relation.group_types[group]]
+        seconds = weight * cycles / float(spec.frequency_hz)
         pe_seconds[pe_name] = pe_seconds.get(pe_name, 0.0) + seconds
 
     bridges = {
@@ -228,9 +198,8 @@ def static_mapping_estimate(
     cross_bytes = 0
     bridge_bytes = 0
     for (group_a, group_b), size in sorted(profile.pair_bytes.items()):
-        pe_a = assignment.get(group_a)
-        pe_b = assignment.get(group_b)
-        if pe_a is None or pe_b is None or pe_a == pe_b:
+        pe_a, pe_b = assignment[group_a], assignment[group_b]
+        if pe_a == pe_b:
             continue
         path = platform.transfer_path(pe_a, pe_b)
         cross_bytes += size * max(1, len(path))
@@ -250,38 +219,38 @@ def static_mapping_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _compatible_pes(profile: StaticProfile, platform, group: str) -> List[str]:
-    group_type = profile.group_types.get(group, "general")
-    return [
-        name
-        for name, pe in sorted(platform.processing_elements.items())
-        if process_runs_on(group_type, pe.spec.component_type)
-    ]
-
-
 def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
     """Run the mapping rules (M001-M005); needs platform and mapping views."""
     application, platform, mapping = ctx.application, ctx.platform, ctx.mapping
     if application is None or platform is None or mapping is None:
         return
+    profile = static_application_profile(application)
+    relation = profile.relation
+    assignment = mapping.assignment()
+    defects = relation.defects(platform, assignment)
 
-    # M001: completeness — the lint-grade twin of check_complete().
-    for group_name, group in sorted(application.groups.items()):
-        if group_name == ENVIRONMENT_GROUP:
-            continue
-        members = application.processes_in(group_name)
-        mapped = mapping.pe_of_group(group_name) is not None
-        if members and not mapped:
-            ctx.emit(
-                findings,
-                "M001",
-                f"process group {group_name!r} has "
-                f"{len(members)} member process(es) but no «PlatformMapping» "
-                "dependency",
-                f"group {group_name}",
-                (group,),
+    # M001: completeness, the relation's unmapped groups and ungrouped
+    # processes, plus mappings of groups without members.
+    for defect in defects:
+        name = defect.name
+        if defect.kind == UNMAPPED_GROUP:
+            members = len(application.processes_in(name))
+            message = (
+                f"process group {name!r} has {members} member process(es) "
+                "but no «PlatformMapping» dependency"
             )
-        elif not members and mapped:
+            group = application.groups.get(name)
+            ctx.emit(findings, "M001", message, f"group {name}", (group,))
+        elif defect.kind == UNGROUPED_PROCESS:
+            message = (
+                f"process {name!r} belongs to no process group and can never "
+                "be mapped"
+            )
+            part = application.processes[name].part
+            ctx.emit(findings, "M001", message, f"process {name}", (part,))
+    for group_name, group in sorted(application.groups.items()):
+        mapped = group_name in assignment and group_name != ENVIRONMENT_GROUP
+        if mapped and group_name not in relation.required:
             ctx.emit(
                 findings,
                 "M001",
@@ -290,24 +259,11 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
                 f"group {group_name}",
                 (mapping.mappings.get(group_name), group),
             )
-    for name, process in sorted(application.processes.items()):
-        if process.is_environment or application.group_of(name) is not None:
-            continue
-        ctx.emit(
-            findings,
-            "M001",
-            f"process {name!r} belongs to no process group and can never "
-            "be mapped",
-            f"process {name}",
-            (process.part,),
-        )
 
-    profile = static_application_profile(application)
-    assignment = mapping.assignment()
     estimate = static_mapping_estimate(profile, platform, assignment)
 
     # M002: one PE hoards the static load while a compatible peer idles.
-    if estimate.infeasible is None and len(estimate.pe_seconds) >= 0:
+    if estimate.infeasible is None:
         total_seconds = sum(estimate.pe_seconds.values())
         if total_seconds > 0:
             for pe_name, seconds in sorted(estimate.pe_seconds.items()):
@@ -318,7 +274,7 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
                     group
                     for group, mapped_pe in sorted(assignment.items())
                     if mapped_pe == pe_name
-                    and len(_compatible_pes(profile, platform, group)) > 1
+                    and len(relation.pes_for(platform, group)) > 1
                 ]
                 if not movable:
                     continue  # nothing could run elsewhere anyway
@@ -366,14 +322,13 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
     # M004: the bridge carries a dominant share of all inter-PE bytes.  The
     # share is computed over *unweighted* bytes — ``estimate.cross_bytes``
     # multiplies by hop count, which would cap a 3-hop bridge path at 1/3.
-    raw_cross_bytes = sum(
+    # A feasible assignment maps every group that sends or receives.
+    raw_cross_bytes = estimate.infeasible is None and sum(
         size
         for (group_a, group_b), size in profile.pair_bytes.items()
-        if assignment.get(group_a) is not None
-        and assignment.get(group_b) is not None
-        and assignment[group_a] != assignment[group_b]
+        if assignment[group_a] != assignment[group_b]
     )
-    if estimate.infeasible is None and raw_cross_bytes > 0:
+    if raw_cross_bytes:
         bridge_share = estimate.bridge_bytes / raw_cross_bytes
         if bridge_share >= BRIDGE_SATURATION_SHARE:
             bridge_parts = tuple(
@@ -413,29 +368,17 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
                 f"group {group_name}",
                 tuple(dependencies),
             )
-    for group_name in sorted(mapping.mappings):
-        if not mapping.is_fixed(group_name):
+    for defect in defects:
+        if defect.kind not in (UNKNOWN_PE, CANNOT_RUN):
             continue
-        pe_name = mapping.pe_of_group(group_name)
-        if pe_name not in platform.processing_elements:
-            ctx.emit(
-                findings,
-                "M005",
-                f"fixed mapping of group {group_name!r} targets unknown PE "
-                f"{pe_name!r}",
-                f"group {group_name}",
-                (mapping.mappings[group_name],),
+        if mapping.is_fixed(defect.name):
+            message = (
+                f"fixed mapping of group {defect.name!r} targets unknown PE "
+                f"{defect.pe!r}"
+                if defect.kind == UNKNOWN_PE
+                else f"fixed mapping pins group {defect.name!r} "
+                f"({defect.group_type}) to {defect.pe!r} ({defect.pe_type}), "
+                "which cannot execute it"
             )
-            continue
-        group_type = profile.group_types.get(group_name, "general")
-        pe = platform.pe(pe_name)
-        if not process_runs_on(group_type, pe.spec.component_type):
-            ctx.emit(
-                findings,
-                "M005",
-                f"fixed mapping pins group {group_name!r} ({group_type}) to "
-                f"{pe_name!r} ({pe.spec.component_type}), which cannot "
-                "execute it",
-                f"group {group_name}",
-                (mapping.mappings[group_name],),
-            )
+            subject = f"group {defect.name}"
+            ctx.emit(findings, "M005", message, subject, (mapping.mappings[defect.name],))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.application.model import ApplicationModel
-from repro.mapping.model import MappingModel
+from repro.mapping.model import MappingModel, MappingRelation
 from repro.platform.library import PlatformLibrary, standard_library
 from repro.platform.model import PlatformModel
 
@@ -73,18 +73,12 @@ def build_paper_mapping(
     for group_name, pe_name in assignment.items():
         if group_name in application.groups and application.processes_in(group_name):
             mapping.map(group_name, pe_name)
-    # Map any extra groups (custom groupings) onto processor1 by default.
+    # Map any extra groups (custom groupings) onto the first PE that may run
+    # them: accelerator1 for hardware groups, processor1 for the others.
+    relation = MappingRelation.of(application)
     for group_name in application.groups:
         if group_name not in assignment and application.processes_in(group_name):
-            target = (
-                "accelerator1"
-                if application.groups[group_name].tag(
-                    "ProcessGroup", "ProcessType"
-                )
-                == "hardware"
-                else "processor1"
-            )
-            mapping.map(group_name, target)
+            mapping.map(group_name, relation.pes_for(platform, group_name)[0])
     return mapping
 
 

@@ -21,9 +21,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ExplorationError, MappingError
 from repro.application.model import ApplicationModel
-from repro.mapping.model import MappingModel
+from repro.mapping.model import MappingRelation
 from repro.platform.model import PlatformModel
-from repro.tutprofile.tags import process_runs_on
 from repro.exploration.engine import ProgressCallback, run_candidates
 from repro.exploration.objectives import EvaluationResult
 from repro.exploration.spec import CandidateSpec, builder_ref, design_view
@@ -51,35 +50,17 @@ ApplicationFactory = Union[
 ]
 
 
-def _compatible_pes(
-    application: ApplicationModel, platform: PlatformModel, group_name: str
-) -> List[str]:
-    group = application.groups[group_name]
-    group_type = group.tag("ProcessGroup", "ProcessType", "general")
-    return [
-        name
-        for name, pe in sorted(platform.processing_elements.items())
-        if process_runs_on(group_type, pe.spec.component_type)
-    ]
-
-
 def enumerate_assignments(
     application: ApplicationModel, platform: PlatformModel
 ) -> List[Dict[str, str]]:
-    """All type-compatible group→PE assignments (respects fixed mappings)."""
-    groups = [
-        g for g in sorted(application.groups) if application.processes_in(g)
-    ]
-    domains = [
-        _compatible_pes(application, platform, group) for group in groups
-    ]
+    """Every assignment of the groups that need a PE to one they may run on."""
+    relation = MappingRelation.of(application)
+    groups = relation.required
+    domains = [relation.pes_for(platform, group) for group in groups]
     for group, domain in zip(groups, domains):
         if not domain:
             raise MappingError(f"group {group!r} fits no platform PE")
-    assignments = []
-    for combination in itertools.product(*domains):
-        assignments.append(dict(zip(groups, combination)))
-    return assignments
+    return [dict(zip(groups, pes)) for pes in itertools.product(*domains)]
 
 
 def _spec_builder(factory: ApplicationFactory):

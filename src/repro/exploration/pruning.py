@@ -6,8 +6,8 @@ the hop-weighted traffic bytes of the static signal-flow matrix, shaped
 like the simulation objective (``bytes + 1000 * max PE share``).  This
 module turns that score into the exploration engine's pruning oracle:
 
-* candidates whose estimate proves them **infeasible** (unmapped group,
-  unknown PE, process type the PE cannot execute) are skipped outright;
+* candidates the mapping relation finds a defect in (an ungrouped
+  process aside) are **infeasible** and are skipped outright;
 * candidates **dominated** by the sweep's best static estimate — more
   than ``margin`` times worse — are skipped as not worth simulating.
   A candidate whose system cannot be built is kept for the supervisor.

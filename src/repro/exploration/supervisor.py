@@ -14,9 +14,9 @@ until it crashes, times out or is stopped, so the parent can
   (:func:`backoff_s`: reproducible campaign behaviour; the *results* are
   worker-count invariant regardless, because candidates are evaluated
   independently by a bit-reproducible simulator),
-* **quarantine poison candidates** after a bounded failure budget,
-  recording every attempt in a structured failure ledger instead of
-  aborting the campaign, and
+* **quarantine poison candidates** after a bounded failure budget (a
+  ``MappingError`` at once), recording every attempt in a structured
+  failure ledger instead of aborting the campaign, and
 * **degrade to serial in-process execution** when worker processes can
   no longer be spawned at all (fork/spawn failure — the pool is
   irreparable, but the campaign still finishes).
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ExplorationError, SimulationInterrupted
+from repro.errors import ExplorationError, MappingError, SimulationInterrupted
 from repro.exploration.spec import CandidateSpec
 from repro.exploration.workerfaults import (
     CRASH,
@@ -60,8 +60,10 @@ FAILURE_TIMEOUT = "timeout"      # wall-clock deadline exceeded, worker killed
 FAILURE_CRASH = "crash"          # worker died without reporting (e.g. SIGKILL)
 FAILURE_ERROR = "error"          # the attempt raised an exception
 
-#: The reason a quarantine record gives: the candidate used its attempts.
+#: The reason a quarantine record gives: the candidate used its attempts,
+#: or raised a MappingError, which a retry of the same spec raises again.
 QUARANTINE_FAILURE_BUDGET = "failure-budget"
+QUARANTINE_MAPPING_ERROR = "mapping-error"
 
 #: The ledger kind of an injected fault that raises instead of happening
 #: for real (in-process, a crash or hang would take the campaign down):
@@ -103,7 +105,7 @@ class SupervisorConfig:
     candidate is retried once its :func:`backoff_s` has passed, until it
     has used up ``max_retries`` retries, that is ``max_retries + 1``
     attempts — then it is quarantined and the campaign continues without
-    it.
+    it.  A ``MappingError`` is never retried.
     """
 
     timeout_s: Optional[float] = None
@@ -165,7 +167,7 @@ class QuarantineRecord:
     label: str
     digest: Optional[str]
     failures: int
-    reason: str   # QUARANTINE_FAILURE_BUDGET
+    reason: str   # QUARANTINE_FAILURE_BUDGET | QUARANTINE_MAPPING_ERROR
 
     def to_json_dict(self) -> Dict[str, object]:
         """Plain-JSON encoding for campaign summaries and artefacts."""
@@ -242,12 +244,13 @@ class _Campaign:
         attempt: int,
         in_worker: bool = False,
         interrupt_after_events: Optional[int] = None,
-    ) -> Tuple[str, object, float, int]:
+    ) -> Tuple[str, object, float, int, Optional[str]]:
         """Run one attempt at one candidate: the only attempt body.
 
-        Returns ``("ok", result, elapsed_s, events)``, ``events`` being
-        the simulation events the checkpointer saw (0 without one), or
-        ``(failure kind, "<exception type>: <message>", elapsed_s, 0)``.
+        Returns ``("ok", result, elapsed_s, events, None)``, ``events``
+        being the simulation events the checkpointer saw (0 without one),
+        or ``(failure kind, "<exception type>: <message>", elapsed_s, 0,
+        reason)``, ``reason`` quarantining a ``MappingError`` at once.
         An injected fault's kind comes from its mode
         (:data:`_INJECTED_KINDS`); any other exception is an error.
         ``SimulationInterrupted`` (the interrupt budget ran out) and
@@ -282,9 +285,10 @@ class _Campaign:
             raise
         except Exception as exc:  # noqa: BLE001 — attempt failures are ledgered
             detail = f"{type(exc).__name__}: {exc}"
-            return kind, detail, time.perf_counter() - started, 0
+            reason = QUARANTINE_MAPPING_ERROR if isinstance(exc, MappingError) else None
+            return kind, detail, time.perf_counter() - started, 0, reason
         events = checkpointer.events_seen if checkpointer is not None else 0
-        return "ok", result, time.perf_counter() - started, events
+        return "ok", result, time.perf_counter() - started, events, None
 
 
 def _worker_main(conn, campaign: _Campaign) -> None:
@@ -447,9 +451,9 @@ class Supervisor:
 
     def _settle(self, task: _Task, reply, on_success, delayed) -> None:
         """Act on one attempt's reply: report the result or ledger it."""
-        kind, payload, elapsed, events = reply
+        kind, payload, elapsed, events, reason = reply
         if kind != "ok":
-            self._failed(task, kind, payload, elapsed, delayed)
+            self._failed(task, kind, payload, elapsed, delayed, reason=reason)
             return
         if self.interrupt_budget is not None:
             self.interrupt_budget -= events
@@ -570,10 +574,12 @@ class Supervisor:
         elapsed_s: float,
         delayed: List[_Task],
         exitcode: Optional[int] = None,
+        reason: Optional[str] = None,
     ) -> None:
         """Record one failure; queue a retry on ``delayed`` or quarantine.
 
         A retry waits out its backoff: ``not_before`` is set to its end.
+        A quarantine ``reason`` quarantines the candidate at once.
         """
         record = FailureRecord(
             index=task.index,
@@ -588,14 +594,14 @@ class Supervisor:
         task.failures.append(record)
         self.failures.append(record)
         self.stats.note(kind)
-        if task.attempt > self.config.max_retries:
+        if reason is not None or task.attempt > self.config.max_retries:
             self.quarantines.append(
                 QuarantineRecord(
                     index=task.index,
                     label=task.spec.label,
                     digest=task.spec.digest(),
                     failures=len(task.failures),
-                    reason=QUARANTINE_FAILURE_BUDGET,
+                    reason=reason or QUARANTINE_FAILURE_BUDGET,
                 )
             )
             self.stats.quarantined += 1

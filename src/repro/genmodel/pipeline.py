@@ -53,6 +53,7 @@ from repro.genmodel.build import (
 from repro.genmodel.config import GeneratorConfig
 from repro.genmodel.factory import builder_token
 from repro.analysis import run_lint
+from repro.mapping.model import MappingRelation
 from repro.observability.export import render_chrome_trace
 from repro.observability.metrics import collect_metrics
 from repro.observability.tracer import Tracer
@@ -527,25 +528,18 @@ def candidate_specs(
 ) -> List[CandidateSpec]:
     """A deterministic candidate enumeration over the generated mapping space.
 
-    Varies the assignment of each group over (up to) the two extreme
-    compatible PEs, capped at ``limit`` candidates — enough spread for
+    Varies the assignment of each group over (up to) the two extreme PEs
+    it may run on, capped at ``limit`` candidates — enough spread for
     the ranking/pruning invariants without exploding the budget.
     """
     token = builder_token(config)
-    groups = sorted(generated.application.groups)
-    compatible = sorted(
-        name
-        for name, instance in generated.platform.processing_elements.items()
-        if instance.spec.supports("general")
-    )
-    choices = (
-        [compatible[0], compatible[-1]]
-        if len(compatible) > 1
-        else [compatible[0]]
-    )
+    relation = MappingRelation.of(generated.application)
+    groups = sorted(relation.group_types)
+    compatible = [relation.pes_for(generated.platform, g) for g in groups]
+    choices = [sorted({pes[0], pes[-1]}) for pes in compatible]
     specs: List[CandidateSpec] = []
     for index, combo in enumerate(
-        itertools.islice(itertools.product(choices, repeat=len(groups)), limit)
+        itertools.islice(itertools.product(*choices), limit)
     ):
         specs.append(
             CandidateSpec.make(

@@ -7,19 +7,119 @@ platform component instance."
 
 :class:`MappingModel` owns those «PlatformMapping» dependencies and answers
 the central query of the whole flow: *which PE runs this process?*
+:class:`MappingRelation` states once which mappings are legal; mapping,
+simulation, exploration and lint all read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import MappingError
 from repro.uml.dependency import Dependency
 from repro.uml.packages import Package
-from repro.tutprofile import PLATFORM_MAPPING, TUT_PROFILE
-from repro.tutprofile.tags import process_runs_on
+from repro.tutprofile import PLATFORM_MAPPING, PROCESS_GROUP, TUT_PROFILE
+from repro.tutprofile.tags import ProcessType, process_runs_on
 from repro.application.model import ApplicationModel, ENVIRONMENT_GROUP
 from repro.platform.model import PlatformModel
+
+#: The kinds of :class:`MappingDefect`, and how each reads.
+UNKNOWN_GROUP = "unknown-group"
+UNKNOWN_PE = "unknown-pe"
+CANNOT_RUN = "cannot-run"
+UNMAPPED_GROUP = "unmapped-group"
+UNGROUPED_PROCESS = "ungrouped-process"
+_DEFECT_TEXT = {
+    UNKNOWN_GROUP: "application has no process group {name!r}",
+    UNKNOWN_PE: "platform has no PE named {pe!r}",
+    CANNOT_RUN: "group {name!r} ({group_type}) cannot run on {pe!r} ({pe_type})",
+    UNMAPPED_GROUP: "group {name!r} is not mapped",
+    UNGROUPED_PROCESS: "process {name!r} belongs to no process group",
+}
+
+
+class MappingDefect(NamedTuple):
+    """One thing wrong with an assignment: ``name`` is the group (the
+    process, for an ungrouped process) and ``pe`` the PE it names."""
+
+    kind: str
+    name: str
+    pe: Optional[str] = None
+    group_type: Optional[str] = None
+    pe_type: Optional[str] = None
+
+    def __str__(self) -> str:
+        return _DEFECT_TEXT[self.kind].format_map(self._asdict())
+
+
+def process_type_of(group) -> str:
+    """A «ProcessGroup»'s ProcessType (Table 2); untagged means general."""
+    return group.tag(PROCESS_GROUP, "ProcessType", ProcessType.GENERAL)
+
+
+def _runs_on(group_type: str, spec) -> bool:
+    # Tables 2 and 3 must allow the pair, and the PE must have a cycle cost
+    # for the type, or the simulator cannot time a statement of that type
+    return spec.supports(group_type) and process_runs_on(group_type, spec.component_type)
+
+
+class MappingRelation(NamedTuple):
+    """Which PEs a group may run on, and what is wrong with an assignment.
+
+    :meth:`of` reads each group's ProcessType, the groups that need a PE
+    and the non-environment processes that no group holds."""
+
+    group_types: Dict[str, str]
+    required: Tuple[str, ...] = ()
+    ungrouped: Tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, application: ApplicationModel) -> "MappingRelation":
+        groups = application.groups
+        held = {
+            n for n in groups if n != ENVIRONMENT_GROUP and application.processes_in(n)
+        }
+        # process -> its group (None: ungrouped), even one that is no «ProcessGroup»
+        placed = {
+            name: application.group_of(name)
+            for name, process in sorted(application.processes.items())
+            if not process.is_environment
+        }
+        return cls(
+            {name: process_type_of(group) for name, group in sorted(groups.items())},
+            tuple(sorted(held.union(placed.values()) - {None})),
+            tuple(name for name, group in placed.items() if group is None),
+        )
+
+    def pes_for(self, platform: PlatformModel, group_name: str) -> List[str]:
+        """The PEs ``group_name`` may run on, by name."""
+        group_type = self.group_types.get(group_name)
+        pes = sorted(platform.processing_elements.items())
+        return [name for name, pe in pes if _runs_on(group_type, pe.spec)]
+
+    def defects(
+        self, platform: PlatformModel, assignment: Mapping[str, str]
+    ) -> List[MappingDefect]:
+        """Every defect of ``assignment`` (group name -> PE name): at most
+        one per group, in name order, then one per ungrouped process."""
+        found = []
+        for name in sorted(set(self.required).union(assignment)):
+            pe_name = assignment.get(name)
+            group_type = self.group_types.get(name)
+            pe = platform.processing_elements.get(pe_name)
+            if pe_name is None:
+                found.append(MappingDefect(UNMAPPED_GROUP, name))
+            elif group_type is None:
+                found.append(MappingDefect(UNKNOWN_GROUP, name, pe_name))
+            elif pe is None:
+                found.append(MappingDefect(UNKNOWN_PE, name, pe_name))
+            elif not _runs_on(group_type, pe.spec):
+                pe_type = pe.spec.component_type
+                found.append(
+                    MappingDefect(CANNOT_RUN, name, pe_name, group_type, pe_type)
+                )
+        found.extend(MappingDefect(UNGROUPED_PROCESS, name) for name in self.ungrouped)
+        return found
 
 
 class MappingModel:
@@ -76,23 +176,18 @@ class MappingModel:
     # ------------------------------------------------------------------
 
     def map(self, group_name: str, pe_name: str, fixed: bool = False) -> Dependency:
-        """Map ``group_name`` onto ``pe_name`` (type-checked)."""
+        """Map ``group_name`` onto ``pe_name`` if the relation allows it."""
         group = self.application.groups.get(group_name)
-        if group is None:
-            raise MappingError(f"application has no process group {group_name!r}")
-        if pe_name not in self.platform.processing_elements:
-            raise MappingError(f"platform has no PE named {pe_name!r}")
-        pe = self.platform.pe(pe_name)
-        group_type = group.tag("ProcessGroup", "ProcessType", "general")
-        if not process_runs_on(group_type, pe.spec.component_type):
-            raise MappingError(
-                f"group {group_name!r} ({group_type}) cannot run on "
-                f"{pe_name!r} ({pe.spec.component_type})"
-            )
+        # the relation over this one group: no other group is required
+        known = {} if group is None else {group_name: process_type_of(group)}
+        defects = MappingRelation(known).defects(self.platform, {group_name: pe_name})
+        if defects:
+            raise MappingError(str(defects[0]))
         if group_name in self.mappings:
             raise MappingError(
                 f"group {group_name!r} is already mapped; unmap it first"
             )
+        pe = self.platform.pe(pe_name)
         dependency = Dependency(
             f"{group_name}_to_{pe_name}", client=group, supplier=pe.part
         )
@@ -160,30 +255,19 @@ class MappingModel:
         return {g: d.supplier.name for g, d in self.mappings.items()}
 
     def check_complete(self) -> None:
-        """Raise unless every non-environment group with members is mapped."""
-        missing = []
-        for group_name in self.application.groups:
-            if group_name == ENVIRONMENT_GROUP:
-                continue
-            if not self.application.processes_in(group_name):
-                continue
-            if group_name not in self.mappings:
-                missing.append(group_name)
-        unmapped_processes = [
-            name
-            for name, process in self.application.processes.items()
-            if not process.is_environment
-            and self.application.group_of(name) is None
-        ]
-        if missing or unmapped_processes:
-            parts = []
-            if missing:
-                parts.append(f"unmapped groups: {', '.join(sorted(missing))}")
-            if unmapped_processes:
-                parts.append(
-                    "ungrouped processes: " + ", ".join(sorted(unmapped_processes))
-                )
-            raise MappingError("; ".join(parts))
+        """Raise on the relation's defects: unmapped groups and ungrouped
+        processes together, else the first pair it rejects (a mapping
+        rebuilt from a model never passed :meth:`map`)."""
+        defects = MappingRelation.of(self.application).defects(
+            self.platform, self.assignment()
+        )
+        missing = [d.name for d in defects if d.kind == UNMAPPED_GROUP]
+        ungrouped = [d.name for d in defects if d.kind == UNGROUPED_PROCESS]
+        parts = [f"unmapped groups: {', '.join(missing)}"] if missing else []
+        if ungrouped:
+            parts.append("ungrouped processes: " + ", ".join(ungrouped))
+        if defects:
+            raise MappingError("; ".join(parts) or str(defects[0]))
 
     def describe(self) -> str:
         lines = ["Platform mapping:"]

@@ -22,8 +22,8 @@ class ProcessingElementSpec:
 
     ``cycles_per_statement`` maps a process type to the average number of PE
     clock cycles one action-language statement costs when a process of that
-    type runs on this PE.  A missing entry means the PE cannot execute that
-    process type natively (mapping validation rejects it).
+    type runs on this PE.  A missing entry means the PE cannot run that
+    type: the mapping relation (:mod:`repro.mapping.model`) rejects it.
     """
 
     name: str

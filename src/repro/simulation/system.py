@@ -368,15 +368,9 @@ class SystemSimulation:
             )
             self._priority_of[name] = process.priority()
             self._process_type_of[name] = process.process_type()
-            if process.is_environment:
-                self.pe_of_process[name] = None
-            else:
-                pe_name = mapping.pe_of_process(name)
-                if pe_name is None:
-                    raise SimulationError(
-                        f"process {name!r} has no platform mapping"
-                    )
-                self.pe_of_process[name] = pe_name
+            # None for an environment process; check_complete() gave every
+            # other process a PE
+            self.pe_of_process[name] = mapping.pe_of_process(name)
         self.timers: Dict[Tuple[str, str], object] = {}
         self._started = False
         self._restored = False

@@ -55,7 +55,7 @@ class TestStaticProfile:
         profile = static_application_profile(pingpong)
         assert profile.statement_weight["g1"] > 0
         assert profile.statement_weight["g2"] > 0
-        assert profile.group_types == {"g1": "general", "g2": "general"}
+        assert profile.relation.group_types == {"g1": "general", "g2": "general"}
         assert profile.pair_bytes[("g1", "g2")] > 0
         assert profile.pair_bytes[("g2", "g1")] > 0
 

@@ -27,11 +27,13 @@ from repro.exploration.supervisor import (
     FAILURE_ERROR,
     FAILURE_TIMEOUT,
     QUARANTINE_FAILURE_BUDGET,
+    QUARANTINE_MAPPING_ERROR,
     Supervisor,
     backoff_s,
 )
 
 from tests.exploration.test_engine import fault_free_specs, result_hashes
+from tests.mapping.test_relation import defective_tutwlan_specs
 
 
 @pytest.fixture
@@ -189,6 +191,33 @@ class TestQuarantine:
         )
         assert run.quarantined[0].failures == 2
         assert run.supervisor_counters()["quarantined"] == 1
+
+
+class TestMappingErrorIsNotRetried:
+    """A mapping is a function of the spec: its error recurs on every retry."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_each_spec_fails_once_and_is_quarantined(self, workers):
+        run = run_candidates(defective_tutwlan_specs(), workers=workers)
+        assert run.outcomes == []
+        failures = sorted(run.failures, key=lambda f: f.index)
+        assert [(f.index, f.attempt, f.kind, f.backoff_s) for f in failures] == [
+            (index, 1, FAILURE_ERROR, 0.0) for index in range(4)
+        ]
+        assert [f.detail for f in failures] == [
+            "MappingError: group 'group1' (general) cannot run on "
+            "'accelerator1' (hw accelerator)",
+            "MappingError: platform has no PE named 'ghost'",
+            "MappingError: application has no process group 'ghost'",
+            "MappingError: unmapped groups: group4",
+        ]
+        assert sorted(
+            (q.index, q.failures, q.reason) for q in run.quarantined
+        ) == [(index, 1, QUARANTINE_MAPPING_ERROR) for index in range(4)]
+        counters = run.supervisor_counters()
+        assert counters["retries"] == 0
+        assert counters["errors"] == 4
+        assert counters["quarantined"] == 4
 
 
 class TestBackoffPolicy:

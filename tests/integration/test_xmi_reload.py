@@ -6,9 +6,12 @@ interchange between tools (the paper's TAU G2 ↔ profiling tool split)
 loses nothing.
 """
 
+import re
+
 import pytest
 
 from repro.application import ApplicationModel
+from repro.errors import MappingError
 from repro.mapping import MappingModel
 from repro.platform import PlatformModel, standard_library
 from repro.simulation import SystemSimulation, run_reference_simulation
@@ -16,10 +19,13 @@ from repro.tutprofile import fresh_profile
 from repro.uml import model_to_xml, xml_to_model
 
 
-def reload_system():
+def reload_system(edit=None):
+    """TUTWLAN through XMI; ``edit(application, platform, mapping)`` first."""
     from repro.cases.tutwlan import build_tutwlan_system
 
     application, platform, mapping = build_tutwlan_system()
+    if edit is not None:
+        edit(application, platform, mapping)
     xml = model_to_xml(application.model)
     profile = fresh_profile()
     parsed = xml_to_model(xml, profiles=[profile])
@@ -104,6 +110,24 @@ class TestMappingReload:
             "group4": "accelerator1",
         }
         mapping.check_complete()
+
+
+    def test_a_pe_that_cannot_run_its_group_is_rejected_before_the_run(self):
+        # a reloaded mapping never passed map(): the simulator's gate checks
+        # every pair, so the run does not die on its first step
+        def repoint(application, platform, mapping):
+            mapping.mappings["group1"].suppliers[:] = [
+                platform.pe("accelerator1").part
+            ]
+
+        reloaded = reload_system(repoint)
+        assert reloaded[2].pe_of_group("group1") == "accelerator1"
+        message = (
+            "group 'group1' (general) cannot run on 'accelerator1' "
+            "(hw accelerator)"
+        )
+        with pytest.raises(MappingError, match=re.escape(message)):
+            SystemSimulation(*reloaded)
 
 
 class TestBitIdenticalSimulation:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import MappingError
 from repro.mapping import MappingModel
+from repro.platform import PlatformModel, ProcessingElementSpec, standard_library
+from repro.tutprofile.tags import ComponentType, ProcessType
 
 
 class TestMapping:
@@ -93,6 +95,28 @@ class TestTypeCompatibility:
         mapping = MappingModel(application, platform, view_name="TestView2")
         with pytest.raises(MappingError):
             mapping.map("group1", "accelerator1")
+
+    def test_pe_without_a_cycle_cost_for_the_group_type_is_rejected(self, pingpong):
+        # Tables 2 and 3 let a general CPU host hardware groups, but the
+        # simulator could not time a statement this CPU has no cost for
+        library = standard_library()
+        library.add_processing_element(
+            ProcessingElementSpec(
+                name="SoftCPU",
+                component_type=ComponentType.GENERAL,
+                cycles_per_statement={ProcessType.GENERAL: 10},
+            )
+        )
+        platform = PlatformModel("Soft", library)
+        platform.instantiate("soft", "SoftCPU")
+        pingpong.group("hw", process_type=ProcessType.HARDWARE)
+        mapping = MappingModel(pingpong, platform)
+        with pytest.raises(MappingError) as excinfo:
+            mapping.map("hw", "soft")
+        assert str(excinfo.value) == (
+            "group 'hw' (hardware) cannot run on 'soft' (general)"
+        )
+        mapping.map("g1", "soft")
 
 
 class TestCompleteness:
