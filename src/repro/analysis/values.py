@@ -11,6 +11,12 @@ step's exit, effect and entry blocks — and trigger parameters are unknown
 Joins at a state are widened to +/-infinity after a few rounds, which
 guarantees termination on counting loops at the cost of precision.
 
+Each analysis lowers every expression, statement, block, guard
+refinement and planned step of the machine once, into a closure over its
+children's closures; the fixpoint runs those closures on plain
+``(lo, hi)`` tuples, and :class:`Interval` values are made only where
+results are handed out.
+
 The rules powered by the fixpoint:
 
 * **A001** — a guard that is false under *every* reachable valuation (a
@@ -29,10 +35,11 @@ The rules powered by the fixpoint:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
 from repro.uml.actions import (
+    SHORT_CIRCUIT,
     Assign,
     BinaryOp,
     BoolLiteral,
@@ -42,12 +49,13 @@ from repro.uml.actions import (
     If,
     IntLiteral,
     Name,
-    ResetTimer,
     Send,
     SetTimer,
     Stmt,
     UnaryOp,
     While,
+    c_div,
+    subexpressions,
 )
 from repro.uml.plan import MachinePlan, Step, plan_machine, terminates
 from repro.uml.statemachine import State, StateMachine, Transition
@@ -94,11 +102,14 @@ INT32_MAX = 2**31 - 1
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+_INFINITE = (NEG_INF, POS_INF)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed integer interval; bounds may be +/-infinity."""
+class Interval(NamedTuple):
+    """A closed integer interval; bounds may be +/-infinity.
+
+    An Interval is a ``(lo, hi)`` tuple with names: the fixpoint carries
+    plain tuples and equal ones compare equal."""
 
     lo: float
     hi: float
@@ -123,13 +134,11 @@ class Interval:
         return self.lo <= value <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(*_join(self, other))
 
     def widen(self, newer: "Interval") -> "Interval":
         """Classic interval widening: unstable bounds jump to infinity."""
-        lo = self.lo if newer.lo >= self.lo else NEG_INF
-        hi = self.hi if newer.hi <= self.hi else POS_INF
-        return Interval(lo, hi)
+        return Interval(*_widen(self, newer))
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         lo = max(self.lo, other.lo)
@@ -150,257 +159,314 @@ FALSE = Interval.const(0)
 #: mapping (trigger parameters, undeclared reads) are top.  ``None`` stands
 #: for bottom — an unreachable program point.
 Env = Dict[str, Interval]
+#: An interval as the fixpoint carries it, a lowered expression and a
+#: lowered statement or guard refinement (never run on bottom)
+Bounds = Tuple[float, float]
+Eval = Callable[[Env], Bounds]
+Exec = Callable[[Env], Optional[Env]]
+#: ``records.append``: receives ``(expr, divisor)`` for each division run
+Record = Optional[Callable[[Tuple[BinaryOp, Bounds]], None]]
+
+_DIVISIONS = ("/", "%")
+
+
+def _widen(old: Bounds, new: Bounds) -> Bounds:
+    return (
+        old[0] if new[0] >= old[0] else NEG_INF,
+        old[1] if new[1] <= old[1] else POS_INF,
+    )
+
+
+def _join(a: Bounds, b: Bounds) -> Bounds:
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _absorb(a: float, b: float) -> float:
+    """``a + b``, where an infinite bound absorbs a finite one of any size
+    (Python cannot add an int past float range to an infinity)."""
+    return a if a in _INFINITE else b if b in _INFINITE else a + b
+
+
+def _add(a: Bounds, b: Bounds) -> Bounds:
+    try:
+        return (a[0] + b[0], a[1] + b[1])
+    except OverflowError:
+        return (_absorb(a[0], b[0]), _absorb(a[1], b[1]))
 
 
 def _mul_bound(a: float, b: float) -> float:
     if a == 0 or b == 0:
         return 0
-    return a * b
+    try:
+        return a * b
+    except OverflowError:  # an infinity meets an int past float range
+        return POS_INF if (a > 0) == (b > 0) else NEG_INF
 
 
 def _div_bound(a: float, b: float) -> float:
     """C truncated division of interval corners; ``b`` is never zero."""
-    if a in (NEG_INF, POS_INF):
+    if a in _INFINITE:
         return a if b > 0 else -a
-    if b in (NEG_INF, POS_INF):
+    if b in _INFINITE:
         return 0  # |a/b| < 1 truncates to 0
-    quotient = int(a / b) if (a < 0) != (b < 0) else int(a) // int(b)
-    return quotient
+    return c_div(a, b)
 
 
-def _corners(left: Interval, right: Interval, fn) -> Interval:
-    values = [
-        fn(a, b)
-        for a in (left.lo, left.hi)
-        for b in (right.lo, right.hi)
-    ]
-    return Interval(min(values), max(values))
+def _corners(a: Bounds, b: Bounds, fn) -> Bounds:
+    values = [fn(a[0], b[0]), fn(a[0], b[1]), fn(a[1], b[0]), fn(a[1], b[1])]
+    return (min(values), max(values))
 
 
-def truthiness(interval: Interval) -> Optional[bool]:
-    """Definite truth value of an interval, or ``None`` when undecided."""
-    if interval == FALSE:
-        return False
-    if not interval.contains(0):
+def _divide(a: Bounds, b: Bounds) -> Bounds:
+    if b[0] <= 0 <= b[1]:
+        # A run hitting the zero divisor raises instead of producing a
+        # value; the surviving runs have a divisor adjacent to zero,
+        # which top soundly covers.
+        return TOP
+    return _corners(a, b, _div_bound)
+
+
+def _modulo(a: Bounds, b: Bounds) -> Bounds:
+    if b[0] <= 0 <= b[1]:
+        return TOP
+    # C-style modulo: |x % y| <= min(|x|, |y| - 1), sign follows x.
+    bound = min(max(abs(b[0]), abs(b[1])) - 1, max(abs(a[0]), abs(a[1])))
+    return (0 if a[0] >= 0 else -bound, 0 if a[1] <= 0 else bound)
+
+
+def _shift_left(a: Bounds, b: Bounds) -> Bounds:
+    if b[0] >= 0 and b[1] != POS_INF:
+        return _corners(a, (2 ** int(b[0]), 2 ** int(b[1])), _mul_bound)
+    return TOP
+
+
+def _shift_right(a: Bounds, b: Bounds) -> Bounds:
+    if b[0] >= 0:
+        if b[1] != POS_INF and a[0] != NEG_INF and a[1] != POS_INF:
+            values = [int(x) >> y for x in a for y in (int(b[0]), int(b[1]))]
+            return (min(values), max(values))
+        if a[0] >= 0:
+            return (0, a[1])
+    return TOP
+
+
+def _bitwise_or(a: Bounds, b: Bounds) -> Bounds:
+    """``|`` and ``^`` of non-negative operands stay below their sum."""
+    return (0, _absorb(a[1], b[1])) if a[0] >= 0 and b[0] >= 0 else TOP
+
+
+def _equal(a: Bounds, b: Bounds) -> Optional[bool]:
+    if a[0] == a[1] == b[0] == b[1]:
         return True
+    return False if max(a[0], b[0]) > min(a[1], b[1]) else None
+
+
+def truthiness(interval: Bounds) -> Optional[bool]:
+    """Definite truth value of an interval, or ``None`` when undecided."""
+    if interval[0] > 0 or interval[1] < 0:
+        return True
+    if interval[0] == 0 and interval[1] == 0:
+        return False
     return None
 
 
-def _bool_of(value: Optional[bool]) -> Interval:
-    if value is True:
-        return TRUE
-    if value is False:
-        return FALSE
-    return BOOL
+_BOOL_OF = {True: TRUE, False: FALSE, None: BOOL}
+_NEGATION = {True: FALSE, False: TRUE, None: BOOL}
 
 
-#: Optional hook invoked on every ``/`` or ``%`` with the divisor interval.
-DivHook = Optional[Callable[[BinaryOp, Interval], None]]
+def _top(*operands: Bounds) -> Bounds:
+    return TOP
 
 
-def abstract_eval(expr: Expr, env: Env, on_division: DivHook = None) -> Interval:
-    """Evaluate an expression over intervals; sound for every concrete run."""
+#: Each operator's transfer function over bounds; ``&&`` and ``||`` are
+#: lowered by :func:`_lower_binary`.
+_UNARY: Dict[str, Callable[[Bounds], Bounds]] = {
+    "-": lambda a: (-a[1], -a[0]),
+    "!": lambda a: _NEGATION[truthiness(a)],
+    "~": lambda a: (-a[1] - 1, -a[0] - 1),
+}
+_BINARY: Dict[str, Callable[[Bounds, Bounds], Bounds]] = {
+    "+": _add,
+    "-": lambda a, b: _add(a, (-b[1], -b[0])),
+    "*": lambda a, b: _corners(a, b, _mul_bound),
+    "/": _divide,
+    "%": _modulo,
+    "<<": _shift_left,
+    ">>": _shift_right,
+    "&": lambda a, b: (0, min(a[1], b[1])) if a[0] >= 0 and b[0] >= 0 else TOP,
+    "|": _bitwise_or,
+    "^": _bitwise_or,
+    "==": lambda a, b: _BOOL_OF[_equal(a, b)],
+    "!=": lambda a, b: _NEGATION[_equal(a, b)],
+    "<": lambda a, b: TRUE if a[1] < b[0] else FALSE if a[0] >= b[1] else BOOL,
+    "<=": lambda a, b: TRUE if a[1] <= b[0] else FALSE if a[0] > b[1] else BOOL,
+    ">": lambda a, b: TRUE if b[1] < a[0] else FALSE if b[0] >= a[1] else BOOL,
+    ">=": lambda a, b: TRUE if b[1] <= a[0] else FALSE if b[0] > a[1] else BOOL,
+}
+
+
+def _abs(values: List[Bounds]) -> Bounds:
+    lo, hi = values[0]
+    if lo >= 0:
+        return values[0]
+    if hi <= 0:
+        return (-hi, -lo)
+    return (0, max(-lo, hi))
+
+
+#: The builtins evaluated over their arguments' bounds.  A CRC is a 32-bit
+#: *pattern*, not a magnitude: the generated C pipes it through one
+#: consistent uint32->int32 conversion, so a range would only feed A002
+#: false alarms, and ``crc32()`` is unknown (top).
+_CALLS: Dict[str, Callable[[List[Bounds]], Bounds]] = {
+    "min": lambda values: (min(v[0] for v in values), min(v[1] for v in values)),
+    "max": lambda values: (max(v[0] for v in values), max(v[1] for v in values)),
+    "abs": _abs,
+}
+_RAND16 = Interval(0, 0xFFFF)
+
+
+def _lower(expr: Expr, record: Record = None) -> Eval:
+    """``expr`` as a function of an environment, returning its bounds.
+
+    With ``record``, every ``/`` and ``%`` it evaluates whose divisor is
+    not a literal (:func:`_recorded`) passes on ``(expr, divisor)``.
+    """
     if isinstance(expr, IntLiteral):
-        return Interval.const(expr.value)
+        value = (expr.value, expr.value)
+        return lambda env: value
     if isinstance(expr, BoolLiteral):
-        return TRUE if expr.value else FALSE
+        value = TRUE if expr.value else FALSE
+        return lambda env: value
     if isinstance(expr, Name):
-        return env.get(expr.identifier, TOP)
+        name = expr.identifier
+        return lambda env: env.get(name, TOP)
     if isinstance(expr, UnaryOp):
-        operand = abstract_eval(expr.operand, env, on_division)
-        if expr.op == "-":
-            return Interval(-operand.hi, -operand.lo)
-        if expr.op == "!":
-            truth = truthiness(operand)
-            return _bool_of(None if truth is None else not truth)
-        if expr.op == "~":
-            return Interval(-operand.hi - 1, -operand.lo - 1)
-        return TOP
-    if isinstance(expr, Conditional):
-        abstract_eval(expr.condition, env, on_division)
-        then_env = refine_env(env, expr.condition, True)
-        else_env = refine_env(env, expr.condition, False)
-        branches = []
-        if then_env is not None:
-            branches.append(abstract_eval(expr.then_value, then_env, on_division))
-        if else_env is not None:
-            branches.append(abstract_eval(expr.else_value, else_env, on_division))
-        if not branches:
-            return TOP
-        result = branches[0]
-        for other in branches[1:]:
-            result = result.join(other)
-        return result
-    if isinstance(expr, Call):
-        return _eval_call(expr, env, on_division)
+        operand = _lower(expr.operand, record)
+        transfer = _UNARY.get(expr.op, _top)
+        return lambda env: transfer(operand(env))
     if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, env, on_division)
-    return TOP
+        return _lower_binary(expr, record)
+    if isinstance(expr, Conditional):
+        probe = _probe([expr.condition], record)
+        to_then = _lower_refine(expr.condition, True)
+        to_else = _lower_refine(expr.condition, False)
+        then_value = _lower(expr.then_value, record)
+        else_value = _lower(expr.else_value, record)
+
+        def conditional(env: Env) -> Bounds:
+            if probe is not None:
+                probe(env)
+            then_env, else_env = to_then(env), to_else(env)
+            if then_env is None:
+                return TOP if else_env is None else else_value(else_env)
+            value = then_value(then_env)
+            return value if else_env is None else _join(value, else_value(else_env))
+
+        return conditional
+    if isinstance(expr, Call):
+        if expr.function == "crc32":
+            return _top
+        if expr.function == "rand16":
+            return lambda env: _RAND16
+        args = [_lower(arg, record) for arg in expr.args]
+        transfer = _CALLS.get(expr.function, _top) if args else _top
+        return lambda env: transfer([arg(env) for arg in args])
+    return _top
 
 
-def _eval_call(expr: Call, env: Env, on_division: DivHook) -> Interval:
-    if expr.function == "crc32":
-        # A CRC is a 32-bit *pattern*, not a magnitude: the generated C pipes
-        # it through one consistent uint32->int32 conversion, so a range would
-        # only feed A002 false alarms.  Treat it as unknown.
-        return TOP
-    if expr.function == "rand16":
-        return Interval(0, 0xFFFF)
-    args = [abstract_eval(arg, env, on_division) for arg in expr.args]
-    if not args:
-        return TOP
-    if expr.function == "min":
-        return Interval(min(a.lo for a in args), min(a.hi for a in args))
-    if expr.function == "max":
-        return Interval(max(a.lo for a in args), max(a.hi for a in args))
-    if expr.function == "abs":
-        operand = args[0]
-        if operand.lo >= 0:
-            return operand
-        if operand.hi <= 0:
-            return Interval(-operand.hi, -operand.lo)
-        return Interval(0, max(-operand.lo, operand.hi))
-    return TOP
+def _lower_binary(expr: BinaryOp, record: Record) -> Eval:
+    left = _lower(expr.left, record)
+    right = _lower(expr.right, record)
+    decides = SHORT_CIRCUIT.get(expr.op)
+    if decides is not None:
+        # the right side only runs where the left did not decide, so it is
+        # evaluated on the environment refined by the left's other value
+        narrow = _lower_refine(expr.left, not decides)
+        decided, otherwise = _BOOL_OF[decides], _BOOL_OF[not decides]
+
+        def short_circuit(env: Env) -> Bounds:
+            first = truthiness(left(env))
+            if first is decides:
+                return decided
+            narrowed = narrow(env)
+            if narrowed is None:
+                return decided
+            second = truthiness(right(narrowed))
+            if second is decides:
+                return decided
+            return BOOL if first is None or second is None else otherwise
+
+        return short_circuit
+    transfer = _BINARY.get(expr.op, _top)
+    if record is not None and _recorded(expr):
+
+        def divide(env: Env) -> Bounds:
+            value, divisor = left(env), right(env)
+            record((expr, divisor))
+            return transfer(value, divisor)
+
+        return divide
+    return lambda env: transfer(left(env), right(env))
 
 
-def _eval_binary(expr: BinaryOp, env: Env, on_division: DivHook) -> Interval:
-    op = expr.op
-    if op == "&&":
-        left = truthiness(abstract_eval(expr.left, env, on_division))
-        if left is False:
-            return FALSE
-        # Short-circuit: the right side only runs where the left held.
-        narrowed = refine_env(env, expr.left, True)
-        if narrowed is None:
-            return FALSE
-        right = truthiness(abstract_eval(expr.right, narrowed, on_division))
-        if right is False:
-            return FALSE
-        if left is True and right is True:
-            return TRUE
-        return BOOL
-    if op == "||":
-        left = truthiness(abstract_eval(expr.left, env, on_division))
-        if left is True:
-            return TRUE
-        narrowed = refine_env(env, expr.left, False)
-        if narrowed is None:
-            return TRUE
-        right = truthiness(abstract_eval(expr.right, narrowed, on_division))
-        if right is True:
-            return TRUE
-        if left is False and right is False:
-            return FALSE
-        return BOOL
-
-    left = abstract_eval(expr.left, env, on_division)
-    right = abstract_eval(expr.right, env, on_division)
-    if op == "+":
-        return Interval(left.lo + right.lo, left.hi + right.hi)
-    if op == "-":
-        return Interval(left.lo - right.hi, left.hi - right.lo)
-    if op == "*":
-        return _corners(left, right, _mul_bound)
-    if op in ("/", "%"):
-        if on_division is not None:
-            on_division(expr, right)
-        if right.contains(0):
-            # A run hitting the zero divisor raises instead of producing a
-            # value; the surviving runs have a divisor adjacent to zero,
-            # which top soundly covers.
-            return TOP
-        if op == "/":
-            return _corners(left, right, _div_bound)
-        # C-style modulo: |x % y| <= min(|x|, |y| - 1), sign follows x.
-        magnitude = max(abs(right.lo), abs(right.hi)) - 1
-        x_magnitude = max(abs(left.lo), abs(left.hi))
-        bound = min(magnitude, x_magnitude)
-        lo = 0 if left.lo >= 0 else -bound
-        hi = 0 if left.hi <= 0 else bound
-        return Interval(lo, hi)
-    if op == "<<":
-        if right.lo >= 0 and right.hi != POS_INF:
-            shifted = Interval(2 ** int(right.lo), 2 ** int(right.hi))
-            return _corners(left, shifted, _mul_bound)
-        return TOP
-    if op == ">>":
-        if right.lo >= 0:
-            if right.hi != POS_INF and left.lo != NEG_INF and left.hi != POS_INF:
-                values = [
-                    int(a) >> b
-                    for a in (left.lo, left.hi)
-                    for b in (int(right.lo), int(right.hi))
-                ]
-                return Interval(min(values), max(values))
-            if left.lo >= 0:
-                return Interval(0, left.hi)
-        return TOP
-    if op in ("&", "|", "^"):
-        if left.lo >= 0 and right.lo >= 0:
-            if op == "&":
-                return Interval(0, min(left.hi, right.hi))
-            return Interval(0, left.hi + right.hi)
-        return TOP
-    if op in ("==", "!=", "<", "<=", ">", ">="):
-        return _bool_of(_compare(op, left, right))
-    return TOP
+def _recorded(node: Expr) -> bool:
+    """Whether A004 needs ``node``'s divisor: a division or modulo whose
+    divisor is not a literal (a literal one is never a finding)."""
+    return (
+        isinstance(node, BinaryOp)
+        and node.op in _DIVISIONS
+        and not isinstance(node.right, IntLiteral)
+    )
 
 
-def _compare(op: str, left: Interval, right: Interval) -> Optional[bool]:
-    if op == "<":
-        if left.hi < right.lo:
-            return True
-        if left.lo >= right.hi:
-            return False
-    elif op == "<=":
-        if left.hi <= right.lo:
-            return True
-        if left.lo > right.hi:
-            return False
-    elif op == ">":
-        return _compare("<", right, left)
-    elif op == ">=":
-        return _compare("<=", right, left)
-    elif op == "==":
-        if left.is_const and right.is_const and left.lo == right.lo:
-            return True
-        if left.intersect(right) is None:
-            return False
-    elif op == "!=":
-        equal = _compare("==", left, right)
-        return None if equal is None else not equal
-    return None
+def _probe(exprs: Sequence[Expr], record: Record) -> Optional[Exec]:
+    """Evaluate ``exprs``, whose values nobody reads, to record their
+    divisions; ``None`` when they have nothing to record."""
+    if record is None:
+        return None
+    probes = [
+        _lower(expr, record)
+        for expr in exprs
+        if any(map(_recorded, subexpressions(expr)))
+    ]
+
+    def probe(env: Env) -> Env:
+        for evaluate in probes:
+            evaluate(env)
+        return env
+
+    return probe if probes else None
 
 
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
-def _refine_name(env: Env, name: str, op: str, bound: Interval) -> Optional[Env]:
+def _refine_name(env: Env, name: str, op: str, bound: Bounds) -> Optional[Env]:
     """Narrow ``name`` so that ``name <op> bound`` can hold; None = bottom."""
     current = env.get(name, TOP)
+    lo, hi = current
     if op == "<":
-        narrowed = current.intersect(Interval(NEG_INF, bound.hi - 1))
+        narrowed = (lo, min(hi, bound[1] - 1))
     elif op == "<=":
-        narrowed = current.intersect(Interval(NEG_INF, bound.hi))
+        narrowed = (lo, min(hi, bound[1]))
     elif op == ">":
-        narrowed = current.intersect(Interval(bound.lo + 1, POS_INF))
+        narrowed = (max(lo, bound[0] + 1), hi)
     elif op == ">=":
-        narrowed = current.intersect(Interval(bound.lo, POS_INF))
+        narrowed = (max(lo, bound[0]), hi)
     elif op == "==":
-        narrowed = current.intersect(bound)
-    elif op == "!=":
+        narrowed = (max(lo, bound[0]), min(hi, bound[1]))
+    else:  # "!=" narrows only at an edge equal to a constant bound
         narrowed = current
-        if bound.is_const:
-            if current.is_const and current.lo == bound.lo:
+        if bound[0] == bound[1]:
+            if lo == hi == bound[0]:
                 return None
-            if current.lo == bound.lo:
-                narrowed = Interval(current.lo + 1, current.hi)
-            elif current.hi == bound.hi:
-                narrowed = Interval(current.lo, current.hi - 1)
-    else:
-        return env
-    if narrowed is None:
+            if lo == bound[0]:
+                narrowed = (lo + 1, hi)
+            elif hi == bound[1]:
+                narrowed = (lo, hi - 1)
+    if narrowed[0] > narrowed[1]:
         return None
     if narrowed == current:
         return env
@@ -415,9 +481,155 @@ def _join_envs(a: Optional[Env], b: Optional[Env]) -> Optional[Env]:
     if b is None:
         return a
     joined: Env = {}
-    for name in set(a) & set(b):
-        joined[name] = a[name].join(b[name])
+    for name, x in a.items():
+        y = b.get(name)
+        if y is not None:
+            joined[name] = x if x == y else _join(x, y)
     return joined
+
+
+def _widen_env(old: Env, new: Env) -> Env:
+    return {
+        name: _widen(old[name], value) if name in old else value
+        for name, value in new.items()
+    }
+
+
+def _lower_refine(guard: Expr, want: bool) -> Exec:
+    """:func:`refine_env` of ``guard`` and ``want``, as a function of the
+    environment."""
+    if isinstance(guard, UnaryOp) and guard.op == "!":
+        return _lower_refine(guard.operand, not want)
+    if isinstance(guard, BinaryOp) and guard.op in SHORT_CIRCUIT:
+        first = _lower_refine(guard.left, want)
+        second = _lower_refine(guard.right, want)
+        if (guard.op == "&&") != want:  # either side may hold
+            return lambda env: _join_envs(first(env), second(env))
+
+        def both(env: Env) -> Optional[Env]:
+            narrowed = first(env)
+            return None if narrowed is None else second(narrowed)
+
+        return both
+    if isinstance(guard, BinaryOp) and guard.op in _NEGATED:
+        op = guard.op if want else _NEGATED[guard.op]
+        mirrored = _MIRRORED[op]
+        left, right = _lower(guard.left), _lower(guard.right)
+        transfer = _BINARY[guard.op]
+        left_name = guard.left.identifier if isinstance(guard.left, Name) else None
+        right_name = guard.right.identifier if isinstance(guard.right, Name) else None
+
+        def compare(env: Env) -> Optional[Env]:
+            refined: Optional[Env] = env
+            if left_name is not None:
+                refined = _refine_name(refined, left_name, op, right(env))
+            if refined is not None and right_name is not None:
+                refined = _refine_name(refined, right_name, mirrored, left(refined))
+            if refined is not None:
+                value = truthiness(transfer(left(refined), right(refined)))
+                if value is not None and value != want:
+                    return None
+            return refined
+
+        return compare
+    if isinstance(guard, Name):
+        name = guard.identifier
+        if want:
+            return lambda env: None if env.get(name, TOP) == FALSE else env
+
+        def falsy(env: Env) -> Optional[Env]:
+            lo, hi = env.get(name, TOP)
+            if lo > 0 or hi < 0:
+                return None
+            refined = dict(env)
+            refined[name] = FALSE
+            return refined
+
+        return falsy
+    whole = _lower(guard)
+
+    def decide(env: Env) -> Optional[Env]:
+        value = truthiness(whole(env))
+        return None if value is not None and value != want else env
+
+    return decide
+
+
+def _sequence(steps: List[Optional[Exec]]) -> Exec:
+    """Run ``steps`` in order, leaving out ``None``; bottom ends the run."""
+    steps = [step for step in steps if step is not None]
+    if len(steps) == 1:
+        return steps[0]
+
+    def run(env: Env) -> Optional[Env]:
+        for step in steps:
+            env = step(env)
+            if env is None:
+                return None
+        return env
+
+    return run
+
+
+def _lower_block(stmts: Sequence[Stmt], record: Record = None) -> Exec:
+    """A block as a function, joining branch and loop effects."""
+    return _sequence([_lower_stmt(stmt, record) for stmt in stmts])
+
+
+def _lower_stmt(stmt: Stmt, record: Record) -> Optional[Exec]:
+    """One statement; ``None`` when running it changes and records nothing."""
+    if isinstance(stmt, Assign):
+        target, value = stmt.target, _lower(stmt.value, record)
+
+        def assign(env: Env) -> Env:
+            updated = dict(env)
+            updated[target] = value(env)
+            return updated
+
+        return assign
+    if isinstance(stmt, Send):
+        return _probe(stmt.args, record)
+    if isinstance(stmt, SetTimer):
+        return _probe([stmt.duration], record)
+    if isinstance(stmt, If):
+        then = _sequence(
+            [_lower_refine(stmt.condition, True), _lower_block(stmt.then_body, record)]
+        )
+        orelse = _sequence(
+            [_lower_refine(stmt.condition, False), _lower_block(stmt.else_body, record)]
+        )
+        branch = lambda env: _join_envs(then(env), orelse(env))
+        return _sequence([_probe([stmt.condition], record), branch])
+    if isinstance(stmt, While):
+        enter = _lower_refine(stmt.condition, True)
+        leave = _lower_refine(stmt.condition, False)
+        body = _lower_block(stmt.body, record)
+
+        def loop(env: Env) -> Optional[Env]:
+            current = env
+            for round_ in range(WIDEN_AFTER + 2):
+                body_in = enter(current)
+                if body_in is None:
+                    break
+                joined = _join_envs(current, body(body_in))
+                if joined == current:
+                    break
+                if round_ >= WIDEN_AFTER:
+                    joined = _widen_env(current, joined)
+                current = joined
+            return _join_envs(leave(env), leave(current))
+
+        return _sequence([_probe([stmt.condition], record), loop])
+    return None  # reset_timer
+
+
+def _intervals(env: Env) -> Env:
+    return {name: Interval(*bounds) for name, bounds in env.items()}
+
+
+def abstract_eval(expr: Expr, env: Env) -> Interval:
+    """Evaluate an expression over intervals; sound for every concrete run."""
+    return Interval(*_lower(expr)(env))
 
 
 def refine_env(env: Optional[Env], guard: Expr, want: bool) -> Optional[Env]:
@@ -427,110 +639,14 @@ def refine_env(env: Optional[Env], guard: Expr, want: bool) -> Optional[Env]:
     of ``env`` satisfying the condition; ``None`` means there is provably
     none (bottom).
     """
-    if env is None:
-        return None
-    if isinstance(guard, UnaryOp) and guard.op == "!":
-        return refine_env(env, guard.operand, not want)
-    if isinstance(guard, BinaryOp) and guard.op in ("&&", "||"):
-        both = (guard.op == "&&") == want
-        if both:
-            first = refine_env(env, guard.left, want)
-            return refine_env(first, guard.right, want)
-        return _join_envs(
-            refine_env(env, guard.left, want),
-            refine_env(env, guard.right, want),
-        )
-    if isinstance(guard, BinaryOp) and guard.op in _NEGATED:
-        op = guard.op if want else _NEGATED[guard.op]
-        refined: Optional[Env] = env
-        if isinstance(guard.left, Name):
-            bound = abstract_eval(guard.right, env)
-            refined = _refine_name(refined, guard.left.identifier, op, bound)
-        if refined is not None and isinstance(guard.right, Name):
-            bound = abstract_eval(guard.left, refined)
-            refined = _refine_name(
-                refined, guard.right.identifier, _MIRRORED[op], bound
-            )
-        if refined is not None:
-            value = truthiness(abstract_eval(guard, refined))
-            if value is not None and value != want:
-                return None
-        return refined
-    if isinstance(guard, Name):
-        interval = env.get(guard.identifier, TOP)
-        if want:
-            if interval == FALSE:
-                return None
-            return env
-        if not interval.contains(0):
-            return None
-        refined = dict(env)
-        refined[guard.identifier] = FALSE
-        return refined
-    value = truthiness(abstract_eval(guard, env))
-    if value is not None and value != want:
-        return None
-    return env
+    refined = None if env is None else _lower_refine(guard, want)(env)
+    return None if refined is None else _intervals(refined)
 
 
-def abstract_exec(
-    stmts: Sequence[Stmt], env: Optional[Env], on_division: DivHook = None
-) -> Optional[Env]:
+def abstract_exec(stmts: Sequence[Stmt], env: Optional[Env]) -> Optional[Env]:
     """Run a block over intervals, joining branch and loop effects."""
-    for stmt in stmts:
-        if env is None:
-            return None
-        env = _exec_one(stmt, env, on_division)
-    return env
-
-
-def _exec_one(stmt: Stmt, env: Env, on_division: DivHook) -> Optional[Env]:
-    if isinstance(stmt, Assign):
-        value = abstract_eval(stmt.value, env, on_division)
-        updated = dict(env)
-        updated[stmt.target] = value
-        return updated
-    if isinstance(stmt, Send):
-        for arg in stmt.args:
-            abstract_eval(arg, env, on_division)
-        return env
-    if isinstance(stmt, SetTimer):
-        abstract_eval(stmt.duration, env, on_division)
-        return env
-    if isinstance(stmt, ResetTimer):
-        return env
-    if isinstance(stmt, If):
-        abstract_eval(stmt.condition, env, on_division)
-        then_env = abstract_exec(
-            stmt.then_body, refine_env(env, stmt.condition, True), on_division
-        )
-        else_env = abstract_exec(
-            stmt.else_body, refine_env(env, stmt.condition, False), on_division
-        )
-        return _join_envs(then_env, else_env)
-    if isinstance(stmt, While):
-        abstract_eval(stmt.condition, env, on_division)
-        exit_env = refine_env(env, stmt.condition, False)
-        current: Optional[Env] = env
-        for round_ in range(WIDEN_AFTER + 2):
-            body_in = refine_env(current, stmt.condition, True)
-            if body_in is None:
-                break
-            body_out = abstract_exec(stmt.body, body_in, on_division)
-            joined = _join_envs(current, body_out)
-            if joined == current:
-                break
-            if round_ >= WIDEN_AFTER and current is not None and joined is not None:
-                joined = {
-                    name: current[name].widen(joined[name])
-                    if name in current
-                    else joined[name]
-                    for name in joined
-                }
-            current = joined
-        after_loop = refine_env(current, stmt.condition, False)
-        return _join_envs(exit_env, after_loop)
-    return env
+    out = None if env is None else _lower_block(stmts)(env)
+    return None if out is None else _intervals(out)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +669,11 @@ class MachineValues:
     #: leaf it may fire from; a leaf's last visit runs on its final
     #: environment, and transitions no leaf visited are absent
     guard_holds: Dict[Transition, bool]
+    #: ``(anchor, expr, divisor)`` for each division or modulo with a
+    #: non-literal divisor that the start step's entries (anchored to their
+    #: state) and each leaf's last visit (anchored to the transition)
+    #: evaluated, in that order
+    divisions: List[Tuple[object, BinaryOp, Interval]]
 
     def env_of(self, leaf: State) -> Optional[Env]:
         return self.state_envs.get(id(leaf))
@@ -567,25 +688,33 @@ class MachineValues:
         return joined
 
 
-def _transition_step(
-    step: Step, env: Env, on_division: DivHook = None
-) -> Tuple[Optional[State], Optional[Env]]:
-    """Abstractly run a planned step from the leaf it was planned for.
+class _Lowering:
+    """A machine's blocks and guards, each lowered once per analysis, with
+    their divisions recorded through ``record``."""
 
-    Returns ``(new_leaf, env)``; ``(None, None)`` when the guard is
-    provably false under ``env``.
-    """
-    current: Optional[Env] = env
-    guard = step.transition.guard
-    if guard is not None:
-        current = refine_env(current, guard, True)
-        if on_division is not None:
-            abstract_eval(guard, env, on_division)
-        if current is None:
-            return None, None
-    for block in step.blocks:
-        current = abstract_exec(block, current, on_division)
-    return step.leaf, current
+    def __init__(self, record: Record) -> None:
+        self.record = record
+        #: id(block) -> the block, id(transition) -> its guard, lowered
+        self.lowered: Dict[int, Exec] = {}
+
+    def block(self, stmts: List[Stmt]) -> Exec:
+        if id(stmts) not in self.lowered:
+            self.lowered[id(stmts)] = _lower_block(stmts, self.record)
+        return self.lowered[id(stmts)]
+
+    def step(self, step: Step) -> Tuple[Transition, Exec, Exec, State]:
+        """``(transition, admit, run, leaf)``: ``admit`` narrows an
+        environment by the guard (``None``: the guard is false), after
+        recording the guard's divisions on the unrefined environment, and
+        ``run`` runs the step's blocks."""
+        transition, guard = step.transition, step.transition.guard
+        if id(transition) not in self.lowered:
+            parts = []
+            if guard is not None:
+                parts = [_probe([guard], self.record), _lower_refine(guard, True)]
+            self.lowered[id(transition)] = _sequence(parts)
+        run = _sequence([self.block(block) for block in step.blocks])
+        return transition, self.lowered[id(transition)], run, step.leaf
 
 
 def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
@@ -597,13 +726,19 @@ def _fixpoint(machine: StateMachine, plan: MachinePlan) -> Optional[MachineValue
     """The interval fixpoint of ``machine`` over its plan ``plan``."""
     if plan.start is None:
         return None
+    records: List[Tuple[BinaryOp, Bounds]] = []
+    lower = _Lowering(records.append)
+    moves = {leaf: [lower.step(s) for s in steps] for leaf, steps in plan.steps.items()}
+    divisions: List[Tuple[object, BinaryOp, Bounds]] = []
     env: Optional[Env] = {
-        name: Interval.const(value) for name, value in machine.variables.items()
+        name: (value, value) for name, value in machine.variables.items()
     }
-    for block in plan.start.blocks:
-        env = abstract_exec(block, env)
-    if env is None:
-        return None
+    for state in plan.start.entries + plan.start.descent:
+        env = lower.block(state.entry)(env)
+        divisions.extend((state, expr, divisor) for expr, divisor in records)
+        records.clear()
+        if env is None:
+            return None
 
     state_envs: Dict[int, Env] = {}
     leaves: Dict[int, State] = {}
@@ -613,9 +748,10 @@ def _fixpoint(machine: StateMachine, plan: MachinePlan) -> Optional[MachineValue
     # changes a leaf stores a new object, so an identical one marks a stale
     # worklist entry whose steps would only repeat no-op pushes
     ran: Dict[int, Env] = {}
-    # id(leaf) -> whether each candidate's guard could hold, as of its
-    # latest visit
+    # id(leaf) -> whether each candidate's guard could hold, and the
+    # divisions its steps recorded, as of its latest visit
     verdicts: Dict[int, Dict[Transition, bool]] = {}
+    visits: Dict[int, list] = {}
 
     def push(leaf: State, incoming: Optional[Env]) -> None:
         if incoming is None:
@@ -629,12 +765,7 @@ def _fixpoint(machine: StateMachine, plan: MachinePlan) -> Optional[MachineValue
                 return
             join_counts[id(leaf)] = join_counts.get(id(leaf), 0) + 1
             if join_counts[id(leaf)] > WIDEN_AFTER:
-                updated = {
-                    name: known[name].widen(updated[name])
-                    if name in known
-                    else updated[name]
-                    for name in updated
-                }
+                updated = _widen_env(known, updated)
                 if updated == known:
                     return
         state_envs[id(leaf)] = updated
@@ -651,16 +782,29 @@ def _fixpoint(machine: StateMachine, plan: MachinePlan) -> Optional[MachineValue
             continue
         ran[id(leaf)] = current
         holds = verdicts[id(leaf)] = {}
-        for step in plan.steps[leaf]:
-            new_leaf, out = _transition_step(step, current)
-            holds[step.transition] = new_leaf is not None
-            if new_leaf is not None:
-                push(new_leaf, out)
+        visit = visits[id(leaf)] = []
+        for transition, admit, run, target in moves[leaf]:
+            entered = admit(current)
+            holds[transition] = entered is not None
+            if entered is not None:
+                push(target, run(entered))
+            if records:
+                visit.extend((transition, expr, divisor) for expr, divisor in records)
+                records.clear()
     guard_holds: Dict[Transition, bool] = {}
     for holds in verdicts.values():
         for transition, held in holds.items():
             guard_holds[transition] = guard_holds.get(transition, False) or held
-    return MachineValues(machine, state_envs, leaves, plan, guard_holds)
+    for key in leaves:
+        divisions.extend(visits.get(key, ()))
+    return MachineValues(
+        machine,
+        {key: _intervals(env) for key, env in state_envs.items()},
+        leaves,
+        plan,
+        guard_holds,
+        [(anchor, expr, Interval(*divisor)) for anchor, expr, divisor in divisions],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -737,41 +881,24 @@ def check_machine(
                 (transition,),
             )
 
-    # A004: division/modulo whose divisor provably straddles zero.  A final
-    # pass over the fixpoint re-runs every block with a division hook.
-    sites: Dict[Tuple[int, str], List] = {}
-    where = {"current": ""}
-    anchors = {"current": None}
-
-    def on_division(expr: BinaryOp, divisor: Interval) -> None:
-        key = (id(anchors["current"]), expr.unparse())
-        entry = sites.get(key)
-        if entry is None:
-            sites[key] = [where["current"], anchors["current"], expr, divisor]
+    # A004: division/modulo whose divisor provably straddles zero, joined
+    # per anchor and expression over the divisions the fixpoint recorded.
+    sites: Dict[Tuple[int, str], list] = {}
+    for anchor, expr, divisor in values.divisions:
+        key = (id(anchor), expr.unparse())
+        site = sites.get(key)
+        if site is None:
+            where = (
+                f"state {anchor.name!r} entry"
+                if isinstance(anchor, State)
+                else f"transition {anchor.describe()!r}"
+            )
+            sites[key] = [where, key[1], anchor, expr, divisor]
         else:
-            entry[3] = entry[3].join(divisor)
+            site[4] = site[4].join(divisor)
 
-    init_env: Optional[Env] = {
-        name: Interval.const(value) for name, value in machine.variables.items()
-    }
-    start = values.plan.start
-    for state in start.entries + start.descent:
-        where["current"] = f"state {state.name!r} entry"
-        anchors["current"] = state
-        init_env = abstract_exec(state.entry, init_env, on_division)
-        if init_env is None:
-            break
-    for leaf in values.leaves.values():
-        if terminates(leaf):
-            continue
-        env = values.env_of(leaf)
-        for step in values.plan.steps[leaf]:
-            where["current"] = f"transition {step.transition.describe()!r}"
-            anchors["current"] = step.transition
-            _transition_step(step, env, on_division)
-
-    for _, (where_str, anchor, expr, divisor) in sorted(
-        sites.items(), key=lambda item: (item[1][0], item[1][2].unparse())
+    for where, text, anchor, expr, divisor in sorted(
+        sites.values(), key=lambda site: site[:2]
     ):
         if not divisor.contains(0) or divisor.is_top:
             continue
@@ -780,8 +907,8 @@ def check_machine(
         ctx.emit(
             findings,
             "A004",
-            f"divisor {expr.right.unparse()} of {expr.unparse()} in "
-            f"{where_str} has proven range {divisor} containing zero",
+            f"divisor {expr.right.unparse()} of {text} in "
+            f"{where} has proven range {divisor} containing zero",
             label,
             (anchor,),
         )

@@ -27,12 +27,15 @@ from repro.platform.model import PlatformModel
 UNKNOWN_GROUP = "unknown-group"
 UNKNOWN_PE = "unknown-pe"
 CANNOT_RUN = "cannot-run"
+UNTIMED_MEMBER = "untimed-member"
 UNMAPPED_GROUP = "unmapped-group"
 UNGROUPED_PROCESS = "ungrouped-process"
 _DEFECT_TEXT = {
     UNKNOWN_GROUP: "application has no process group {name!r}",
     UNKNOWN_PE: "platform has no PE named {pe!r}",
     CANNOT_RUN: "group {name!r} ({group_type}) cannot run on {pe!r} ({pe_type})",
+    UNTIMED_MEMBER: "process {process!r} ({process_type}) of group {name!r} "
+    "cannot run on {pe!r} ({pe_type}): the PE has no cycle cost for its type",
     UNMAPPED_GROUP: "group {name!r} is not mapped",
     UNGROUPED_PROCESS: "process {name!r} belongs to no process group",
 }
@@ -40,13 +43,16 @@ _DEFECT_TEXT = {
 
 class MappingDefect(NamedTuple):
     """One thing wrong with an assignment: ``name`` is the group (the
-    process, for an ungrouped process) and ``pe`` the PE it names."""
+    process, for an ungrouped process), ``pe`` the PE it names and
+    ``process`` the member that PE cannot time."""
 
     kind: str
     name: str
     pe: Optional[str] = None
     group_type: Optional[str] = None
     pe_type: Optional[str] = None
+    process: Optional[str] = None
+    process_type: Optional[str] = None
 
     def __str__(self) -> str:
         return _DEFECT_TEXT[self.kind].format_map(self._asdict())
@@ -66,12 +72,16 @@ def _runs_on(group_type: str, spec) -> bool:
 class MappingRelation(NamedTuple):
     """Which PEs a group may run on, and what is wrong with an assignment.
 
-    :meth:`of` reads each group's ProcessType, the groups that need a PE
-    and the non-environment processes that no group holds."""
+    :meth:`of` reads each group's ProcessType, the groups that need a PE,
+    the non-environment processes that no group holds and each grouped
+    one's own ProcessType, which the simulator prices its steps by."""
 
     group_types: Dict[str, str]
     required: Tuple[str, ...] = ()
     ungrouped: Tuple[str, ...] = ()
+    #: ``(group, process, ProcessType)`` of every grouped non-environment
+    #: process: a PE the group runs on needs a cycle cost for each type
+    members: Tuple[Tuple[str, str, str], ...] = ()
 
     @classmethod
     def of(cls, application: ApplicationModel) -> "MappingRelation":
@@ -89,13 +99,31 @@ class MappingRelation(NamedTuple):
             {name: process_type_of(group) for name, group in sorted(groups.items())},
             tuple(sorted(held.union(placed.values()) - {None})),
             tuple(name for name, group in placed.items() if group is None),
+            tuple(
+                (group, name, application.processes[name].process_type())
+                for name, group in placed.items()
+                if group is not None
+            ),
         )
+
+    def _untimed(self, group_name: str, spec) -> Optional[Tuple[str, str]]:
+        """The first member of ``group_name``, with its ProcessType, that a
+        PE of ``spec`` has no cycle cost for; ``None`` when it times all."""
+        for group, process, process_type in self.members:
+            if group == group_name and not spec.supports(process_type):
+                return process, process_type
+        return None
 
     def pes_for(self, platform: PlatformModel, group_name: str) -> List[str]:
         """The PEs ``group_name`` may run on, by name."""
         group_type = self.group_types.get(group_name)
         pes = sorted(platform.processing_elements.items())
-        return [name for name, pe in pes if _runs_on(group_type, pe.spec)]
+        return [
+            name
+            for name, pe in pes
+            if _runs_on(group_type, pe.spec)
+            and self._untimed(group_name, pe.spec) is None
+        ]
 
     def defects(
         self, platform: PlatformModel, assignment: Mapping[str, str]
@@ -117,6 +145,15 @@ class MappingRelation(NamedTuple):
                 pe_type = pe.spec.component_type
                 found.append(
                     MappingDefect(CANNOT_RUN, name, pe_name, group_type, pe_type)
+                )
+            elif self._untimed(name, pe.spec) is not None:
+                process, process_type = self._untimed(name, pe.spec)
+                pe_type = pe.spec.component_type
+                found.append(
+                    MappingDefect(
+                        UNTIMED_MEMBER, name, pe_name, group_type, pe_type,
+                        process, process_type,
+                    )
                 )
         found.extend(MappingDefect(UNGROUPED_PROCESS, name) for name in self.ungrouped)
         return found
@@ -180,7 +217,13 @@ class MappingModel:
         group = self.application.groups.get(group_name)
         # the relation over this one group: no other group is required
         known = {} if group is None else {group_name: process_type_of(group)}
-        defects = MappingRelation(known).defects(self.platform, {group_name: pe_name})
+        members = tuple(
+            (group_name, process.name, process.process_type())
+            for process in self.application.processes_in(group_name)
+            if not process.is_environment
+        )
+        relation = MappingRelation(known, members=members)
+        defects = relation.defects(self.platform, {group_name: pe_name})
         if defects:
             raise MappingError(str(defects[0]))
         if group_name in self.mappings:

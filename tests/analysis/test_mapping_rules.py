@@ -38,13 +38,13 @@ def single_cpu_platform():
 
 
 def tiny_app(process_type="general"):
-    """One process in one group, no signal traffic."""
+    """One process in one group of its ProcessType, no signal traffic."""
     app = ApplicationModel("Tiny")
     component = app.component("C")
     machine = app.behavior(component)
     machine.state("idle", initial=True, entry="set_timer(t, 10);")
     machine.on_timer("idle", "idle", "t")
-    app.process(app.top, "p1", component)
+    app.process(app.top, "p1", component, process_type=process_type)
     app.group("g", process_type=process_type)
     app.assign("p1", "g")
     return app

@@ -1,5 +1,8 @@
 """Interval-domain value analysis: the domain and rules A001-A004."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.analysis import analyze_machine, lint_machine, run_lint
 from repro.analysis.values import (
     BOOL,
@@ -11,8 +14,11 @@ from repro.analysis.values import (
     refine_env,
     truthiness,
 )
+from repro.errors import ActionRuntimeError
+from repro.uml import actions
 from repro.uml.action_lang import parse_expression
 from repro.uml.statemachine import StateMachine
+from tests.uml.test_operator_table import closed_exprs
 
 INF = float("inf")
 
@@ -88,6 +94,81 @@ class TestAbstractEval:
         refined = refine_env(env, parse_expression("x > 5"), True)
         assert refined["x"] == Interval(6, 10)
         assert refine_env({"x": Interval(0, 3)}, parse_expression("x > 5"), True) is None
+
+
+class TestHugeBounds:
+    """Bounds past float range: an infinite bound meeting one stays the
+    signed infinity, and finite corners divide exactly."""
+
+    HUGE = 2**1100
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("(1 << 1100) + n", (HUGE, INF)),
+            ("(1 << 1100) - n", (-INF, HUGE)),
+            ("n * (1 << 1100)", (0, INF)),
+            ("n << 1100", (0, INF)),
+        ],
+    )
+    def test_an_infinite_bound_absorbs_a_huge_one(self, source, expected):
+        assert evaluate(source, n=(0, INF)) == Interval(*expected)
+
+    @pytest.mark.parametrize(
+        "statement, rules",
+        [
+            ("y = (1 << 1100) + n;", set()),
+            ("y = (1 << 1100) - n;", {"A002"}),
+            ("y = n * (1 << 1100);", set()),
+            ("y = n << 1100;", set()),
+        ],
+    )
+    def test_lint_of_a_counter_meeting_a_huge_constant(self, statement, rules):
+        m = StateMachine("M")
+        m.variable("n", 0)
+        m.variable("y", 0)
+        m.state("s", initial=True)
+        m.on_signal("s", "s", "tick", effect="n = n + 1; " + statement)
+        report = lint_machine(m)
+        assert {f.rule for f in report.findings if f.rule.startswith("A")} == rules
+        assert analyze_machine(m).joined_env()["n"] == Interval(0, INF)
+
+    def test_finite_corners_divide_like_the_simulator(self):
+        x = 2751088199499202557
+        expr = parse_expression("(0 - x) / 560")
+        concrete = actions.evaluate(expr, actions.ActionEnvironment({"x": x}))
+        assert concrete == -4912657499105718
+        assert abstract_eval(expr, {"x": Interval.const(x)}) == Interval.const(concrete)
+
+
+NAMES = ("x", "y", "z")
+
+
+@st.composite
+def valuations(draw):
+    """A finite interval per name, and a concrete value inside each."""
+    env, values = {}, {}
+    for name in NAMES:
+        lo = draw(st.integers(min_value=-1000, max_value=1000))
+        hi = draw(st.integers(min_value=lo, max_value=lo + 1000))
+        env[name], values[name] = Interval(lo, hi), draw(st.integers(lo, hi))
+    return env, values
+
+
+@given(closed_exprs(NAMES), valuations(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_abstract_eval_and_refine_env_are_sound(expr, valuation, want):
+    env, values = valuation
+    try:
+        concrete = actions.evaluate(expr, actions.ActionEnvironment(values))
+    except ActionRuntimeError:  # a zero divisor, a negative shift
+        return
+    assert abstract_eval(expr, env).contains(concrete)
+    if bool(concrete) == want:
+        refined = refine_env(env, expr, want)
+        assert refined is not None
+        for name, value in values.items():
+            assert refined.get(name, TOP).contains(value)
 
 
 class TestMachineFixpoint:
@@ -247,6 +328,55 @@ class TestDivisionPossiblyZero:
             "idle", "busy", "go", params=["n"], effect="y = 100 / n;"
         )
         assert lint_machine(m).by_rule("A004") == []
+
+
+class TestDivisionSites:
+    """A004 reports each division where the fixpoint last evaluated it:
+    in the start step's entries at their state, in a step at its
+    transition, on the leaf's final environment."""
+
+    @staticmethod
+    def messages(m):
+        return [f.message for f in lint_machine(m).by_rule("A004")]
+
+    def test_initial_state_entry(self):
+        m = StateMachine("M")
+        m.variable("d", 1)
+        m.variable("y", 0)
+        m.state("idle", initial=True, entry="d = rand16() % 4; y = 100 / d;")
+        m.state("busy")
+        m.on_signal("idle", "busy", "go")
+        assert self.messages(m) == [
+            "divisor d of (100 / d) in state 'idle' entry has proven range "
+            "[0, 3] containing zero"
+        ]
+
+    def test_target_entry_reports_at_the_transition(self):
+        m = StateMachine("M")
+        m.variable("d", 1)
+        m.variable("y", 0)
+        m.state("idle", initial=True)
+        m.state("busy", entry="y = 100 / d;")
+        m.on_signal("idle", "busy", "go", params=["k"], effect="d = k % 3;")
+        m.on_signal("busy", "idle", "stop")
+        assert self.messages(m) == [
+            "divisor d of (100 / d) in transition 'idle --go(k)--> busy' has "
+            "proven range [-2, 2] containing zero"
+        ]
+
+    def test_widened_leaf_reports_its_final_range(self):
+        # n counts down from 5: the leaf's visits see [5, 5], [4, 5], ...
+        # and only the widened final environment lets the divisor reach 0
+        m = StateMachine("M")
+        m.variable("n", 5)
+        m.variable("y", 0)
+        m.state("s", initial=True)
+        m.on_signal("s", "s", "tick", effect="n = n - 1;")
+        m.on_signal("s", "s", "use", effect="y = 100 / n;")
+        assert self.messages(m) == [
+            "divisor n of (100 / n) in transition 's --use--> s' has proven "
+            "range [-inf, 5] containing zero"
+        ]
 
 
 class TestSuppression:

@@ -24,7 +24,10 @@ from repro.mapping.model import (
     UNKNOWN_GROUP,
     UNKNOWN_PE,
     UNMAPPED_GROUP,
+    UNTIMED_MEMBER,
 )
+from repro.simulation import SystemSimulation
+from repro.tutprofile import APPLICATION_PROCESS
 from repro.uml.instance import InstanceSpecification
 
 #: Hand-made TUTWLAN assignments with one defect each, and its kind.
@@ -110,6 +113,45 @@ class TestTutwlan:
         assert relation.pes_for(platform, "group4") == [
             "accelerator1", "processor1", "processor2", "processor3"
         ]
+
+
+class TestMemberTypes:
+    """The simulator prices a step by the *process's* ProcessType, so a PE
+    needs a cycle cost for every member's type, not only the group's."""
+
+    MESSAGE = (
+        "process 'crc' (general) of group 'group4' cannot run on "
+        "'accelerator1' (hw accelerator): the PE has no cycle cost for its type"
+    )
+
+    def retagged_tutwlan(self):
+        """TUTWLAN with its hardware group's crc process tagged general."""
+        application, platform, mapping = build_tutwlan_system()
+        part = application.processes["crc"].part
+        part.stereotype_application(APPLICATION_PROCESS).set("ProcessType", "general")
+        return application, platform, mapping
+
+    def test_the_gate_names_the_member_before_the_run(self):
+        application, platform, mapping = self.retagged_tutwlan()
+        relation = MappingRelation.of(application)
+        (defect,) = relation.defects(platform, mapping.assignment())
+        assert (defect.kind, str(defect)) == (UNTIMED_MEMBER, self.MESSAGE)
+        with pytest.raises(MappingError) as excinfo:
+            SystemSimulation(application, platform, mapping)
+        assert str(excinfo.value) == self.MESSAGE
+        assert relation.pes_for(platform, "group4") == [
+            "processor1", "processor2", "processor3"
+        ]
+        assert_agreement(application, platform, [mapping.assignment()])
+
+    def test_map_rejects_the_pe(self):
+        application, platform, mapping = self.retagged_tutwlan()
+        mapping.unmap("group4")
+        with pytest.raises(MappingError) as excinfo:
+            mapping.map("group4", "accelerator1")
+        assert str(excinfo.value) == self.MESSAGE
+        mapping.map("group4", "processor1")
+        mapping.check_complete()
 
 
 class TestGeneratedCorpus:

@@ -25,6 +25,7 @@ from repro.uml.actions import (
     BoolLiteral,
     Conditional,
     IntLiteral,
+    Name,
     UnaryOp,
     evaluate,
 )
@@ -116,11 +117,15 @@ SHIFT_COUNTS = st.integers(min_value=-2, max_value=40).map(IntLiteral)
 OTHER_BINARY = sorted(set(BINARY_OPS) - set(SHIFTS)) + sorted(SHORT_CIRCUIT)
 
 
-def closed_exprs():
-    literals = st.one_of(
+def closed_exprs(names=()):
+    """Expressions over every operator; ``names`` become leaves as well."""
+    leaves = [
         st.integers(min_value=-64, max_value=64).map(IntLiteral),
         st.booleans().map(BoolLiteral),
-    )
+    ]
+    if names:
+        leaves.append(st.sampled_from(names).map(Name))
+    literals = st.one_of(*leaves)
 
     def extend(children):
         return st.one_of(
