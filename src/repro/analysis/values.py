@@ -104,6 +104,11 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 _INFINITE = (NEG_INF, POS_INF)
 
+#: A shift count that may pass this many bits makes ``<<``'s upper bound
+#: infinite instead of a huge power of two (C leaves shifts of 32 bits or
+#: more undefined anyway).
+SHIFT_WIDTH = 4096
+
 
 class Interval(NamedTuple):
     """A closed integer interval; bounds may be +/-infinity.
@@ -146,8 +151,18 @@ class Interval(NamedTuple):
         return Interval(lo, hi) if lo <= hi else None
 
     def __str__(self) -> str:
-        fmt = lambda b: "-inf" if b == NEG_INF else "+inf" if b == POS_INF else str(int(b))
-        return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
+        return f"[{_spell(self.lo)}, {_spell(self.hi)}]"
+
+
+def _spell(bound: float) -> str:
+    """``-inf``, ``+inf``, the bound's digits, or ``~2^n`` (``n`` its floor
+    log2) for a bound with more digits than ``str()`` prints."""
+    if bound in _INFINITE:
+        return "-inf" if bound < 0 else "+inf"
+    try:
+        return str(int(bound))
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'-' if bound < 0 else ''}~2^{abs(int(bound)).bit_length() - 1}"
 
 
 TOP = Interval.top()
@@ -236,7 +251,8 @@ def _modulo(a: Bounds, b: Bounds) -> Bounds:
 
 def _shift_left(a: Bounds, b: Bounds) -> Bounds:
     if b[0] >= 0 and b[1] != POS_INF:
-        return _corners(a, (2 ** int(b[0]), 2 ** int(b[1])), _mul_bound)
+        hi = 2 ** int(b[1]) if b[1] <= SHIFT_WIDTH else POS_INF
+        return _corners(a, (2 ** int(min(b[0], SHIFT_WIDTH)), hi), _mul_bound)
     return TOP
 
 

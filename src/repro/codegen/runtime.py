@@ -112,7 +112,7 @@ int32_t tut_rand16(uint16_t *state)
 void tut_log_open(const char *path)
 {
     tut_log_file = fopen(path, "w");
-    if (tut_log_file) fprintf(tut_log_file, "TUTLOG 1\\n");
+    if (tut_log_file) fprintf(tut_log_file, "TUTLOG 2\\n");
 }
 
 void tut_log_exec(tut_process *proc, const char *trigger)
@@ -120,7 +120,7 @@ void tut_log_exec(tut_process *proc, const char *trigger)
     if (tut_log_file)
         fprintf(tut_log_file,
                 "EXEC time=%lld process=%s pe=native cycles=1 duration=0 "
-                "from=- to=- trigger=%s\\n",
+                "from=- to=- trigger=%s statements=0 transitions=-\\n",
                 (long long)tut_now_us * 1000000LL, proc->name, trigger);
 }
 

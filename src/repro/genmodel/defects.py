@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import GeneratorError
-from repro.genmodel.platgen import GENERAL_CAPABLE_TYPES
+from repro.genmodel.platgen import general_capable
 
 Blueprint = Dict[str, object]
 
@@ -135,9 +135,7 @@ def _split_pes(blueprint: Blueprint, rule: str) -> Tuple[str, str]:
         for attachment in blueprint["platform"]["attachments"]
     }
     by_segment: Dict[str, str] = {}
-    for pe in blueprint["platform"]["pes"]:
-        if pe["type"] not in GENERAL_CAPABLE_TYPES:
-            continue
+    for pe in general_capable(blueprint["platform"]["pes"]):
         by_segment.setdefault(segment_of[pe["name"]], pe["name"])
     if len(by_segment) < 2:
         raise GeneratorError(
@@ -602,7 +600,7 @@ def _inject_m001(blueprint: Blueprint) -> None:
 
 def _inject_m002(blueprint: Blueprint) -> None:
     pes = blueprint["platform"]["pes"]
-    capable = [pe for pe in pes if pe["type"] in GENERAL_CAPABLE_TYPES]
+    capable = general_capable(pes)
     if len(capable) < 2:
         raise GeneratorError(
             "defect M002 needs a movable group and an idle compatible "

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 import tempfile
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import Checkpointer, CheckpointStore, EveryEvents
 from repro.errors import InvariantViolation, SimulationInterrupted
@@ -62,7 +62,7 @@ from repro.simulation.system import SimulationResult, SystemSimulation
 from repro.tutprofile.rules import check_design_rules
 from repro.uml.action_compiler import compile_block, compile_guard
 from repro.uml.actions import ActionEnvironment, Expr, evaluate, execute
-from repro.uml.plan import plan_machine, trigger_key
+from repro.uml.plan import transition_ids
 from repro.uml.statemachine import SignalTrigger, Transition
 from repro.uml.validation import validate_model
 
@@ -339,11 +339,8 @@ def check_soundness(
     """No transition flagged dead by A001/A003 may execute concretely.
 
     A log record takes a flagged transition when its process runs the
-    machine owning it, its ``(from, to)`` states are the active leaf and
-    the landing leaf of one of the transition's planned steps, and its
-    trigger is the transition's, spelled as the log spells it.  The start
-    record names the initial state as its ``from``, for the steps of the
-    start leaf.  Returns the number of flagged transitions checked.
+    machine owning it and its ``transitions`` name the transition's id.
+    Returns the number of flagged transitions checked.
     """
     config = generated.config
     flagged: List[Tuple[str, Transition]] = []
@@ -356,61 +353,31 @@ def check_soundness(
     if not flagged:
         return 0
 
-    # the processes running each transition's machine, and the (from, to)
-    # leaves each of its planned steps logs
-    owners: Dict[Transition, Set[str]] = {}
-    moves: Dict[Transition, Set[Tuple[str, str]]] = {}
-    planned = set()
+    # process -> id -> (rule, transition) of the flagged transitions its
+    # machine owns
+    watched: Dict[str, Dict[str, Tuple[str, Transition]]] = {}
     for name, process in generated.application.processes.items():
         machine = process.component.classifier_behavior
-        if machine is None:
-            continue
-        for transition in machine.transitions:
-            owners.setdefault(transition, set()).add(name)
-        if machine not in planned:
-            planned.add(machine)
-            plan = plan_machine(machine)
-            for leaf, steps in plan.steps.items():
-                for step in steps:
-                    moves.setdefault(step.transition, set()).add(
-                        (leaf.name, step.leaf.name)
-                    )
-            if plan.start is not None:
-                # the start record's ``from`` is the initial state; when that
-                # is a composite it is never active, so no other record's is
-                for step in plan.steps.get(plan.start.leaf, ()):
-                    moves[step.transition].add(
-                        (machine.initial_state.name, step.leaf.name)
-                    )
+        if machine is not None:
+            ids = transition_ids(machine)
+            watched[name] = {ids[t]: (rule, t) for rule, t in flagged if t in ids}
 
     from repro.simulation.logfile import ExecRecord
 
-    checked = 0
-    for rule, transition in flagged:
-        checked += 1
-        processes = owners.get(transition, set())
-        pairs = moves.get(transition, set())
-        # a completion transition is logged under the trigger that started
-        # its run-to-completion step, so it matches any
-        kind, trigger_name = trigger_key(transition.trigger)
-        trigger = {"signal": trigger_name, "timer": f"timer:{trigger_name}"}.get(kind)
-        for record in result.log.records:
-            if not isinstance(record, ExecRecord):
-                continue
-            if record.process not in processes:
-                continue
-            if trigger is not None and record.trigger != trigger:
-                continue
-            if (record.from_state, record.to_state) not in pairs:
-                continue
-            _fail(
-                "soundness",
-                f"{rule} flagged transition {transition.describe()!r} as "
-                f"dead, but process {record.process!r} executed it at "
-                f"{record.time_ps} ps",
-                config,
-            )
-    return checked
+    for record in result.log.records:
+        if not isinstance(record, ExecRecord) or not watched.get(record.process):
+            continue
+        for transition_id in record.transitions.split(","):
+            if transition_id in watched[record.process]:
+                rule, transition = watched[record.process][transition_id]
+                _fail(
+                    "soundness",
+                    f"{rule} flagged transition {transition.describe()!r} as "
+                    f"dead, but process {record.process!r} executed it at "
+                    f"{record.time_ps} ps",
+                    config,
+                )
+    return len(flagged)
 
 
 def check_resume(

@@ -21,6 +21,9 @@ from random import Random
 from typing import Dict, List
 
 from repro.genmodel.config import GeneratorConfig
+from repro.mapping.model import runs_on
+from repro.platform.library import standard_library
+from repro.tutprofile.tags import ProcessType
 
 PLATFORM_NAME = "GenPlatform"
 
@@ -95,9 +98,15 @@ def platform_blueprint(
     }
 
 
-#: Which PE component types can execute a "general" process group — the
-#: generator only emits general groups, so compatibility is static.
-GENERAL_CAPABLE_TYPES = ("NiosCPU", "NiosDSP")
+def general_capable(pes: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """The blueprint PEs the mapping relation lets run a general group (the
+    generator emits general groups only), judged on the standard library."""
+    library = standard_library()
+    return [
+        pe
+        for pe in pes
+        if runs_on(ProcessType.GENERAL, library.processing_element(pe["type"]))
+    ]
 
 
 def mapping_blueprint(
@@ -107,11 +116,7 @@ def mapping_blueprint(
     platform: Dict[str, object],
 ) -> Dict[str, object]:
     """Draw a random-but-valid «PlatformMapping» assignment."""
-    compatible = [
-        pe["name"]
-        for pe in platform["pes"]
-        if pe["type"] in GENERAL_CAPABLE_TYPES
-    ]
+    compatible = [pe["name"] for pe in general_capable(platform["pes"])]
     assignments = [
         [group["name"], rng.choice(compatible)]
         for group in application["groups"]

@@ -63,9 +63,11 @@ def process_type_of(group) -> str:
     return group.tag(PROCESS_GROUP, "ProcessType", ProcessType.GENERAL)
 
 
-def _runs_on(group_type: str, spec) -> bool:
-    # Tables 2 and 3 must allow the pair, and the PE must have a cycle cost
-    # for the type, or the simulator cannot time a statement of that type
+def runs_on(group_type: str, spec) -> bool:
+    """Whether a group of ``group_type`` may run on a PE of ``spec``.
+
+    Tables 2 and 3 must allow the pair, and the PE must have a cycle cost
+    for the type, or the simulator cannot time a statement of that type."""
     return spec.supports(group_type) and process_runs_on(group_type, spec.component_type)
 
 
@@ -121,7 +123,7 @@ class MappingRelation(NamedTuple):
         return [
             name
             for name, pe in pes
-            if _runs_on(group_type, pe.spec)
+            if runs_on(group_type, pe.spec)
             and self._untimed(group_name, pe.spec) is None
         ]
 
@@ -141,7 +143,7 @@ class MappingRelation(NamedTuple):
                 found.append(MappingDefect(UNKNOWN_GROUP, name, pe_name))
             elif pe is None:
                 found.append(MappingDefect(UNKNOWN_PE, name, pe_name))
-            elif not _runs_on(group_type, pe.spec):
+            elif not runs_on(group_type, pe.spec):
                 pe_type = pe.spec.component_type
                 found.append(
                     MappingDefect(CANNOT_RUN, name, pe_name, group_type, pe_type)

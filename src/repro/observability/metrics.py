@@ -121,7 +121,7 @@ class MetricsReport:
     dispatched_signals: int = 0
     delivered_signals: int = 0
     dropped_signals: int = 0
-    transitions: int = 0
+    transitions: int = 0  # the log's EXEC records: the steps that completed
     faults_by_kind: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -174,7 +174,7 @@ def collect_metrics(
     What a log record holds comes from ``account``, the run's
     :class:`~repro.simulation.logfile.RunAccount`, and each PE it lists
     gets a row; the trace adds the rest (bus spans, queue peaks,
-    ``pe-stall`` extra time, dispatches, transitions).  With ``group_of``
+    ``pe-stall`` extra time, dispatches).  With ``group_of``
     (process -> group; unknown processes keep their own name) latency is
     keyed ``sender_group->receiver_group``, without it by transport.
     """
@@ -194,6 +194,7 @@ def collect_metrics(
         latency=account.latency_by(key),
         delivered_signals=sum(h.count for h in account.flow_latency.values()),
         dropped_signals=account.dropped,
+        transitions=sum(account.process_steps.values()),
         faults_by_kind=dict(account.faults_by_kind),
     )
     for event in tracer.events:
@@ -211,8 +212,6 @@ def collect_metrics(
         elif isinstance(event, InstantEvent):
             if event.category == "dispatch":
                 report.dispatched_signals += 1
-            elif event.category == "efsm":
-                report.transitions += 1
             elif (
                 event.category == "fault"
                 and event.name == "pe-stall"

@@ -5,10 +5,10 @@ instrumented run emits a log the profiling tool aggregates.  The tracer is
 the fine-grained counterpart of that log-file — a stream of **spans**
 (named intervals on a track), **instant events** (points in time) and
 **counter samples** (numeric time series).  The simulator's hot paths
-emit live only what no log record holds (bus grants, EFSM transitions,
-dispatches, queue depths, stall times); the exec, signal, drop and fault
-events are derived from the log's records when the run finishes (each
-record's ``trace_event()``).  The stream feeds two consumers:
+emit live only what no log record holds (bus grants, dispatches, queue
+depths, stall times); the exec, efsm, signal, drop and fault events are
+derived from the log's records when the run finishes (each record's
+``trace_events()``).  The stream feeds two consumers:
 
 * :mod:`repro.observability.metrics` — per-PE utilisation and stall
   breakdown, bus occupancy and contention, latency histograms;

@@ -5,7 +5,7 @@ changes, statements executed, signals produced, timers armed) and leaves
 *when and how long* to the system simulator's cost model.  This split lets
 the same executor serve the full-platform simulation, the workstation
 reference run, and direct unit tests.  It is observation-free too: the
-system simulator traces the steps it returns.
+system simulator logs the steps it returns, and traces them from the log.
 """
 
 from __future__ import annotations
@@ -34,72 +34,65 @@ MAX_COMPLETION_CHAIN = 100
 class StepOutcome:
     """Everything a run-to-completion step did.
 
-    ``sends`` and ``timer_ops`` are the lists the step's action blocks
-    appended to, handed over rather than copied.  ``timer_ops`` is the
-    only record of timer operations, in program order.
+    ``transitions`` names the transitions the step ran, in order, its
+    completion chase included: their plan ids (:attr:`Step.id`) joined by
+    commas, ``-`` when none ran.  ``sends`` and ``timer_ops`` are the
+    lists the step's action blocks appended to, handed over rather than
+    copied.  ``timer_ops`` is the only record of timer operations, in
+    program order.
     """
 
     __slots__ = (
-        "fired",
         "from_state",
         "to_state",
-        "trigger",
         "statements",
+        "transitions",
         "guards_evaluated",
         "sends",
         "timer_ops",
-        "reached_final",
     )
 
     def __init__(
         self,
-        fired: bool,
         from_state: str,
         to_state: str,
-        trigger: str,
         statements: int,
+        transitions: str,
         guards_evaluated: int,
         sends: List[SendIntent],
         timer_ops: List[Tuple[str, str, int]],
-        reached_final: bool,
     ) -> None:
-        self.fired = fired
         self.from_state = from_state
         self.to_state = to_state
-        self.trigger = trigger
         self.statements = statements
+        self.transitions = transitions
         self.guards_evaluated = guards_evaluated
         self.sends = sends
         self.timer_ops = timer_ops
-        self.reached_final = reached_final
 
     def to_dict(self) -> dict:
         """A JSON-safe encoding for checkpoints of in-flight steps."""
         return {
-            "fired": self.fired,
             "from_state": self.from_state,
             "to_state": self.to_state,
-            "trigger": self.trigger,
             "statements": self.statements,
+            "transitions": self.transitions,
             "guards_evaluated": self.guards_evaluated,
             "sends": [intent.to_dict() for intent in self.sends],
             "timer_ops": [list(item) for item in self.timer_ops],
-            "reached_final": self.reached_final,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepOutcome":
         """Rebuild from :meth:`to_dict` output (restores inner tuples)."""
         return cls(
-            data["fired"],
             data["from_state"],
             data["to_state"],
-            data["trigger"],
             data["statements"],
+            data["transitions"],
             data["guards_evaluated"],
             [SendIntent.from_dict(item) for item in data["sends"]],
             [tuple(item) for item in data["timer_ops"]],
-            data["reached_final"],
         )
 
 
@@ -187,7 +180,7 @@ class ProcessExecutor:
         """
         if self.current is not None:
             raise SimulationError(f"process {self.name!r} already started")
-        return self._fire(self._start, {}, "start", 0)
+        return self._fire(self._start, {}, 0)
 
     def consume_signal(
         self, signal_name: str, args: Sequence[int]
@@ -207,7 +200,7 @@ class ProcessExecutor:
                 guards += 1
                 if not self._guard_holds(transition.guard, params):
                     continue
-            return self._fire(step, params, signal_name, guards), None
+            return self._fire(step, params, guards), None
         return None, "guards-false" if candidates else "no-transition"
 
     def fire_timer(self, timer_name: str) -> Tuple[Optional[StepOutcome], Optional[str]]:
@@ -225,7 +218,7 @@ class ProcessExecutor:
                 guards += 1
                 if not self._guard_holds(guard, {}):
                     continue
-            return self._fire(step, {}, f"timer:{timer_name}", guards), None
+            return self._fire(step, {}, guards), None
         return None, "guards-false" if candidates else "no-transition"
 
     # ------------------------------------------------------------------
@@ -291,31 +284,28 @@ class ProcessExecutor:
             entry = self._compiled[id(guard)] = (guard, compile_guard(guard))
         return bool(entry[1](params, self.variables))
 
-    def _fire(
-        self, step: Step, params: Dict[str, int], trigger: str, guards: int
-    ) -> StepOutcome:
+    def _fire(self, step: Step, params: Dict[str, int], guards: int) -> StepOutcome:
         """Run ``step`` and its completion chase; ``guards`` were evaluated
         to choose it."""
         source = self.current or self.machine.initial_state  # None before start
         environment = self._environment
         environment.reset(params)
         statements = self._run_step(step, environment)
+        ran = step.id
         # a step entering no state (an internal transition) raises no
         # completion event
         if step.entries and not self.terminated:
-            chased, chase_guards = self._chase_completions(environment)
+            chased, chase_guards, ran = self._chase_completions(environment, ran)
             statements += chased
             guards += chase_guards
         return StepOutcome(
-            True,
             source.name,
             self.current.name,
-            trigger,
             statements,
+            ran or "-",
             guards,
             environment.sent,
             environment.timer_ops,
-            self.terminated,
         )
 
     def _run_step(self, step: Step, environment) -> int:
@@ -330,13 +320,16 @@ class ProcessExecutor:
         self.terminated = step.terminates
         return statements
 
-    def _chase_completions(self, environment: _StepEnvironment) -> Tuple[int, int]:
+    def _chase_completions(
+        self, environment: _StepEnvironment, ran: Optional[str]
+    ) -> Tuple[int, int, Optional[str]]:
         """Follow enabled completion transitions until none fires.
 
         Completion transitions of the active leaf are considered first,
         then those of its enclosing composite states.  An internal one
         runs its effect and ends the chase: it enters no state, so no new
-        completion event occurs.  Returns the (statements, guards) spent.
+        completion event occurs.  Returns the (statements, guards) spent
+        and ``ran``, the ids run so far, with the chase's appended.
         """
         environment.parameters = {}
         statements = guards = 0
@@ -348,11 +341,12 @@ class ProcessExecutor:
                     if not self._guard_holds(guard, {}):
                         continue
                 statements += self._run_step(step, environment)
+                ran = step.id if ran is None else f"{ran},{step.id}"
                 if self.terminated or not step.entries:
-                    return statements, guards
+                    return statements, guards, ran
                 break
             else:
-                return statements, guards
+                return statements, guards, ran
         raise SimulationError(
             f"process {self.name!r} chained more than {MAX_COMPLETION_CHAIN} "
             "completion transitions (livelock in the model?)"

@@ -8,10 +8,11 @@ information".  This module defines that interchange format.
 The format is line-oriented text (one record per line, ``key=value``
 fields), so it diffs well and any log line can be grepped:
 
-    TUTLOG 1
+    TUTLOG 2
     META key=<value: the rest of the line>
     EXEC time=<ps> process=<name> pe=<pe> cycles=<n> duration=<ps> \
-         from=<state> to=<state> trigger=<desc>
+         from=<state> to=<state> trigger=<desc> statements=<n> \
+         transitions=<id,...|->
     SIG time=<ps> signal=<name> sender=<proc> receiver=<proc> bytes=<n> \
         latency=<ps> transport=<local|bus|env> [corrupt=1]
     DROP time=<ps> process=<name> signal=<name> reason=<text>
@@ -22,9 +23,9 @@ fields), so it diffs well and any log line can be grepped:
 with fault injection enabled (see ``docs/fault_injection.md``); fault-free
 logs are byte-identical to the pre-fault format.
 
-The log is also the source of a traced run's exec, signal, drop and fault
-events: each record's ``trace_event()`` gives the trace event it stands
-for (``docs/logfile_format.md``), and of every per-run total: one fold
+The log is also the source of a traced run's exec, efsm, signal, drop and
+fault events: each record's ``trace_events()`` gives the trace events it
+stands for (``docs/logfile_format.md``), and of every per-run total: one fold
 of the records, :class:`RunAccount`.
 """
 
@@ -37,10 +38,17 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 
 from repro.errors import SimulationError
 from repro.observability.metrics import LatencyHistogram
-from repro.observability.tracer import SYSTEM_TRACK, InstantEvent, SpanEvent, pe_track
+from repro.observability.tracer import (
+    SYSTEM_TRACK,
+    InstantEvent,
+    SpanEvent,
+    TraceEvent,
+    efsm_track,
+    pe_track,
+)
 from repro.util.fsio import ensure_parent
 
-MAGIC = "TUTLOG 1"
+MAGIC = "TUTLOG 2"
 
 #: The ``pe`` of an EXEC record of an environment (testbench) process.
 ENVIRONMENT_PE = "-"
@@ -51,7 +59,12 @@ TRANSPORT_ENV = "env"
 
 
 class ExecRecord(NamedTuple):
-    """One run-to-completion step of a process on a PE."""
+    """One run-to-completion step of a process on a PE.
+
+    ``transitions`` names the transitions the step ran, in order, its
+    completion chase included: their ids (each one's index in its
+    machine's ``transitions``) joined by commas, ``-`` when none ran.
+    """
 
     time_ps: int
     process: str
@@ -61,21 +74,37 @@ class ExecRecord(NamedTuple):
     from_state: str
     to_state: str
     trigger: str
+    statements: int
+    transitions: str
 
     def render(self) -> str:
         """The record as one EXEC log line."""
         return (
             f"EXEC time={self.time_ps} process={self.process} pe={self.pe} "
             f"cycles={self.cycles} duration={self.duration_ps} "
-            f"from={self.from_state} to={self.to_state} trigger={self.trigger}"
+            f"from={self.from_state} to={self.to_state} trigger={self.trigger} "
+            f"statements={self.statements} transitions={self.transitions}"
         )
 
-    def trace_event(self) -> Optional[SpanEvent]:
-        """The step as a span on its PE's track; ``None`` for an
-        environment step, which runs on no PE."""
+    def trace_events(self) -> Tuple[TraceEvent, ...]:
+        """The step as a span on its PE's track (none for an environment
+        step, which runs on no PE), then as an ``efsm`` instant on its
+        process's track."""
+        efsm = InstantEvent(
+            self.trigger,
+            efsm_track(self.process),
+            self.time_ps,
+            "efsm",
+            {
+                "from_state": self.from_state,
+                "to_state": self.to_state,
+                "statements": self.statements,
+                "transitions": self.transitions,
+            },
+        )
         if self.pe == ENVIRONMENT_PE:
-            return None
-        return SpanEvent(
+            return (efsm,)
+        exec_span = SpanEvent(
             self.process,
             pe_track(self.pe),
             self.time_ps,
@@ -88,6 +117,7 @@ class ExecRecord(NamedTuple):
                 "cycles": self.cycles,
             },
         )
+        return (exec_span, efsm)
 
 
 class SignalRecord(NamedTuple):
@@ -113,22 +143,17 @@ class SignalRecord(NamedTuple):
             line += " corrupt=1"
         return line
 
-    def trace_event(self) -> InstantEvent:
+    def trace_events(self) -> Tuple[InstantEvent]:
         """The delivery as a ``signal`` instant on the system track."""
-        return InstantEvent(
-            self.signal,
-            SYSTEM_TRACK,
-            self.time_ps,
-            "signal",
-            {
-                "sender": self.sender,
-                "receiver": self.receiver,
-                "latency_ps": self.latency_ps,
-                "transport": self.transport,
-                "bytes": self.bytes,
-                "corrupt": self.corrupt,
-            },
-        )
+        args = {
+            "sender": self.sender,
+            "receiver": self.receiver,
+            "latency_ps": self.latency_ps,
+            "transport": self.transport,
+            "bytes": self.bytes,
+            "corrupt": self.corrupt,
+        }
+        return (InstantEvent(self.signal, SYSTEM_TRACK, self.time_ps, "signal", args),)
 
 
 class DropRecord(NamedTuple):
@@ -146,15 +171,10 @@ class DropRecord(NamedTuple):
             f"signal={self.signal} reason={self.reason}"
         )
 
-    def trace_event(self) -> InstantEvent:
+    def trace_events(self) -> Tuple[InstantEvent]:
         """The drop as a ``drop`` instant on the system track."""
-        return InstantEvent(
-            self.signal,
-            SYSTEM_TRACK,
-            self.time_ps,
-            "drop",
-            {"process": self.process, "reason": self.reason},
-        )
+        args = {"process": self.process, "reason": self.reason}
+        return (InstantEvent(self.signal, SYSTEM_TRACK, self.time_ps, "drop", args),)
 
 
 class FaultRecord(NamedTuple):
@@ -173,30 +193,22 @@ class FaultRecord(NamedTuple):
             f"source={self.source} target={self.target}"
         )
 
-    def trace_event(self) -> Optional[InstantEvent]:
+    def trace_events(self) -> Tuple[InstantEvent, ...]:
         """The fault as a ``fault`` instant: a crash on its PE's track, any
         other kind on the system track.
 
-        ``None`` for ``pe-stall``: the simulator emits that instant itself,
+        No event for ``pe-stall``: the simulator emits that instant itself,
         because the time the stall added is in no record.
         """
         if self.kind == "pe-stall":
-            return None
+            return ()
         if self.kind == "pe-crash":
-            return InstantEvent(
-                self.kind,
-                pe_track(self.source),
-                self.time_ps,
-                "fault",
-                {"signal": self.signal, "process": self.target},
-            )
-        return InstantEvent(
-            self.kind,
-            SYSTEM_TRACK,
-            self.time_ps,
-            "fault",
-            {"signal": self.signal, "source": self.source, "target": self.target},
-        )
+            track = pe_track(self.source)
+            args = {"signal": self.signal, "process": self.target}
+        else:
+            track = SYSTEM_TRACK
+            args = {"signal": self.signal, "source": self.source, "target": self.target}
+        return (InstantEvent(self.kind, track, self.time_ps, "fault", args),)
 
 
 LogRecord = Union[ExecRecord, SignalRecord, DropRecord, FaultRecord]
@@ -234,11 +246,22 @@ class LogWriter:
         from_state: str,
         to_state: str,
         trigger: str,
+        statements: int,
+        transitions: str,
     ) -> None:
         """Record one executed run-to-completion step (EXEC line)."""
         self.records.append(
             ExecRecord(
-                time_ps, process, pe, cycles, duration_ps, from_state, to_state, trigger
+                time_ps,
+                process,
+                pe,
+                cycles,
+                duration_ps,
+                from_state,
+                to_state,
+                trigger,
+                statements,
+                transitions,
             )
         )
 
@@ -337,15 +360,15 @@ class LogWriter:
             )
         self.meta = dict(state["meta"])
         for data in state["records"]:
-            fields = {
-                # intern restored names for the same reason parse_log
-                # does: a resumed run re-materializes millions of records
-                # drawn from a tiny name vocabulary
-                key: _intern(value) if isinstance(value, str) else value
-                for key, value in data.items()
-            }
-            cls = self._RECORD_KINDS[fields.pop("record")]
-            self.records.append(cls(**fields))
+            cls = self._RECORD_KINDS[data["record"]]
+            # each field by name, so a record missing one (an older
+            # format) raises KeyError; names are interned for the same
+            # reason parse_log does: a resumed run re-materializes
+            # millions of records drawn from a tiny name vocabulary
+            values = (data[name] for name in cls._fields)
+            self.records.append(
+                cls(*(_intern(v) if isinstance(v, str) else v for v in values))
+            )
         self.end_time_ps = int(state["end_time_ps"])
 
 
@@ -490,8 +513,9 @@ def _parse_fields(line: str, start: int) -> Dict[str, str]:
 def parse_log(text: str) -> LogFile:
     """Parse a log file's text; raises :class:`SimulationError` on bad input."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != MAGIC:
-        raise SimulationError(f"not a simulation log (expected {MAGIC!r} header)")
+    header = lines[0].strip() if lines else ""
+    if header != MAGIC:
+        raise SimulationError(f"not a {MAGIC} simulation log (header {header!r})")
     meta: Dict[str, str] = {}
     records: List[LogRecord] = []
     end_time_ps = 0
@@ -521,6 +545,8 @@ def parse_log(text: str) -> LogFile:
                         from_state=f["from"],
                         to_state=f["to"],
                         trigger=f["trigger"],
+                        statements=int(f["statements"]),
+                        transitions=f["transitions"],
                     )
                 )
             elif kind == "SIG":

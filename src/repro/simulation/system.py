@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.errors import SimulationError
 from repro.application.model import ApplicationModel
 from repro.mapping.model import MappingModel
-from repro.observability.tracer import SYSTEM_TRACK, Tracer, efsm_track, pe_track
+from repro.observability.tracer import SYSTEM_TRACK, Tracer, pe_track
 from repro.platform.model import PlatformModel
 from repro.simulation.bus import HibiBus, TransferStats
 from repro.simulation.executor import (
@@ -399,10 +399,10 @@ class SystemSimulation:
         end = self.kernel.now_ps
         self.writer.finish(end)
         if self.tracer is not None:
-            # the exec, signal, drop and fault events, derived from the
-            # whole log (restored records included) after the live ones
-            events = (record.trace_event() for record in self.writer.records)
-            self.tracer.events.extend(e for e in events if e is not None)
+            # the exec, efsm, signal, drop and fault events, derived from
+            # the whole log (restored records included) after the live ones
+            for record in self.writer.records:
+                self.tracer.events.extend(record.trace_events())
         fault_stats = None
         if self.faults is not None:
             fault_stats = self.faults.stats
@@ -541,28 +541,13 @@ class SystemSimulation:
     def _execute(self, executor: ProcessExecutor, activation: _Activation):
         """Run the step ``activation`` triggers; ``(outcome, drop reason)``."""
         if activation.kind == "start":
-            outcome, reason = executor.start(), None
-        elif activation.kind == "signal":
-            outcome, reason = executor.consume_signal(
-                activation.signal, activation.args
-            )
-        elif activation.kind == "timer":
+            return executor.start(), None
+        if activation.kind == "signal":
+            return executor.consume_signal(activation.signal, activation.args)
+        if activation.kind == "timer":
             self.timers.pop((activation.process, activation.timer), None)
-            outcome, reason = executor.fire_timer(activation.timer)
-        else:
-            raise SimulationError(f"unknown activation kind {activation.kind!r}")
-        if self.tracer is not None and outcome is not None:
-            # the fired transition, on the process's efsm track
-            self.tracer.instant(
-                outcome.trigger or "step",
-                efsm_track(executor.name),
-                category="efsm",
-                from_state=outcome.from_state,
-                to_state=outcome.to_state,
-                statements=outcome.statements,
-                sends=len(outcome.sends),
-            )
-        return outcome, reason
+            return executor.fire_timer(activation.timer)
+        raise SimulationError(f"unknown activation kind {activation.kind!r}")
 
     def _complete_step(
         self,
@@ -582,6 +567,8 @@ class SystemSimulation:
             from_state=outcome.from_state,
             to_state=outcome.to_state,
             trigger=activation.describe(),
+            statements=outcome.statements,
+            transitions=outcome.transitions,
         )
         self._apply_outcome(activation.process, outcome)
         self._start_next(runtime)
@@ -609,6 +596,8 @@ class SystemSimulation:
             from_state=outcome.from_state,
             to_state=outcome.to_state,
             trigger=activation.describe(),
+            statements=outcome.statements,
+            transitions=outcome.transitions,
         )
         self._apply_outcome(activation.process, outcome)
 

@@ -10,9 +10,10 @@ down to the target, then the target's initial-substate descent.
 
 :func:`plan_machine` resolves all of this once per machine, together
 with the states a run can enter.  The simulator's executor, the C
-generator, the interval analysis, the EFSM rules, model validation and the
-fuzz soundness oracle each build a plan and read it, so the back ends and
-the checkers share one semantics.  A plan is read-only and never stored on
+generator, the interval analysis, the EFSM rules and model validation
+each build a plan and read it, so the back ends and the checkers share
+one semantics; the simulation log names the steps a run took by their
+transitions' ids.  A plan is read-only and never stored on
 the model: a model edited after a plan was built needs a new plan, not an
 invalidation.
 """
@@ -67,6 +68,11 @@ def trigger_key(trigger: Trigger) -> tuple:
     return COMPLETION
 
 
+def transition_ids(machine: StateMachine) -> Dict[Transition, str]:
+    """Each transition's id: its index in ``machine.transitions``, as text."""
+    return {transition: str(i) for i, transition in enumerate(machine.transitions)}
+
+
 @dataclass
 class Step:
     """What firing one transition from one active state runs, in order.
@@ -76,11 +82,14 @@ class Step:
     ``descent`` (the target's initial-substate chain) their entry actions.
     ``blocks`` lists those action blocks in that order, empty ones left
     out.  An internal transition's step is effect-only and keeps the
-    active state.  The start step has no transition; it enters the
-    initial state and descends.
+    active state.  The start step has no transition and no id; it enters
+    the initial state and descends.
     """
 
     transition: Optional[Transition]
+    #: the transition's id (:func:`transition_ids`): how a log record names
+    #: it, stable across rebuilds and XMI round trips
+    id: Optional[str]
     exits: Tuple[State, ...]
     entries: Tuple[State, ...]
     descent: Tuple[State, ...]
@@ -118,6 +127,7 @@ def _chain(node: Optional[State], stop: Optional[State]) -> List[State]:
 
 def _step(
     transition: Optional[Transition],
+    id: Optional[str],
     exits: List[State],
     entries: List[State],
     leaf: State,
@@ -132,6 +142,7 @@ def _step(
     blocks += [state.entry for state in entries + descent]
     return Step(
         transition,
+        id,
         tuple(exits),
         tuple(entries),
         tuple(descent),
@@ -141,10 +152,10 @@ def _step(
     )
 
 
-def _fire_step(active: State, transition: Transition) -> Step:
+def _fire_step(active: State, transition: Transition, id: str) -> Step:
     """The step ``transition`` takes when ``active`` is the active state."""
     if transition.internal:
-        return _step(transition, [], [], active)
+        return _step(transition, id, [], [], active)
     # the LCA is the innermost state strictly enclosing the source and the
     # target (None: the machine itself), so a self-transition exits and
     # re-enters its state
@@ -153,7 +164,7 @@ def _fire_step(active: State, transition: Transition) -> Step:
     lca = target.parent
     while lca is not None and lca not in enclosing:
         lca = lca.parent
-    return _step(transition, _chain(active, lca), _chain(target, lca)[::-1], target)
+    return _step(transition, id, _chain(active, lca), _chain(target, lca)[::-1], target)
 
 
 def plan_machine(machine: StateMachine) -> MachinePlan:
@@ -164,15 +175,16 @@ def plan_machine(machine: StateMachine) -> MachinePlan:
     it is now; build a new one after editing the machine.
     """
     initial = machine.initial_state
-    start = _step(None, [], [initial], initial) if initial is not None else None
+    start = None if initial is None else _step(None, None, [], [initial], initial)
     outgoing = {state: machine.outgoing(state) for state in machine.states}
+    ids = transition_ids(machine)
     steps: Dict[State, Tuple[Step, ...]] = {}
     by_trigger: Dict[State, Dict[tuple, List[Step]]] = {}
     for active in machine.states:
         if active.initial_substate is not None:
             continue
         steps[active] = tuple(
-            _fire_step(active, transition)
+            _fire_step(active, transition, ids[transition])
             for source in _chain(active, None)
             for transition in outgoing[source]
         )

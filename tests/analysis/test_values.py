@@ -1,5 +1,7 @@
 """Interval-domain value analysis: the domain and rules A001-A004."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from repro.analysis import analyze_machine, lint_machine, run_lint
 from repro.analysis.values import (
     BOOL,
     FALSE,
+    SHIFT_WIDTH,
     TOP,
     TRUE,
     Interval,
@@ -132,6 +135,48 @@ class TestHugeBounds:
         report = lint_machine(m)
         assert {f.rule for f in report.findings if f.rule.startswith("A")} == rules
         assert analyze_machine(m).joined_env()["n"] == Interval(0, INF)
+
+    @pytest.mark.parametrize(
+        "params, guard, effect, rules",
+        [
+            ((), "", "y = 1 << 20000;", set()),
+            (
+                (),
+                "",
+                "y = (1 << 4000) * (1 << 4000) * (1 << 4000) * (1 << 4000);",
+                {"A002"},
+            ),
+            (("p",), "p >= 0 && p < 20000", "k = p; y = 1 << k;", set()),
+            (("p",), "p >= 0 && p < 2147483647", "k = p; y = 1 << k;", set()),
+        ],
+        ids=["huge-shift", "huge-product", "wide-count", "int32-count"],
+    )
+    def test_lint_of_a_bound_past_str_digits(self, params, guard, effect, rules):
+        """A bound with more digits than ``str()`` prints is spelled
+        without raising, and a shift count that may pass
+        ``SHIFT_WIDTH`` bits builds no huge power of two."""
+        m = StateMachine("M")
+        m.variable("k", 0)
+        m.variable("y", 0)
+        m.state("s", initial=True)
+        m.on_signal("s", "s", "go", params, guard=guard, effect=effect)
+        started = time.perf_counter()
+        report = lint_machine(m)
+        assert time.perf_counter() - started < 0.5
+        assert {f.rule for f in report.findings if f.rule.startswith("A")} == rules
+        a002 = [f.message for f in report.findings if f.rule == "A002"]
+        assert all("[0, ~2^16000]" in message for message in a002)
+
+    def test_a_shift_count_past_the_width_bounds_by_infinity(self):
+        assert evaluate("1 << k", k=(0, 10**7)) == Interval(1, INF)
+        assert evaluate("x << k", x=(-3, 2), k=(5000, 6000)) == Interval(-INF, INF)
+        assert evaluate("1 << k", k=(0, SHIFT_WIDTH)) == Interval(1, 2**SHIFT_WIDTH)
+
+    def test_str_spells_a_bound_past_str_digits_by_its_power_of_two(self):
+        assert str(Interval(-(2**16000), 2**16000 + 5)) == "[-~2^16000, ~2^16000]"
+        assert str(Interval(-(10**4299), 10**4299)) == (
+            f"[-{10**4299}, {10**4299}]"
+        )
 
     def test_finite_corners_divide_like_the_simulator(self):
         x = 2751088199499202557

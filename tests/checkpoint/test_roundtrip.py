@@ -167,8 +167,8 @@ class TestByteIdenticalResume:
 class TestTracedSnapshotContent:
     def test_snapshot_holds_no_event_a_record_holds(self, tmp_path):
         """A traced snapshot keeps only the live trace events: its log
-        records stand for the exec, signal, drop and fault events, which
-        the trace gets from them when the run finishes."""
+        records stand for the exec, efsm, signal, drop and fault events,
+        which the trace gets from them when the run finishes."""
         simulation = SystemSimulation(
             *build_tutwlan_system(), faults=stress_plan(), tracer=Tracer()
         )
@@ -193,11 +193,11 @@ class TestTracedSnapshotContent:
             (event.get("category"), event["name"])
             for event in state["tracer"]["events"]
         }
-        assert {category for category, _ in categories} >= {"efsm", "dispatch"}
+        assert {category for category, _ in categories} >= {"dispatch", "fault"}
         assert not {
             (category, name)
             for category, name in categories
-            if category in ("exec", "signal", "drop")
+            if category in ("exec", "efsm", "signal", "drop")
             or (category == "fault" and name != "pe-stall")
         }
         # the interrupted run derived nothing either
@@ -299,8 +299,10 @@ class TestRestoreValidation:
         heap kept open bus spans, a ``trace_handle`` per transfer and
         derived timer lists per in-flight step; snapshots written before
         the run account kept live ``dropped`` and per-PE ``busy_ps``
-        counters.  Resuming either fails with a CheckpointError, not a
-        KeyError."""
+        counters; snapshots written before EXEC records named a step's
+        transitions lack them in records and in-flight outcomes.  Resuming
+        any of them fails with a CheckpointError, not a KeyError or a
+        TypeError."""
         _, _, snapshot = interrupted_mid_grant(tmp_path, traced=traced)
 
         counted = copy.deepcopy(snapshot.state)
@@ -337,6 +339,38 @@ class TestRestoreValidation:
                 )
         old = dataclasses.replace(snapshot, state=state, digest=state_hash(state))
         with pytest.raises(CheckpointError, match="granted_ps"):
+            resume_simulation(build_simulation(faulted=False, traced=traced), old)
+
+        # before EXEC records named a step's transitions: in-flight
+        # outcomes had fired/trigger/reached_final and no transitions, and
+        # EXEC records no statements or transitions
+        previous = copy.deepcopy(snapshot.state)
+        steps = [
+            runtime["active_step"]
+            for runtime in previous["runtimes"].values()
+            if runtime["active_step"] is not None
+        ]
+        assert steps
+        for step in steps:
+            outcome = step["outcome"]
+            del outcome["transitions"]
+            outcome.update(fired=True, trigger="x", reached_final=False)
+        old = dataclasses.replace(
+            snapshot, state=previous, digest=state_hash(previous)
+        )
+        with pytest.raises(CheckpointError, match="transitions"):
+            resume_simulation(build_simulation(faulted=False, traced=traced), old)
+
+        # the writer's records alone, as a snapshot taken while no PE is
+        # busy holds them
+        previous = copy.deepcopy(snapshot.state)
+        for record in previous["writer"]["records"]:
+            if record["record"] == "EXEC":
+                del record["statements"], record["transitions"]
+        old = dataclasses.replace(
+            snapshot, state=previous, digest=state_hash(previous)
+        )
+        with pytest.raises(CheckpointError, match="statements"):
             resume_simulation(build_simulation(faulted=False, traced=traced), old)
 
     def test_restore_needs_fresh_simulation(self, tmp_path):

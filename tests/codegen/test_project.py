@@ -84,7 +84,7 @@ class TestCompileAndRun:
 
     def test_pingpong_compiles_and_runs(self, pingpong, tmp_path):
         log_text = self.build(pingpong, tmp_path)
-        assert log_text.startswith("TUTLOG 1")
+        assert log_text.startswith("TUTLOG 2")
         assert "SIG" in log_text
 
     def test_generated_log_feeds_python_profiler(self, pingpong, tmp_path):

@@ -18,6 +18,7 @@ def make_log():
         writer.exec_step(
             time_ps=time_ps, process=process, pe=pe, cycles=duration_ps,
             duration_ps=duration_ps, from_state="s", to_state="s", trigger="t",
+            statements=1, transitions="0",
         )
     writer.finish(4000)
     return parse_log(writer.render())

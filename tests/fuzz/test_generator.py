@@ -138,6 +138,30 @@ class TestGeneratedModel:
             assert len(generated.platform.processing_elements) == 4
 
 
+    def test_mapped_pes_are_the_ones_the_mapping_relation_allows(self, monkeypatch):
+        """The blueprint asks the relation's pair rule about the library's
+        PE specs: a library whose NiosDSP has no cycle cost for general
+        processes leaves the generated groups on the NiosCPUs."""
+        from repro.genmodel import platgen
+        from repro.platform.library import standard_library
+        from repro.tutprofile.tags import ProcessType
+
+        def mapped_types():
+            blueprint = generate_blueprint(config_for_seed(2))  # heterogeneous
+            types = {pe["name"]: pe["type"] for pe in blueprint["platform"]["pes"]}
+            return {types[pe] for _, pe in blueprint["mapping"]["assignments"]}
+
+        def no_general_dsp(profile=None):
+            library = standard_library(profile)
+            spec = library.processing_element("NiosDSP")
+            del spec.cycles_per_statement[ProcessType.GENERAL]
+            return library
+
+        assert mapped_types() == {"NiosCPU", "NiosDSP"}
+        monkeypatch.setattr(platgen, "standard_library", no_general_dsp)
+        assert mapped_types() == {"NiosCPU"}
+
+
 class TestFactoryTokens:
     def test_token_round_trip(self):
         config = GeneratorConfig(

@@ -104,9 +104,18 @@ def _soundness_inputs(machine, flagged):
     from repro.analysis.core import Finding
     from repro.simulation.logfile import ExecRecord
 
-    def run(fired):
+    def run(fired, trigger="go"):
         record = ExecRecord(
-            7, "p", "pe", 1, 1, fired.from_state, fired.to_state, fired.trigger
+            7,
+            "p",
+            "pe",
+            1,
+            1,
+            fired.from_state,
+            fired.to_state,
+            trigger,
+            fired.statements,
+            fired.transitions,
         )
         return SimpleNamespace(log=SimpleNamespace(records=[record]))
 
@@ -160,9 +169,37 @@ def test_soundness_sees_a_flagged_completion_transition_fired_at_start():
     done = machine.transition("s", "out")
 
     fired = ProcessExecutor("p", machine).start()
-    assert (fired.from_state, fired.to_state, fired.trigger) == ("s", "out", "start")
+    assert (fired.from_state, fired.to_state, fired.transitions) == ("s", "out", "0")
 
     generated, report, run = _soundness_inputs(machine, done)
+    with pytest.raises(InvariantViolation, match="soundness"):
+        check_soundness(generated, report, run(fired, "start"))
+
+
+@pytest.mark.parametrize("flag", ["go", "completion"])
+def test_soundness_sees_a_flagged_transition_of_a_step_with_a_completion_chase(flag):
+    """``a --go--> b`` then the completion ``b --> c`` is one step, logged
+    ``from=a to=c trigger=go``: ``(a, c)`` is neither transition's
+    ``(from, to)``, so only the record's transition ids show that both
+    ran."""
+    from repro.simulation.executor import ProcessExecutor
+    from repro.uml.statemachine import StateMachine
+
+    machine = StateMachine("m")
+    machine.variable("x", 0)
+    machine.state("a", initial=True)
+    machine.state("b")
+    machine.state("c")
+    go = machine.on_signal("a", "b", "go", effect="x = 1;")
+    done = machine.transition("b", "c", effect="x = x + 1;")
+
+    executor = ProcessExecutor("p", machine)
+    executor.start()
+    fired, _ = executor.consume_signal("go", ())
+    assert (fired.from_state, fired.to_state) == ("a", "c")
+    assert (fired.transitions, fired.statements) == ("0,1", 2)
+
+    generated, report, run = _soundness_inputs(machine, go if flag == "go" else done)
     with pytest.raises(InvariantViolation, match="soundness"):
         check_soundness(generated, report, run(fired))
 

@@ -40,11 +40,13 @@ def build_log() -> LogFile:
     writer = LogWriter()
     writer.exec_step(
         time_ps=0, process="p1", pe="cpu", cycles=30, duration_ps=300,
-        from_state="s", to_state="s", trigger="start",
+        from_state="s", to_state="s", trigger="start", statements=3,
+        transitions="-",
     )
     writer.exec_step(
         time_ps=500, process="p1", pe="cpu", cycles=20, duration_ps=200,
-        from_state="s", to_state="s", trigger="msg",
+        from_state="s", to_state="s", trigger="msg", statements=2,
+        transitions="0",
     )
     writer.signal(
         time_ps=150, signal="msg", sender="a", receiver="b", bytes=32,
@@ -62,8 +64,8 @@ def build_log() -> LogFile:
 
 def build_trace() -> Tracer:
     """A small trace with every event category: the live events, and the
-    exec, signal, drop and fault events of :func:`build_log`'s records, as
-    a simulation appends them."""
+    exec, efsm, signal, drop and fault events of :func:`build_log`'s
+    records, as a simulation appends them."""
     tracer = Tracer()
     tracer.span(
         "cpu", bus_track("seg"), start_ps=100, duration_ps=50,
@@ -77,13 +79,12 @@ def build_trace() -> Tracer:
     tracer.instant(
         "pe-stall", pe_track("cpu"), category="fault", time_ps=400, extra_ps=77
     )
-    tracer.instant("t", efsm_track("p1"), category="efsm", time_ps=10)
     tracer.counter("ready", pe_track("cpu"), {"depth": 4}, time_ps=50)
     tracer.counter("ready", pe_track("cpu"), {"depth": 2}, time_ps=60)
     tracer.counter("requests", bus_track("seg"), {"depth": 3}, time_ps=70)
     tracer.counter("queue_depth", KERNEL_TRACK, {"depth": 9}, time_ps=80)
-    events = (record.trace_event() for record in build_log().records)
-    tracer.events.extend(event for event in events if event is not None)
+    for record in build_log().records:
+        tracer.events.extend(record.trace_events())
     return tracer
 
 
@@ -115,12 +116,20 @@ class TestCollectMetrics:
         assert report.dispatched_signals == 1
         assert report.delivered_signals == 2
         assert report.dropped_signals == 1
-        assert report.transitions == 1
+        assert report.transitions == 2
         assert report.faults_by_kind == {"pe-stall": 1}
         assert report.kernel_queue_peak == 9
         assert set(report.latency) == {"bus", "local"}
         assert report.latency["bus"].count == 1
         assert report.latency["bus"].max_ps == 50
+
+    def test_transitions_are_the_logs_exec_records_not_efsm_events(self):
+        """A step still in flight at the horizon has no EXEC record, so it
+        is not counted, whatever efsm events the trace holds."""
+        tracer = build_trace()
+        tracer.instant("msg", efsm_track("p1"), category="efsm", time_ps=900)
+        report = collect_metrics(tracer, build_log().account)
+        assert report.transitions == len(build_log().exec_records) == 2
 
     def test_latency_keyed_by_group_with_group_of(self):
         report = collect(group_of={"a": "g1", "b": "g2"})

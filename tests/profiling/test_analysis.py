@@ -18,7 +18,8 @@ def make_log():
     for process, cycles in (("p1", 100), ("p2", 50), ("p3", 25), ("env1", 0)):
         writer.exec_step(
             time_ps=0, process=process, pe="cpu", cycles=cycles, duration_ps=0,
-            from_state="s", to_state="s", trigger="t",
+            from_state="s", to_state="s", trigger="t", statements=1,
+            transitions="0",
         )
     flows = [
         ("p1", "p2", 10, 3),   # within gA

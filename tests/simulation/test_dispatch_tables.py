@@ -164,13 +164,13 @@ class TestTimersAndCompletions:
     def test_timer_handled_by_an_ancestor(self):
         machine = nested_machine()
         machine.on_timer("leaf", "by_leaf", "t", guard="x == 1")
-        machine.on_timer("mid", "by_mid", "t")
+        by_mid = machine.on_timer("mid", "by_mid", "t")
         machine.on_signal("outer", "by_outer", "t")  # a signal, not the timer
         executor = entered(machine)
         outcome, reason = executor.fire_timer("t")
         assert reason is None
         assert executor.current.name == "by_mid"
-        assert outcome.trigger == "timer:t"
+        assert outcome.transitions == str(machine.transitions.index(by_mid))
         assert outcome.guards_evaluated == 1
 
     def test_completion_chain_through_ancestors(self):

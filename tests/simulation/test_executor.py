@@ -21,9 +21,10 @@ class TestStart:
         m.transition("a", "b")  # completion
         executor = ProcessExecutor("p", m)
         outcome = executor.start()
-        assert outcome.fired
         assert outcome.from_state == "a"
         assert outcome.to_state == "b"
+        assert outcome.transitions == "0"  # the chased completion
+        assert outcome.statements == 2
         assert executor.variables["x"] == 11
 
     def test_guarded_completion_chain(self):
@@ -228,7 +229,7 @@ class TestFinalState:
         executor = ProcessExecutor("p", m)
         executor.start()
         outcome, _ = executor.consume_signal("die", [])
-        assert outcome.reached_final
+        assert outcome.to_state == final.name
         assert executor.terminated
         with pytest.raises(SimulationError):
             executor.consume_signal("anything", [])

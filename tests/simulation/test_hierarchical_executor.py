@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.simulation import ProcessExecutor
 from repro.uml import StateMachine
+
+# every step these tests take is replayed from its EXEC fields
+from tests.simulation.test_exec_record_replay import (
+    ReplayingExecutor as ProcessExecutor,
+)
 
 
 def traced_machine():
