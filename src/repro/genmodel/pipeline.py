@@ -62,8 +62,8 @@ from repro.simulation.system import SimulationResult, SystemSimulation
 from repro.tutprofile.rules import check_design_rules
 from repro.uml.action_compiler import compile_block, compile_guard
 from repro.uml.actions import ActionEnvironment, Expr, evaluate, execute
-from repro.uml.plan import transition_ids
-from repro.uml.statemachine import SignalTrigger, Transition
+from repro.uml.plan import plan_machine, transition_ids
+from repro.uml.statemachine import Transition
 from repro.uml.validation import validate_model
 
 #: Defect sets the pipeline may still *simulate*: the injected dead-guard
@@ -188,18 +188,19 @@ def action_outcomes(node, variables: Dict[str, int], parameters: Dict[str, int])
     """Run a guard (an expression) or a block (a statement list) twice.
 
     Returns ``(oracle, compiled)``: the outcome under the tree-walker and
-    under the compiled function the simulator calls.  An outcome is the
-    result (value, statement count, or exception type and message) plus
-    the environment afterwards: variables, sends, timer operations and,
-    for blocks, ``rand16`` state (a compiled guard keeps its own, fresh
-    per evaluation, as the simulator's guards always are).
+    under the compiled function the simulator calls, compiled for the
+    parameter names ``parameters`` binds.  An outcome is the result
+    (value, statement count, or exception type and message) plus the
+    environment afterwards: variables, sends, timer operations and, for
+    blocks, ``rand16`` state (a compiled guard keeps its own, fresh per
+    evaluation, as the simulator's guards always are).
     """
     oracle_env = ActionEnvironment(variables)
     oracle_env.parameters = dict(parameters)
     compiled_env = ActionEnvironment(variables)
     compiled_env.parameters = dict(parameters)
     if isinstance(node, Expr):
-        guard = compile_guard(node)
+        guard = compile_guard(node, parameters)
         return (
             _run_action(lambda: evaluate(node, oracle_env), oracle_env, False),
             _run_action(
@@ -208,7 +209,7 @@ def action_outcomes(node, variables: Dict[str, int], parameters: Dict[str, int])
                 False,
             ),
         )
-    block = compile_block(node)
+    block = compile_block(node, parameters)
     return (
         _run_action(lambda: execute(node, oracle_env), oracle_env),
         _run_action(lambda: block(compiled_env), compiled_env),
@@ -216,10 +217,13 @@ def action_outcomes(node, variables: Dict[str, int], parameters: Dict[str, int])
 
 
 def action_sites(application):
-    """Every guard and action block of an application's state machines.
+    """Every guard and action block the simulator runs, in each scope it
+    compiles them for.
 
     Yields ``(description, guard or block, trigger parameter names,
-    declared variables)``, each machine once.
+    declared variables)``: each planned step's blocks and guard with the
+    step's parameter names (:attr:`~repro.uml.plan.Step.parameters`),
+    every (guard or block, names) pair once per machine.
     """
     seen = set()
     for _, process in sorted(application.processes.items()):
@@ -228,20 +232,26 @@ def action_sites(application):
             continue
         seen.add(id(machine))
         declared = dict(machine.variables)
+        labels = {}
         for state in machine.states:
-            yield f"{machine.name}.{state.name} entry", state.entry, (), declared
-            yield f"{machine.name}.{state.name} exit", state.exit, (), declared
+            labels[id(state.entry)] = f"{state.name} entry"
+            labels[id(state.exit)] = f"{state.name} exit"
         for transition in machine.transitions:
-            trigger = transition.trigger
-            params = (
-                tuple(trigger.parameter_names)
-                if isinstance(trigger, SignalTrigger)
-                else ()
-            )
-            where = f"{machine.name}: {transition.describe()}"
-            if transition.guard is not None:
-                yield f"{where} guard", transition.guard, params, declared
-            yield f"{where} effect", transition.effect, params, declared
+            labels[id(transition.effect)] = f"{transition.describe()} effect"
+            labels[id(transition.guard)] = f"{transition.describe()} guard"
+        plan = plan_machine(machine)
+        steps = [plan.start] if plan.start is not None else []
+        steps += [step for candidates in plan.steps.values() for step in candidates]
+        sites = {}
+        for step in steps:
+            names = tuple(sorted(step.parameters))
+            guard = step.transition.guard if step.transition is not None else None
+            for node in ([guard] if guard is not None else []) + list(step.blocks):
+                label = labels.get(id(node), "action")
+                where = f"{machine.name}: {label} ({', '.join(names)})"
+                sites.setdefault((id(node), names), (where, node, names))
+        for where, node, names in sites.values():
+            yield where, node, names, declared
 
 
 def _valuation(rng: random.Random, name: str, declared: Dict[str, int]) -> int:

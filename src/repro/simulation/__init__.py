@@ -33,12 +33,7 @@ from repro.simulation.logfile import (
     parse_log,
     read_log,
 )
-from repro.simulation.timing import (
-    CostModel,
-    StepCost,
-    WORKSTATION_SPEC,
-    timer_duration_ps,
-)
+from repro.simulation.timing import WORKSTATION_SPEC, timer_duration_ps
 from repro.simulation.executor import ProcessExecutor, SendIntent, StepOutcome
 from repro.simulation.bus import HibiBus, TransferStats
 from repro.simulation.system import SimulationResult, SystemSimulation
@@ -50,7 +45,6 @@ from repro.simulation.reference import (
 )
 
 __all__ = [
-    "CostModel",
     "DropRecord",
     "EV_ARGS",
     "EV_CALLBACK",
@@ -72,7 +66,6 @@ __all__ = [
     "SendIntent",
     "SignalRecord",
     "SimulationResult",
-    "StepCost",
     "StepOutcome",
     "SystemSimulation",
     "TRANSPORT_BUS",

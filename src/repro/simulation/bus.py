@@ -71,6 +71,9 @@ class _SegmentRuntime:
         self.queue: List[tuple] = []  # (wrapper_spec, transfer)
         self.last_served_address = -1
         self.stats = TransferStats()
+        # (id(wrapper), bytes) -> (occupancy ps, words) of a hop, priced on
+        # its first grant; the platform keeps the wrappers alive
+        self.hops: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
 
 class HibiBus:
@@ -217,18 +220,29 @@ class HibiBus:
             self._grant(runtime)
 
     def _grant(self, runtime: _SegmentRuntime) -> None:
-        if runtime.busy or not runtime.queue:
+        queue = runtime.queue
+        if runtime.busy or not queue:
             return
-        index = self._select(runtime)
-        wrapper, transfer = runtime.queue.pop(index)
+        # a lone request wins arbitration under either policy
+        index = 0 if len(queue) == 1 else self._select(runtime)
+        wrapper, transfer = queue.pop(index)
         runtime.busy = True
         runtime.last_served_address = wrapper.address
-        occupancy_cycles = self._occupancy_cycles(runtime.spec, wrapper, transfer)
-        duration_ps = cycles_to_ps(occupancy_cycles, runtime.spec.frequency_hz)
-        runtime.stats.transfers += 1
-        runtime.stats.words += runtime.spec.words_for_bytes(transfer.size_bytes)
-        runtime.stats.busy_ps += duration_ps
-        runtime.stats.wait_ps += self.kernel.now_ps - transfer.enqueued_ps
+        key = (id(wrapper), transfer.size_bytes)
+        hop = runtime.hops.get(key)
+        if hop is None:
+            spec = runtime.spec
+            occupancy_cycles = self._occupancy_cycles(spec, wrapper, transfer)
+            hop = runtime.hops[key] = (
+                cycles_to_ps(occupancy_cycles, spec.frequency_hz),
+                spec.words_for_bytes(transfer.size_bytes),
+            )
+        duration_ps, words = hop
+        stats = runtime.stats
+        stats.transfers += 1
+        stats.words += words
+        stats.busy_ps += duration_ps
+        stats.wait_ps += self.kernel.now_ps - transfer.enqueued_ps
         transfer.granted_ps = self.kernel.now_ps
         self.kernel.schedule(duration_ps, self._release, runtime, transfer)
 

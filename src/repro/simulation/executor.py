@@ -10,7 +10,7 @@ system simulator logs the steps it returns, and traces them from the log.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.uml.action_compiler import compile_block, compile_guard
@@ -118,26 +118,54 @@ class MachineTable:
     """What every executor of one machine reads and none changes.
 
     ``plan`` is the machine's :func:`~repro.uml.plan.plan_machine` plan.
-    ``compiled`` maps ``id(AST)`` to ``(AST, compiled function)`` for the
-    guards and action blocks run so far; holding the AST keeps its id from
-    being reused while the entry lives.  A table is built from the machine
-    as it is now, so the machine must not change while the table is used.
+    ``compiled`` maps ``(id(AST), parameter names)`` to ``(AST, compiled
+    function)`` for the guards and action blocks compiled so far, each for
+    the parameters of its step's trigger (:attr:`Step.parameters`); holding
+    the AST keeps its id from being reused while the entry lives.
+    ``blocks`` and ``guards`` map ``id(step)`` (the plan holds every step)
+    to the step's block functions, in order, and to its guard's function,
+    each filled on first use from ``compiled``.  A table is built from the machine as it is
+    now, so the machine must not change while the table is used.
     """
 
-    __slots__ = ("plan", "compiled")
+    __slots__ = ("plan", "compiled", "blocks", "guards")
 
     def __init__(self, machine: StateMachine) -> None:
         self.plan = plan_machine(machine)
-        self.compiled: Dict[int, Tuple[object, Callable[..., int]]] = {}
+        self.compiled: Dict[tuple, Tuple[object, Callable[..., int]]] = {}
+        self.blocks: Dict[int, Tuple[Callable[..., int], ...]] = {}
+        self.guards: Dict[int, Callable[..., int]] = {}
+
+    def _function(self, node, names: FrozenSet[str], compiler) -> Callable[..., int]:
+        entry = self.compiled.get((id(node), names))
+        if entry is None:
+            entry = self.compiled[(id(node), names)] = (node, compiler(node, names))
+        return entry[1]
+
+    def step_blocks(self, step: Step) -> Tuple[Callable[..., int], ...]:
+        """Compile ``step``'s blocks for its trigger's parameters."""
+        functions = self.blocks[id(step)] = tuple(
+            self._function(block, step.parameters, compile_block)
+            for block in step.blocks
+        )
+        return functions
+
+    def step_guard(self, step: Step) -> Callable[..., int]:
+        """Compile ``step``'s guard for its trigger's parameters."""
+        guard = self.guards[id(step)] = self._function(
+            step.transition.guard, step.parameters, compile_guard
+        )
+        return guard
 
 
 class ProcessExecutor:
     """Runtime state of one application process (one EFSM instance).
 
     Guards and action blocks run as functions compiled by
-    :mod:`repro.uml.action_compiler`, looked up once per AST per table.
-    The machine's hierarchy is resolved once per table
-    (:func:`~repro.uml.plan.plan_machine`), and every step reads that plan.
+    :mod:`repro.uml.action_compiler` for the parameters of the step's
+    trigger, looked up once per step per table.  The machine's hierarchy
+    is resolved once per table (:func:`~repro.uml.plan.plan_machine`), and
+    every step reads that plan.
     ``machine_tables`` maps machines to the :class:`MachineTable` their
     executors share; a machine missing from it gets a table, which is
     added to it.  Without it the executor builds a table of its own.
@@ -162,7 +190,9 @@ class ProcessExecutor:
         table = tables.get(machine)
         if table is None:
             table = tables[machine] = MachineTable(machine)
-        self._compiled = table.compiled
+        self._table = table
+        self._blocks = table.blocks
+        self._guards = table.guards
         self._start = table.plan.start
         # active state -> trigger key -> candidate steps in search order
         self._dispatch = table.plan.by_trigger
@@ -188,8 +218,14 @@ class ProcessExecutor:
         """Consume one signal; returns (outcome, None) or (None, drop reason).
 
         Transition lookup is hierarchical: the active leaf state is searched
-        first, then its enclosing composite states (innermost first).
+        first, then its enclosing composite states (innermost first).  The
+        drop reason is ``guards-false`` when candidates exist but none is
+        enabled, ``no-transition`` when none exists, and ``not-started``
+        when the process never started (its start was lost), so it has no
+        active state.
         """
+        if self.current is None:
+            return None, "not-started"
         self._require_running()
         candidates = self._dispatch[self.current].get(signal_key(signal_name), ())
         guards = 0
@@ -198,7 +234,7 @@ class ProcessExecutor:
             params = self._bind_parameters(transition.trigger, args)
             if transition.guard is not None:
                 guards += 1
-                if not self._guard_holds(transition.guard, params):
+                if not self._guard_holds(step, params):
                     continue
             return self._fire(step, params, guards), None
         return None, "guards-false" if candidates else "no-transition"
@@ -206,17 +242,17 @@ class ProcessExecutor:
     def fire_timer(self, timer_name: str) -> Tuple[Optional[StepOutcome], Optional[str]]:
         """Handle a timer expiry; returns (outcome, None) or (None, drop reason).
 
-        The drop reasons are :meth:`consume_signal`'s: ``guards-false``
-        when candidates exist but none is enabled, else ``no-transition``.
+        The drop reasons are :meth:`consume_signal`'s.
         """
+        if self.current is None:
+            return None, "not-started"
         self._require_running()
         candidates = self._dispatch[self.current].get(timer_key(timer_name), ())
         guards = 0
         for step in candidates:
-            guard = step.transition.guard
-            if guard is not None:
+            if step.transition.guard is not None:
                 guards += 1
-                if not self._guard_holds(guard, {}):
+                if not self._guard_holds(step, {}):
                     continue
             return self._fire(step, {}, guards), None
         return None, "guards-false" if candidates else "no-transition"
@@ -255,8 +291,6 @@ class ProcessExecutor:
     # ------------------------------------------------------------------
 
     def _require_running(self) -> None:
-        if self.current is None:
-            raise SimulationError(f"process {self.name!r} was never started")
         if self.terminated:
             raise SimulationError(f"process {self.name!r} has terminated")
 
@@ -271,18 +305,9 @@ class ProcessExecutor:
             )
         return dict(zip(names, args))
 
-    def _run(self, block, environment: _StepEnvironment) -> int:
-        """Run a non-empty action block; returns its executed-statement count."""
-        entry = self._compiled.get(id(block))
-        if entry is None:
-            entry = self._compiled[id(block)] = (block, compile_block(block))
-        return entry[1](environment)
-
-    def _guard_holds(self, guard, params: Dict[str, int]) -> bool:
-        entry = self._compiled.get(id(guard))
-        if entry is None:
-            entry = self._compiled[id(guard)] = (guard, compile_guard(guard))
-        return bool(entry[1](params, self.variables))
+    def _guard_holds(self, step: Step, params: Dict[str, int]) -> bool:
+        guard = self._guards.get(id(step)) or self._table.step_guard(step)
+        return bool(guard(params, self.variables))
 
     def _fire(self, step: Step, params: Dict[str, int], guards: int) -> StepOutcome:
         """Run ``step`` and its completion chase; ``guards`` were evaluated
@@ -313,9 +338,12 @@ class ProcessExecutor:
 
         Returns the executed-statement count.
         """
+        functions = self._blocks.get(id(step))
+        if functions is None:
+            functions = self._table.step_blocks(step)
         statements = 0
-        for block in step.blocks:
-            statements += self._run(block, environment)
+        for function in functions:
+            statements += function(environment)
         self.current = step.leaf
         self.terminated = step.terminates
         return statements
@@ -335,10 +363,9 @@ class ProcessExecutor:
         statements = guards = 0
         for _ in range(MAX_COMPLETION_CHAIN):
             for step in self._dispatch[self.current].get(COMPLETION, ()):
-                guard = step.transition.guard
-                if guard is not None:
+                if step.transition.guard is not None:
                     guards += 1
-                    if not self._guard_holds(guard, {}):
+                    if not self._guard_holds(step, {}):
                         continue
                 statements += self._run_step(step, environment)
                 ran = step.id if ran is None else f"{ran},{step.id}"

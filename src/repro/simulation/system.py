@@ -23,6 +23,7 @@ from repro.errors import SimulationError
 from repro.application.model import ApplicationModel
 from repro.mapping.model import MappingModel
 from repro.observability.tracer import SYSTEM_TRACK, Tracer, pe_track
+from repro.platform.components import ProcessingElementSpec
 from repro.platform.model import PlatformModel
 from repro.simulation.bus import HibiBus, TransferStats
 from repro.simulation.executor import (
@@ -55,7 +56,11 @@ from repro.simulation.logfile import (  # noqa: F401
     meta_value,
     parse_log,
 )
-from repro.simulation.timing import CostModel, timer_duration_ps
+from repro.simulation.timing import (
+    GUARD_STATEMENTS,
+    TRANSITION_BASE_STATEMENTS,
+    timer_duration_ps,
+)
 from repro.uml.statemachine import StateMachine
 
 
@@ -69,10 +74,15 @@ class _Route(NamedTuple):
 
 
 class _Activation:
-    """A pending reason to run a process: start, signal, or timer."""
+    """A pending reason to run a process: start, signal, or timer.
+
+    ``trigger`` is its label in log and trace records: ``start``, the
+    signal's name, or ``timer:<name>``.
+    """
 
     __slots__ = (
         "kind",  # 'start' | 'signal' | 'timer'
+        "trigger",
         "process",
         "signal",
         "args",
@@ -98,6 +108,9 @@ class _Activation:
         corrupt: bool = False,
     ) -> None:
         self.kind = kind
+        self.trigger = (
+            signal if kind == "signal" else f"timer:{timer}" if kind == "timer" else "start"
+        )
         self.process = process
         self.signal = signal
         self.args = args
@@ -107,14 +120,6 @@ class _Activation:
         self.transport = transport
         self.bytes = bytes
         self.corrupt = corrupt
-
-    def describe(self) -> str:
-        """Human-readable trigger label used in log and trace records."""
-        if self.kind == "signal":
-            return self.signal
-        if self.kind == "timer":
-            return f"timer:{self.timer}"
-        return "start"
 
     def to_dict(self) -> dict:
         """JSON-safe form for checkpoint snapshots."""
@@ -154,7 +159,9 @@ class _PERuntime:
     The ready-queue policy comes from the PE's «PlatformRtos» stereotype
     (paper future work): ``priority`` (default), ``fifo``, or
     ``round-robin`` over the mapped processes.  ``dispatch_overhead``
-    cycles are charged per step when an RTOS is configured.
+    cycles are charged per step when an RTOS is configured.  ``rates``
+    holds each process's (cycles per statement, per send, per context
+    switch) on this PE, resolved on its first step (:meth:`resolve_rates`).
 
     Ready entries are ``(rank, seq, priority, activation)``.  Priority and
     fifo keep them in a heap on ``(rank, seq)``, the rank being
@@ -164,13 +171,14 @@ class _PERuntime:
     def __init__(
         self,
         name: str,
-        cost_model: CostModel,
+        spec: ProcessingElementSpec,
         policy: str = "priority",
         dispatch_overhead_cycles: int = 0,
         tick_period_us: int = 0,
     ) -> None:
         self.name = name
-        self.cost_model = cost_model
+        self.spec = spec
+        self.rates: Dict[str, Tuple[int, int, int]] = {}
         self.policy = policy
         self.dispatch_overhead_cycles = dispatch_overhead_cycles
         self.tick_period_us = tick_period_us
@@ -218,22 +226,27 @@ class _PERuntime:
         if not self._scanned:
             heapify(self.ready)
 
+    def resolve_rates(self, process: str, process_type: str) -> Tuple[int, int, int]:
+        """Cache ``process``'s cycles per statement, send and context switch."""
+        spec = self.spec
+        rates = self.rates[process] = (
+            spec.statement_cycles(process_type),
+            spec.signal_dispatch_cycles,
+            spec.context_switch_cycles,
+        )
+        return rates
+
     # Both delays are computed on first use, so a bad cycle count raises
     # at the first step or delivery that needs it, and only then.
     @cached_property
     def receive_delay_ps(self) -> int:
         """Time the PE spends taking one signal off its wrapper."""
-        return cycles_to_ps(
-            self.cost_model.receive_cost_cycles(),
-            self.cost_model.spec.frequency_hz,
-        )
+        return cycles_to_ps(self.spec.signal_dispatch_cycles, self.spec.frequency_hz)
 
     @cached_property
     def dispatch_overhead_ps(self) -> int:
         """Time the RTOS dispatcher adds to every step."""
-        return cycles_to_ps(
-            self.dispatch_overhead_cycles, self.cost_model.spec.frequency_hz
-        )
+        return cycles_to_ps(self.dispatch_overhead_cycles, self.spec.frequency_hz)
 
     def _round_robin_index(self) -> int:
         """The earliest entry of the 'next' process after the last served."""
@@ -347,7 +360,7 @@ class SystemSimulation:
         self.pe_runtimes: Dict[str, _PERuntime] = {
             name: _PERuntime(
                 name,
-                CostModel(instance.spec),
+                instance.spec,
                 policy=instance.scheduling_policy(),
                 dispatch_overhead_cycles=instance.dispatch_overhead_cycles(),
                 tick_period_us=instance.tick_period_us(),
@@ -435,14 +448,14 @@ class SystemSimulation:
             self.writer.fault(
                 time_ps=self.kernel.now_ps,
                 kind="pe-crash",
-                signal=activation.describe(),
+                signal=activation.trigger,
                 source=pe_name,
                 target=activation.process,
             )
             self.writer.drop(
                 time_ps=self.kernel.now_ps,
                 process=activation.process,
-                signal=activation.describe(),
+                signal=activation.trigger,
                 reason="pe-crash",
             )
             return
@@ -487,22 +500,28 @@ class SystemSimulation:
                 self.writer.drop(
                     time_ps=self.kernel.now_ps,
                     process=activation.process,
-                    signal=activation.describe(),
+                    signal=activation.trigger,
                     reason=reason or "no-transition",
                 )
                 continue
-            cost = runtime.cost_model.step_cost(
-                process_type=self._process_type_of[activation.process],
-                statements=outcome.statements,
-                guards_evaluated=outcome.guards_evaluated,
-                sends=len(outcome.sends),
-                context_switch=(
-                    runtime.last_process is not None
-                    and runtime.last_process != activation.process
-                ),
+            # the step's price: its work at the process's rates on this PE
+            process = activation.process
+            rates = runtime.rates.get(process)
+            if rates is None:
+                rates = runtime.resolve_rates(process, self._process_type_of[process])
+            per_statement, per_send, per_switch = rates
+            cycles = (
+                TRANSITION_BASE_STATEMENTS
+                + outcome.statements
+                + GUARD_STATEMENTS * outcome.guards_evaluated
+            ) * per_statement + len(outcome.sends) * per_send
+            if runtime.last_process != process and runtime.last_process is not None:
+                cycles += per_switch
+            duration_ps = (
+                cycles_to_ps(cycles, runtime.spec.frequency_hz)
+                + runtime.dispatch_overhead_ps
             )
-            cycles = cost.cycles + runtime.dispatch_overhead_cycles
-            duration_ps = cost.duration_ps + runtime.dispatch_overhead_ps
+            cycles += runtime.dispatch_overhead_cycles
             if self.faults is not None:
                 stalled_ps = self.faults.stall_duration_ps(
                     runtime.name, self.kernel.now_ps, duration_ps
@@ -511,7 +530,7 @@ class SystemSimulation:
                     self.writer.fault(
                         time_ps=self.kernel.now_ps,
                         kind="pe-stall",
-                        signal=activation.describe(),
+                        signal=activation.trigger,
                         source=runtime.name,
                         target=activation.process,
                     )
@@ -566,7 +585,7 @@ class SystemSimulation:
             duration_ps=self.kernel.now_ps - started_ps,
             from_state=outcome.from_state,
             to_state=outcome.to_state,
-            trigger=activation.describe(),
+            trigger=activation.trigger,
             statements=outcome.statements,
             transitions=outcome.transitions,
         )
@@ -583,7 +602,7 @@ class SystemSimulation:
             self.writer.drop(
                 time_ps=self.kernel.now_ps,
                 process=activation.process,
-                signal=activation.describe(),
+                signal=activation.trigger,
                 reason=reason or "no-transition",
             )
             return
@@ -595,7 +614,7 @@ class SystemSimulation:
             duration_ps=0,
             from_state=outcome.from_state,
             to_state=outcome.to_state,
-            trigger=activation.describe(),
+            trigger=activation.trigger,
             statements=outcome.statements,
             transitions=outcome.transitions,
         )

@@ -3,8 +3,11 @@
 The paper's parameterised platform models "are used to perform a high-level
 hardware/software co-simulation.  In that case, the execution of application
 processes is guided with the properties of the platform components"
-(Section 3.2).  This module is that guidance: it turns interpreter work
-counts into PE cycles using the PE spec's per-process-type costs.
+(Section 3.2).  This module holds that guidance's constants.  The system
+simulator prices each step from them and the PE spec's per-process-type
+costs: ``(TRANSITION_BASE_STATEMENTS + statements + GUARD_STATEMENTS *
+guards) * cycles per statement + sends * signal dispatch cycles``, plus the
+context switch cycles when the PE last ran another process.
 
 Timer durations in the action language are in **microseconds** (protocol
 time), independent of any PE clock.
@@ -12,10 +15,8 @@ time), independent of any PE clock.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.platform.components import ProcessingElementSpec
-from repro.simulation.kernel import PS_PER_US, cycles_to_ps
+from repro.simulation.kernel import PS_PER_US
 from repro.tutprofile.tags import ComponentType, ProcessType
 
 #: Fixed cycles charged per transition dispatch (state bookkeeping).
@@ -43,45 +44,6 @@ WORKSTATION_SPEC = ProcessingElementSpec(
     power_mw=0.0,
     internal_memory_bytes=1 << 30,
 )
-
-
-class StepCost(NamedTuple):
-    """Cycles and wall time of one run-to-completion step."""
-
-    cycles: int
-    duration_ps: int
-
-
-class CostModel:
-    """Computes step costs for one PE."""
-
-    def __init__(self, spec: ProcessingElementSpec) -> None:
-        self.spec = spec
-
-    def step_cost(
-        self,
-        process_type: str,
-        statements: int,
-        guards_evaluated: int,
-        sends: int,
-        context_switch: bool,
-    ) -> StepCost:
-        """Cost of a step that executed ``statements`` action statements,
-        evaluated ``guards_evaluated`` guards and produced ``sends`` signals."""
-        work = (
-            TRANSITION_BASE_STATEMENTS
-            + statements
-            + GUARD_STATEMENTS * guards_evaluated
-        )
-        cycles = work * self.spec.statement_cycles(process_type)
-        cycles += sends * self.spec.signal_dispatch_cycles
-        if context_switch:
-            cycles += self.spec.context_switch_cycles
-        return StepCost(cycles, cycles_to_ps(cycles, self.spec.frequency_hz))
-
-    def receive_cost_cycles(self) -> int:
-        """Cycles the receiving PE spends taking a signal off its wrapper."""
-        return self.spec.signal_dispatch_cycles
 
 
 def timer_duration_ps(microseconds: int) -> int:

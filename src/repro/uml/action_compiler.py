@@ -7,25 +7,29 @@ the AST on each run (:func:`repro.uml.actions.execute` /
 guard once to Python source, passes it to :func:`compile`, and hands back
 the resulting function:
 
-* ``compile_block(stmts)(env)`` runs a statement block against an
-  :class:`~repro.uml.actions.ActionEnvironment` and returns the executed
-  statement count;
-* ``compile_guard(expr)(parameters, variables)`` evaluates a guard
-  expression (booleans as 0/1) with a fresh ``rand16`` state.
+* ``compile_block(stmts, parameters)(env)`` runs a statement block
+  against an :class:`~repro.uml.actions.ActionEnvironment` and returns
+  the executed statement count;
+* ``compile_guard(expr, parameters)(parameters, variables)`` evaluates a
+  guard expression (booleans as 0/1) with a fresh ``rand16`` state.
 
-Both reproduce the tree-walker exactly: statement counts (each ``if`` and
-each ``while`` pass counts), left-to-right evaluation, short-circuiting,
-names resolving to trigger parameters before variables, the loop bound,
-and every error type and message.  Compiled blocks read and write the
-environment's fields directly, as the tree-walker does.  Operators and
-builtins mean what the tables of :mod:`repro.uml.actions` say: an
-operator compiles to an inline Python spelling only when its table entry
-is the Python operator that spelling computes, and everything else calls
-the table's function.
+``parameters`` names the trigger parameters in scope, which the step
+running the code fixes: a name among them reads the parameters, any other
+name the variables, and assigning to one raises once the value has been
+evaluated.  Run with exactly those parameters bound, both reproduce the
+tree-walker exactly: statement counts (each ``if`` and each ``while`` pass
+counts), left-to-right evaluation, short-circuiting, parameters shadowing
+variables, the loop bound, and every error type and message.  Compiled
+blocks read and write the environment's fields directly, as the
+tree-walker does.  Operators and builtins mean what the tables of
+:mod:`repro.uml.actions` say: an operator compiles to an inline Python
+spelling only when its table entry is the Python operator that spelling
+computes, and everything else calls the table's function.
 
-Functions are memoised by the block's source text in a module-level cache
-bounded by :data:`COMPILE_CACHE_SIZE`, so every model, candidate and
-worker of a process shares one compiled function per distinct block.  The
+Functions are memoised by the block's source text and the sorted
+parameter names in a module-level cache bounded by
+:data:`COMPILE_CACHE_SIZE`, so every model, candidate and worker of a
+process shares one compiled function per distinct block and scope.  The
 key is a canonical rendering of the AST in which every model string is a
 ``repr()`` literal, so two ASTs share a key only if they compile to the
 same code.  Model strings (variable, signal, port and timer names) reach
@@ -36,7 +40,7 @@ identifiers or code, and the functions run with no Python builtins.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Collection, Dict, List, Sequence
 
 from repro.errors import ActionRuntimeError
 from repro.uml.actions import (
@@ -69,9 +73,8 @@ from repro.uml.actions import (
 )
 
 #: Most compiled functions kept per process (least recently used evicted
-#: first), about
-#: 1 KB each.  Simulating the 120-model generated fuzz corpus compiles
-#: about 630; TUTMAC, plain and ARQ, 44.
+#: first), about 1 KB each.  Simulating the 120-model generated fuzz corpus
+#: compiles 642; TUTMAC, plain and ARQ, 44; the TUTMAC mapping sweep, 29.
 COMPILE_CACHE_SIZE = 1024
 
 _CACHE: Dict[str, Callable[..., int]] = {}
@@ -171,7 +174,8 @@ def _wrap(fragment, level: int) -> str:
 class _Writer:
     """Emits the body of one compiled function."""
 
-    def __init__(self) -> None:
+    def __init__(self, parameters: Collection[str]) -> None:
+        self.parameters = frozenset(parameters)
         self.lines: List[str] = []
         self.loops = 0
         #: the environment a stateful builtin (``rand16``) keeps its state
@@ -193,8 +197,8 @@ class _Writer:
         if isinstance(node, BoolLiteral):
             return ("1" if node.value else "0"), _ATOM
         if isinstance(node, Name):
-            key = _literal(node.identifier)
-            return f"P[{key}] if {key} in P else V[{key}]", _LOWEST
+            scope = "P" if node.identifier in self.parameters else "V"
+            return f"{scope}[{_literal(node.identifier)}]", _ATOM
         if isinstance(node, UnaryOp):
             return self.unary(node)
         if isinstance(node, BinaryOp):
@@ -276,8 +280,10 @@ class _Writer:
         if isinstance(stmt, Assign):
             key = _literal(stmt.target)
             value = self.expr(stmt.value)[0]
-            # the value is evaluated before the subscript's parameter check
-            self.emit(depth, f"V[{key} if {key} not in P else _read_only({key})] = {value}")
+            if stmt.target in self.parameters:
+                # the value is evaluated before the subscript raises
+                key = f"_read_only({key})"
+            self.emit(depth, f"V[{key}] = {value}")
         elif isinstance(stmt, Send):
             args = [self.expr(arg)[0] for arg in stmt.args]
             packed = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
@@ -337,9 +343,9 @@ def _function(head: str, prologue: Sequence[str], writer: _Writer, result) -> st
     return "\n".join(lines) + "\n"
 
 
-def block_source(stmts: Sequence[Stmt]) -> str:
+def block_source(stmts: Sequence[Stmt], parameters: Collection[str]) -> str:
     """The Python source :func:`compile_block` compiles for ``stmts``."""
-    writer = _Writer()
+    writer = _Writer(parameters)
     writer.block(stmts, 1)
     prologue = ["P = env.parameters", "V = env.variables"]
     if writer.dynamic:
@@ -348,9 +354,9 @@ def block_source(stmts: Sequence[Stmt]) -> str:
     return _function("def block(env):", prologue, writer, result)
 
 
-def guard_source(expr: Expr) -> str:
+def guard_source(expr: Expr, parameters: Collection[str]) -> str:
     """The Python source :func:`compile_guard` compiles for ``expr``."""
-    writer = _Writer()
+    writer = _Writer(parameters)
     writer.environment = "R"
     writer.emit(1, f"return {writer.expr(expr)[0]}")
     prologue = ["R = _Environment()"] if writer.stateful else []
@@ -358,10 +364,15 @@ def guard_source(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cache keys: the block's source text with every model string quoted.
-# ``unparse()`` cannot serve: it spells ``Name("(a + b)")`` like the sum of
-# ``a`` and ``b``, and a send to port ``""`` like one with no port.
+# cache keys: the parameter names and the block's source text, with every
+# model string quoted.  ``unparse()`` cannot serve: it spells
+# ``Name("(a + b)")`` like the sum of ``a`` and ``b``, and a send to port
+# ``""`` like one with no port.
 # ---------------------------------------------------------------------------
+
+
+def _scope_text(parameters: Collection[str]) -> str:
+    return " ".join(_literal(name) for name in sorted(set(parameters)))
 
 
 def _expr_text(node: Expr) -> str:
@@ -433,11 +444,21 @@ def _cached(key: str, source: Callable[[], str]) -> Callable[..., int]:
     return function
 
 
-def compile_block(stmts: Sequence[Stmt]) -> Callable[..., int]:
-    """A function running ``stmts`` on an environment; returns the count."""
-    return _cached("block " + _block_text(stmts), lambda: block_source(stmts))
+def compile_block(
+    stmts: Sequence[Stmt], parameters: Collection[str]
+) -> Callable[..., int]:
+    """A function running ``stmts`` on an environment; returns the count.
+
+    ``parameters`` are the trigger parameter names in scope.
+    """
+    key = f"block ({_scope_text(parameters)}) {_block_text(stmts)}"
+    return _cached(key, lambda: block_source(stmts, parameters))
 
 
-def compile_guard(expr: Expr) -> Callable[..., int]:
-    """A function evaluating ``expr`` from (parameters, variables) dicts."""
-    return _cached("guard " + _expr_text(expr), lambda: guard_source(expr))
+def compile_guard(expr: Expr, parameters: Collection[str]) -> Callable[..., int]:
+    """A function evaluating ``expr`` from (parameters, variables) dicts.
+
+    ``parameters`` are the trigger parameter names in scope.
+    """
+    key = f"guard ({_scope_text(parameters)}) {_expr_text(expr)}"
+    return _cached(key, lambda: guard_source(expr, parameters))

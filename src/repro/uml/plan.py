@@ -98,6 +98,9 @@ class Step:
     leaf: State
     #: ``leaf`` is a top-level final state: the machine has terminated
     terminates: bool
+    #: the trigger parameter names its guard and blocks see: a signal
+    #: trigger's; none for the start step, timers and completions
+    parameters: FrozenSet[str]
 
 
 @dataclass
@@ -140,6 +143,8 @@ def _step(
     effect = transition.effect if transition is not None else []
     blocks = [state.exit for state in exits] + [effect]
     blocks += [state.entry for state in entries + descent]
+    trigger = transition.trigger if transition is not None else None
+    names = trigger.parameter_names if isinstance(trigger, SignalTrigger) else ()
     return Step(
         transition,
         id,
@@ -149,6 +154,7 @@ def _step(
         tuple(filter(None, blocks)),
         leaf,
         terminates(leaf),
+        frozenset(names),
     )
 
 

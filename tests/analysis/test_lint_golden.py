@@ -25,7 +25,8 @@ import pytest
 
 from repro.analysis import run_lint
 from repro.analysis.efsm import machine_label
-from repro.analysis.values import analyze_machine
+from repro.analysis.values import _spell, analyze_machine
+from repro.application import ApplicationModel
 from repro.cases.tutwlan import build_tutwlan_system, exploration_factory
 from repro.errors import GeneratorError
 from repro.genmodel import config_for_seed, generate_model, known_defects
@@ -45,6 +46,15 @@ def _state_path(state) -> str:
     return "/".join(node.name for node in state.path_from_root())
 
 
+def _bound(value) -> str:
+    """A bound as ``repr()`` spells it, or as ``Interval.__str__``'s
+    ``~2^n`` past the digits ``repr()`` can print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _spell(value)
+
+
 def _fixpoints(application):
     """Each machine's leaf environments, in lint order and insertion order."""
     machines = []
@@ -59,7 +69,7 @@ def _fixpoints(application):
         if values is not None:
             for key, leaf in values.leaves.items():
                 env = sorted(values.state_envs[key].items())
-                bounds = [[name, repr(i.lo), repr(i.hi)] for name, i in env]
+                bounds = [[name, _bound(i.lo), _bound(i.hi)] for name, i in env]
                 leaves.append([_state_path(leaf), bounds])
         machines.append([machine_label(machine), leaves])
     return machines
@@ -138,6 +148,19 @@ def test_lint_and_fixpoints_are_pinned(golden, group):
     for key, entry in golden[group].items():
         assert current[key] == entry, f"{group} {key}"
     assert sorted(current) == sorted(golden[group])
+
+
+def test_fixpoints_pin_a_bound_too_long_for_repr():
+    application = ApplicationModel("App")
+    component = application.component("Huge")
+    machine = application.behavior(component)
+    machine.variable("y", 0)
+    factor = "(1 << 4000)"
+    machine.state("s", initial=True, entry=f"y = {' * '.join([factor] * 4)};")
+    application.process(application.top, "huge", component)
+    assert _fixpoints(application) == [
+        ["Huge.HugeBehavior", [["s", [["y", "~2^16000", "~2^16000"]]]]]
+    ]
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

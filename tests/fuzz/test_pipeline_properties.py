@@ -212,8 +212,8 @@ def test_actions_stage_catches_a_divergent_compiler(monkeypatch):
 
     real = pipeline.compile_block
 
-    def off_by_one(stmts):
-        block = real(stmts)
+    def off_by_one(stmts, parameters):
+        block = real(stmts, parameters)
         return lambda env: block(env) + 1
 
     generated = generate_model(config_for_seed(0))

@@ -97,6 +97,16 @@ class TestSignals:
         assert outcome is None
         assert reason == "no-transition"
 
+    def test_a_process_never_started_drops_its_activations(self):
+        m = machine()
+        m.state("a", initial=True)
+        m.on_signal("a", "a", "go", params=["n"])
+        m.on_timer("a", "a", "t")
+        executor = ProcessExecutor("p", m)
+        assert executor.consume_signal("go", [1]) == (None, "not-started")
+        assert executor.fire_timer("t") == (None, "not-started")
+        assert executor.current is None
+
     def test_too_few_args_raises(self):
         executor = self.make_executor()
         with pytest.raises(SimulationError):

@@ -1,9 +1,22 @@
-"""Cost model arithmetic."""
+"""Step pricing: each step's EXEC cycles are its work at its process's rates.
 
-from repro.platform import ProcessingElementSpec
-from repro.simulation import CostModel, WORKSTATION_SPEC, timer_duration_ps
+A step costs ``(TRANSITION_BASE_STATEMENTS + statements + GUARD_STATEMENTS
+* guards) * cycles per statement + sends * signal dispatch cycles``, plus
+the context switch cycles when its PE last ran another process.  The
+simulator holds the formula's only copy, so these tests read the prices
+off the log of small runs.
+"""
+
+import pytest
+
+from repro.application import ApplicationModel
+from repro.errors import SimulationError
+from repro.mapping import MappingModel
+from repro.platform import PlatformModel, ProcessingElementSpec, standard_library
+from repro.simulation import SystemSimulation, WORKSTATION_SPEC, timer_duration_ps
 from repro.simulation.kernel import PS_PER_US
 from repro.simulation.timing import GUARD_STATEMENTS, TRANSITION_BASE_STATEMENTS
+from repro.uml import Port
 
 
 def spec(**overrides):
@@ -18,46 +31,94 @@ def spec(**overrides):
     return ProcessingElementSpec(**defaults)
 
 
+def start_steps(processes, pe_spec=None):
+    """Each process's start step as ``(cycles, duration_ps)``.
+
+    ``processes`` maps a name (their start order) to ``(entry, process
+    type, false completion guards)``; all run on one PE built from
+    ``pe_spec``.  An entry may send ``out`` to an environment sink.
+    """
+    app = ApplicationModel("Priced")
+    app.signal("out")
+    sink = app.component("Sink")
+    sink.add_port(Port("inp", provided=["out"]))
+    app.behavior(sink).state("s", initial=True)
+    app.process(app.top, "sink", sink, environment=True)
+    for name, (entry, process_type, guards) in processes.items():
+        worker = app.component(f"W{name}")
+        worker.add_port(Port("o", required=["out"]))
+        machine = app.behavior(worker)
+        machine.variable("a", 0)
+        machine.state("s", initial=True, entry=entry)
+        machine.state("done")
+        for _ in range(guards):
+            machine.transition("s", "done", guard="a > 1")
+        app.process(app.top, name, worker, process_type=process_type)
+        app.connect(app.top, (name, "o"), ("sink", "inp"))
+        app.group(f"g{name}", process_type=process_type)
+        app.assign(name, f"g{name}")
+    library = standard_library()
+    library.add_processing_element(pe_spec or spec())
+    platform = PlatformModel("OnePE", library)
+    platform.instantiate("pe", "PE")
+    mapping = MappingModel(app, platform)
+    for name in processes:
+        mapping.map(f"g{name}", "pe")
+    result = SystemSimulation(app, platform, mapping).run(100)
+    return {
+        record.process: (record.cycles, record.duration_ps)
+        for record in result.log.exec_records
+        if record.trigger == "start"
+    }
+
+
+def cycles(entry, process_type="general", guards=0, pe_spec=None):
+    return start_steps({"p": (entry, process_type, guards)}, pe_spec)["p"][0]
+
+
+STATEMENTS = "a = 1; " * 10
+
+
 class TestStepCost:
     def test_statement_cost(self):
-        model = CostModel(spec())
-        cost = model.step_cost("general", statements=10, guards_evaluated=0,
-                               sends=0, context_switch=False)
-        assert cost.cycles == (TRANSITION_BASE_STATEMENTS + 10) * 10
+        assert cycles(STATEMENTS) == (TRANSITION_BASE_STATEMENTS + 10) * 10
 
     def test_guards_charged(self):
-        model = CostModel(spec())
-        base = model.step_cost("general", 0, 0, 0, False).cycles
-        with_guards = model.step_cost("general", 0, 3, 0, False).cycles
-        assert with_guards - base == 3 * GUARD_STATEMENTS * 10
+        with_guards = cycles("", guards=3)
+        assert with_guards - cycles("") == 3 * GUARD_STATEMENTS * 10
 
     def test_sends_charged(self):
-        model = CostModel(spec())
-        base = model.step_cost("general", 0, 0, 0, False).cycles
-        with_sends = model.step_cost("general", 0, 0, 2, False).cycles
-        assert with_sends - base == 2 * 7
+        # each send is a statement too
+        with_sends = cycles("send out() via o; send out() via o;")
+        assert with_sends - cycles("a = 1; a = 1;") == 2 * 7
 
     def test_context_switch_charged(self):
-        model = CostModel(spec())
-        base = model.step_cost("general", 0, 0, 0, False).cycles
-        switched = model.step_cost("general", 0, 0, 0, True).cycles
-        assert switched - base == 50
+        steps = start_steps({"p": ("", "general", 0), "q": ("", "general", 0)})
+        # q starts right after p on the same PE
+        assert steps["q"][0] - steps["p"][0] == 50
 
     def test_process_type_selects_cost(self):
-        model = CostModel(spec())
-        general = model.step_cost("general", 10, 0, 0, False).cycles
-        dsp = model.step_cost("dsp", 10, 0, 0, False).cycles
-        hardware = model.step_cost("hardware", 10, 0, 0, False).cycles
-        assert dsp == 2 * general
-        assert hardware == general // 2
+        general = cycles(STATEMENTS, "general")
+        assert cycles(STATEMENTS, "dsp") == 2 * general
+        assert cycles(STATEMENTS, "hardware") == general // 2
 
     def test_duration_respects_frequency(self):
-        fast = CostModel(spec(frequency_hz=200_000_000))
-        slow = CostModel(spec(frequency_hz=50_000_000))
-        fast_cost = fast.step_cost("general", 10, 0, 0, False)
-        slow_cost = slow.step_cost("general", 10, 0, 0, False)
-        assert fast_cost.cycles == slow_cost.cycles
-        assert slow_cost.duration_ps == 4 * fast_cost.duration_ps
+        fast = start_steps(
+            {"p": (STATEMENTS, "general", 0)}, spec(frequency_hz=200_000_000)
+        )["p"]
+        slow = start_steps(
+            {"p": (STATEMENTS, "general", 0)}, spec(frequency_hz=50_000_000)
+        )["p"]
+        assert fast[0] == slow[0]
+        assert slow[1] == 4 * fast[1]
+
+    def test_a_negative_price_raises_at_the_step(self):
+        # the spec does not check switch cycles; the step's conversion does
+        with pytest.raises(SimulationError, match="non-negative"):
+            start_steps(
+                {"p": ("", "general", 0), "q": ("", "general", 0)},
+                spec(context_switch_cycles=-1000),
+            )
 
 
 class TestTimerDuration:

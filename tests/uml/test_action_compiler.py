@@ -48,12 +48,29 @@ def _realistic(rng, name, declared):
     return rng.randrange(0, 1600)
 
 
+def _actions(application):
+    """The ids of every non-empty block and every guard of the machines."""
+    nodes = set()
+    for process in application.processes.values():
+        machine = process.component.classifier_behavior
+        for state in machine.states:
+            nodes.update(id(block) for block in (state.entry, state.exit) if block)
+        for transition in machine.transitions:
+            if transition.effect:
+                nodes.add(id(transition.effect))
+            if transition.guard is not None:
+                nodes.add(id(transition.guard))
+    return nodes
+
+
 @pytest.mark.parametrize("arq", [False, True], ids=["plain", "arq"])
 def test_every_tutmac_block_and_guard_matches_the_oracle(arq):
     application = build_tutmac(params=TutmacParameters(arq_enabled=arq))
     rng = random.Random(2005)
     sites = list(action_sites(application))
-    assert len(sites) > 50
+    # each block and guard, once per scope the simulator compiles it for
+    assert {id(node) for _, node, _, _ in sites} == _actions(application)
+    assert len({(id(node), names) for _, node, names, _ in sites}) == len(sites)
     for where, node, params, declared in sites:
         for _ in range(6):
             variables = {name: _realistic(rng, name, declared) for name in declared}
@@ -100,8 +117,8 @@ def test_value_is_evaluated_before_the_parameter_check():
 
 def test_rand16_state_is_shared_across_blocks_of_one_step():
     environment = ActionEnvironment()
-    first = compile_block(parse_actions("a = rand16();"))
-    second = compile_block(parse_actions("b = rand16();"))
+    first = compile_block(parse_actions("a = rand16();"), ())
+    second = compile_block(parse_actions("b = rand16();"), ())
     first(environment)
     second(environment)
     reference = ActionEnvironment()
@@ -111,7 +128,7 @@ def test_rand16_state_is_shared_across_blocks_of_one_step():
 
 
 def test_every_guard_evaluation_starts_from_the_same_rand16_seed():
-    guard = compile_guard(parse_expression("rand16() + rand16()"))
+    guard = compile_guard(parse_expression("rand16() + rand16()"), ())
     assert guard({}, {}) == guard({}, {})
     assert guard({}, {}) == both(parse_expression("rand16() + rand16()"))[0]
 
@@ -167,8 +184,8 @@ def dividends(divisor):
 @pytest.mark.parametrize("divisor", DIVISORS)
 def test_constant_divisors_truncate_like_c(divisor):
     block = parse_actions(f"q = x / {divisor}; r = x % {divisor};")
-    guard_q = compile_guard(parse_expression(f"x / {divisor}"))
-    guard_r = compile_guard(parse_expression(f"x % {divisor}"))
+    guard_q = compile_guard(parse_expression(f"x / {divisor}"), ())
+    guard_r = compile_guard(parse_expression(f"x % {divisor}"), ())
     for x in dividends(divisor):
         expected = {"x": x, "q": c_div(x, divisor), "r": c_mod(x, divisor)}
         assert both(block, {"x": x})[1] == expected
@@ -177,7 +194,7 @@ def test_constant_divisors_truncate_like_c(divisor):
 
 
 def test_a_constant_divisor_compiles_without_the_helpers():
-    source = block_source(parse_actions("q = x / 7; r = (x + 1) % 64;"))
+    source = block_source(parse_actions("q = x / 7; r = (x + 1) % 64;"), ())
     assert "_binary[" not in source
 
 
@@ -192,7 +209,7 @@ def test_the_dividend_is_evaluated_once():
 
 @pytest.mark.parametrize("text", ["x % 0", "x / 0", "x % -3", "x / -3", "x % y"])
 def test_other_divisors_keep_the_helpers(text):
-    source = block_source(parse_actions(f"r = {text};"))
+    source = block_source(parse_actions(f"r = {text};"), ())
     op = "%" if "%" in text else "/"
     assert f"_binary[{op!r}](" in source
     for x in (-7, 7):
@@ -233,7 +250,7 @@ def test_hostile_names_are_only_ever_data(text):
     assert sent == [(text, (3,), text)]
     assert timer_ops == [("set", text, 5), ("reset", text, 0)]
     # the string reaches the generated source only as a literal
-    assert repr(text) in block_source(block)
+    assert repr(text) in block_source(block, ())
 
 
 def test_hostile_operators_and_builtins_raise_like_the_oracle():
@@ -249,10 +266,10 @@ def test_hostile_operators_and_builtins_raise_like_the_oracle():
 
 
 def test_generated_code_reaches_no_builtins():
-    guard = compile_guard(parse_expression("x"))
+    guard = compile_guard(parse_expression("x"), ())
     assert guard.__globals__["__builtins__"] == {}
     with pytest.raises(TypeError):
-        compile_guard(Name(object()))
+        compile_guard(Name(object()), ())
 
 
 # -- caches ---------------------------------------------------------------------
@@ -260,10 +277,14 @@ def test_generated_code_reaches_no_builtins():
 
 def test_equal_blocks_share_one_compiled_function():
     source = "hits = hits + 1; send ping(hits) via out;"
-    assert compile_block(parse_actions(source)) is compile_block(parse_actions(source))
+    assert compile_block(parse_actions(source), ()) is compile_block(
+        parse_actions(source), ()
+    )
     # a different spelling of the same block still shares the key
     spaced = "hits = hits+1;\n  send ping(hits) via out; // again"
-    assert compile_block(parse_actions(spaced)) is compile_block(parse_actions(source))
+    assert compile_block(parse_actions(spaced), ()) is compile_block(
+        parse_actions(source), ()
+    )
 
 
 @pytest.mark.parametrize(
@@ -300,15 +321,15 @@ def test_caches_are_bounded(monkeypatch):
     monkeypatch.setattr(action_lang, "PARSE_CACHE_SIZE", 4)
     monkeypatch.setattr(action_lang, "_BLOCKS", {})
     monkeypatch.setattr(action_lang, "_EXPRESSIONS", {})
-    hot = compile_block(parse_actions("x = 0;"))
+    hot = compile_block(parse_actions("x = 0;"), ())
     for value in range(1, 10):
-        compile_block(parse_actions(f"x = {value};"))
-        compile_guard(parse_expression(f"x < {value}"))
+        compile_block(parse_actions(f"x = {value};"), ())
+        compile_guard(parse_expression(f"x < {value}"), ())
         assert len(action_compiler._CACHE) <= 4
         assert len(action_lang._BLOCKS) <= 4
         assert len(action_lang._EXPRESSIONS) <= 4
         # the block in use all along is never the one evicted
-        assert compile_block(parse_actions("x = 0;")) is hot
+        assert compile_block(parse_actions("x = 0;"), ()) is hot
     assert "x = 9;" in action_lang._BLOCKS
     assert "x = 1;" not in action_lang._BLOCKS
 
@@ -316,11 +337,11 @@ def test_caches_are_bounded(monkeypatch):
 def test_cache_sizes_stay_within_bounds_over_the_generated_corpus():
     for seed in range(120):
         application = generate_model(config_for_seed(seed)).application
-        for _, node, _, _ in action_sites(application):
+        for _, node, names, _ in action_sites(application):
             if isinstance(node, list):
-                compile_block(node)
+                compile_block(node, names)
             else:
-                compile_guard(node)
+                compile_guard(node, names)
         assert len(action_compiler._CACHE) <= action_compiler.COMPILE_CACHE_SIZE
         assert len(action_lang._BLOCKS) <= action_lang.PARSE_CACHE_SIZE
         assert len(action_lang._EXPRESSIONS) <= action_lang.PARSE_CACHE_SIZE

@@ -124,8 +124,8 @@ def test_division_matches_c_semantics(numerator, denominator):
     assert quotient == (magnitude if (numerator < 0) == (denominator < 0) else -magnitude)
     assert remainder == 0 or (remainder < 0) == (numerator < 0)
     variables = {"a": numerator, "b": denominator}
-    assert compile_guard(parse_expression("a / b"))({}, variables) == quotient
-    assert compile_guard(parse_expression("a % b"))({}, variables) == remainder
+    assert compile_guard(parse_expression("a / b"), ())({}, variables) == quotient
+    assert compile_guard(parse_expression("a % b"), ())({}, variables) == remainder
 
 
 @pytest.mark.parametrize(
@@ -139,7 +139,7 @@ def test_division_matches_c_semantics(numerator, denominator):
 def test_division_is_exact_beyond_float_precision(source, a, expected):
     expr = parse_expression(source)
     assert evaluate(expr, ActionEnvironment({"a": a})) == expected
-    assert compile_guard(expr)({}, {"a": a}) == expected
+    assert compile_guard(expr, ())({}, {"a": a}) == expected
     assert const_value(parse_expression(source.replace("a", f"({a})"))) == expected
 
 

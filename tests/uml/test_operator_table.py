@@ -46,18 +46,18 @@ def test_one_entry_swap_changes_every_reader(monkeypatch):
     guard = parse_expression("x + 1")
     block = parse_actions("y = x + 1;")
     assert evaluate(expr, ActionEnvironment()) == 2**31
-    assert "_binary[" not in guard_source(guard)  # operator.add compiles inline
+    assert "_binary[" not in guard_source(guard, ())  # operator.add compiles inline
 
     monkeypatch.setitem(BINARY_OPS, "+", _wrap32_add)
     monkeypatch.setattr(action_compiler, "_CACHE", {})
     wrapped = -(2**31)
     assert evaluate(expr, ActionEnvironment()) == wrapped
     assert const_value(expr) == wrapped
-    assert compile_guard(guard)({}, {"x": 2**31 - 1}) == wrapped
+    assert compile_guard(guard, ())({}, {"x": 2**31 - 1}) == wrapped
     environment = ActionEnvironment({"x": 2**31 - 1})
-    assert compile_block(block)(environment) == 1
+    assert compile_block(block, ())(environment) == 1
     assert environment.variables["y"] == wrapped
-    assert "_binary['+']" in guard_source(guard)
+    assert "_binary['+']" in guard_source(guard, ())
 
 
 def test_builtin_entry_swap_changes_the_compiled_call(monkeypatch):
@@ -65,12 +65,12 @@ def test_builtin_entry_swap_changes_the_compiled_call(monkeypatch):
     monkeypatch.setitem(BUILTINS, "abs", BUILTINS["abs"]._replace(function=lambda v: -v))
     monkeypatch.setattr(action_compiler, "_CACHE", {})
     assert evaluate(call, ActionEnvironment({"x": 5})) == -5
-    assert compile_guard(call)({}, {"x": 5}) == -5
+    assert compile_guard(call, ())({}, {"x": 5}) == -5
 
 
 def _compiled_accepts(node) -> bool:
     try:
-        compile_guard(node)({}, {})
+        compile_guard(node, ())({}, {})
     except ActionRuntimeError as error:
         assert "unknown" in str(error)
         return False
