@@ -23,6 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import ActionRuntimeError, LintConfigError
+from repro.uml.actions import (
+    BINARY_OPS,
+    SHORT_CIRCUIT,
+    UNARY_OPS,
+    BinaryOp,
+    BoolLiteral,
+    Conditional,
+    IntLiteral,
+    UnaryOp,
+)
+
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
@@ -127,8 +139,6 @@ class LintConfig:
         populated :data:`RULES`, so a config created before any pass was
         imported still validates against the full catalogue.
         """
-        from repro.errors import LintConfigError
-
         mentioned = set(self.severities) | set(self.disabled)
         if self.rules is not None:
             mentioned |= set(self.rules)
@@ -273,18 +283,6 @@ def const_value(expr) -> Optional[int]:
     non-constant, and an operation that raises at run time (division or
     modulo by zero) does not fold (the div-by-zero rule reports it).
     """
-    from repro.errors import ActionRuntimeError
-    from repro.uml.actions import (
-        BINARY_OPS,
-        SHORT_CIRCUIT,
-        UNARY_OPS,
-        BinaryOp,
-        BoolLiteral,
-        Conditional,
-        IntLiteral,
-        UnaryOp,
-    )
-
     if isinstance(expr, IntLiteral):
         return expr.value
     if isinstance(expr, BoolLiteral):
@@ -313,9 +311,11 @@ def const_value(expr) -> Optional[int]:
             if left is None or right is None:
                 return None
             return int(not decides)
+        if left is None:
+            return None
         right = const_value(expr.right)
         function = BINARY_OPS.get(expr.op)
-        if left is None or right is None or function is None:
+        if right is None or function is None:
             return None
         try:
             return function(left, right)

@@ -1,11 +1,14 @@
 """Action-language dataflow analysis (rules D001-D007).
 
 Walks every action block of a machine (state entry/exit, transition
-guards and effects) with a definite-assignment analysis: an EFSM variable
-declared with ``variable()`` is always initialised; a name introduced
-only by assignment is tracked per block; trigger parameters are bound for
-the whole transition firing (the executor keeps them bound through exit,
-effect and entry actions).
+guards and effects) once, with a definite-assignment analysis: an EFSM
+variable declared with ``variable()`` is always initialised; a name
+introduced only by assignment is tracked per block; trigger parameters are
+bound for the whole transition firing (the executor keeps them bound
+through exit, effect and entry actions).  The same walk records the names
+read, the names assigned, the send statements and the divisions by a
+constant zero, and every rule reads those records; a finding's location
+is worded only when it is emitted.
 """
 
 from __future__ import annotations
@@ -14,20 +17,8 @@ from typing import Dict, List, Optional, Set
 
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
 from repro.analysis.efsm import machine_label
-from repro.uml.actions import (
-    Assign,
-    BinaryOp,
-    Expr,
-    If,
-    Name,
-    Send,
-    SetTimer,
-    While,
-    subexpressions,
-    walk_expressions,
-    walk_statements,
-)
-from repro.uml.statemachine import SignalTrigger, StateMachine, machine_blocks
+from repro.uml.actions import Assign, BinaryOp, If, Name, Send, SetTimer, While
+from repro.uml.statemachine import SignalTrigger, StateMachine, block_where
 
 register_rule(
     "D001",
@@ -82,104 +73,6 @@ register_rule(
 )
 
 
-def _signal_params(machine: StateMachine) -> Set[str]:
-    """All trigger-parameter names bound anywhere in the machine."""
-    names: Set[str] = set()
-    for transition in machine.transitions:
-        if isinstance(transition.trigger, SignalTrigger):
-            names.update(transition.trigger.parameter_names)
-    return names
-
-
-def _assigned_names(machine: StateMachine) -> Set[str]:
-    return {
-        stmt.target
-        for _, stmts, _ in machine_blocks(machine)
-        for stmt in walk_statements(stmts)
-        if isinstance(stmt, Assign)
-    }
-
-
-class _BlockChecker:
-    """Definite-assignment walk over one action block."""
-
-    def __init__(
-        self,
-        ctx: LintContext,
-        findings: List[Finding],
-        label: str,
-        where: str,
-        anchor,
-        declared: Set[str],
-        params: Set[str],
-        assigned_anywhere: Set[str],
-    ) -> None:
-        self.ctx = ctx
-        self.findings = findings
-        self.label = label
-        self.where = where
-        self.anchor = anchor
-        self.declared = declared
-        self.params = params
-        self.assigned_anywhere = assigned_anywhere
-        self.reported: Set[str] = set()
-
-    def check_block(self, stmts, assigned: Set[str]) -> Set[str]:
-        """Walk ``stmts``; returns the definitely-assigned set afterwards."""
-        for stmt in stmts:
-            if isinstance(stmt, Assign):
-                self.check_expr(stmt.value, assigned)
-                assigned.add(stmt.target)
-            elif isinstance(stmt, Send):
-                for arg in stmt.args:
-                    self.check_expr(arg, assigned)
-            elif isinstance(stmt, If):
-                self.check_expr(stmt.condition, assigned)
-                then_set = self.check_block(stmt.then_body, set(assigned))
-                else_set = self.check_block(stmt.else_body, set(assigned))
-                assigned |= then_set & else_set
-            elif isinstance(stmt, While):
-                self.check_expr(stmt.condition, assigned)
-                # The body may run zero times: its assignments are not
-                # definite afterwards, but reads inside it see earlier
-                # assignments of the same iteration.
-                self.check_block(stmt.body, set(assigned))
-            elif isinstance(stmt, SetTimer):
-                self.check_expr(stmt.duration, assigned)
-        return assigned
-
-    def check_expr(self, expr: Expr, assigned: Set[str]) -> None:
-        if isinstance(expr, Name):
-            self.check_read(expr.identifier, assigned)
-            return
-        for child in expr.children():
-            self.check_expr(child, assigned)
-
-    def check_read(self, name: str, assigned: Set[str]) -> None:
-        if name in self.declared or name in self.params or name in assigned:
-            return
-        if name in self.reported:
-            return
-        self.reported.add(name)
-        if name in self.assigned_anywhere:
-            self.ctx.emit(
-                self.findings,
-                "D002",
-                f"{name!r} may be read before assignment in {self.where}",
-                self.label,
-                (self.anchor,),
-            )
-        else:
-            self.ctx.emit(
-                self.findings,
-                "D001",
-                f"{name!r} read in {self.where} is never declared, bound or "
-                "assigned",
-                self.label,
-                (self.anchor,),
-            )
-
-
 def check_machine(
     machine: StateMachine,
     ctx: LintContext,
@@ -194,56 +87,98 @@ def check_machine(
     """
     label = machine_label(machine)
     declared = set(machine.variables)
-    all_params = _signal_params(machine)
-    assigned_anywhere = _assigned_names(machine)
+    all_params = {
+        name
+        for transition in machine.transitions
+        if isinstance(transition.trigger, SignalTrigger)
+        for name in transition.trigger.parameter_names
+    }
 
-    def run_block(where, stmts, anchor, params: Set[str], pre: Set[str]) -> None:
-        checker = _BlockChecker(
-            ctx, findings, label, where, anchor, declared, params, assigned_anywhere
-        )
-        checker.check_block(list(stmts), set(pre))
+    # What the walk records; a site is the (anchor, role) of a block or guard.
+    reads: Set[str] = set()
+    stored: Set[str] = set()
+    unbound = []  # (name, site): a block's first read of a name not bound there
+    sends = []  # (stmt, site)
+    divisions = []  # (expr, site): a divisor that folds to zero
+    site = None
+    reported: Set[str] = set()
 
-    # D001/D002: definite assignment per block.  The executor keeps trigger
-    # parameters bound through exit, effect and entry actions of the fired
-    # transition, so state entry/exit conservatively sees every parameter.
+    def walk_expr(expr, bound: Set[str]) -> None:
+        if isinstance(expr, Name):
+            name = expr.identifier
+            reads.add(name)
+            if name not in bound and name not in reported:
+                reported.add(name)
+                unbound.append((name, site))
+            return
+        if (
+            isinstance(expr, BinaryOp)
+            and expr.op in ("/", "%")
+            and const_value(expr.right) == 0
+        ):
+            divisions.append((expr, site))
+        for child in expr.children():
+            walk_expr(child, bound)
+
+    def walk_block(stmts, bound: Set[str]) -> Set[str]:
+        """Walk ``stmts``; returns the definitely-bound set afterwards."""
+        for stmt in stmts:
+            if isinstance(stmt, Assign):
+                walk_expr(stmt.value, bound)
+                bound.add(stmt.target)
+                stored.add(stmt.target)
+            elif isinstance(stmt, Send):
+                sends.append((stmt, site))
+                for arg in stmt.args:
+                    walk_expr(arg, bound)
+            elif isinstance(stmt, If):
+                walk_expr(stmt.condition, bound)
+                then_bound = walk_block(stmt.then_body, set(bound))
+                else_bound = walk_block(stmt.else_body, set(bound))
+                bound |= then_bound & else_bound
+            elif isinstance(stmt, While):
+                walk_expr(stmt.condition, bound)
+                # The body may run zero times: its assignments are not
+                # definite afterwards, but reads inside it see earlier
+                # assignments of the same iteration.
+                walk_block(stmt.body, set(bound))
+            elif isinstance(stmt, SetTimer):
+                walk_expr(stmt.duration, bound)
+        return bound
+
+    # The executor keeps trigger parameters bound through exit, effect and
+    # entry actions of the fired transition, so state entry/exit
+    # conservatively sees every parameter.
+    state_bound = declared | all_params
     for state in machine.states:
-        if state.entry:
-            run_block(f"state {state.name!r} entry", state.entry, state, all_params, set())
-        if state.exit:
-            run_block(f"state {state.name!r} exit", state.exit, state, all_params, set())
+        for stmts, role in ((state.entry, "entry"), (state.exit, "exit")):
+            if stmts:
+                site, reported = (state, role), set()
+                walk_block(stmts, set(state_bound))
     for transition in machine.transitions:
-        params: Set[str] = set()
+        bound = set(declared)
         if isinstance(transition.trigger, SignalTrigger):
-            params = set(transition.trigger.parameter_names)
-        where = f"transition {transition.describe()!r}"
+            bound.update(transition.trigger.parameter_names)
         if transition.guard is not None:
-            checker = _BlockChecker(
-                ctx,
-                findings,
-                label,
-                f"guard of {where}",
-                transition,
-                declared,
-                params,
-                assigned_anywhere,
-            )
-            checker.check_expr(transition.guard, set())
+            site, reported = (transition, "guard"), set()
+            walk_expr(transition.guard, bound)
         if transition.effect:
-            run_block(where, transition.effect, transition, params, set())
+            site, reported = (transition, "effect"), set()
+            walk_block(transition.effect, bound)
+
+    # D001/D002: a read not definitely preceded by a store in its block.
+    for name, (anchor, role) in unbound:
+        where = block_where(anchor, role)
+        if name in stored:
+            message = f"{name!r} may be read before assignment in {where}"
+            ctx.emit(findings, "D002", message, label, (anchor,))
+        else:
+            message = f"{name!r} read in {where} is never declared, bound or assigned"
+            ctx.emit(findings, "D001", message, label, (anchor,))
 
     # D003: stores never read.  A read anywhere (guards included, and
     # self-references like ``n = n + 1``) keeps a variable alive.
-    read_names: Set[str] = set()
-    for _, stmts, _ in machine_blocks(machine):
-        for expr in walk_expressions(stmts):
-            if isinstance(expr, Name):
-                read_names.add(expr.identifier)
-    for transition in machine.transitions:
-        if transition.guard is not None:
-            for expr in subexpressions(transition.guard):
-                if isinstance(expr, Name):
-                    read_names.add(expr.identifier)
-    for name in sorted((declared | assigned_anywhere) - read_names - all_params):
+    for name in sorted((declared | stored) - reads - all_params):
         kind = "declared" if name in declared else "assigned"
         ctx.emit(
             findings,
@@ -256,31 +191,29 @@ def check_machine(
     # D004/D005: send statements against declared signals.
     # D007: trigger parameter lists against declared signals.
     if signal_decls:
-        for where, stmts, anchor in machine_blocks(machine):
-            for stmt in walk_statements(stmts):
-                if not isinstance(stmt, Send):
-                    continue
-                decl = signal_decls.get(stmt.signal)
-                if decl is None:
-                    ctx.emit(
-                        findings,
-                        "D005",
-                        f"send of undeclared signal {stmt.signal!r} in {where}",
-                        label,
-                        (anchor,),
-                    )
-                    continue
-                expected = len(decl.parameter_names())
-                if len(stmt.args) != expected:
-                    ctx.emit(
-                        findings,
-                        "D004",
-                        f"send {stmt.signal!r} in {where} passes "
-                        f"{len(stmt.args)} argument(s) but the signal declares "
-                        f"{expected} parameter(s)",
-                        label,
-                        (anchor,),
-                    )
+        for stmt, (anchor, role) in sends:
+            decl = signal_decls.get(stmt.signal)
+            if decl is None:
+                ctx.emit(
+                    findings,
+                    "D005",
+                    f"send of undeclared signal {stmt.signal!r} in "
+                    f"{block_where(anchor, role)}",
+                    label,
+                    (anchor,),
+                )
+                continue
+            expected = len(decl.parameter_names())
+            if len(stmt.args) != expected:
+                ctx.emit(
+                    findings,
+                    "D004",
+                    f"send {stmt.signal!r} in {block_where(anchor, role)} passes "
+                    f"{len(stmt.args)} argument(s) but the signal declares "
+                    f"{expected} parameter(s)",
+                    label,
+                    (anchor,),
+                )
         for transition in machine.transitions:
             trigger = transition.trigger
             if not isinstance(trigger, SignalTrigger):
@@ -300,33 +233,13 @@ def check_machine(
                     (transition,),
                 )
 
-    # D006: division/modulo by constant zero anywhere.
-    for where, stmts, anchor in machine_blocks(machine):
-        for expr in walk_expressions(stmts):
-            _check_div(expr, ctx, findings, label, where, anchor)
-    for transition in machine.transitions:
-        if transition.guard is not None:
-            for expr in subexpressions(transition.guard):
-                _check_div(
-                    expr,
-                    ctx,
-                    findings,
-                    label,
-                    f"guard of transition {transition.describe()!r}",
-                    transition,
-                )
-
-
-def _check_div(expr, ctx, findings, label, where, anchor) -> None:
-    if (
-        isinstance(expr, BinaryOp)
-        and expr.op in ("/", "%")
-        and const_value(expr.right) == 0
-    ):
+    # D006: division/modulo by constant zero.
+    for expr, (anchor, role) in divisions:
         ctx.emit(
             findings,
             "D006",
-            f"expression {expr.unparse()} in {where} divides by constant zero",
+            f"expression {expr.unparse()} in {block_where(anchor, role)} "
+            "divides by constant zero",
             label,
             (anchor,),
         )

@@ -14,7 +14,12 @@ from typing import List
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
 from repro.uml.actions import SetTimer, walk_statements
 from repro.uml.plan import MachinePlan, trigger_key
-from repro.uml.statemachine import StateMachine, TimerTrigger, machine_blocks
+from repro.uml.statemachine import (
+    StateMachine,
+    TimerTrigger,
+    block_where,
+    machine_blocks,
+)
 
 register_rule(
     "E001",
@@ -91,9 +96,14 @@ def check_machine(
                 (state,),
             )
 
-    # E002: constant-false guards.
+    # E002: constant-false guards.  Each guard is folded once, for E002 and
+    # E003 both.
+    folded = {}
     for transition in machine.transitions:
-        if transition.guard is not None and const_value(transition.guard) == 0:
+        if transition.guard is None:
+            continue
+        folded[transition] = const_value(transition.guard)
+        if folded[transition] == 0:
             ctx.emit(
                 findings,
                 "E002",
@@ -123,9 +133,7 @@ def check_machine(
                         (transition,),
                     )
                     continue
-                guard_const = (
-                    None if transition.guard is None else const_value(transition.guard)
-                )
+                guard_const = folded.get(transition)
                 if transition.guard is None or (
                     guard_const is not None and guard_const != 0
                 ):
@@ -151,18 +159,18 @@ def check_machine(
 
     # E005/E006: set_timer() arms vs timer-trigger handlers.
     armed = {}
-    for where, stmts, anchor in machine_blocks(machine):
+    for stmts, anchor, role in machine_blocks(machine):
         for stmt in walk_statements(stmts):
             if isinstance(stmt, SetTimer):
-                armed.setdefault(stmt.timer, (where, anchor))
+                armed.setdefault(stmt.timer, (anchor, role))
     handled = set(machine.timer_names())
-    for timer, (where, anchor) in sorted(armed.items()):
+    for timer, (anchor, role) in sorted(armed.items()):
         if timer not in handled:
             ctx.emit(
                 findings,
                 "E005",
-                f"timer {timer!r} is armed in {where} but no transition "
-                "handles its expiry",
+                f"timer {timer!r} is armed in {block_where(anchor, role)} but "
+                "no transition handles its expiry",
                 label,
                 (anchor,),
             )

@@ -32,6 +32,7 @@ from repro.mapping.model import (
     UNGROUPED_PROCESS,
     UNKNOWN_PE,
     UNMAPPED_GROUP,
+    UNTIMED_MEMBER,
     MappingRelation,
 )
 from repro.uml.actions import walk_statements
@@ -46,8 +47,10 @@ register_rule(
     "error",
     "A process group with members has no «PlatformMapping» dependency (the "
     "flow cannot place its processes), a non-environment process belongs to "
-    "no group, or a mapping points at an empty group — the completeness half "
-    "of the mapping relation, which MappingModel.check_complete() enforces.",
+    "no group, a movable mapping places a member process on a PE with no "
+    "cycle cost for its ProcessType, or a mapping points at an empty group — "
+    "the completeness half of the mapping relation, which "
+    "MappingModel.check_complete() enforces.",
 )
 register_rule(
     "M002",
@@ -79,7 +82,8 @@ register_rule(
     "error",
     "The «PlatformMapping» dependencies contradict each other or the type "
     "system: duplicate mappings for one group, or a Fixed mapping whose "
-    "process type cannot execute on the target PE.",
+    "process type, or a member process's own type, cannot execute on the "
+    "target PE.",
 )
 
 #: M002 fires when one PE's static load share exceeds this and at least one
@@ -151,7 +155,7 @@ def static_application_profile(application) -> StaticProfile:
         machine = process.component.classifier_behavior
         count = 0
         if machine is not None:
-            for _, stmts, _ in machine_blocks(machine):
+            for stmts, _, _ in machine_blocks(machine):
                 count += sum(1 for _ in walk_statements(stmts))
         weights[group] = weights.get(group, 0) + count
     pair_bytes: Dict[Tuple[str, str], int] = {}
@@ -229,8 +233,9 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
     assignment = mapping.assignment()
     defects = relation.defects(platform, assignment)
 
-    # M001: completeness, the relation's unmapped groups and ungrouped
-    # processes, plus mappings of groups without members.
+    # M001: completeness, the relation's unmapped groups, ungrouped
+    # processes and members a movable mapping's PE cannot time, plus
+    # mappings of groups without members.
     for defect in defects:
         name = defect.name
         if defect.kind == UNMAPPED_GROUP:
@@ -248,6 +253,9 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
             )
             part = application.processes[name].part
             ctx.emit(findings, "M001", message, f"process {name}", (part,))
+        elif defect.kind == UNTIMED_MEMBER and not mapping.is_fixed(name):
+            group = application.groups.get(name)
+            ctx.emit(findings, "M001", str(defect), f"group {name}", (group,))
     for group_name, group in sorted(application.groups.items()):
         mapped = group_name in assignment and group_name != ENVIRONMENT_GROUP
         if mapped and group_name not in relation.required:
@@ -369,16 +377,22 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
                 tuple(dependencies),
             )
     for defect in defects:
-        if defect.kind not in (UNKNOWN_PE, CANNOT_RUN):
+        if not mapping.is_fixed(defect.name):
             continue
-        if mapping.is_fixed(defect.name):
+        if defect.kind == UNKNOWN_PE:
             message = (
                 f"fixed mapping of group {defect.name!r} targets unknown PE "
                 f"{defect.pe!r}"
-                if defect.kind == UNKNOWN_PE
-                else f"fixed mapping pins group {defect.name!r} "
+            )
+        elif defect.kind == CANNOT_RUN:
+            message = (
+                f"fixed mapping pins group {defect.name!r} "
                 f"({defect.group_type}) to {defect.pe!r} ({defect.pe_type}), "
                 "which cannot execute it"
             )
-            subject = f"group {defect.name}"
-            ctx.emit(findings, "M005", message, subject, (mapping.mappings[defect.name],))
+        elif defect.kind == UNTIMED_MEMBER:
+            message = str(defect)
+        else:
+            continue
+        subject = f"group {defect.name}"
+        ctx.emit(findings, "M005", message, subject, (mapping.mappings[defect.name],))

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, LintContext, register_rule
 from repro.uml.actions import Send, walk_statements
-from repro.uml.statemachine import machine_blocks
+from repro.uml.statemachine import block_where, machine_blocks
 
 register_rule(
     "S001",
@@ -60,10 +60,11 @@ def _machine_of(process) -> Optional[object]:
     return process.component.classifier_behavior
 
 
-def process_sends(application) -> List[Tuple[str, Send, str, object]]:
-    """Every send site: ``(process, stmt, where, anchor)`` over all behaviours."""
+def process_sends(application) -> List[Tuple[str, Send, object, str]]:
+    """Every send site: ``(process, stmt, anchor, role)`` over all behaviours
+    (``anchor`` and ``role`` locate the block, see :func:`block_where`)."""
     sites = []
-    seen_components: Dict[int, List[Tuple[Send, str, object]]] = {}
+    seen_components: Dict[int, List[Tuple[Send, object, str]]] = {}
     for name, process in sorted(application.processes.items()):
         machine = _machine_of(process)
         if machine is None:
@@ -71,13 +72,13 @@ def process_sends(application) -> List[Tuple[str, Send, str, object]]:
         key = id(machine)
         if key not in seen_components:
             collected = []
-            for where, stmts, anchor in machine_blocks(machine):
+            for stmts, anchor, role in machine_blocks(machine):
                 for stmt in walk_statements(stmts):
                     if isinstance(stmt, Send):
-                        collected.append((stmt, where, anchor))
+                        collected.append((stmt, anchor, role))
             seen_components[key] = collected
-        for stmt, where, anchor in seen_components[key]:
-            sites.append((name, stmt, where, anchor))
+        for stmt, anchor, role in seen_components[key]:
+            sites.append((name, stmt, anchor, role))
     return sites
 
 
@@ -118,15 +119,15 @@ def check_application(ctx: LintContext, findings: List[Finding]) -> None:
 
     # S001/S002 per send site; collect the delivery matrix along the way.
     delivered_to: Dict[str, Set[str]] = {name: set() for name in received}
-    for sender, stmt, where, anchor in process_sends(application):
+    for sender, stmt, anchor, role in process_sends(application):
         destinations = application.send_destinations(sender, stmt.signal, stmt.via)
         if not destinations:
             via = f" via {stmt.via!r}" if stmt.via else ""
             ctx.emit(
                 findings,
                 "S002",
-                f"send {stmt.signal!r}{via} in {where} has no route to any "
-                "process",
+                f"send {stmt.signal!r}{via} in {block_where(anchor, role)} has "
+                "no route to any process",
                 f"process {sender}",
                 (anchor,),
             )
@@ -140,8 +141,8 @@ def check_application(ctx: LintContext, findings: List[Finding]) -> None:
                 ctx.emit(
                     findings,
                     "S001",
-                    f"send {stmt.signal!r} in {where} routes to process "
-                    f"{receiver!r}, which never triggers on it",
+                    f"send {stmt.signal!r} in {block_where(anchor, role)} routes "
+                    f"to process {receiver!r}, which never triggers on it",
                     f"process {sender}",
                     (anchor, application.processes[receiver].part),
                 )

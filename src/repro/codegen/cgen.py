@@ -104,7 +104,7 @@ class CGenerator:
             name: index for index, name in enumerate(self.machine.timer_names())
         }
         # set_timer targets may include timers no trigger listens to yet
-        for _, stmts, _ in machine_blocks(self.machine):
+        for stmts, _, _ in machine_blocks(self.machine):
             for stmt in walk_statements(stmts):
                 if isinstance(stmt, (SetTimer, ResetTimer)):
                     self.timer_ids.setdefault(stmt.timer, len(self.timer_ids))

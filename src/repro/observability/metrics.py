@@ -182,7 +182,8 @@ def collect_metrics(
         key = itemgetter(3)  # a flow's transport
     else:
 
-        def key(flow):  # sender_group->receiver_group
+        def key(flow):
+            """A flow's ``sender_group->receiver_group``."""
             return "->".join(group_of.get(name, name) for name in flow[:2])
 
     report = MetricsReport(

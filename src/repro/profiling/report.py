@@ -87,6 +87,7 @@ def render_latency_detail(data: ProfilingData) -> str:
     """Delivery latency per transport and per signal type."""
 
     def rows(items):
+        """One table row per ``(name, histogram)``: count, mean and max in ns."""
         return [
             (name, h.count, round(h.mean_ps / 1000.0, 1), h.max_ps // 1000)
             for name, h in items

@@ -399,20 +399,6 @@ def subexpressions(expr: Expr):
         yield from subexpressions(child)
 
 
-def walk_expressions(stmts: Sequence[Stmt]):
-    """Yield every expression appearing in a block (pre-order)."""
-    for stmt in walk_statements(stmts):
-        if isinstance(stmt, Assign):
-            yield from subexpressions(stmt.value)
-        elif isinstance(stmt, Send):
-            for arg in stmt.args:
-                yield from subexpressions(arg)
-        elif isinstance(stmt, (If, While)):
-            yield from subexpressions(stmt.condition)
-        elif isinstance(stmt, SetTimer):
-            yield from subexpressions(stmt.duration)
-
-
 def sent_signal_names(stmts: Sequence[Stmt]):
     """All signal names this block may send (static over-approximation)."""
     return sorted(

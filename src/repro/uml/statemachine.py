@@ -341,21 +341,33 @@ class StateMachine(NamedElement):
     def sent_signal_names(self) -> List[str]:
         """All signal names the machine may emit (static over-approximation)."""
         return sent_signal_names(
-            [stmt for _, stmts, _ in machine_blocks(self) for stmt in stmts]
+            [stmt for stmts, _, _ in machine_blocks(self) for stmt in stmts]
         )
 
 
 def machine_blocks(machine: StateMachine):
-    """Yield every action block of a machine as ``(where, stmts, anchor)``.
+    """Yield every action block of a machine as ``(stmts, anchor, role)``.
 
     State entry and exit blocks come first, in state order, then transition
-    effects in declaration order; empty blocks are skipped.
+    effects in declaration order; empty blocks are skipped.  ``role`` is
+    ``"entry"``, ``"exit"`` or ``"effect"``; :func:`block_where` words it.
     """
     for state in machine.states:
         if state.entry:
-            yield f"state {state.name!r} entry", state.entry, state
+            yield state.entry, state, "entry"
         if state.exit:
-            yield f"state {state.name!r} exit", state.exit, state
+            yield state.exit, state, "exit"
     for transition in machine.transitions:
         if transition.effect:
-            yield f"transition {transition.describe()!r}", transition.effect, transition
+            yield transition.effect, transition, "effect"
+
+
+def block_where(anchor, role: str) -> str:
+    """Where a block sits, as findings quote it: ``state 'Idle' entry``,
+    ``transition 'Idle --go--> Busy'`` or, for the role ``"guard"``,
+    ``guard of transition 'Idle --go--> Busy'``."""
+    if role == "effect":
+        return f"transition {anchor.describe()!r}"
+    if role == "guard":
+        return f"guard of transition {anchor.describe()!r}"
+    return f"state {anchor.name!r} {role}"

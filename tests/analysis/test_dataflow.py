@@ -97,7 +97,20 @@ class TestUseBeforeAssign:
         m.on_signal("idle", "busy", "go", guard="phantom > 0")
         findings = lint_machine(m).by_rule("D001")
         assert len(findings) == 1
-        assert "'phantom'" in findings[0].message
+        assert findings[0].message == (
+            "'phantom' read in guard of transition 'idle --go [(phantom > 0)]--> "
+            "busy' is never declared, bound or assigned"
+        )
+
+    def test_each_block_reports_its_own_reads(self):
+        m = machine()
+        m.variable("sink")
+        m.state("done", entry="sink = ghost;", exit="sink = ghost + ghost;")
+        findings = lint_machine(m).by_rule("D001")
+        assert [f.message for f in findings] == [
+            "'ghost' read in state 'done' entry is never declared, bound or assigned",
+            "'ghost' read in state 'done' exit is never declared, bound or assigned",
+        ]
 
 
 class TestDeadStores:
@@ -120,6 +133,18 @@ class TestDeadStores:
         m.variable("mode")
         m.on_signal("idle", "busy", "go", guard="mode == 1")
         assert lint_machine(m).by_rule("D003") == []
+
+    def test_reads_nested_in_loops_and_branches_keep_variables_alive(self):
+        m = machine()
+        for name in ("a", "b", "c", "d", "x"):
+            m.variable(name)
+        m.on_signal(
+            "idle", "busy", "go", effect="while (a < b) { if (c) { x = d; } }"
+        )
+        findings = lint_machine(m).by_rule("D003")
+        assert [f.message for f in findings] == [
+            "variable 'x' is declared but never read"
+        ]
 
 
 class TestSendChecks:
@@ -146,6 +171,24 @@ class TestSendChecks:
         findings = lint_machine(m, decls).by_rule("D005")
         assert len(findings) == 1
         assert "'mystery'" in findings[0].message
+
+    def test_sends_nested_in_branches_and_loops_are_checked(self):
+        m = machine()
+        m.variable("x")
+        m.on_signal(
+            "idle", "busy", "go",
+            effect="if (x) { send ping(1, 2); } while (x) { send mystery(); x = 0; }",
+        )
+        decls = declared_signals(("ping", 1), ("stop", 0), ("go", 0))
+        report = lint_machine(m, decls)
+        where = "transition 'idle --go--> busy'"
+        assert [f.message for f in report.by_rule("D004")] == [
+            f"send 'ping' in {where} passes 2 argument(s) but the signal "
+            "declares 1 parameter(s)"
+        ]
+        assert [f.message for f in report.by_rule("D005")] == [
+            f"send of undeclared signal 'mystery' in {where}"
+        ]
 
     def test_no_declarations_skips_send_checks(self):
         m = machine()

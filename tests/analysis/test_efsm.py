@@ -64,6 +64,18 @@ class TestDeadTransitions:
         assert len(findings) == 1
         assert "shadowed" in findings[0].message
 
+    def test_constant_true_guard_shadows_like_no_guard(self):
+        m = machine()
+        m.state("busy")
+        m.on_signal("idle", "busy", "go", guard="2 > 1")
+        m.on_signal("idle", "idle", "go")
+        m.on_signal("busy", "idle", "stop")
+        findings = lint_machine(m).by_rule("E003")
+        assert [f.message for f in findings] == [
+            "transition 'idle --go--> idle' is shadowed by earlier unguarded "
+            "'idle --go [(2 > 1)]--> busy'"
+        ]
+
     def test_priority_order_decides_shadowing(self):
         m = machine()
         m.variable("x")

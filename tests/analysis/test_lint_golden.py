@@ -30,6 +30,7 @@ from repro.application import ApplicationModel
 from repro.cases.tutwlan import build_tutwlan_system, exploration_factory
 from repro.errors import GeneratorError
 from repro.genmodel import config_for_seed, generate_model, known_defects
+from repro.uml.statemachine import Transition
 
 GOLDEN = Path(__file__).with_name("lint_golden.json")
 
@@ -161,6 +162,22 @@ def test_fixpoints_pin_a_bound_too_long_for_repr():
     assert _fixpoints(application) == [
         ["Huge.HugeBehavior", [["s", [["y", "~2^16000", "~2^16000"]]]]]
     ]
+
+
+def test_locations_are_worded_only_for_findings(monkeypatch):
+    """Lint describes a transition only to word a finding that quotes it
+    (E003 quotes two), not for every block and guard it walks."""
+    corpus = [generate_model(config_for_seed(seed)) for seed in CORPUS_SEEDS]
+    calls = []
+    describe = Transition.describe
+    monkeypatch.setattr(
+        Transition, "describe", lambda self: calls.append(self) or describe(self)
+    )
+    findings = sum(
+        len(run_lint(g.application, g.platform, g.mapping).findings) for g in corpus
+    )
+    assert findings == TOTALS["corpus"]
+    assert len(calls) <= 2 * findings
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

@@ -8,9 +8,11 @@ from repro.analysis import (
     static_mapping_estimate,
 )
 from repro.application import ApplicationModel
+from repro.cases.tutwlan import build_tutwlan_system
+from repro.errors import MappingError
 from repro.mapping import MappingModel
 from repro.platform import PlatformModel, standard_library
-from repro.tutprofile import PLATFORM_MAPPING, TUT_PROFILE
+from repro.tutprofile import APPLICATION_PROCESS, PLATFORM_MAPPING, TUT_PROFILE
 from repro.uml.dependency import Dependency
 
 
@@ -261,6 +263,48 @@ class TestFixedContradictions:
         )
         # not Fixed: the flow may remap it, so M005 stays quiet
         assert lint_mapped(app, platform, mapping, "M005") == []
+
+
+class TestUntimedMember:
+    """A PE with no cycle cost for a member process's own ProcessType is a
+    defect ``check_complete()`` raises on; lint reports it with the same
+    words, as M005 on a Fixed mapping and as M001 otherwise."""
+
+    MESSAGE = (
+        "process 'crc' (general) of group 'group4' cannot run on "
+        "'accelerator1' (hw accelerator): the PE has no cycle cost for its type"
+    )
+
+    def retagged_tutwlan(self):
+        application, platform, mapping = build_tutwlan_system()
+        part = application.processes["crc"].part
+        part.stereotype_application(APPLICATION_PROCESS).set("ProcessType", "general")
+        with pytest.raises(MappingError) as excinfo:
+            mapping.check_complete()
+        assert str(excinfo.value) == self.MESSAGE
+        return application, platform, mapping
+
+    def test_m001_fires_on_a_movable_mapping(self):
+        application, platform, mapping = self.retagged_tutwlan()
+        report = run_lint(application, platform, mapping)
+        (finding,) = report.by_rule("M001")
+        assert (finding.severity, finding.subject, finding.message) == (
+            "error", "group group4", self.MESSAGE
+        )
+        assert finding.elements == (application.groups["group4"],)
+        assert report.by_rule("M005") == []
+
+    def test_m005_fires_on_a_fixed_mapping(self):
+        application, platform, mapping = self.retagged_tutwlan()
+        dependency = mapping.mappings["group4"]
+        dependency.stereotype_application(PLATFORM_MAPPING).set("Fixed", True)
+        report = run_lint(application, platform, mapping)
+        (finding,) = report.by_rule("M005")
+        assert (finding.severity, finding.subject, finding.message) == (
+            "error", "group group4", self.MESSAGE
+        )
+        assert finding.elements == (dependency,)
+        assert report.by_rule("M001") == []
 
 
 class TestSuppression:

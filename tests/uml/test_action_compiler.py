@@ -1,6 +1,7 @@
 """Compiled guards and action blocks: oracle agreement, caches, safety."""
 
 import random
+import re
 
 import pytest
 
@@ -287,6 +288,22 @@ def test_equal_blocks_share_one_compiled_function():
     )
 
 
+def test_each_key_compiles_under_a_file_name_of_its_own():
+    """``pstats`` keys a function by file, line and name, so two cached
+    functions must differ in file name; it carries no model string."""
+    block = parse_actions("secret_name = 1;")
+    functions = [
+        compile_block(block, ()),
+        # the same source: "x" is in scope but unread, and only the key differs
+        compile_block(block, ("x",)),
+        compile_guard(parse_expression("secret_name"), ()),
+    ]
+    names = [function.__code__.co_filename for function in functions]
+    assert len(set(names)) == 3
+    for name in names:
+        assert re.fullmatch(r"<action-language:[0-9a-f]{16}>", name), name
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -366,8 +383,8 @@ def test_rebuilt_tutmac_parses_and_compiles_nothing_new(monkeypatch):
         monkeypatch.setattr(
             module,
             name,
-            lambda text, original=original, name=name: misses.append(name)
-            or original(text),
+            lambda *args, original=original, name=name: misses.append(name)
+            or original(*args),
         )
     simulate_fresh_build()
     assert misses == []

@@ -185,12 +185,3 @@ class TestStaticAnalysis:
             "if (x) { send a(); } else { send b(); } send a();"
         )
         assert sent_signal_names(block) == ["a", "b"]
-
-    def test_walk_expressions_covers_nested(self):
-        from repro.uml.actions import walk_expressions, Name
-
-        block = parse_actions("while (a < b) { x = c + d; }")
-        names = {
-            e.identifier for e in walk_expressions(block) if isinstance(e, Name)
-        }
-        assert names == {"a", "b", "c", "d"}
