@@ -47,10 +47,11 @@ register_rule(
     "error",
     "A process group with members has no «PlatformMapping» dependency (the "
     "flow cannot place its processes), a non-environment process belongs to "
-    "no group, a movable mapping places a member process on a PE with no "
-    "cycle cost for its ProcessType, or a mapping points at an empty group — "
-    "the completeness half of the mapping relation, which "
-    "MappingModel.check_complete() enforces.",
+    "no group, a movable mapping names a PE the platform lacks, places the "
+    "group on a PE that cannot run its ProcessType or places a member "
+    "process on a PE with no cycle cost for its own, or a mapping points at "
+    "an empty group — what MappingModel.check_complete() rejects, except "
+    "the Fixed mappings M005 reports.",
 )
 register_rule(
     "M002",
@@ -85,6 +86,10 @@ register_rule(
     "process type, or a member process's own type, cannot execute on the "
     "target PE.",
 )
+
+#: The relation's defects in where a mapping places a group: M001 reports
+#: them on a movable mapping, M005 on a Fixed one.
+_PLACEMENT_DEFECTS = (UNKNOWN_PE, CANNOT_RUN, UNTIMED_MEMBER)
 
 #: M002 fires when one PE's static load share exceeds this and at least one
 #: other compatible PE carries (almost) nothing.
@@ -233,9 +238,10 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
     assignment = mapping.assignment()
     defects = relation.defects(platform, assignment)
 
-    # M001: completeness, the relation's unmapped groups, ungrouped
-    # processes and members a movable mapping's PE cannot time, plus
-    # mappings of groups without members.
+    # M001: completeness, the relation's unmapped groups and ungrouped
+    # processes, every defect of a movable mapping (an unknown PE, a PE
+    # that cannot run the group or cannot time a member), plus mappings of
+    # groups without members.  M005 reports a Fixed mapping's defects.
     for defect in defects:
         name = defect.name
         if defect.kind == UNMAPPED_GROUP:
@@ -253,7 +259,7 @@ def check_mapping(ctx: LintContext, findings: List[Finding]) -> None:
             )
             part = application.processes[name].part
             ctx.emit(findings, "M001", message, f"process {name}", (part,))
-        elif defect.kind == UNTIMED_MEMBER and not mapping.is_fixed(name):
+        elif defect.kind in _PLACEMENT_DEFECTS and not mapping.is_fixed(name):
             group = application.groups.get(name)
             ctx.emit(findings, "M001", str(defect), f"group {name}", (group,))
     for group_name, group in sorted(application.groups.items()):

@@ -38,7 +38,6 @@ from repro.exploration.workerfaults import (
 )
 from repro.exploration.spec import (
     CandidateSpec,
-    FaultSpec,
     build_system,
     builder_ref,
     resolve_builder,
@@ -65,7 +64,6 @@ __all__ = [
     "EvaluationResult",
     "ExplorationRun",
     "FailureRecord",
-    "FaultSpec",
     "MappingCandidate",
     "PruneConfig",
     "PrunedRecord",

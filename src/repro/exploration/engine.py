@@ -200,13 +200,12 @@ def evaluate_spec(
     """
     application, platform, mapping = build_system(spec)
     view = design_view(spec.builder, spec.grouping, spec.arq)
-    faults = spec.faults.build_plan() if spec.faults is not None else None
     return evaluate(
         application,
         platform,
         mapping,
         duration_us=spec.duration_us,
-        faults=faults,
+        faults=spec.faults,
         checkpointer=checkpointer,
         machine_tables=view.machine_tables,
     )

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
 
 from repro.application.model import ApplicationModel
+from repro.faults.plan import FaultPlan
 from repro.mapping.model import MappingModel
 from repro.observability.metrics import LatencyHistogram, summarize_result
 from repro.platform.model import PlatformModel
@@ -94,14 +95,14 @@ def evaluate(
     platform: PlatformModel,
     mapping: MappingModel,
     duration_us: int = 50_000,
-    faults: Optional[object] = None,
+    faults: Optional[FaultPlan] = None,
     checkpointer: Optional[object] = None,
     machine_tables: Optional[Dict[StateMachine, MachineTable]] = None,
 ) -> EvaluationResult:
     """Simulate one design point and compute its metrics.
 
-    ``faults`` is an optional :class:`repro.faults.FaultPlan`; when it
-    injects anything, the result carries the injection/recovery ledger.
+    ``faults`` is an optional fault plan; when it injects anything, the
+    result carries the run's injection/recovery ledger.
 
     ``checkpointer`` is an optional
     :class:`repro.checkpoint.Checkpointer`; when its store already holds
@@ -130,8 +131,8 @@ def evaluate(
     if "user" in simulation.executors:
         delivered = simulation.executors["user"].variables.get("delivered", 0)
     metrics.delivered_msdus = delivered
-    if simulation.faults is not None:
-        stats = simulation.faults.stats
+    stats = result.fault_stats
+    if stats is not None:
         metrics.fault_injected = stats.injected
         metrics.fault_detected = stats.detected
         metrics.fault_recovered = stats.recovered

@@ -4,7 +4,9 @@ A :class:`CandidateSpec` describes one design point of the paper's
 Figure 2 loop — a grouping, a group→PE mapping, an optional fault plan and
 a simulation horizon — **by value**, so it can cross a process boundary
 and be hashed for the on-disk result cache.  No UML objects are ever
-pickled.
+pickled; the fault plan is a frozen :class:`~repro.faults.FaultPlan`,
+itself a value, which each evaluation's simulation injects through a
+fresh :class:`~repro.faults.FaultInjector`.
 
 The paper keeps the application, the platform and the mapping as
 separate views, so a candidate that only changes the mapping does not
@@ -30,62 +32,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import ExplorationError
+from repro.faults.plan import FaultPlan
 
 #: Bump when the spec encoding changes incompatibly: old cache entries
 #: then miss instead of deserialising garbage.
 SPEC_SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Picklable mirror of :class:`repro.faults.FaultPlan` constructor args.
-
-    A spec only carries the plan *parameters*; the live plan (with its RNG
-    and mutable stats) is rebuilt inside the worker via :meth:`build_plan`.
-    """
-
-    seed: int = 0
-    bus_corrupt_rate: float = 0.0
-    bus_drop_rate: float = 0.0
-    signal_drop_rate: float = 0.0
-    signal_dup_rate: float = 0.0
-    corruptible_signals: Optional[Tuple[str, ...]] = None
-    droppable_signals: Optional[Tuple[str, ...]] = None
-    protected_signals: Tuple[str, ...] = ()
-
-    def build_plan(self):
-        from repro.faults.plan import FaultPlan
-
-        return FaultPlan(
-            seed=self.seed,
-            bus_corrupt_rate=self.bus_corrupt_rate,
-            bus_drop_rate=self.bus_drop_rate,
-            signal_drop_rate=self.signal_drop_rate,
-            signal_dup_rate=self.signal_dup_rate,
-            corruptible_signals=self.corruptible_signals,
-            droppable_signals=self.droppable_signals,
-            protected_signals=self.protected_signals,
-        )
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "bus_corrupt_rate": self.bus_corrupt_rate,
-            "bus_drop_rate": self.bus_drop_rate,
-            "signal_drop_rate": self.signal_drop_rate,
-            "signal_dup_rate": self.signal_dup_rate,
-            "corruptible_signals": (
-                sorted(self.corruptible_signals)
-                if self.corruptible_signals is not None
-                else None
-            ),
-            "droppable_signals": (
-                sorted(self.droppable_signals)
-                if self.droppable_signals is not None
-                else None
-            ),
-            "protected_signals": sorted(self.protected_signals),
-        }
 
 
 Builder = Union[str, Callable]
@@ -145,7 +96,7 @@ class CandidateSpec:
     mapping: Tuple[Tuple[str, str], ...]
     grouping: Optional[Tuple[Tuple[str, str], ...]] = None
     duration_us: int = 20_000
-    faults: Optional[FaultSpec] = None
+    faults: Optional[FaultPlan] = None
     arq: bool = False
     label: str = field(default="", compare=False)
 
@@ -155,7 +106,7 @@ class CandidateSpec:
         mapping: Dict[str, str],
         grouping: Optional[Dict[str, str]] = None,
         duration_us: int = 20_000,
-        faults: Optional[FaultSpec] = None,
+        faults: Optional[FaultPlan] = None,
         arq: bool = False,
         label: str = "",
     ) -> "CandidateSpec":
@@ -188,7 +139,7 @@ class CandidateSpec:
             "mapping": dict(self.mapping),
             "grouping": dict(self.grouping) if self.grouping is not None else None,
             "duration_us": self.duration_us,
-            "faults": self.faults.to_json_dict() if self.faults else None,
+            "faults": self.faults.to_json_dict() if self.faults is not None else None,
             "arq": self.arq,
         }
 

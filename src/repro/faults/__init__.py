@@ -1,6 +1,7 @@
 """Deterministic fault injection: seeded fault plans and canned campaigns.
 
-See :mod:`repro.faults.plan` for the fault models and
+See :mod:`repro.faults.plan` for the fault models (a frozen
+:class:`FaultPlan`, injected by each run's :class:`FaultInjector`) and
 :mod:`repro.faults.campaign` for the TUTMAC robustness campaign.
 Documentation: ``docs/fault_injection.md``.
 """
@@ -9,6 +10,7 @@ from repro.faults.plan import (
     BUS_CORRUPT,
     BUS_DROP,
     FAULT_KINDS,
+    FaultInjector,
     FaultPlan,
     FaultRng,
     FaultStats,
@@ -21,7 +23,6 @@ from repro.faults.plan import (
 from repro.faults.campaign import (
     CampaignResult,
     build_campaign_plan,
-    campaign_fault_spec,
     fault_sweep_specs,
     run_fault_campaign,
     run_fault_sweep,
@@ -32,6 +33,7 @@ __all__ = [
     "BUS_DROP",
     "CampaignResult",
     "FAULT_KINDS",
+    "FaultInjector",
     "FaultPlan",
     "FaultRng",
     "FaultStats",
@@ -41,7 +43,6 @@ __all__ = [
     "SIGNAL_DROP",
     "SIGNAL_DUP",
     "build_campaign_plan",
-    "campaign_fault_spec",
     "fault_sweep_specs",
     "run_fault_campaign",
     "run_fault_sweep",

@@ -11,29 +11,33 @@ repairs the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.faults.plan import FaultPlan, FaultStats
-from repro.profiling.analysis import ProfilingData
+
+if TYPE_CHECKING:  # profiling imports this package, so only type checkers may
+    from repro.profiling.analysis import ProfilingData
+    from repro.simulation.system import SimulationResult
 
 
 @dataclass
 class CampaignResult:
     """Everything one fault campaign produced."""
 
-    simulation: "SimulationResult"
+    simulation: SimulationResult
     plan: FaultPlan
     profiling: ProfilingData
 
     @property
     def stats(self) -> FaultStats:
-        return self.plan.stats
+        """The run's ledger; an empty one when the plan injects nothing."""
+        stats = self.simulation.fault_stats
+        return stats if stats is not None else FaultStats(seed=self.plan.seed)
 
     @property
     def recovery_ratio(self) -> float:
-        if self.stats.detected == 0:
-            return 1.0
-        return self.stats.recovered / self.stats.detected
+        """The ledger's fraction of detected faults repaired."""
+        return self.stats.recovery_ratio
 
 
 def build_campaign_plan(
@@ -82,26 +86,6 @@ def run_fault_campaign(
 # ----------------------------------------------------------------------
 
 
-def campaign_fault_spec(
-    seed: int = 1,
-    fault_rate: float = 0.05,
-    drop_rate: Optional[float] = None,
-):
-    """The picklable :class:`repro.exploration.FaultSpec` twin of
-    :func:`build_campaign_plan` (same rates, signals and seed)."""
-    from repro.cases.tutmac import signals as sig
-    from repro.exploration.spec import FaultSpec
-
-    return FaultSpec(
-        seed=seed,
-        bus_corrupt_rate=fault_rate,
-        bus_drop_rate=fault_rate / 2 if drop_rate is None else drop_rate,
-        corruptible_signals=(sig.PDU_TX,),
-        droppable_signals=(sig.PDU_TX,),
-        protected_signals=(sig.PDU_TX,),
-    )
-
-
 def fault_sweep_specs(
     seeds: Iterable[int],
     fault_rate: float = 0.05,
@@ -117,7 +101,7 @@ def fault_sweep_specs(
             "repro.cases.tutwlan:exploration_factory",
             dict(PAPER_MAPPING),
             duration_us=duration_us,
-            faults=campaign_fault_spec(
+            faults=build_campaign_plan(
                 seed=seed, fault_rate=fault_rate, drop_rate=drop_rate
             ),
             arq=True,

@@ -7,6 +7,12 @@ testbed: it decides — reproducibly, from a seed — which HIBI transfers
 corrupt or vanish, which signals are lost or duplicated at dispatch, and
 when processing elements stall or crash.
 
+A plan is a frozen value: the design flow, the simulator and exploration
+specs all take the same object, and equal plans compare and hash equal.
+Each run injects through its own :class:`FaultInjector`, which holds what
+the run changes (RNG position, :class:`FaultStats` ledger, pending
+losses), so one plan drives any number of identical runs.
+
 Design constraints:
 
 * **Bit-reproducible.**  Every decision is a pure function of
@@ -20,8 +26,8 @@ Design constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -104,8 +110,8 @@ class PEWindow:
     """A stall or crash window on one processing element.
 
     * ``pe-stall`` — steps started inside the window take
-      ``stall_factor`` times longer (the PE is throttled, e.g. by DMA
-      contention or thermal limits).
+      ``stall_factor`` (at least 2) times longer (the PE is throttled, e.g.
+      by DMA contention or thermal limits).
     * ``pe-crash`` — activations arriving inside the window are lost (the
       PE is down; it recovers at ``end_ps``).
     """
@@ -121,8 +127,9 @@ class PEWindow:
             raise SimulationError(f"unknown PE window kind {self.kind!r}")
         if self.end_ps <= self.start_ps:
             raise SimulationError("PE window must have positive length")
-        if self.kind == PE_STALL and self.stall_factor < 1:
-            raise SimulationError("stall_factor must be >= 1")
+        # a factor of 1 would stretch nothing, yet count injections
+        if self.kind == PE_STALL and self.stall_factor < 2:
+            raise SimulationError("stall_factor must be >= 2")
 
     def covers(self, time_ps: int) -> bool:
         return self.start_ps <= time_ps < self.end_ps
@@ -130,15 +137,19 @@ class PEWindow:
 
 @dataclass
 class FaultStats:
-    """Injection/recovery accounting, the report's reliability ledger.
+    """One run's injection/recovery ledger, the report's reliability ledger.
 
     ``detected`` counts injections on CRC-protected signals (the receiver's
     FCS check is guaranteed to flag them, and lost protected frames are
     flagged by the sender's retransmission timeout).  ``recovered`` counts
     protected injections whose frame identity was later delivered clean —
     i.e. the model's retransmission actually repaired the loss.
+
+    The ledger reaches profiling through the log's META entries:
+    :meth:`as_meta` writes them and :meth:`from_meta` reads them back.
     """
 
+    seed: int = 0
     injected_by_kind: Dict[str, int] = field(default_factory=dict)
     detected: int = 0
     recovered: int = 0
@@ -151,20 +162,25 @@ class FaultStats:
     def residual(self) -> int:
         return self.detected - self.recovered
 
+    @property
+    def recovery_ratio(self) -> float:
+        """Fraction of detected faults repaired (1.0 when nothing detected)."""
+        return self.recovered / self.detected if self.detected else 1.0
+
     def count(self, kind: str) -> int:
         return self.injected_by_kind.get(kind, 0)
 
     def note_injected(self, kind: str) -> None:
         self.injected_by_kind[kind] = self.injected_by_kind.get(kind, 0) + 1
 
-    def as_meta(self, seed: int) -> Dict[str, str]:
+    def as_meta(self) -> Dict[str, str]:
         """Log-file META entries carrying the ledger into profiling."""
         kinds = ",".join(
             f"{kind}:{count}"
             for kind, count in sorted(self.injected_by_kind.items())
         )
         return {
-            "fault_seed": str(seed),
+            "fault_seed": str(self.seed),
             "fault_injected": str(self.injected),
             "fault_detected": str(self.detected),
             "fault_recovered": str(self.recovered),
@@ -172,9 +188,33 @@ class FaultStats:
             "fault_kinds": kinds or "-",
         }
 
+    @classmethod
+    def from_meta(cls, meta: Mapping[str, str]) -> Optional["FaultStats"]:
+        """The ledger :meth:`as_meta` wrote, or None for a fault-free log."""
+        if "fault_injected" not in meta:
+            return None
+        by_kind: Dict[str, int] = {}
+        kinds = meta.get("fault_kinds", "-")
+        if kinds and kinds != "-":
+            for entry in kinds.split(","):
+                kind, _, count = entry.partition(":")
+                by_kind[kind] = int(count or 0)
+        return cls(
+            seed=int(meta.get("fault_seed", "0")),
+            injected_by_kind=by_kind,
+            detected=int(meta.get("fault_detected", "0")),
+            recovered=int(meta.get("fault_recovered", "0")),
+        )
 
+
+_RATES = ("bus_corrupt_rate", "bus_drop_rate", "signal_drop_rate", "signal_dup_rate")
+#: the signal sets that restrict eligibility (``None`` means all signals)
+_RESTRICTIONS = ("corruptible_signals", "droppable_signals")
+
+
+@dataclass(frozen=True)
 class FaultPlan:
-    """A reproducible schedule of fault injections.
+    """A reproducible schedule of fault injections, as a frozen value.
 
     Rates are per-opportunity probabilities: ``bus_*`` rates apply to each
     eligible bus transfer, ``signal_*`` rates to each dispatched signal.
@@ -183,44 +223,76 @@ class FaultPlan:
     the application guards with an FCS — injections on them count as
     *detected* and are identity-tracked so a later clean delivery of the
     same frame counts as *recovered*.
+
+    Any iterable may be passed for the signal sets and the windows; they
+    are kept as frozensets and a tuple, so equal plans hash equal.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        bus_corrupt_rate: float = 0.0,
-        bus_drop_rate: float = 0.0,
-        signal_drop_rate: float = 0.0,
-        signal_dup_rate: float = 0.0,
-        corruptible_signals: Optional[Iterable[str]] = None,
-        droppable_signals: Optional[Iterable[str]] = None,
-        protected_signals: Iterable[str] = (),
-        pe_windows: Iterable[PEWindow] = (),
-    ) -> None:
-        for name, rate in (
-            ("bus_corrupt_rate", bus_corrupt_rate),
-            ("bus_drop_rate", bus_drop_rate),
-            ("signal_drop_rate", signal_drop_rate),
-            ("signal_dup_rate", signal_dup_rate),
-        ):
+    seed: int = 0
+    bus_corrupt_rate: float = 0.0
+    bus_drop_rate: float = 0.0
+    signal_drop_rate: float = 0.0
+    signal_dup_rate: float = 0.0
+    corruptible_signals: Optional[FrozenSet[str]] = None
+    droppable_signals: Optional[FrozenSet[str]] = None
+    protected_signals: FrozenSet[str] = frozenset()
+    pe_windows: Tuple[PEWindow, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in _RATES:
+            rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise SimulationError(f"{name} must be in [0, 1], got {rate}")
-        self.seed = int(seed)
-        self.rng = FaultRng(seed)
-        self.bus_corrupt_rate = bus_corrupt_rate
-        self.bus_drop_rate = bus_drop_rate
-        self.signal_drop_rate = signal_drop_rate
-        self.signal_dup_rate = signal_dup_rate
-        self.corruptible_signals = (
-            frozenset(corruptible_signals) if corruptible_signals is not None else None
-        )
-        self.droppable_signals = (
-            frozenset(droppable_signals) if droppable_signals is not None else None
-        )
-        self.protected_signals = frozenset(protected_signals)
-        self.pe_windows: Tuple[PEWindow, ...] = tuple(pe_windows)
-        self.stats = FaultStats()
+        normalised = {
+            "seed": int(self.seed),
+            "protected_signals": frozenset(self.protected_signals),
+            "pe_windows": tuple(self.pe_windows),
+        }
+        for name in _RESTRICTIONS:
+            signals = getattr(self, name)
+            normalised[name] = frozenset(signals) if signals is not None else None
+        for name, value in normalised.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def enabled(self) -> bool:
+        """False when the plan can never inject anything (zero-cost mode)."""
+        return bool(self.pe_windows) or any(getattr(self, n) > 0.0 for n in _RATES)
+
+    def to_json_dict(self) -> Dict[str, object]:
+        """The canonical encoding an exploration spec's digest reads.
+
+        ``pe_windows`` appears only when the plan has windows, so plans
+        without them encode as they always have.
+        """
+        encoding: Dict[str, object] = {"seed": self.seed}
+        encoding.update((name, getattr(self, name)) for name in _RATES)
+        for name in _RESTRICTIONS:
+            signals = getattr(self, name)
+            encoding[name] = sorted(signals) if signals is not None else None
+        encoding["protected_signals"] = sorted(self.protected_signals)
+        if self.pe_windows:
+            encoding["pe_windows"] = [asdict(window) for window in self.pe_windows]
+        return encoding
+
+
+def _eligible(signal: str, restriction: Optional[FrozenSet[str]]) -> bool:
+    return restriction is None or signal in restriction
+
+
+class FaultInjector:
+    """One run's fault injection: the RNG position, the ledger and the
+    pending losses, with every decision read off :attr:`plan`.
+
+    :class:`~repro.simulation.system.SystemSimulation` builds one per run
+    (when its plan is enabled), so a plan shared by several runs gives
+    each the same decisions and a ledger of its own.
+    """
+
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        self.rng = FaultRng(plan.seed)
+        self.stats = FaultStats(seed=plan.seed)
         # (signal, frame identity) -> number of losses awaiting clean
         # re-delivery.  A count, not a flag: a frame whose retransmission is
         # itself lost has two detected events, both repaired by the one
@@ -228,31 +300,15 @@ class FaultPlan:
         self._pending: Dict[Tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
-    # enablement
-    # ------------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """False when the plan can never inject anything (zero-cost mode)."""
-        return bool(
-            self.bus_corrupt_rate > 0.0
-            or self.bus_drop_rate > 0.0
-            or self.signal_drop_rate > 0.0
-            or self.signal_dup_rate > 0.0
-            or self.pe_windows
-        )
-
-    # ------------------------------------------------------------------
     # checkpoint/restore protocol
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The plan's mutable state: RNG position, ledger, pending losses.
+        """The run's fault state: RNG position, ledger, pending losses.
 
-        The plan *parameters* (rates, signal sets, windows) are not part
-        of the snapshot — the caller reconstructs an identical plan and
-        restores this state onto it, which :meth:`load_state_dict` checks
-        via the RNG seed.
+        The plan itself is not part of the snapshot — the caller builds
+        the simulation with an identical plan and restores this state onto
+        its injector, which :meth:`load_state_dict` checks via the RNG seed.
         """
         return {
             "rng": self.rng.state_dict(),
@@ -268,7 +324,7 @@ class FaultPlan:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore mutable plan state so fault streams resume mid-sequence."""
+        """Restore the run's fault state so fault streams resume mid-sequence."""
         self.rng.load_state_dict(state["rng"])
         stats = state["stats"]
         self.stats.injected_by_kind = dict(stats["injected_by_kind"])
@@ -282,9 +338,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # bus transfer faults
     # ------------------------------------------------------------------
-
-    def _eligible(self, signal: str, restriction: Optional[frozenset]) -> bool:
-        return restriction is None or signal in restriction
 
     def apply_bus_fault(
         self,
@@ -300,15 +353,14 @@ class FaultPlan:
         ``(BUS_DROP, args)`` for a lost frame, or ``(BUS_CORRUPT,
         corrupted_args)`` with one bit of the frame identity flipped.
         """
+        plan = self.plan
         site = f"bus:{source_pe}->{target_pe}:{signal}"
-        if self.bus_drop_rate > 0.0 and self._eligible(signal, self.droppable_signals):
-            if self.rng.uniform(site + ":drop", time_ps) < self.bus_drop_rate:
+        if plan.bus_drop_rate > 0.0 and _eligible(signal, plan.droppable_signals):
+            if self.rng.uniform(site + ":drop", time_ps) < plan.bus_drop_rate:
                 self._record_loss(BUS_DROP, signal, args)
                 return BUS_DROP, args
-        if self.bus_corrupt_rate > 0.0 and self._eligible(
-            signal, self.corruptible_signals
-        ):
-            if self.rng.uniform(site + ":corrupt", time_ps) < self.bus_corrupt_rate:
+        if plan.bus_corrupt_rate > 0.0 and _eligible(signal, plan.corruptible_signals):
+            if self.rng.uniform(site + ":corrupt", time_ps) < plan.bus_corrupt_rate:
                 self._record_loss(BUS_CORRUPT, signal, args)
                 return BUS_CORRUPT, self._corrupt(signal, args, time_ps)
         return None, args
@@ -335,15 +387,14 @@ class FaultPlan:
         time_ps: int,
     ) -> Optional[str]:
         """Decide the fate of one signal dispatch: drop, duplicate or None."""
+        plan = self.plan
         site = f"sig:{sender}->{receiver}:{signal}"
-        if self.signal_drop_rate > 0.0 and self._eligible(
-            signal, self.droppable_signals
-        ):
-            if self.rng.uniform(site + ":drop", time_ps) < self.signal_drop_rate:
+        if plan.signal_drop_rate > 0.0 and _eligible(signal, plan.droppable_signals):
+            if self.rng.uniform(site + ":drop", time_ps) < plan.signal_drop_rate:
                 self._record_loss(SIGNAL_DROP, signal, args)
                 return SIGNAL_DROP
-        if self.signal_dup_rate > 0.0:
-            if self.rng.uniform(site + ":dup", time_ps) < self.signal_dup_rate:
+        if plan.signal_dup_rate > 0.0:
+            if self.rng.uniform(site + ":dup", time_ps) < plan.signal_dup_rate:
                 self.stats.note_injected(SIGNAL_DUP)
                 return SIGNAL_DUP
         return None
@@ -353,7 +404,8 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def pe_crashed(self, pe: str, time_ps: int) -> bool:
-        for window in self.pe_windows:
+        """Whether ``pe`` is inside a crash window (an activation is lost)."""
+        for window in self.plan.pe_windows:
             if window.kind == PE_CRASH and window.pe == pe and window.covers(time_ps):
                 self.stats.note_injected(PE_CRASH)
                 return True
@@ -361,7 +413,7 @@ class FaultPlan:
 
     def stall_duration_ps(self, pe: str, time_ps: int, duration_ps: int) -> int:
         """Stretch a step's duration when the PE is inside a stall window."""
-        for window in self.pe_windows:
+        for window in self.plan.pe_windows:
             if window.kind == PE_STALL and window.pe == pe and window.covers(time_ps):
                 self.stats.note_injected(PE_STALL)
                 return duration_ps * window.stall_factor
@@ -373,7 +425,7 @@ class FaultPlan:
 
     def _record_loss(self, kind: str, signal: str, args: Tuple[int, ...]) -> None:
         self.stats.note_injected(kind)
-        if signal in self.protected_signals and args:
+        if signal in self.plan.protected_signals and args:
             self.stats.detected += 1
             key = (signal, args[0])
             self._pending[key] = self._pending.get(key, 0) + 1

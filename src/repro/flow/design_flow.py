@@ -178,7 +178,9 @@ def run_design_flow(
     """Run the complete Figure 2 flow; artefacts go to ``work_directory``.
 
     ``faults`` is an optional :class:`repro.faults.FaultPlan` handed to the
-    simulator; ``continue_on_error`` records step failures in the result
+    simulator (a plan is a value: flows that share one run identically,
+    each with its own ledger, ``simulation.fault_stats``);
+    ``continue_on_error`` records step failures in the result
     instead of raising, still running whatever does not depend on them.
     ``lint=True`` inserts a tutlint static-analysis step after validation:
     error-severity findings abort the flow (via :class:`AnalysisError`)

@@ -17,11 +17,7 @@ from repro.profiling.groupinfo import (
     group_info_from_model,
     group_info_from_xmi,
 )
-from repro.profiling.analysis import (
-    FaultSummary,
-    ProfilingData,
-    analyze,
-)
+from repro.profiling.analysis import ProfilingData, analyze
 from repro.profiling.export import (
     group_times_csv,
     latency_csv,
@@ -58,7 +54,6 @@ def profile_run(result, application):
 
 __all__ = [
     "ENVIRONMENT_GROUP",
-    "FaultSummary",
     "render_fault_section",
     "render_latency_detail",
     "group_times_csv",

@@ -18,51 +18,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
+from repro.faults.plan import FaultStats
 from repro.observability.metrics import LatencyHistogram
 from repro.simulation.logfile import LogFile
 from repro.profiling.groupinfo import ENVIRONMENT_GROUP, ProcessGroupInfo
-
-
-@dataclass
-class FaultSummary:
-    """Fault-injection ledger recovered from the log's META entries.
-
-    The accounting identity ``injected == detected == recovered + residual``
-    holds for campaigns that restrict injection to CRC-protected signals
-    (see docs/fault_injection.md); ``by_kind`` breaks injections down by
-    fault model.
-    """
-
-    seed: int = 0
-    injected: int = 0
-    detected: int = 0
-    recovered: int = 0
-    residual: int = 0
-    by_kind: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def recovery_ratio(self) -> float:
-        """Fraction of detected faults repaired (1.0 when nothing detected)."""
-        return self.recovered / self.detected if self.detected else 1.0
-
-
-def _fault_summary_from_meta(meta: Dict[str, str]) -> Optional[FaultSummary]:
-    if "fault_injected" not in meta:
-        return None
-    by_kind: Dict[str, int] = {}
-    kinds = meta.get("fault_kinds", "-")
-    if kinds and kinds != "-":
-        for entry in kinds.split(","):
-            kind, _, count = entry.partition(":")
-            by_kind[kind] = int(count or 0)
-    return FaultSummary(
-        seed=int(meta.get("fault_seed", "0")),
-        injected=int(meta.get("fault_injected", "0")),
-        detected=int(meta.get("fault_detected", "0")),
-        recovered=int(meta.get("fault_recovered", "0")),
-        residual=int(meta.get("fault_residual", "0")),
-        by_kind=by_kind,
-    )
 
 
 @dataclass
@@ -80,7 +39,8 @@ class ProfilingData:
     transport_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
     dropped_signals: int = 0
     end_time_ps: int = 0
-    fault_stats: Optional[FaultSummary] = None
+    # the run's fault ledger, read back from the log's META entries
+    fault_stats: Optional[FaultStats] = None
 
     # -- Table 4(a) ----------------------------------------------------------
 
@@ -163,7 +123,7 @@ def analyze(log: LogFile, group_info: ProcessGroupInfo) -> ProfilingData:
         transport_latency=account.latency_by(itemgetter(3)),
         dropped_signals=account.dropped,
         end_time_ps=log.end_time_ps,
-        fault_stats=_fault_summary_from_meta(log.meta),
+        fault_stats=FaultStats.from_meta(log.meta),
     )
     for process, cycles in account.process_cycles.items():
         _add(data.group_cycles, group_of(process), cycles)

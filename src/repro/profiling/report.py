@@ -114,17 +114,16 @@ def render_latency_detail(data: ProfilingData) -> str:
 def render_fault_section(data: ProfilingData) -> str:
     """Fault-injection ledger: what was injected, detected and repaired.
 
-    Only rendered for runs that carried a fault plan; fault-free reports
-    are byte-identical to the pre-fault-injection layout.
+    :func:`render_report` adds it only for runs that carried an enabled
+    fault plan, so fault-free reports keep the pre-fault-injection layout.
+    For a fault-free run the section says that no fault was injected.
     """
     stats = data.fault_stats
-    assert stats is not None
-    kind_rows = [
-        (kind, count) for kind, count in sorted(stats.by_kind.items())
-    ]
-    lines = [
-        "Fault injection",
-        "---------------",
+    lines = ["Fault injection", "---------------"]
+    if stats is None:
+        return "\n".join(lines + ["no fault was injected (no enabled fault plan)"])
+    kind_rows = sorted(stats.injected_by_kind.items())
+    lines += [
         f"seed: {stats.seed}",
         f"injected faults: {stats.injected}",
         f"detected (CRC-protected): {stats.detected}",

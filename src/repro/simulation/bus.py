@@ -88,8 +88,8 @@ class HibiBus:
     ) -> None:
         self.platform = platform
         self.kernel = kernel
-        # an optional repro.faults.FaultPlan; None keeps transfers fault-free
-        # with zero per-transfer overhead
+        # an optional repro.faults.FaultInjector (the run's); None keeps
+        # transfers fault-free with zero per-transfer overhead
         self.faults = faults
         # an optional repro.observability.Tracer: one grant→release span per
         # hop (appended at release) and request-queue depth samples per

@@ -21,6 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.application.model import ApplicationModel
+from repro.faults.plan import FaultInjector, FaultPlan, FaultStats
 from repro.mapping.model import MappingModel
 from repro.observability.tracer import SYSTEM_TRACK, Tracer, pe_track
 from repro.platform.components import ProcessingElementSpec
@@ -273,7 +274,7 @@ class SimulationResult:
     dispatched_events: int
     pes: Tuple[str, ...]                  # the platform's processing elements
     bus_stats: Dict[str, TransferStats]
-    fault_stats: Optional[object] = None  # repro.faults.FaultStats when injecting
+    fault_stats: Optional[FaultStats] = None  # the run's ledger when injecting
     trace: Optional[Tracer] = None        # the run's tracer when tracing was on
     _log: Optional[LogFile] = field(default=None, repr=False)
 
@@ -328,7 +329,7 @@ class SystemSimulation:
         platform: PlatformModel,
         mapping: MappingModel,
         max_events: int = 5_000_000,
-        faults=None,
+        faults: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
         machine_tables: Optional[Dict[StateMachine, MachineTable]] = None,
     ) -> None:
@@ -347,7 +348,10 @@ class SystemSimulation:
         # A disabled plan (all rates zero, no windows) is treated exactly
         # like no plan: every fault hook stays behind a None check, so the
         # fault-free simulation is bit-identical to the pre-fault simulator.
-        self.faults = faults if faults is not None and faults.enabled else None
+        # An enabled plan injects through this run's own FaultInjector.
+        self.faults: Optional[FaultInjector] = (
+            FaultInjector(faults) if faults is not None and faults.enabled else None
+        )
         self.bus = HibiBus(
             platform, self.kernel, faults=self.faults, tracer=tracer
         )
@@ -419,7 +423,7 @@ class SystemSimulation:
         fault_stats = None
         if self.faults is not None:
             fault_stats = self.faults.stats
-            self.writer.meta.update(fault_stats.as_meta(self.faults.seed))
+            self.writer.meta.update(fault_stats.as_meta())
         return SimulationResult(
             writer=self.writer,
             end_time_ps=end,

@@ -1,5 +1,7 @@
 """Platform-aware mapping rules M001-M005 and the static estimator."""
 
+import re
+
 import pytest
 
 from repro.analysis import (
@@ -263,6 +265,42 @@ class TestFixedContradictions:
         )
         # not Fixed: the flow may remap it, so M005 stays quiet
         assert lint_mapped(app, platform, mapping, "M005") == []
+
+    def test_m001_fires_on_a_movable_mapping_to_an_incompatible_pe(self):
+        app = tiny_app(process_type="hardware")
+        platform = single_cpu_platform()
+        platform.instantiate("acc", "CRCAccelerator")
+        platform.attach("acc", "seg1", address=0x200)
+        mapping = MappingModel(app, platform)
+        mapping.map("g", "acc", fixed=False)
+        app.groups["g"].stereotype_application("ProcessGroup").set(
+            "ProcessType", "general"
+        )
+        message = "group 'g' (general) cannot run on 'acc' (hw accelerator)"
+        with pytest.raises(MappingError, match=re.escape(message)):
+            mapping.check_complete()
+        (finding,) = lint_mapped(app, platform, mapping, "M001")
+        assert (finding.severity, finding.subject, finding.message) == (
+            "error", "group g", message
+        )
+        assert finding.elements == (app.groups["g"],)
+
+    def test_m001_fires_on_a_movable_mapping_to_an_unknown_pe(self):
+        app = tiny_app()
+        platform = single_cpu_platform()
+        mapping = MappingModel(app, platform)
+        mapping.map("g", "cpu1", fixed=False)
+        platform.pe("cpu1").part.name = "ghost"  # stale hand-edited model
+        message = "platform has no PE named 'ghost'"
+        with pytest.raises(MappingError, match=re.escape(message)):
+            mapping.check_complete()
+        report = run_lint(app, platform, mapping)
+        (finding,) = report.by_rule("M001")
+        assert (finding.severity, finding.subject, finding.message) == (
+            "error", "group g", message
+        )
+        assert finding.elements == (app.groups["g"],)
+        assert report.by_rule("M005") == []
 
 
 class TestUntimedMember:

@@ -78,9 +78,12 @@ def fresh_result(spec):
     mapping = MappingModel(application, platform, view_name="ExploreMapping")
     for group_name, pe_name in spec.mapping:
         mapping.map(group_name, pe_name)
-    faults = spec.faults.build_plan() if spec.faults is not None else None
     return evaluate(
-        application, platform, mapping, duration_us=spec.duration_us, faults=faults
+        application,
+        platform,
+        mapping,
+        duration_us=spec.duration_us,
+        faults=spec.faults,
     )
 
 

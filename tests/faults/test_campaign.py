@@ -8,6 +8,7 @@ everything is bit-reproducible from the seed.
 
 import pytest
 
+from repro.__main__ import main
 from repro.cases.tutmac import TutmacParameters, build_tutmac
 from repro.cases.tutwlan import build_tutwlan_system
 from repro.faults import FaultPlan, build_campaign_plan, run_fault_campaign
@@ -52,7 +53,9 @@ class TestCampaign:
         assert summary is not None
         assert summary.injected == campaign.stats.injected
         assert summary.recovered == campaign.stats.recovered
-        assert summary.by_kind == dict(campaign.stats.injected_by_kind)
+        assert summary.injected_by_kind == dict(campaign.stats.injected_by_kind)
+        # the ledger read back from the log is the run's ledger
+        assert summary == campaign.simulation.fault_stats
 
     def test_corrupt_frames_marked_in_log(self, campaign):
         corrupt = [r for r in campaign.simulation.log.signal_records if r.corrupt]
@@ -103,6 +106,12 @@ class TestZeroCost:
             result.writer.write(str(path))
             logs.append(path.read_bytes())
         assert logs[0] == logs[1]
+
+    def test_cli_at_rate_zero_reports_no_injection(self, capsys):
+        """A zero rate disables the plan, so the log carries no ledger: the
+        command says so instead of failing."""
+        assert main(["faults", "--fault-rate", "0", "--duration-us", "2000"]) == 0
+        assert "no fault was injected" in capsys.readouterr().out
 
     def test_no_fault_meta_without_plan(self):
         application, platform, mapping = build_tutwlan_system()

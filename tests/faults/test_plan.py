@@ -1,4 +1,5 @@
-"""Unit tests of the fault plan: PRNG, rates, windows, accounting."""
+"""Unit tests of the fault plan and injector: PRNG, rates, windows,
+accounting."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.errors import SimulationError
 from repro.faults import (
     BUS_CORRUPT,
     BUS_DROP,
+    FaultInjector,
     FaultPlan,
     FaultRng,
     FaultStats,
@@ -70,6 +72,9 @@ class TestPEWindow:
             PEWindow("cpu", 0, 10, kind="meltdown")
         with pytest.raises(SimulationError):
             PEWindow("cpu", 0, 10, kind=PE_STALL, stall_factor=0)
+        # a factor of 1 stretches nothing, so it would count phantom stalls
+        with pytest.raises(SimulationError, match="stall_factor must be >= 2"):
+            PEWindow("cpu", 0, 10, kind=PE_STALL, stall_factor=1)
 
 
 class TestFaultPlanEnablement:
@@ -93,10 +98,15 @@ class TestFaultPlanEnablement:
             FaultPlan(seed=1, bus_drop_rate=-0.1)
 
 
+def injector(**kwargs) -> FaultInjector:
+    """A fresh run's injector for a seed-1 plan with ``kwargs``."""
+    return FaultInjector(FaultPlan(seed=1, **kwargs))
+
+
 class TestBusFaults:
     def test_rate_one_always_corrupts(self):
-        plan = FaultPlan(seed=1, bus_corrupt_rate=1.0)
-        kind, args = plan.apply_bus_fault("pdu", (5, 10), "a", "b", 1000)
+        faults = injector(bus_corrupt_rate=1.0)
+        kind, args = faults.apply_bus_fault("pdu", (5, 10), "a", "b", 1000)
         assert kind == BUS_CORRUPT
         assert args != (5, 10)
         # exactly one bit of the identity flipped, payload untouched
@@ -104,32 +114,32 @@ class TestBusFaults:
         assert args[1] == 10
 
     def test_rate_zero_never_injects(self):
-        plan = FaultPlan(seed=1, bus_corrupt_rate=0.0, bus_drop_rate=0.0,
-                         signal_dup_rate=0.5)
+        faults = injector(bus_corrupt_rate=0.0, bus_drop_rate=0.0,
+                          signal_dup_rate=0.5)
         for t in range(100):
-            kind, args = plan.apply_bus_fault("pdu", (t,), "a", "b", t)
+            kind, args = faults.apply_bus_fault("pdu", (t,), "a", "b", t)
             assert kind is None
             assert args == (t,)
 
     def test_drop_precedes_corrupt(self):
-        plan = FaultPlan(seed=1, bus_corrupt_rate=1.0, bus_drop_rate=1.0)
-        kind, _ = plan.apply_bus_fault("pdu", (1,), "a", "b", 0)
+        faults = injector(bus_corrupt_rate=1.0, bus_drop_rate=1.0)
+        kind, _ = faults.apply_bus_fault("pdu", (1,), "a", "b", 0)
         assert kind == BUS_DROP
 
     def test_signal_restriction(self):
-        plan = FaultPlan(
-            seed=1, bus_corrupt_rate=1.0, corruptible_signals={"pdu"}
-        )
-        kind, _ = plan.apply_bus_fault("other", (1,), "a", "b", 0)
+        faults = injector(bus_corrupt_rate=1.0, corruptible_signals={"pdu"})
+        kind, _ = faults.apply_bus_fault("other", (1,), "a", "b", 0)
         assert kind is None
-        kind, _ = plan.apply_bus_fault("pdu", (1,), "a", "b", 0)
+        kind, _ = faults.apply_bus_fault("pdu", (1,), "a", "b", 0)
         assert kind == BUS_CORRUPT
 
     def test_deterministic_across_instances(self):
         def outcomes(seed):
-            plan = FaultPlan(seed=seed, bus_corrupt_rate=0.3, bus_drop_rate=0.1)
+            faults = FaultInjector(
+                FaultPlan(seed=seed, bus_corrupt_rate=0.3, bus_drop_rate=0.1)
+            )
             return [
-                plan.apply_bus_fault("pdu", (t,), "a", "b", t * 500)
+                faults.apply_bus_fault("pdu", (t,), "a", "b", t * 500)
                 for t in range(200)
             ]
 
@@ -139,83 +149,82 @@ class TestBusFaults:
 
 class TestDispatchFaults:
     def test_drop_and_dup(self):
-        plan = FaultPlan(seed=1, signal_drop_rate=1.0)
-        assert plan.apply_dispatch_fault("s", (1,), "p", "q", 0) == SIGNAL_DROP
-        plan = FaultPlan(seed=1, signal_dup_rate=1.0)
-        assert plan.apply_dispatch_fault("s", (1,), "p", "q", 0) == SIGNAL_DUP
+        faults = injector(signal_drop_rate=1.0)
+        assert faults.apply_dispatch_fault("s", (1,), "p", "q", 0) == SIGNAL_DROP
+        faults = injector(signal_dup_rate=1.0)
+        assert faults.apply_dispatch_fault("s", (1,), "p", "q", 0) == SIGNAL_DUP
 
     def test_none_when_disabled(self):
-        plan = FaultPlan(seed=1, bus_corrupt_rate=0.5)
-        assert plan.apply_dispatch_fault("s", (1,), "p", "q", 0) is None
+        faults = injector(bus_corrupt_rate=0.5)
+        assert faults.apply_dispatch_fault("s", (1,), "p", "q", 0) is None
 
 
 class TestPEWindows:
     def test_crash_window(self):
-        plan = FaultPlan(
-            seed=1, pe_windows=[PEWindow("cpu1", 100, 200, kind=PE_CRASH)]
-        )
-        assert plan.pe_crashed("cpu1", 150)
-        assert not plan.pe_crashed("cpu1", 250)
-        assert not plan.pe_crashed("cpu2", 150)
-        assert plan.stats.count(PE_CRASH) == 1
+        faults = injector(pe_windows=[PEWindow("cpu1", 100, 200, kind=PE_CRASH)])
+        assert faults.pe_crashed("cpu1", 150)
+        assert not faults.pe_crashed("cpu1", 250)
+        assert not faults.pe_crashed("cpu2", 150)
+        assert faults.stats.count(PE_CRASH) == 1
 
     def test_stall_window_scales_duration(self):
-        plan = FaultPlan(
-            seed=1,
+        faults = injector(
             pe_windows=[PEWindow("cpu1", 0, 1000, kind=PE_STALL, stall_factor=3)],
         )
-        assert plan.stall_duration_ps("cpu1", 500, 100) == 300
-        assert plan.stall_duration_ps("cpu1", 2000, 100) == 100
-        assert plan.stall_duration_ps("cpu2", 500, 100) == 100
+        assert faults.stall_duration_ps("cpu1", 500, 100) == 300
+        assert faults.stall_duration_ps("cpu1", 2000, 100) == 100
+        assert faults.stall_duration_ps("cpu2", 500, 100) == 100
 
 
 class TestAccounting:
     def test_protected_loss_then_recovery(self):
-        plan = FaultPlan(seed=1, bus_corrupt_rate=1.0, protected_signals={"pdu"})
-        plan.apply_bus_fault("pdu", (9,), "a", "b", 0)
-        assert plan.stats.detected == 1
-        assert plan.pending_losses == 1
-        plan.note_delivery("pdu", (9,))
-        assert plan.stats.recovered == 1
-        assert plan.pending_losses == 0
-        assert plan.stats.residual == 0
+        faults = injector(bus_corrupt_rate=1.0, protected_signals={"pdu"})
+        faults.apply_bus_fault("pdu", (9,), "a", "b", 0)
+        assert faults.stats.detected == 1
+        assert faults.pending_losses == 1
+        faults.note_delivery("pdu", (9,))
+        assert faults.stats.recovered == 1
+        assert faults.pending_losses == 0
+        assert faults.stats.residual == 0
 
     def test_repeated_loss_counts_multiplicity(self):
         # original AND retransmission lost: one clean delivery repairs both
-        plan = FaultPlan(seed=1, bus_drop_rate=1.0, protected_signals={"pdu"})
-        plan.apply_bus_fault("pdu", (9,), "a", "b", 0)
-        plan.apply_bus_fault("pdu", (9,), "a", "b", 1000)
-        assert plan.stats.detected == 2
-        assert plan.pending_losses == 2
-        plan.note_delivery("pdu", (9,))
-        assert plan.stats.recovered == 2
-        assert plan.stats.residual == 0
+        faults = injector(bus_drop_rate=1.0, protected_signals={"pdu"})
+        faults.apply_bus_fault("pdu", (9,), "a", "b", 0)
+        faults.apply_bus_fault("pdu", (9,), "a", "b", 1000)
+        assert faults.stats.detected == 2
+        assert faults.pending_losses == 2
+        faults.note_delivery("pdu", (9,))
+        assert faults.stats.recovered == 2
+        assert faults.stats.residual == 0
 
     def test_unprotected_loss_not_detected(self):
-        plan = FaultPlan(seed=1, bus_drop_rate=1.0)
-        plan.apply_bus_fault("pdu", (9,), "a", "b", 0)
-        assert plan.stats.injected == 1
-        assert plan.stats.detected == 0
+        faults = injector(bus_drop_rate=1.0)
+        faults.apply_bus_fault("pdu", (9,), "a", "b", 0)
+        assert faults.stats.injected == 1
+        assert faults.stats.detected == 0
 
     def test_unrelated_delivery_is_not_recovery(self):
-        plan = FaultPlan(seed=1, bus_drop_rate=1.0, protected_signals={"pdu"})
-        plan.apply_bus_fault("pdu", (9,), "a", "b", 0)
-        plan.note_delivery("pdu", (10,))
-        plan.note_delivery("other", (9,))
-        assert plan.stats.recovered == 0
-        assert plan.pending_losses == 1
+        faults = injector(bus_drop_rate=1.0, protected_signals={"pdu"})
+        faults.apply_bus_fault("pdu", (9,), "a", "b", 0)
+        faults.note_delivery("pdu", (10,))
+        faults.note_delivery("other", (9,))
+        assert faults.stats.recovered == 0
+        assert faults.pending_losses == 1
 
     def test_stats_meta_roundtrip(self):
-        stats = FaultStats()
+        stats = FaultStats(seed=11)
         stats.note_injected(BUS_CORRUPT)
         stats.note_injected(BUS_CORRUPT)
         stats.note_injected(BUS_DROP)
         stats.detected = 3
         stats.recovered = 2
-        meta = stats.as_meta(seed=11)
+        meta = stats.as_meta()
         assert meta["fault_seed"] == "11"
         assert meta["fault_injected"] == "3"
         assert meta["fault_detected"] == "3"
         assert meta["fault_recovered"] == "2"
         assert meta["fault_residual"] == "1"
         assert meta["fault_kinds"] == "bus-corrupt:2,bus-drop:1"
+        assert FaultStats.from_meta(meta) == stats
+        assert FaultStats.from_meta({"application": "Tutmac"}) is None

@@ -190,7 +190,8 @@ class TestFaultsThroughFlow:
         )
         assert result.succeeded
         assert result.profiling.fault_stats is not None
-        assert result.profiling.fault_stats.injected == plan.stats.injected
+        assert result.profiling.fault_stats.injected > 0
+        assert result.profiling.fault_stats == result.simulation.fault_stats
         assert "Fault injection" in result.report_text
 
 

@@ -14,6 +14,7 @@ These are wall-clock gates, so the default test run skips this directory
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -43,6 +44,10 @@ SINGLE_EVALUATION_BUDGET_S = 3.0
 #: supervised dispatch (ledgering, deadline bookkeeping) may cost at most
 #: this fraction of a campaign's wall clock on top of pure evaluation.
 SUPERVISOR_OVERHEAD_CEILING = 0.05
+
+#: the parallel-speedup smoke asserts a speedup only when the host grants
+#: two busy processes at least this many cores (2.0 is two whole cores).
+MIN_TWO_PROCESS_CORES = 1.5
 
 
 def _measure_kernel_events_per_s(kernel, total=50_000):
@@ -104,13 +109,54 @@ def test_exploration_sweep_throughput_floor():
     )
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="parallel speedup needs >= 2 cores"
-)
+def _busy(iterations: int) -> None:
+    total = 0
+    for value in range(iterations):
+        total += value
+
+
+def _two_process_cores(iterations: int = 2_000_000, repeats: int = 3) -> float:
+    """Cores the host grants two busy processes at once, measured now.
+
+    A busy loop runs in one process, then in two at once, each started
+    the way the engine starts its workers; each wall time is the best of
+    ``repeats``.  2.0 means the pair finished in the time of one, 1.0 that
+    it took twice as long.  The figure is what the host gives, not what
+    ``os.cpu_count()`` reports.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+
+    def wall(copies: int) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            processes = [
+                context.Process(target=_busy, args=(iterations,))
+                for _ in range(copies)
+            ]
+            started = time.perf_counter()
+            for process in processes:
+                process.start()
+            for process in processes:
+                process.join(timeout=60)
+                assert process.exitcode == 0, "a busy-loop process failed"
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    return 2.0 * wall(1) / wall(2)
+
+
 def test_parallel_vs_serial_speedup_smoke():
-    """Two workers must beat serial on a ~1 s sweep (smoke, not a 2x claim)."""
+    """Two workers must beat serial on a ~1 s sweep (smoke, not a 2x claim).
+
+    Its premise is a host that runs two busy processes at once, which the
+    CPU count does not promise: the test measures the cores the host
+    grants right before timing and skips the speed assertion, naming the
+    figure, below :data:`MIN_TWO_PROCESS_CORES`.
+    """
     specs = mapping_sweep_specs(TUTWLAN_BUILDER, duration_us=20_000, limit=16)
 
+    cores = _two_process_cores()
     started = time.perf_counter()
     serial = run_candidates(specs, workers=0)
     serial_wall = time.perf_counter() - started
@@ -122,6 +168,12 @@ def test_parallel_vs_serial_speedup_smoke():
     serial_hashes = [o.result.stable_hash() for o in serial.ranking()]
     parallel_hashes = [o.result.stable_hash() for o in parallel.ranking()]
     assert serial_hashes == parallel_hashes, "ranking must not depend on workers"
+    if cores < MIN_TWO_PROCESS_CORES:
+        pytest.skip(
+            f"the host granted two busy processes {cores:.2f} cores "
+            f"(< {MIN_TWO_PROCESS_CORES}); 2 workers took {parallel_wall:.2f}s, "
+            f"serial {serial_wall:.2f}s"
+        )
     assert parallel_wall < serial_wall, (
         f"2 workers ({parallel_wall:.2f}s) not faster than serial "
         f"({serial_wall:.2f}s)"
